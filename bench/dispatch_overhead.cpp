@@ -3,9 +3,10 @@
 //
 // Runs a sweep of deliberately tiny cells (so per-cell compute is small and
 // the dispatch machinery dominates) through GridScheduler three times —
-// thread backend, process backend, and the tcp backend against two --serve
-// workers self-exec'd on loopback — and reports wall time, cells/sec and the
-// derived per-cell dispatch overhead.  A fourth sub-bench measures the
+// thread backend, process backend (its time includes spawning its own
+// loopback --serve children), and the tcp backend against two --serve
+// workers started before the clock runs — and reports wall time, cells/sec
+// and the derived per-cell dispatch overhead.  A fourth sub-bench measures the
 // worker-side multi-build LRU cache (exp/build_cache.hpp): a
 // build-interleaved 2-build sweep of build-heavy cells on one process
 // worker, cold (FEDHISYN_BUILD_CACHE_MB=0) vs warm (default budget), where
@@ -100,7 +101,7 @@ class ServeWorker {
 int main(int argc, char** argv) {
   using namespace fedhisyn;
   const auto flags = Flags::parse(argc - 1, argv + 1);
-  exp::handle_grid_flags(flags);  // --worker-cell / --threads / --list-methods
+  exp::handle_grid_flags(flags);  // --serve / --threads / --list-methods
   // The sweeps below use many distinct builds; keep the workers' per-build
   // cache log lines out of the bench output.
   ::setenv("FEDHISYN_QUIET", "1", /*overwrite=*/1);
@@ -111,7 +112,7 @@ int main(int argc, char** argv) {
   const std::string out_path = flags.get("out", "BENCH_dispatch.json");
 
   // Tiny cells: 4 devices, 1 round, a handful of samples — compute is a few
-  // milliseconds, so spawn + wire-codec + pipe costs are what get measured.
+  // milliseconds, so spawn + wire-codec + socket costs are what get measured.
   exp::ExperimentGrid grid;
   grid.base().build.scale.devices = 4;
   grid.base().build.scale.train_samples_per_device = 10;

@@ -42,22 +42,6 @@ bool quiet_from_env() {
            std::strcmp(value, "false") == 0);
 }
 
-GemmTune gemm_tune_from_env() {
-  GemmTune tune;
-  const char* value = std::getenv("FEDHISYN_GEMM_TUNE");
-  if (value == nullptr) return tune;
-  char* end = nullptr;
-  const long nc = std::strtol(value, &end, 10);
-  if (end == value || nc <= 0) return tune;
-  tune.nc = nc;
-  if (*end == 'x' || *end == 'X' || *end == ':') {
-    const char* rest = end + 1;
-    const long rows = std::strtol(rest, &end, 10);
-    if (end != rest && rows > 0) tune.rows = rows;
-  }
-  return tune;
-}
-
 std::string gemm_kernel_from_env() {
   const char* value = std::getenv("FEDHISYN_GEMM_KERNEL");
   if (value == nullptr || value[0] == '\0') return "auto";

@@ -45,13 +45,6 @@
 //                            the built-in defaults.  A cache recorded for a
 //                            different variant is ignored with a warning;
 //                            tunings change scheduling only, never bytes.
-//   FEDHISYN_GEMM_TUNE=NC[xROWS]
-//                            blocked-GEMM tile sizes (see tensor/gemm.cpp):
-//                            NC = column-panel width, ROWS = rows per parallel
-//                            task, overriding defaults and tuning cache alike.
-//                            Tuning changes scheduling and pack-buffer
-//                            shapes only, never the per-element reduction
-//                            order, so results stay bit-identical.
 //   FEDHISYN_BUILD_CACHE_MB=M
 //                            byte budget (MiB, fractional allowed) of the
 //                            BuiltExperiment cache every execution backend
@@ -60,8 +53,8 @@
 //                            full Table-1 sweep.  Caching changes when
 //                            builds happen, never result bytes.
 //   FEDHISYN_QUIET=1         suppress the dispatch workers' per-build cache
-//                            log lines on stderr (--quiet sets this so child
-//                            workers inherit it).
+//                            and connection log lines on stderr (--quiet
+//                            sets this so spawned workers inherit it).
 //   FEDHISYN_TRACE=FILE      write a Chrome-trace/Perfetto JSON timeline of
 //                            the run to FILE (fallback for the grid drivers'
 //                            --trace flag; see common/trace.hpp and
@@ -90,19 +83,9 @@ double env_double(const std::string& name, double fallback);
 bool speculate_from_env();
 
 /// FEDHISYN_QUIET: true when set to anything but "0"/"off"/"false"/empty —
-/// the dispatch workers then skip their per-build cache log lines.
+/// the dispatch workers then skip their per-build cache and connection log
+/// lines.
 bool quiet_from_env();
-
-/// Blocked-GEMM tiling knobs.  Zero fields mean "use the kernel's default";
-/// the kernel clamps and rounds to micro-tile multiples.
-struct GemmTune {
-  long nc = 0;    // column-panel width (rounded up to the register tile width)
-  long rows = 0;  // rows per parallel task (rounded up to the register tile height)
-};
-
-/// Parse FEDHISYN_GEMM_TUNE ("NC" or "NCxROWS", e.g. "256x8").  Unset or
-/// malformed fields come back as 0 (kernel default).
-GemmTune gemm_tune_from_env();
 
 /// FEDHISYN_GEMM_KERNEL: the requested GEMM kernel variant spec ("auto" when
 /// unset; see tensor/gemm_tune.hpp for the grammar).

@@ -1,5 +1,5 @@
 // Minimal JSON reader/writer helpers for the wire formats the repo owns:
-// the ExperimentSpec codec (exp/spec.*), the worker-cell protocol
+// the ExperimentSpec codec (exp/spec.*), the dispatch wire protocol
 // (exp/dispatch.*) and the --resume scanner over result JSONL files
 // (exp/sinks.*).
 //

@@ -248,17 +248,39 @@ bool write_all(int fd, const std::string& data) {
   return true;
 }
 
-bool LineReader::pop_line(std::string* line) {
-  const std::size_t newline = buf_.find('\n');
-  if (newline == std::string::npos) return false;
-  line->assign(buf_, 0, newline);
-  buf_.erase(0, newline + 1);
+void LineFramer::check_line_size(std::size_t size) const {
+  FEDHISYN_CHECK_MSG(size <= kMaxLineBytes, "line from " << peer_ << " exceeds the "
+                                                          << kMaxLineBytes
+                                                          << "-byte line cap");
+}
+
+void LineFramer::append(const char* data, std::size_t size) {
+  // Drop consumed lines first: after pop_line drained everything complete,
+  // what is left is one partial line, so the move stays small.
+  if (head_ > 0) {
+    buf_.erase(0, head_);
+    scan_ -= head_;
+    head_ = 0;
+  }
+  buf_.append(data, size);
+}
+
+bool LineFramer::pop_line(std::string* line) {
+  const std::size_t newline = buf_.find('\n', scan_);
+  if (newline == std::string::npos) {
+    scan_ = buf_.size();
+    check_line_size(scan_ - head_);
+    return false;
+  }
+  check_line_size(newline - head_);
+  line->assign(buf_, head_, newline - head_);
+  head_ = scan_ = newline + 1;
   return true;
 }
 
 LineReader::Status LineReader::read_line(std::string* line, const Deadline& deadline) {
   for (;;) {
-    if (pop_line(line)) return Status::kLine;
+    if (framer_.pop_line(line)) return Status::kLine;
     if (eof_) return Status::kEof;
     pollfd pfd{fd_, POLLIN, 0};
     const int ready = ::poll(&pfd, 1, deadline.poll_timeout_ms());
@@ -271,7 +293,7 @@ LineReader::Status LineReader::read_line(std::string* line, const Deadline& dead
     char buf[65536];
     const ssize_t n = ::read(fd_, buf, sizeof(buf));
     if (n > 0) {
-      buf_.append(buf, static_cast<std::size_t>(n));
+      framer_.append(buf, static_cast<std::size_t>(n));
     } else if (n == 0 || errno != EINTR) {
       eof_ = true;  // clean close or reset: either way the peer is gone
     }

@@ -12,9 +12,11 @@
 // elsewhere.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <chrono>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace fedhisyn::net {
@@ -76,12 +78,40 @@ int tcp_connect(const std::string& host, std::uint16_t port,
 /// instead of killing the process.
 bool write_all(int fd, const std::string& data);
 
+/// Line cap, 16 MiB: far above the dispatch wire's largest legal line
+/// (exp/dispatch.cpp), yet it bounds what a peer that never sends a newline
+/// can make us buffer.
+inline constexpr std::size_t kMaxLineBytes = std::size_t{16} << 20;
+
+/// Bounded newline framing: bytes in as they arrive, complete lines out.
+/// Lines are consumed by offset and the buffer compacted once per append,
+/// so framing is linear in the bytes received.  A line (terminated or not)
+/// longer than kMaxLineBytes check-fails, naming the peer and the cap.
+class LineFramer {
+ public:
+  explicit LineFramer(std::string peer = "peer") : peer_(std::move(peer)) {}
+
+  void append(const char* data, std::size_t size);
+  /// Pop the next complete line (without its newline) into `*line`; false
+  /// when only a partial line (or nothing) is buffered.
+  bool pop_line(std::string* line);
+
+ private:
+  void check_line_size(std::size_t size) const;
+
+  std::string peer_;
+  std::string buf_;
+  std::size_t head_ = 0;  // start of the first unconsumed line
+  std::size_t scan_ = 0;  // bytes in [head_, scan_) hold no newline
+};
+
 /// Buffered newline-framed reads over any pollable fd (socket or pipe).
 /// One reader owns the framing for one fd; the fd's lifetime is the
-/// caller's.
+/// caller's.  Lines are capped at kMaxLineBytes (see LineFramer).
 class LineReader {
  public:
-  explicit LineReader(int fd) : fd_(fd) {}
+  explicit LineReader(int fd, std::string peer = "peer")
+      : fd_(fd), framer_(std::move(peer)) {}
 
   enum class Status { kLine, kEof, kTimeout };
 
@@ -93,10 +123,8 @@ class LineReader {
   Status read_line(std::string* line, const Deadline& deadline = Deadline::never());
 
  private:
-  bool pop_line(std::string* line);
-
   int fd_ = -1;
-  std::string buf_;
+  LineFramer framer_;
   bool eof_ = false;
 };
 

@@ -4,9 +4,9 @@
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
-#include <mutex>
 
 #include <fcntl.h>
+#include <sys/prctl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -21,14 +21,6 @@ namespace {
 /// "KEY" prefix of a "KEY=VALUE" entry.
 std::string env_key(const std::string& entry) {
   return entry.substr(0, entry.find('='));
-}
-
-/// write_stdin's return-false-on-EPIPE contract needs SIGPIPE ignored, or a
-/// write to a dead child kills the parent before errno is ever seen — so
-/// the class arranges it itself instead of relying on every caller.
-void ignore_sigpipe() {
-  static std::once_flag once;
-  std::call_once(once, [] { std::signal(SIGPIPE, SIG_IGN); });
 }
 
 }  // namespace
@@ -48,21 +40,13 @@ std::string describe(const ExitStatus& status) {
 Subprocess::Subprocess(const std::vector<std::string>& argv,
                        const std::vector<std::string>& env_overrides) {
   FEDHISYN_CHECK_MSG(!argv.empty(), "Subprocess needs a binary to exec");
-  ignore_sigpipe();
 
-  // O_CLOEXEC on both pipes: a sibling worker exec'd later must not inherit
-  // this worker's pipe ends, or closing the parent's write end would never
-  // deliver EOF (the child's dup2 copies below drop the flag, so the child
-  // keeps exactly the stdin/stdout it needs).
-  int in_pipe[2];   // parent writes -> child stdin
+  // O_CLOEXEC: a sibling worker exec'd later must not inherit this worker's
+  // pipe end, or the parent would never see EOF when this child dies (the
+  // child's dup2 copy below drops the flag, so it keeps its stdout).
   int out_pipe[2];  // child stdout -> parent reads
-  FEDHISYN_CHECK_MSG(::pipe2(in_pipe, O_CLOEXEC) == 0,
+  FEDHISYN_CHECK_MSG(::pipe2(out_pipe, O_CLOEXEC) == 0,
                      "pipe2() failed: " << std::strerror(errno));
-  if (::pipe2(out_pipe, O_CLOEXEC) != 0) {
-    ::close(in_pipe[0]);
-    ::close(in_pipe[1]);
-    FEDHISYN_CHECK_MSG(false, "pipe2() failed: " << std::strerror(errno));
-  }
 
   // Materialise argv/envp before fork: no allocation between fork and exec.
   std::vector<char*> argv_ptrs;
@@ -88,26 +72,35 @@ Subprocess::Subprocess(const std::vector<std::string>& argv,
   for (const auto& entry : env_storage) envp.push_back(const_cast<char*>(entry.c_str()));
   envp.push_back(nullptr);
 
+  const pid_t parent = ::getpid();
   const pid_t pid = ::fork();
   if (pid < 0) {
-    for (const int fd : {in_pipe[0], in_pipe[1], out_pipe[0], out_pipe[1]}) ::close(fd);
+    for (const int fd : out_pipe) ::close(fd);
     FEDHISYN_CHECK_MSG(false, "fork() failed: " << std::strerror(errno));
   }
 
   if (pid == 0) {
-    // Child: wire the pipes onto stdin/stdout (stderr stays inherited).
-    ::dup2(in_pipe[0], STDIN_FILENO);
+    // Child: die with the parent.  A resident --serve worker never exits on
+    // its own, so a coordinator killed mid-sweep would otherwise leave it
+    // listening forever.  The re-check catches a parent that died before
+    // prctl ran.
+    ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+    if (::getppid() != parent) ::_exit(127);
+    // stdin from /dev/null, stdout onto the pipe, stderr inherited.
+    const int null_fd = ::open("/dev/null", O_RDONLY);
+    if (null_fd > STDIN_FILENO) {
+      ::dup2(null_fd, STDIN_FILENO);
+      ::close(null_fd);
+    }
     ::dup2(out_pipe[1], STDOUT_FILENO);
-    for (const int fd : {in_pipe[0], in_pipe[1], out_pipe[0], out_pipe[1]}) ::close(fd);
+    for (const int fd : out_pipe) ::close(fd);
     ::execve(argv_ptrs[0], argv_ptrs.data(), envp.data());
     // exec failed: 127 is the shell's convention for "command not found".
     ::_exit(127);
   }
 
   pid_ = pid;
-  ::close(in_pipe[0]);
   ::close(out_pipe[1]);
-  stdin_fd_ = in_pipe[1];
   stdout_fd_ = out_pipe[0];
 }
 
@@ -116,33 +109,7 @@ Subprocess::~Subprocess() {
     ::kill(pid_, SIGKILL);
     wait();
   }
-  close_stdin();
-  if (stdout_fd_ >= 0) {
-    ::close(stdout_fd_);
-    stdout_fd_ = -1;
-  }
-}
-
-bool Subprocess::write_stdin(const std::string& data) {
-  FEDHISYN_CHECK_MSG(stdin_fd_ >= 0, "child stdin already closed");
-  std::size_t written = 0;
-  while (written < data.size()) {
-    const ssize_t n = ::write(stdin_fd_, data.data() + written, data.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EPIPE) return false;  // child is gone; caller handles retry
-      FEDHISYN_CHECK_MSG(false, "write to worker stdin failed: " << std::strerror(errno));
-    }
-    written += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-void Subprocess::close_stdin() {
-  if (stdin_fd_ >= 0) {
-    ::close(stdin_fd_);
-    stdin_fd_ = -1;
-  }
+  ::close(stdout_fd_);
 }
 
 ExitStatus Subprocess::wait() {

@@ -1,11 +1,12 @@
-// Subprocess: POSIX fork/exec with piped stdin/stdout, the process-level
-// half of the grid dispatch subsystem (exp/dispatch.*).
+// Subprocess: POSIX fork/exec with the child's stdout piped to the parent,
+// how the process dispatch backend (exp/dispatch.*) spawns its --serve
+// workers and reads the port each one announces.
 //
 // The child inherits the parent's environment plus explicit "KEY=VALUE"
 // overrides, and inherits stderr directly — worker diagnostics interleave
-// with the parent's progress output instead of vanishing.  stdin/stdout are
-// pipes owned by this object; the protocol running over them is the
-// caller's business.
+// with the parent's progress output instead of vanishing.  Its stdin is
+// /dev/null.  The child is SIGKILLed when the spawning *thread* exits
+// (PR_SET_PDEATHSIG), so a killed parent leaves no orphan behind.
 #pragma once
 
 #include <string>
@@ -30,9 +31,9 @@ std::string describe(const ExitStatus& status);
 
 class Subprocess {
  public:
-  /// Fork and exec `argv` (argv[0] is the binary path) with stdin/stdout
-  /// piped to the parent and `env_overrides` ("KEY=VALUE") layered over the
-  /// inherited environment.  Check-fails if the pipes or fork fail; a failed
+  /// Fork and exec `argv` (argv[0] is the binary path) with stdout piped to
+  /// the parent and `env_overrides` ("KEY=VALUE") layered over the
+  /// inherited environment.  Check-fails if the pipe or fork fail; a failed
   /// exec surfaces as the child exiting with code 127.
   Subprocess(const std::vector<std::string>& argv,
              const std::vector<std::string>& env_overrides);
@@ -42,29 +43,17 @@ class Subprocess {
   Subprocess& operator=(const Subprocess&) = delete;
 
   pid_t pid() const { return pid_; }
-  /// Parent-side pipe ends; -1 once closed.
-  int stdin_fd() const { return stdin_fd_; }
+  /// Parent-side end of the child's stdout pipe.
   int stdout_fd() const { return stdout_fd_; }
-
-  /// Write all of `data` to the child's stdin.  Returns false when the child
-  /// closed its end (EPIPE) — i.e. it died; check-fails on other errors.
-  bool write_stdin(const std::string& data);
-
-  /// Close the parent's write end (EOF for the child's stdin loop).
-  void close_stdin();
 
   /// Block until the child exits and reap it.  Idempotent.
   ExitStatus wait();
-
-  /// True while the child has not been reaped.
-  bool running() const { return pid_ > 0; }
 
   /// Send a signal (no-op after the child was reaped).
   void kill(int signum);
 
  private:
   pid_t pid_ = -1;
-  int stdin_fd_ = -1;
   int stdout_fd_ = -1;
   ExitStatus status_;
 };

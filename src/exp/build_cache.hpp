@@ -1,6 +1,6 @@
 // BuildCache: the shared multi-build BuiltExperiment cache behind every
 // execution backend (exp/scheduler.hpp's thread backend in-process, and each
-// dispatch worker — --worker-cell and resident --serve — on its own side of
+// resident --serve dispatch worker, spawned or remote, on its own side of
 // the wire).
 //
 // Entries are keyed on ExperimentSpec::build_key() and LRU-evicted under a

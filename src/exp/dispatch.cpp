@@ -8,9 +8,7 @@
 #include <cstring>
 #include <ctime>
 #include <deque>
-#include <iostream>
 #include <memory>
-#include <mutex>
 #include <sstream>
 
 #include <poll.h>
@@ -38,8 +36,12 @@ constexpr double kDefaultHelloGraceS = 60.0;
 
 // ----------------------------------------------------------- wire codec --
 
+/// First stdout line of a `--serve` worker, ending in its bound host:port.
+constexpr const char* kAnnouncePrefix = "fedhisyn-serve: listening on ";
+
 std::string encode_hello() {
-  return "{\"hello\":\"fedhisyn-worker\",\"proto\":1}";
+  return "{\"hello\":\"fedhisyn-worker\",\"proto\":" + std::to_string(kWireRevision) +
+         "}";
 }
 
 /// Check-fails unless `line` is this protocol's hello — the first line on a
@@ -50,10 +52,12 @@ void validate_hello(const std::string& line, const std::string& who) {
     const json::Value doc = json::parse(line);
     const json::Value* hello = doc.find("hello");
     const json::Value* proto = doc.find("proto");
+    const long revision = proto == nullptr ? 0 : proto->as_long();
     if (hello == nullptr || hello->as_string() != "fedhisyn-worker") {
       problem = "it did not identify as a fedhisyn dispatch worker";
-    } else if (proto == nullptr || proto->as_long() != 1) {
-      problem = "it speaks an unknown protocol revision";
+    } else if (revision != kWireRevision) {
+      problem = "it speaks wire revision " + std::to_string(revision) +
+                ", this coordinator speaks revision " + std::to_string(kWireRevision);
     }
   } catch (const std::exception&) {
     problem = "its greeting is not JSON";
@@ -62,10 +66,14 @@ void validate_hello(const std::string& line, const std::string& who) {
                                                             << " (got: " << line << ")");
 }
 
-/// Per-worker-cell telemetry span cap on the wire: bounds response-line size
+/// Per-cell telemetry span cap on the wire: bounds response-line size
 /// (~100 bytes/span) while comfortably covering a cell's waves and GEMMs;
 /// overflow is counted in the block's `dropped`.
 constexpr std::size_t kMaxWireSpans = 4096;
+// Wire lines are capped at net::kMaxLineBytes: demand 16x headroom over a
+// full span block at a generous 128 B/span, which also covers the history.
+static_assert(net::kMaxLineBytes >= 16 * kMaxWireSpans * 128,
+              "line cap leaves too little headroom over a full telemetry block");
 
 std::string encode_request(const ExperimentSpec& spec, int attempt) {
   std::ostringstream out;
@@ -362,11 +370,6 @@ std::string handle_request(const std::string& line, BuildCache* cache) {
   }
 }
 
-void ignore_sigpipe() {
-  static std::once_flag once;
-  std::call_once(once, [] { std::signal(SIGPIPE, SIG_IGN); });
-}
-
 /// Worker-side cache config: byte budget from FEDHISYN_BUILD_CACHE_MB
 /// (--build-cache-mb sets it before the worker branch runs), per-build
 /// hit/miss/evict log lines on stderr unless FEDHISYN_QUIET suppresses them.
@@ -377,77 +380,65 @@ BuildCache::Config worker_cache_config(const char* tag) {
   return config;
 }
 
-/// The one request/response loop both worker modes share: greet, then answer
-/// one result line per request line until the peer goes away.  Returns 0 on
-/// clean EOF, 3 when the peer vanished mid-reply.
-int serve_stream(int in_fd, int out_fd, BuildCache* cache) {
-  if (!net::write_all(out_fd, encode_hello() + "\n")) return 3;
-  net::LineReader reader(in_fd);
+/// The worker's request/response loop on one coordinator connection: greet,
+/// then answer one result line per request line until the peer goes away.
+void serve_stream(int fd, BuildCache* cache) {
+  if (!net::write_all(fd, encode_hello() + "\n")) return;
+  net::LineReader reader(fd, "the coordinator");
   std::string line;
   for (;;) {
-    if (reader.read_line(&line) != net::LineReader::Status::kLine) return 0;
+    if (reader.read_line(&line) != net::LineReader::Status::kLine) return;
     if (line.empty()) continue;
-    const std::string response = handle_request(line, cache);
-    if (!net::write_all(out_fd, response + "\n")) return 3;
+    if (!net::write_all(fd, handle_request(line, cache) + "\n")) return;
   }
 }
 
 // ---------------------------------------------------------- parent side --
 
-/// One worker as the shared dispatch loop sees it: a pollable response fd
-/// plus the few operations whose implementation differs between a child
-/// process on a pipe and a remote worker on a socket.
-class WorkerLink {
+/// One worker connection as the dispatch loop sees it: a socket to a
+/// `--serve` worker, plus that worker's process when this coordinator
+/// spawned it.  Destruction closes the socket, then ~Subprocess kills and
+/// reaps the child.
+class Link {
  public:
-  virtual ~WorkerLink() = default;
-  virtual int fd() const = 0;
+  Link(int fd, std::string endpoint, std::unique_ptr<Subprocess> child)
+      : fd_(fd), endpoint_(std::move(endpoint)), child_(std::move(child)) {}
+  ~Link() { ::close(fd_); }
+
+  int fd() const { return fd_; }
   /// False when the link is already dead — the EOF on fd() routes the cell
   /// through the death path, so callers just move on.
-  virtual bool send(const std::string& line) = 0;
+  bool send(const std::string& line) { return net::write_all(fd_, line); }
   /// Deadline enforcement: make the worker's EOF arrive now.
-  virtual void hard_kill() = 0;
-  /// Clean shutdown once no more work will be sent.
-  virtual void shutdown_clean() = 0;
-  /// Post-mortem description after EOF, for retry diagnostics.
-  virtual std::string describe_exit() = 0;
-};
-
-class ProcessLink : public WorkerLink {
- public:
-  ProcessLink(const std::string& binary, const std::vector<std::string>& env)
-      : proc_(std::vector<std::string>{binary, "--worker-cell"}, env) {}
-  int fd() const override { return proc_.stdout_fd(); }
-  bool send(const std::string& line) override { return proc_.write_stdin(line); }
-  void hard_kill() override { proc_.kill(SIGKILL); }
-  void shutdown_clean() override {
-    proc_.close_stdin();
-    proc_.wait();
-  }
-  std::string describe_exit() override { return describe(proc_.wait()); }
-
- private:
-  Subprocess proc_;
-};
-
-class TcpLink : public WorkerLink {
- public:
-  TcpLink(int fd, std::string endpoint) : fd_(fd), endpoint_(std::move(endpoint)) {}
-  ~TcpLink() override { shutdown_clean(); }
-  int fd() const override { return fd_; }
-  bool send(const std::string& line) override { return net::write_all(fd_, line); }
-  void hard_kill() override { ::shutdown(fd_, SHUT_RDWR); }
-  void shutdown_clean() override {
-    if (fd_ >= 0) {
-      ::close(fd_);
-      fd_ = -1;
+  void hard_kill() {
+    if (child_ != nullptr) {
+      child_->kill(SIGKILL);
+    } else {
+      ::shutdown(fd_, SHUT_RDWR);
     }
   }
-  std::string describe_exit() override { return "connection lost to " + endpoint_; }
+  /// Post-mortem description after EOF, for retry diagnostics.
+  std::string describe_exit() {
+    if (child_ == nullptr) return "connection lost to " + endpoint_;
+    child_->kill(SIGKILL);
+    return describe(child_->wait());
+  }
 
  private:
   int fd_;
   std::string endpoint_;
+  std::unique_ptr<Subprocess> child_;
 };
+
+/// Connect to the `--serve` worker at `host` (whose process is `child`, if
+/// spawned here) by `deadline`; nullptr when it cannot be reached.
+std::unique_ptr<Link> connect_link(const net::HostPort& host, const net::Deadline& deadline,
+                                   std::unique_ptr<Subprocess> child) {
+  const int fd = net::tcp_connect(host.host, host.port, deadline);
+  if (fd < 0) return nullptr;
+  return std::make_unique<Link>(fd, host.host + ":" + std::to_string(host.port),
+                                std::move(child));
+}
 
 /// Everything the shared loop needs from a backend.
 struct DispatchConfig {
@@ -459,7 +450,7 @@ struct DispatchConfig {
   double hello_grace_s = kDefaultHelloGraceS;
   /// Open (or re-open) slot s.  nullptr = the slot is permanently dead
   /// (unreachable host); its work is reassigned to the surviving slots.
-  std::function<std::unique_ptr<WorkerLink>(std::size_t)> connect;
+  std::function<std::unique_ptr<Link>(std::size_t)> connect;
   std::function<void(std::size_t, std::size_t, const CellResult&)> on_cell;
   /// Human lane titles for the merged trace, one per slot ("worker 0
   /// (process)", "worker 1 (host:port)"); empty = a generic name.
@@ -469,30 +460,25 @@ struct DispatchConfig {
 /// The dispatch loop both backends run: feed idle ready workers in spec
 /// order, poll every live link, collect results by spec index, convert
 /// worker deaths and blown deadlines into bounded retries.  This is the one
-/// place deadline/retry semantics live, so the process and tcp paths can
-/// never drift apart.
+/// place deadline/retry semantics live; the backends differ only in how a
+/// slot's `--serve` worker is found (spawned locally or reached remotely).
 ///
 /// Concurrency discipline (checked by review, not locks): the coordinator is
 /// strictly single-threaded — every Slot, the pending deque, attempts and
 /// results are touched only from this function's poll loop, so there is
 /// deliberately no mutex to annotate here.  Parallelism lives in the workers
-/// (other processes/hosts); the only shared-state primitive on the
-/// coordinator side is ignore_sigpipe()'s once_flag.
+/// (other processes/hosts).  A write to a vanished worker fails into the
+/// retry path instead of raising SIGPIPE: net::write_all sends with
+/// MSG_NOSIGNAL.
 std::vector<CellResult> run_dispatch(const DispatchConfig& config,
                                      const std::vector<ExperimentSpec>& specs) {
-  // The coordinator itself must survive a peer vanishing mid-send: a write
-  // to a reset connection (worker killed mid-sweep) must fail with EPIPE and
-  // flow into the retry path, not raise SIGPIPE and kill the whole sweep.
-  // A pure TCP coordinator never constructs a Subprocess, so this cannot be
-  // left to the link implementations.
-  ignore_sigpipe();
   const std::size_t n = specs.size();
   std::vector<CellResult> results(n);
   if (n == 0) return results;
 
   struct Slot {
-    std::unique_ptr<WorkerLink> link;
-    std::string buf;
+    std::unique_ptr<Link> link;
+    net::LineFramer framer;
     long cell = -1;          // spec index in flight, -1 when idle
     std::string last_key;    // build_key of the last cell sent (affinity)
     bool ready = false;      // hello received on this link
@@ -538,11 +524,11 @@ std::vector<CellResult> run_dispatch(const DispatchConfig& config,
   const auto open_slot = [&](std::size_t s) {
     Slot& slot = slots[s];
     slot.link = config.connect(s);
-    slot.buf.clear();
+    slot.framer = net::LineFramer("worker " + std::to_string(s));
     slot.cell = -1;
-    // A fresh --worker-cell process starts cold; a reconnected --serve
-    // worker may well be warm, but the coordinator cannot know what its
-    // resident cache holds, so affinity restarts from scratch either way.
+    // A freshly spawned worker starts cold; a reconnected remote one may
+    // well be warm, but the coordinator cannot know what its resident cache
+    // holds, so affinity restarts from scratch either way.
     slot.last_key.clear();
     slot.ready = false;
     slot.timed_out = false;
@@ -551,9 +537,7 @@ std::vector<CellResult> run_dispatch(const DispatchConfig& config,
       slot.deadline = net::Deadline::never();
       return;
     }
-    slot.deadline = config.hello_grace_s > 0
-                        ? net::Deadline::after(config.hello_grace_s)
-                        : net::Deadline::never();
+    slot.deadline = net::Deadline::after(config.hello_grace_s);
   };
 
   /// A link died (EOF on its fd).  With a cell in flight — crash, timeout or
@@ -570,7 +554,6 @@ std::vector<CellResult> run_dispatch(const DispatchConfig& config,
     }
     const long cell = slot.cell;
     slot.link.reset();
-    slot.buf.clear();
     slot.cell = -1;
     slot.deadline = net::Deadline::never();
     if (cell >= 0) {
@@ -733,11 +716,9 @@ std::vector<CellResult> run_dispatch(const DispatchConfig& config,
         handle_death(s);
         continue;
       }
-      slot.buf.append(buf, static_cast<std::size_t>(got));
-      std::size_t newline;
-      while ((newline = slot.buf.find('\n')) != std::string::npos) {
-        const std::string line = slot.buf.substr(0, newline);
-        slot.buf.erase(0, newline + 1);
+      slot.framer.append(buf, static_cast<std::size_t>(got));
+      std::string line;
+      while (slot.framer.pop_line(&line)) {
         if (!line.empty()) handle_line(s, line);
       }
     }
@@ -765,11 +746,6 @@ std::vector<CellResult> run_dispatch(const DispatchConfig& config,
     }
   }
 
-  for (auto& slot : slots) {
-    if (slot.link == nullptr) continue;
-    slot.link->shutdown_clean();
-    slot.link.reset();
-  }
   return results;
 }
 
@@ -778,17 +754,6 @@ std::vector<CellResult> run_dispatch(const DispatchConfig& config,
 double cell_timeout_from_env() {
   const double timeout = env_double("FEDHISYN_CELL_TIMEOUT_S", 0.0);
   return timeout > 0.0 ? timeout : 0.0;
-}
-
-int worker_cell_main() {
-  // The protocol owns the real stdout; stray library prints (progress dots,
-  // tables) are re-routed to stderr so they cannot corrupt a response line.
-  const int proto_fd = ::dup(STDOUT_FILENO);
-  FEDHISYN_CHECK_MSG(proto_fd >= 0, "worker cannot dup stdout");
-  ::dup2(STDERR_FILENO, STDOUT_FILENO);
-  ignore_sigpipe();
-  BuildCache cache(worker_cache_config("fedhisyn-worker"));
-  return serve_stream(STDIN_FILENO, proto_fd, &cache);
 }
 
 int serve_main(const std::string& bind_spec) {
@@ -800,21 +765,27 @@ int serve_main(const std::string& bind_spec) {
   // scripts and benches can discover it, then re-route stdout to stderr —
   // the protocol runs over the sockets, and nothing else should print where
   // an announcement parser might read it.
-  std::printf("fedhisyn-serve: listening on %s:%u\n", bind.host.c_str(),
+  std::printf("%s%s:%u\n", kAnnouncePrefix, bind.host.c_str(),
               static_cast<unsigned>(net::local_port(listen_fd)));
   std::fflush(stdout);
   ::dup2(STDERR_FILENO, STDOUT_FILENO);
-  ignore_sigpipe();
   // The cache outlives connections: the worker is resident, so back-to-back
   // sweeps (or a coordinator reconnect) reuse warm builds under the LRU byte
   // budget.
   BuildCache cache(worker_cache_config("fedhisyn-serve"));
+  // FEDHISYN_QUIET silences the connection lines like the cache log lines.
+  const bool quiet = quiet_from_env();
   for (;;) {
     const int conn = net::tcp_accept(listen_fd);
     if (conn < 0) return 0;
-    std::fprintf(stderr, "fedhisyn-serve: coordinator connected\n");
-    serve_stream(conn, conn, &cache);
+    if (!quiet) std::fprintf(stderr, "fedhisyn-serve: coordinator connected\n");
+    try {
+      serve_stream(conn, &cache);
+    } catch (const std::exception& e) {  // an over-long line: drop the peer only
+      std::fprintf(stderr, "fedhisyn-serve: dropping coordinator: %s\n", e.what());
+    }
     ::close(conn);
+    if (quiet) continue;
     const BuildCache::Stats stats = cache.stats();
     std::fprintf(stderr,
                  "fedhisyn-serve: coordinator disconnected (cache: %llu hit(s), "
@@ -838,8 +809,7 @@ std::vector<CellResult> ProcessDispatcher::run(
   const std::size_t n = specs.size();
   if (n == 0) return {};
 
-  const std::string binary =
-      options_.worker_binary.empty() ? current_executable_path() : options_.worker_binary;
+  const std::string binary = current_executable_path();
   std::vector<std::string> env;
   if (options_.threads_per_worker > 0) {
     env.push_back("FEDHISYN_THREADS=" + std::to_string(options_.threads_per_worker));
@@ -852,8 +822,34 @@ std::vector<CellResult> ProcessDispatcher::run(
   config.cell_timeout_s =
       options_.cell_timeout_s < 0 ? cell_timeout_from_env() : options_.cell_timeout_s;
   if (config.cell_timeout_s > 0) config.hello_grace_s = config.cell_timeout_s;
-  config.connect = [&](std::size_t) -> std::unique_ptr<WorkerLink> {
-    return std::make_unique<ProcessLink>(binary, env);
+  // Each (re)connect takes a fresh `--serve` child on an ephemeral loopback
+  // port, reads the port from its announce line and connects to it.  A child
+  // that never announces (a binary that cannot serve) retires the slot.  The
+  // first children are all spawned up front so their start-ups overlap.
+  const auto spawn = [&] {
+    return std::make_unique<Subprocess>(
+        std::vector<std::string>{binary, "--serve", "127.0.0.1:0"}, env);
+  };
+  std::vector<std::unique_ptr<Subprocess>> first_children(config.slots);
+  for (auto& child : first_children) child = spawn();
+  config.connect = [&](std::size_t s) -> std::unique_ptr<Link> {
+    std::unique_ptr<Subprocess> child =
+        first_children[s] != nullptr ? std::move(first_children[s]) : spawn();
+    const net::Deadline deadline = net::Deadline::after(config.hello_grace_s);
+    net::LineReader announce(child->stdout_fd(), "a spawned worker");
+    std::string line;
+    std::unique_ptr<Link> link;
+    if (announce.read_line(&line, deadline) == net::LineReader::Status::kLine &&
+        line.rfind(kAnnouncePrefix, 0) == 0) {
+      const net::HostPort host =
+          net::parse_host_port(line.substr(std::strlen(kAnnouncePrefix)), "127.0.0.1");
+      link = connect_link(host, deadline, std::move(child));
+    }
+    if (link == nullptr) {
+      std::fprintf(stderr, "dispatch: worker process %s did not start serving\n",
+                   binary.c_str());
+    }
+    return link;
   };
   config.on_cell = options_.on_cell;
   config.slot_names.reserve(config.slots);
@@ -909,18 +905,17 @@ std::vector<CellResult> TcpDispatcher::run(
   config.cell_timeout_s =
       options_.cell_timeout_s < 0 ? cell_timeout_from_env() : options_.cell_timeout_s;
   if (config.cell_timeout_s > 0) config.hello_grace_s = config.cell_timeout_s;
-  config.connect = [&](std::size_t s) -> std::unique_ptr<WorkerLink> {
+  config.connect = [&](std::size_t s) -> std::unique_ptr<Link> {
     const net::HostPort& host = hosts[s];
-    const std::string endpoint = host.host + ":" + std::to_string(host.port);
     const bool keep_trying = first_connect[s] != 0;
     first_connect[s] = 0;
     const net::Deadline budget = net::Deadline::after(options_.connect_timeout_s);
     for (;;) {
-      const int fd = net::tcp_connect(host.host, host.port, budget);
-      if (fd >= 0) return std::make_unique<TcpLink>(fd, endpoint);
+      std::unique_ptr<Link> link = connect_link(host, budget, nullptr);
+      if (link != nullptr) return link;
       if (!keep_trying || budget.expired()) {
-        std::fprintf(stderr, "dispatch: cannot connect to worker %s\n",
-                     endpoint.c_str());
+        std::fprintf(stderr, "dispatch: cannot connect to worker %s:%u\n",
+                     host.host.c_str(), static_cast<unsigned>(host.port));
         return nullptr;
       }
       ::usleep(100 * 1000);  // the worker may still be binding its port

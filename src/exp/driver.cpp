@@ -48,9 +48,8 @@ std::vector<std::string> split_host_list(const std::string& text) {
 
 GridDriverOptions handle_grid_flags(const Flags& flags) {
   // Cache knobs ride on env vars (like --speculate below) and must be set
-  // before the worker branches: a --serve worker or a self-exec'd
-  // --worker-cell child reads them from its environment, and process workers
-  // inherit the coordinator's.
+  // before the --serve branch: a worker reads them from its environment, and
+  // the process backend's spawned workers inherit the coordinator's.
   if (flags.get_bool("quiet")) setenv("FEDHISYN_QUIET", "1", /*overwrite=*/1);
   if (flags.has("build-cache-mb")) {
     const double mb = flags.get_double("build-cache-mb", -1.0);
@@ -75,15 +74,10 @@ GridDriverOptions handle_grid_flags(const Flags& flags) {
     // inherit the env vars set above and resolve independently.
     gemm_runtime_reinit();
   }
-  if (flags.get_bool("worker-cell")) {
-    // Hidden dispatch-worker mode: the process-backend parent self-execs
-    // this binary with --worker-cell and speaks the exp/dispatch.hpp
-    // protocol over stdin/stdout.  Never returns to the driver.
-    std::exit(worker_cell_main());
-  }
   if (flags.has("serve")) {
-    // Remote dispatch-worker mode: serve the same worker protocol over TCP
-    // for a --dispatch tcp coordinator.  Never returns to the driver.
+    // Dispatch-worker mode: serve the exp/dispatch.hpp protocol over TCP,
+    // for a --dispatch tcp coordinator or as a child the process backend
+    // spawned.  Never returns to the driver.
     std::exit(serve_main(flags.get("serve", "")));
   }
   if (flags.get_bool("list-methods")) {
@@ -137,10 +131,10 @@ GridDriverOptions handle_grid_flags(const Flags& flags) {
                      "--workers only makes sense with --dispatch tcp");
   options.resume = flags.get_bool("resume");
   options.quiet = flags.get_bool("quiet");
-  // Tracing resolves after the worker branches on purpose: a --serve /
-  // --worker-cell worker never sink-traces a whole run — it records per cell
-  // when a request's trace field asks, and FEDHISYN_TRACE is deliberately
-  // not exported to children (each worker's spans travel the wire instead).
+  // Tracing resolves after the --serve branch on purpose: a worker never
+  // sink-traces a whole run — it records per cell when a request's trace
+  // field asks, and FEDHISYN_TRACE is deliberately not exported to children
+  // (each worker's spans travel the wire instead).
   options.trace_out = flags.get("trace", "");
   if (options.trace_out.empty()) {
     const char* env = std::getenv("FEDHISYN_TRACE");

@@ -16,8 +16,8 @@
 //                     re-emitted verbatim, so the final file is
 //                     byte-identical to an uninterrupted sweep
 //   --quiet           suppress the per-cell progress lines on stderr, and
-//                     (via FEDHISYN_QUIET, which child workers inherit) the
-//                     dispatch workers' per-build cache log lines
+//                     (via FEDHISYN_QUIET, which spawned workers inherit)
+//                     the dispatch workers' cache and connection log lines
 //   --trace FILE      write a Chrome-trace/Perfetto JSON timeline of the
 //                     sweep to FILE (FEDHISYN_TRACE fallback): executor
 //                     batches, round waves, GEMM calls, build-cache builds
@@ -55,14 +55,12 @@
 //   --gemm-info       print the resolved GEMM dispatch state (selected
 //                     variant, forced kernel, tuning cache, per-class
 //                     configurations) and exit
-//   --worker-cell     hidden: become a dispatch worker (stdin/stdout
-//                     protocol, see exp/dispatch.hpp); used by
-//                     --dispatch=process to self-exec this binary
 //   --serve [BIND:]PORT
-//                     become a resident remote dispatch worker: listen on
-//                     PORT (default bind 0.0.0.0; port 0 = ephemeral,
-//                     announced on stdout) and serve --dispatch tcp
-//                     coordinators until killed
+//                     become a resident dispatch worker: listen on PORT
+//                     (default bind 0.0.0.0; port 0 = ephemeral, announced
+//                     on stdout) and serve --dispatch tcp coordinators until
+//                     killed; --dispatch process spawns this binary with
+//                     --serve 127.0.0.1:0 for each worker
 //
 // Grid-restriction flags replace the old FEDHISYN_TABLE1_* getenv knobs;
 // the env vars remain as fallbacks for CI compatibility:
@@ -104,9 +102,9 @@ struct GridDriverOptions {
 
 /// Apply the flags shared by every grid driver: export --quiet /
 /// --build-cache-mb / --gemm-kernel / --gemm-tune-cache to their env vars
-/// (before the worker branches, so workers see them; the gemm flags are
-/// validated immediately), enter the hidden --worker-cell mode when
-/// requested, resize the global pool for --threads, resolve --grid-jobs /
+/// (before the --serve branch, so workers see them; the gemm flags are
+/// validated immediately), enter the --serve worker mode when requested,
+/// resize the global pool for --threads, resolve --grid-jobs /
 /// --dispatch / --resume / --quiet, capture --out, and handle
 /// --list-methods / --gemm-info (print and exit).
 GridDriverOptions handle_grid_flags(const Flags& flags);

@@ -109,15 +109,14 @@ std::vector<CellResult> GridScheduler::run(
                                   : options_.backend;
   if (backend == CellBackend::kProcess) {
     // Same two-level budget as the thread backend, but each job slot is a
-    // self-exec'd worker process (crash-isolated, retried); collection stays
-    // in spec order, so the two backends emit byte-identical results.
+    // spawned --serve worker process (crash-isolated, retried); collection
+    // stays in spec order, so the two backends emit byte-identical results.
     const std::size_t jobs = resolved_jobs(specs.size());
     ProcessDispatcher::Options dispatch;
     dispatch.workers = jobs;
     dispatch.threads_per_worker = inner_threads(jobs);
     dispatch.max_attempts = options_.max_attempts;
     dispatch.cell_timeout_s = options_.cell_timeout_s;
-    dispatch.worker_binary = options_.worker_binary;
     dispatch.on_cell = options_.on_cell;
     return ProcessDispatcher(std::move(dispatch)).run(specs);
   }

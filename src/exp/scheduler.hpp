@@ -112,14 +112,16 @@ CellResult run_cell(const ExperimentSpec& spec, const CellHooks& hooks = {});
 
 /// How GridScheduler executes cells:
 ///   kThread   worker threads in this process (the default);
-///   kProcess  a crash-isolated pool of self-exec'd worker processes
-///             (exp/dispatch.hpp) — a crashing worker (segfault, OOM kill)
-///             cannot take the sweep down, and results stay byte-identical;
-///             a worker that *hangs* is killed and retried too once
-///             FEDHISYN_CELL_TIMEOUT_S arms the per-cell deadline;
-///   kTcp      remote workers started with `--serve [bind:]port` on other
-///             machines (--workers host:port,... / FEDHISYN_WORKERS), same
-///             protocol and retry/timeout semantics as kProcess;
+///   kProcess  a crash-isolated pool of `--serve` worker processes this
+///             binary spawns on loopback (exp/dispatch.hpp) — a crashing
+///             worker (segfault, OOM kill) cannot take the sweep down, and
+///             results stay byte-identical; a worker that *hangs* is killed
+///             and retried too once FEDHISYN_CELL_TIMEOUT_S arms the
+///             per-cell deadline;
+///   kTcp      workers already started with `--serve [bind:]port`, on this
+///             or other machines (--workers host:port,... /
+///             FEDHISYN_WORKERS), same loop and retry/timeout semantics as
+///             kProcess;
 ///   kAuto     resolve FEDHISYN_DISPATCH ("thread"/"process"/"tcp"; default
 ///             thread).
 enum class CellBackend { kAuto, kThread, kProcess, kTcp };
@@ -139,11 +141,9 @@ class GridScheduler {
     bool share_builds = true;
     /// Cell execution backend (--dispatch / FEDHISYN_DISPATCH).
     CellBackend backend = CellBackend::kAuto;
-    /// Process backend: tries per cell before the sweep fails (0 resolves
-    /// 1 + FEDHISYN_WORKER_RETRIES) and the binary to self-exec (empty =
-    /// the running binary; tests point it at themselves explicitly).
+    /// Process/tcp backends: tries per cell before the sweep fails (0
+    /// resolves 1 + FEDHISYN_WORKER_RETRIES).
     int max_attempts = 0;
-    std::string worker_binary;
     /// Tcp backend: remote worker endpoints ("host:port"); empty resolves
     /// FEDHISYN_WORKERS.
     std::vector<std::string> worker_hosts;

@@ -15,8 +15,8 @@
 // Determinism: i/j are blocked but k never is — every C element accumulates
 // its k terms in ascending order with one rounded multiply and one rounded
 // add per term (no FMA anywhere), so results are bit-identical across thread
-// counts, kernel variants, tile tunings (FEDHISYN_GEMM_TUNE=NC[xROWS], see
-// common/env.hpp) and dispatch paths.  Not a BLAS replacement — sized for
+// counts, kernel variants, tile tunings (the tuning cache,
+// tensor/gemm_tune.hpp) and dispatch paths.  Not a BLAS replacement — sized for
 // the models the FL simulation trains — but verified against an order-exact
 // reference (every kernel variant forced, exact float equality) in
 // tests/tensor_test.cpp and swept in bench/gemm_sweep.cpp.

@@ -200,18 +200,14 @@ Runtime build_runtime() {
     }
   }
 
-  // 4. Legacy FEDHISYN_GEMM_TUNE: a global tile-grid override, applied last.
-  const GemmTune legacy = gemm_tune_from_env();
   for (int oi = 0; oi < 3; ++oi) {
     for (int wi = 0; wi < 2; ++wi) {
       const GemmKernel* kernel = chosen[oi][wi];
-      std::int64_t class_nc = legacy.nc > 0 ? legacy.nc : nc[oi][wi];
-      std::int64_t class_rows = legacy.rows > 0 ? legacy.rows : rows[oi][wi];
       ResolvedGemm& cfg = rt.cfg[oi][wi];
       cfg.mr = kernel->mr;
       cfg.nr = kernel->nr;
-      cfg.nc = round_up(class_nc, kernel->nr);
-      cfg.rows = round_up(class_rows, kernel->mr);
+      cfg.nc = round_up(nc[oi][wi], kernel->nr);
+      cfg.rows = round_up(rows[oi][wi], kernel->mr);
       cfg.kloop = kernel->kloop;
     }
   }

@@ -13,8 +13,6 @@
 //      shape and the NC / task-row sizes.  A cache recorded for a different
 //      variant than the one selected is ignored with a warning (caches are
 //      per-ISA; copying one across hosts must degrade gracefully).
-//   3. The legacy FEDHISYN_GEMM_TUNE=NC[xROWS] still applies last, as a
-//      global override of the tile-grid sizes (not the kernel shape).
 //
 // None of this can change result bytes — only scheduling.  The equivalence
 // suite in tests/tensor_test.cpp forces every catalog entry and demands

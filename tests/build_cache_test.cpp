@@ -6,9 +6,9 @@
 // pass (observed end-to-end through the process backend's per-cell cache
 // stats), and a resident --serve worker staying warm across connections.
 //
-// This binary has a custom main like dispatch_test: invoked with
-// --worker-cell or --serve it becomes a dispatch worker (the process/tcp
-// tests self-exec it), otherwise it runs the gtest suites.
+// This binary has a custom main like dispatch_test: invoked with --serve it
+// becomes a dispatch worker (the process/tcp tests spawn it), otherwise it
+// runs the gtest suites.
 #include <gtest/gtest.h>
 
 #include <csignal>
@@ -360,13 +360,9 @@ TEST(DispatchCache, ResidentServeWorkerStaysWarmAcrossConnections) {
 }  // namespace fedhisyn::exp
 
 int main(int argc, char** argv) {
-  // ProcessDispatcher self-execs this binary with --worker-cell, and the tcp
-  // tests self-exec it with --serve: become a dispatch worker instead of
-  // running the suites.
+  // ProcessDispatcher and the tcp tests spawn this binary with --serve:
+  // become a dispatch worker instead of running the suites.
   for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--worker-cell") {
-      return fedhisyn::exp::worker_cell_main();
-    }
     if (std::string(argv[i]) == "--serve" && i + 1 < argc) {
       return fedhisyn::exp::serve_main(argv[i + 1]);
     }

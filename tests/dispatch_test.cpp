@@ -6,22 +6,26 @@
 // (FEDHISYN_CELL_TIMEOUT_S kills and retries under crash accounting),
 // --resume semantics, and the atomic / append-safe result sinks.
 //
-// This binary has a custom main: invoked with --worker-cell it becomes a
-// dispatch worker (the ProcessDispatcher self-execs the running binary, i.e.
-// this test), with --serve it becomes a resident TCP worker (the tcp tests
-// spawn two of themselves on ephemeral ports), otherwise it runs the gtest
-// suites.
+// This binary has a custom main: invoked with --serve it becomes a dispatch
+// worker (the ProcessDispatcher spawns the running binary, i.e. this test,
+// and the tcp tests start two of themselves on ephemeral ports), otherwise
+// it runs the gtest suites.
 #include <gtest/gtest.h>
 
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "common/check.hpp"
@@ -108,6 +112,85 @@ class ServeWorker {
   Subprocess proc_;
   std::string endpoint_;
 };
+
+/// A loopback endpoint that only pretends to be a worker: it accepts one
+/// connection and hands it to `serve` on a background thread.
+class FakeEndpoint {
+ public:
+  explicit FakeEndpoint(std::function<void(int)> serve)
+      : listen_fd_(net::tcp_listen("127.0.0.1", 0)),
+        thread_([this, serve = std::move(serve)] {
+          const int conn = net::tcp_accept(listen_fd_);
+          if (conn < 0) return;
+          serve(conn);
+          ::close(conn);
+        }) {}
+  ~FakeEndpoint() {
+    ::shutdown(listen_fd_, SHUT_RDWR);  // wakes an accept that never came
+    thread_.join();
+    ::close(listen_fd_);
+  }
+
+  std::string endpoint() const {
+    return "127.0.0.1:" + std::to_string(net::local_port(listen_fd_));
+  }
+
+ private:
+  int listen_fd_;
+  std::thread thread_;
+};
+
+std::string hello_line(long revision) {
+  return "{\"hello\":\"fedhisyn-worker\",\"proto\":" + std::to_string(revision) +
+         "}\n";
+}
+
+/// Read (and discard) until the peer closes the connection.
+void drain(int fd) {
+  char buf[4096];
+  while (::read(fd, buf, sizeof(buf)) > 0) {
+  }
+}
+
+/// Field `index` (0-based) of /proc/<pid>/stat, counted after the
+/// parenthesised command name; empty when the process is gone.
+std::string proc_stat_field(pid_t pid, int index) {
+  std::ifstream in("/proc/" + std::to_string(pid) + "/stat");
+  std::string stat;
+  std::getline(in, stat);
+  const std::size_t close = stat.rfind(')');
+  if (close == std::string::npos) return {};
+  std::istringstream fields(stat.substr(close + 1));
+  std::string field;
+  for (int i = 0; i <= index && fields >> field; ++i) {
+  }
+  return field;
+}
+
+/// Processes whose parent is `parent` and whose command line has --serve.
+std::vector<pid_t> serve_children_of(pid_t parent) {
+  std::vector<pid_t> children;
+  for (const auto& entry : std::filesystem::directory_iterator("/proc")) {
+    const std::string name = entry.path().filename().string();
+    if (name.find_first_not_of("0123456789") != std::string::npos) continue;
+    const pid_t pid = static_cast<pid_t>(std::stol(name));
+    if (proc_stat_field(pid, 1) != std::to_string(parent)) continue;
+    std::ifstream in(entry.path() / "cmdline");
+    const std::string cmdline((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
+    if (cmdline.find(std::string("--serve\0", 8)) != std::string::npos) {
+      children.push_back(pid);
+    }
+  }
+  return children;
+}
+
+/// True while `pid` runs; a zombie (dead, not yet reaped by whoever
+/// inherited it) counts as gone.
+bool process_alive(pid_t pid) {
+  const std::string state = proc_stat_field(pid, 0);
+  return !state.empty() && state != "Z";
+}
 
 std::vector<std::string> read_lines(const std::string& path) {
   std::ifstream in(path);
@@ -397,6 +480,42 @@ TEST(Dispatch, HungWorkerExhaustsAttemptsWhenItNeverHeals) {
   }
 }
 
+TEST(Dispatch, KilledCoordinatorLeavesNoServeChildBehind) {
+  // A coordinator SIGKILLed mid-sweep cannot clean up; its --serve children
+  // must still go (PR_SET_PDEATHSIG) instead of listening forever.
+  const pid_t coordinator = ::fork();
+  ASSERT_GE(coordinator, 0);
+  if (coordinator == 0) {
+    ::setenv("FEDHISYN_TEST_HANG", "FedAvg", /*overwrite=*/1);  // wedge for good
+    auto grid = tiny_grid();
+    grid.methods({"FedAvg"}).seeds({11, 17});
+    ProcessDispatcher::Options options;
+    options.workers = 2;
+    try {
+      ProcessDispatcher(options).run(grid.expand());
+    } catch (...) {
+    }
+    ::_exit(0);
+  }
+  std::vector<pid_t> children;
+  const net::Deadline spawned = net::Deadline::after(30.0);
+  while ((children = serve_children_of(coordinator)).size() < 2 && !spawned.expired()) {
+    ::usleep(10 * 1000);
+  }
+  ::usleep(200 * 1000);  // let both cells reach their (hanging) workers
+  ::kill(coordinator, SIGKILL);
+  ::waitpid(coordinator, nullptr, 0);
+  ASSERT_EQ(children.size(), 2u);
+  const net::Deadline gone = net::Deadline::after(10.0);
+  for (const pid_t child : children) {
+    while (process_alive(child) && !gone.expired()) ::usleep(10 * 1000);
+    EXPECT_FALSE(process_alive(child)) << "--serve child " << child << " outlived "
+                                       << "its killed coordinator";
+    // On failure, do not leave the orphan holding the test's output open.
+    if (process_alive(child)) ::kill(child, SIGKILL);
+  }
+}
+
 // --------------------------------------------------------------- tcp --
 
 TEST(TcpDispatch, MatchesSerialByteIdenticalAcrossTwoServeWorkers) {
@@ -495,6 +614,53 @@ TEST(TcpDispatch, DeadHostAtStartupIsRetiredAndTheSweepCompletes) {
   ASSERT_EQ(clean.size(), tcp.size());
   for (std::size_t i = 0; i < clean.size(); ++i) {
     EXPECT_EQ(to_jsonl_line(clean[i]), to_jsonl_line(tcp[i])) << i;
+  }
+}
+
+TEST(TcpDispatch, StaleWireRevisionIsRejectedAtHello) {
+  FakeEndpoint stale([](int fd) {
+    net::write_all(fd, hello_line(kWireRevision - 1));
+    drain(fd);
+  });
+  auto grid = tiny_grid();
+  grid.methods({"FedAvg"});
+  TcpDispatcher::Options options;
+  options.hosts = {stale.endpoint()};
+  try {
+    TcpDispatcher(options).run(grid.expand());
+    FAIL() << "expected CheckError";
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("speaks wire revision " + std::to_string(kWireRevision - 1) +
+                        ", this coordinator speaks revision " +
+                        std::to_string(kWireRevision)),
+              std::string::npos)
+        << what;
+  }
+}
+
+TEST(TcpDispatch, WorkerStreamingAnEndlessLineHitsTheLineCap) {
+  // A valid hello, then bytes that never end a line: the coordinator must
+  // fail at the cap instead of buffering without bound.
+  FakeEndpoint endless([](int fd) {
+    net::write_all(fd, hello_line(kWireRevision));
+    const std::string chunk(64 * 1024, 'x');
+    while (net::write_all(fd, chunk)) {
+    }
+  });
+  auto grid = tiny_grid();
+  grid.methods({"FedAvg"});
+  TcpDispatcher::Options options;
+  options.hosts = {endless.endpoint()};
+  try {
+    TcpDispatcher(options).run(grid.expand());
+    FAIL() << "expected CheckError";
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("worker 0"), std::string::npos) << what;
+    EXPECT_NE(what.find(std::to_string(net::kMaxLineBytes) + "-byte line cap"),
+              std::string::npos)
+        << what;
   }
 }
 
@@ -674,37 +840,34 @@ TEST(Sinks, AppendedLinesAccumulate) {
 
 // ------------------------------------------------------------ subprocess --
 
-TEST(Subprocess, RunsEchoLikeChildAndReportsExit) {
-  Subprocess cat({"/bin/cat"}, {});
-  ASSERT_TRUE(cat.write_stdin("hello\n"));
-  cat.close_stdin();
+TEST(Subprocess, CapturesStdoutWithStdinAtEofAndReportsExit) {
+  // stdin is /dev/null: the cat returns at once instead of waiting on
+  // whatever the parent's stdin is.
+  Subprocess child({"/bin/sh", "-c", "cat; printf hello"}, {});
   std::string out;
   char buf[64];
   ssize_t n;
-  while ((n = ::read(cat.stdout_fd(), buf, sizeof(buf))) > 0) out.append(buf, n);
-  EXPECT_EQ(out, "hello\n");
-  const ExitStatus status = cat.wait();
+  while ((n = ::read(child.stdout_fd(), buf, sizeof(buf))) > 0) out.append(buf, n);
+  EXPECT_EQ(out, "hello");
+  const ExitStatus status = child.wait();
   EXPECT_TRUE(status.clean());
   EXPECT_EQ(describe(status), "exit code 0");
 }
 
-TEST(Subprocess, WriteStdinToADeadChildReturnsFalseInsteadOfSigpipe) {
-  // The dispatch loop's send() path: a worker that died between poll rounds
-  // must surface as a failed write (EPIPE with SIGPIPE ignored), never as a
-  // process-killing signal or a silent success.
-  std::signal(SIGPIPE, SIG_IGN);
-  Subprocess child({"/bin/sh", "-c", "exit 7"}, {});
-  const ExitStatus status = child.wait();  // child is certainly gone now
+TEST(Subprocess, DescribesNonZeroExitsAndSignals) {
+  // What the dispatch loop reports when a spawned worker dies mid-cell.
+  Subprocess exits({"/bin/sh", "-c", "exit 7"}, {});
+  const ExitStatus status = exits.wait();
   EXPECT_TRUE(status.exited);
   EXPECT_EQ(status.code, 7);
   EXPECT_EQ(describe(status), "exit code 7");
-  EXPECT_FALSE(child.write_stdin("{\"attempt\":1}\n"));
+  Subprocess killed({"/bin/sh", "-c", "kill -9 $$"}, {});
+  EXPECT_EQ(describe(killed.wait()).rfind("killed by signal 9", 0), 0u);
 }
 
 TEST(Subprocess, EnvOverridesReachTheChild) {
   Subprocess child({"/bin/sh", "-c", "printf '%s' \"$FEDHISYN_DISPATCH_TEST\""},
                    {"FEDHISYN_DISPATCH_TEST=42"});
-  child.close_stdin();
   std::string out;
   char buf[64];
   ssize_t n;
@@ -717,13 +880,9 @@ TEST(Subprocess, EnvOverridesReachTheChild) {
 }  // namespace fedhisyn::exp
 
 int main(int argc, char** argv) {
-  // ProcessDispatcher self-execs this binary with --worker-cell, and the tcp
-  // tests self-exec it with --serve: become a dispatch worker instead of
-  // running the suites.
+  // ProcessDispatcher and the tcp tests spawn this binary with --serve:
+  // become a dispatch worker instead of running the suites.
   for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--worker-cell") {
-      return fedhisyn::exp::worker_cell_main();
-    }
     if (std::string(argv[i]) == "--serve" && i + 1 < argc) {
       return fedhisyn::exp::serve_main(argv[i + 1]);
     }

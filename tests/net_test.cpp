@@ -1,6 +1,7 @@
 // Tests for the common/net transport primitives under the grid dispatch
-// plane: host:port parsing, monotonic deadlines, the line-framed reader
-// (split reads, EINTR survival, timeouts, discarded partial tails), and the
+// plane: host:port parsing, monotonic deadlines, the bounded line framer
+// and the reader built on it (split reads, EINTR survival, timeouts,
+// discarded partial tails, the line cap), and the
 // listen/connect/accept lifecycle on loopback — including the failure edges
 // the dispatch loop leans on (refused connects return -1, writes to a
 // vanished peer return false instead of raising SIGPIPE).
@@ -118,6 +119,56 @@ TEST(DeadlineTest, AfterExpiresAndClampsPollTimeout) {
   // forever" (negative) range.
   const Deadline huge = Deadline::after(1e9);
   EXPECT_GT(huge.poll_timeout_ms(), 0);
+}
+
+// ------------------------------------------------------------ LineFramer --
+
+TEST(LineFramerTest, FramesLinesSplitAcrossAppends) {
+  LineFramer framer("test peer");
+  std::string line;
+  framer.append("ab\ncd", 5);
+  ASSERT_TRUE(framer.pop_line(&line));
+  EXPECT_EQ(line, "ab");
+  EXPECT_FALSE(framer.pop_line(&line));  // "cd" is still partial
+  framer.append("e\n\nfg\n", 7);
+  ASSERT_TRUE(framer.pop_line(&line));
+  EXPECT_EQ(line, "cde");
+  ASSERT_TRUE(framer.pop_line(&line));
+  EXPECT_EQ(line, "");
+  ASSERT_TRUE(framer.pop_line(&line));
+  EXPECT_EQ(line, "fg");
+  EXPECT_FALSE(framer.pop_line(&line));
+}
+
+TEST(LineFramerTest, LinesAtTheCapPassAndLongerOnesCheckFailNamingPeerAndCap) {
+  const std::string at_cap(kMaxLineBytes, 'x');
+  LineFramer framer("worker 7");
+  std::string line;
+  framer.append(at_cap.data(), at_cap.size());
+  framer.append("\n", 1);
+  ASSERT_TRUE(framer.pop_line(&line));
+  EXPECT_EQ(line.size(), kMaxLineBytes);
+
+  // Terminated but one byte too long.
+  framer.append(at_cap.data(), at_cap.size());
+  framer.append("x\n", 2);
+  try {
+    framer.pop_line(&line);
+    FAIL() << "expected CheckError";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("worker 7"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find(std::to_string(kMaxLineBytes) + "-byte line cap"),
+              std::string::npos)
+        << e.what();
+  }
+
+  // No newline ever: caught once the partial line passes the cap, without
+  // waiting for the end of a line that may never come.
+  LineFramer endless("worker 8");
+  endless.append(at_cap.data(), at_cap.size());
+  EXPECT_FALSE(endless.pop_line(&line));
+  endless.append("x", 1);
+  EXPECT_THROW(endless.pop_line(&line), CheckError);
 }
 
 // ------------------------------------------------------------ LineReader --

@@ -5,9 +5,8 @@
 // counter deltas), and the determinism contract — tracing off records
 // nothing and tracing on never changes result bytes.
 //
-// This binary has a custom main like dispatch_test: with --worker-cell it
-// becomes a dispatch worker, with --serve a resident TCP worker (the tcp
-// test spawns two of itself on ephemeral ports).
+// This binary has a custom main like dispatch_test: with --serve it becomes
+// a dispatch worker (the tcp test spawns two of itself on ephemeral ports).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -405,13 +404,10 @@ TEST(Trace, DisabledPathRecordsNothingAndKeepsBytesIdentical) {
 }  // namespace fedhisyn::exp
 
 int main(int argc, char** argv) {
-  // The tcp telemetry test self-execs this binary with --serve (and the
-  // process dispatcher would use --worker-cell): become a dispatch worker
-  // instead of running the suites.
+  // The tcp telemetry test spawns this binary with --serve (as would the
+  // process dispatcher): become a dispatch worker instead of running the
+  // suites.
   for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--worker-cell") {
-      return fedhisyn::exp::worker_cell_main();
-    }
     if (std::string(argv[i]) == "--serve" && i + 1 < argc) {
       return fedhisyn::exp::serve_main(argv[i + 1]);
     }

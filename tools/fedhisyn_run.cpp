@@ -35,9 +35,9 @@
 //   --history-csv PATH    write the per-round history as CSV
 //   --save-model PATH     save the final global weights (.fhsw)
 //
-// Like every grid driver, the binary also understands the hidden
-// --worker-cell flag (become a process-dispatch worker; see
-// exp/dispatch.hpp) so it can serve cells for a --dispatch=process parent.
+// Like every grid driver, the binary also understands --serve [BIND:]PORT
+// (become a dispatch worker; see exp/dispatch.hpp), which is how a
+// --dispatch=process parent spawns its workers.
 #include <cstdio>
 #include <fstream>
 
