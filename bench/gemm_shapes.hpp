@@ -4,7 +4,10 @@
 // forward/backward at laptop and full batch, and the CNN im2col family
 // (forward, filter-gradient, column-gradient) at a paper-scale conv layer
 // (128 -> 64 channels, 3x3 kernel, 32x32 output: k = 128*3*3, n = 32*32).
-// cnn_im2col is the acceptance shape (k >= 256, n >= 256).
+// cnn_im2col is the acceptance shape (k >= 256, n >= 256).  The mlp_small_*
+// trio is the middle layer of the laptop MLP at batch 50 (forward, dW, dx):
+// tiny calls that Table 1 makes millions of, gated so a slow small-shape
+// path cannot come back unnoticed.
 //
 // Shape names are the keys of bench/baselines/BENCH_gemm.json — renaming or
 // removing one requires a baseline refresh (see README "Performance").
@@ -27,6 +30,9 @@ inline constexpr GemmShape kGemmSweepShapes[] = {
     {"mlp_fwd_big", GemmVariant::kNN, 256, 64, 200},
     {"mlp_bwd_dw", GemmVariant::kTN, 64, 256, 200},
     {"mlp_bwd_dx", GemmVariant::kNT, 256, 200, 64},
+    {"mlp_small_fwd", GemmVariant::kNN, 50, 32, 16},
+    {"mlp_small_dw", GemmVariant::kTN, 32, 50, 16},
+    {"mlp_small_dx", GemmVariant::kNT, 50, 16, 32},
     {"cnn_im2col", GemmVariant::kNN, 64, 1152, 1024},
     {"cnn_dfilters", GemmVariant::kNT, 64, 1024, 1152},
     {"cnn_dcols", GemmVariant::kTN, 1152, 64, 1024},

@@ -17,12 +17,13 @@ void Relu::forward(const Shape3& in, std::span<const float>, const Tensor& x,
 }
 
 void Relu::backward(const Shape3&, std::span<const float>, const Tensor& x,
-                    const Tensor& grad_out, Tensor& grad_in, std::span<float>) const {
+                    const Tensor& grad_out, Tensor* grad_in, std::span<float>) const {
   FEDHISYN_CHECK(grad_out.numel() == x.numel());
-  grad_in.resize(x.shape());
+  if (grad_in == nullptr) return;
+  grad_in->resize(x.shape());
   const float* xin = x.data();
   const float* go = grad_out.data();
-  float* gi = grad_in.data();
+  float* gi = grad_in->data();
   const std::int64_t n = x.numel();
   for (std::int64_t i = 0; i < n; ++i) gi[i] = xin[i] > 0.0f ? go[i] : 0.0f;
 }
@@ -36,10 +37,10 @@ void Flatten::forward(const Shape3& in, std::span<const float>, const Tensor& x,
 }
 
 void Flatten::backward(const Shape3& in, std::span<const float>, const Tensor& x,
-                       const Tensor& grad_out, Tensor& grad_in, std::span<float>) const {
-  const std::int64_t batch = x.dim(0);
-  grad_in.resize({batch, in.c, in.h, in.w});
-  copy(grad_out.span(), grad_in.span());
+                       const Tensor& grad_out, Tensor* grad_in, std::span<float>) const {
+  if (grad_in == nullptr) return;
+  grad_in->resize({x.dim(0), in.c, in.h, in.w});
+  copy(grad_out.span(), grad_in->span());
 }
 
 }  // namespace fedhisyn::nn

@@ -15,7 +15,7 @@ class Relu final : public Layer {
   void forward(const Shape3& in, std::span<const float> params, const Tensor& x,
                Tensor& y) const override;
   void backward(const Shape3& in, std::span<const float> params, const Tensor& x,
-                const Tensor& grad_out, Tensor& grad_in,
+                const Tensor& grad_out, Tensor* grad_in,
                 std::span<float> grad_params) const override;
 };
 
@@ -31,7 +31,7 @@ class Flatten final : public Layer {
   void forward(const Shape3& in, std::span<const float> params, const Tensor& x,
                Tensor& y) const override;
   void backward(const Shape3& in, std::span<const float> params, const Tensor& x,
-                const Tensor& grad_out, Tensor& grad_in,
+                const Tensor& grad_out, Tensor* grad_in,
                 std::span<float> grad_params) const override;
 };
 

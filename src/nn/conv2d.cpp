@@ -85,7 +85,7 @@ void Conv2d::forward(const Shape3& in, std::span<const float> params, const Tens
 }
 
 void Conv2d::backward(const Shape3& in, std::span<const float> params, const Tensor& x,
-                      const Tensor& grad_out, Tensor& grad_in,
+                      const Tensor& grad_out, Tensor* grad_in,
                       std::span<float> grad_params) const {
   const ConvGeometry g = geometry(in);
   const std::int64_t batch = x.dim(0);
@@ -99,17 +99,20 @@ void Conv2d::backward(const Shape3& in, std::span<const float> params, const Ten
   auto grad_bias = grad_params.subspan(static_cast<std::size_t>(out_channels_ * col_rows),
                                        static_cast<std::size_t>(out_channels_));
 
-  grad_in.resize({batch, in.c, in.h, in.w});
-  grad_in.fill(0.0f);
+  if (grad_in != nullptr) {
+    grad_in->resize({batch, in.c, in.h, in.w});
+    grad_in->fill(0.0f);
+  }
 
   // Serial over the batch: grad_filters accumulation must stay deterministic
   // (fixed order) and race-free; batch sizes here are small.  The nested
   // GEMMs still fan out over the pool (they are top-level here).
   auto columns = ScratchArena::buffer(
       ScratchArena::kConvColumns, static_cast<std::size_t>(col_rows * col_cols));
-  auto grad_columns = ScratchArena::buffer(
-      ScratchArena::kConvGradColumns,
-      static_cast<std::size_t>(col_rows * col_cols));
+  const auto grad_columns =
+      grad_in == nullptr ? std::span<float>()
+                         : ScratchArena::buffer(ScratchArena::kConvGradColumns,
+                                                static_cast<std::size_t>(col_rows * col_cols));
   for (std::int64_t b = 0; b < batch; ++b) {
     im2col(x.row(b), g, columns);
     const auto go_row = grad_out.row(b);
@@ -123,9 +126,10 @@ void Conv2d::backward(const Shape3& in, std::span<const float> params, const Ten
       for (std::int64_t p = 0; p < col_cols; ++p) acc += plane[p];
       grad_bias[static_cast<std::size_t>(oc)] += static_cast<float>(acc);
     }
+    if (grad_in == nullptr) continue;
     // dColumns[cr, pix] = filters^T[cr, oc] * grad_out[oc, pix]
     gemm_tn(filters, go_row, grad_columns, col_rows, out_channels_, col_cols);
-    col2im(grad_columns, g, grad_in.row(b));
+    col2im(grad_columns, g, grad_in->row(b));
   }
 }
 

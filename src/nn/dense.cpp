@@ -45,7 +45,7 @@ void Dense::forward(const Shape3& in, std::span<const float> params, const Tenso
 }
 
 void Dense::backward(const Shape3& in, std::span<const float> params, const Tensor& x,
-                     const Tensor& grad_out, Tensor& grad_in,
+                     const Tensor& grad_out, Tensor* grad_in,
                      std::span<float> grad_params) const {
   const std::int64_t batch = x.dim(0);
   const std::int64_t fan_in = in.numel();
@@ -66,9 +66,10 @@ void Dense::backward(const Shape3& in, std::span<const float> params, const Tens
     const float* row = grad_out.data() + b * units_;
     for (std::int64_t j = 0; j < units_; ++j) grad_b[static_cast<std::size_t>(j)] += row[j];
   }
+  if (grad_in == nullptr) return;
   // dx(batch, in) = grad_out(batch, out) * W^T(out, in); W stored [in, out].
-  grad_in.resize({batch, fan_in});
-  gemm_nt(grad_out.span(), weights, grad_in.span(), batch, units_, fan_in);
+  grad_in->resize({batch, fan_in});
+  gemm_nt(grad_out.span(), weights, grad_in->span(), batch, units_, fan_in);
 }
 
 }  // namespace fedhisyn::nn

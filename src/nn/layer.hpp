@@ -44,9 +44,12 @@ class Layer {
   virtual void forward(const Shape3& in, std::span<const float> params, const Tensor& x,
                        Tensor& y) const = 0;
   /// grad_in is overwritten; grad_params is *accumulated* into (caller zeroes
-  /// the blob once per backward pass).
+  /// the blob once per backward pass).  A null grad_in means the caller needs
+  /// no input gradient (the network's first layer): the layer then skips that
+  /// work entirely, and grad_params must come out bit-identical to a pass that
+  /// did compute it.
   virtual void backward(const Shape3& in, std::span<const float> params, const Tensor& x,
-                        const Tensor& grad_out, Tensor& grad_in,
+                        const Tensor& grad_out, Tensor* grad_in,
                         std::span<float> grad_params) const = 0;
 };
 

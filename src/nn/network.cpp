@@ -140,8 +140,10 @@ float Network::loss_and_grad(std::span<const float> weights, const Tensor& x,
     const std::int64_t count = layers_[idx]->param_count(in_shapes_[idx]);
     auto grad_slice = std::span<float>(grad.data() + offsets_[idx],
                                        static_cast<std::size_t>(count));
+    // Nothing reads the network input's gradient, so layer 0 skips it.
+    Tensor* grad_in = idx == 0 ? nullptr : &ws.gradients[idx];
     layers_[idx]->backward(in_shapes_[idx], layer_params(weights, idx), layer_in, *grad_out,
-                           ws.gradients[idx], grad_slice);
+                           grad_in, grad_slice);
     grad_out = &ws.gradients[idx];
   }
   return loss_value;

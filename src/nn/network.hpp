@@ -19,7 +19,7 @@ namespace fedhisyn::nn {
 /// avoid reallocation; one Workspace per concurrent caller (not thread-safe).
 struct Workspace {
   std::vector<Tensor> activations;  // activations[i] = output of layer i
-  std::vector<Tensor> gradients;    // gradient buffers, same shapes
+  std::vector<Tensor> gradients;    // gradients[i] = dLoss/d(input of layer i); [0] unused
   Tensor logit_grad;                // dLoss/dLogits
 };
 

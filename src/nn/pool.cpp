@@ -36,16 +36,17 @@ void MaxPool2::forward(const Shape3& in, std::span<const float>, const Tensor& x
 }
 
 void MaxPool2::backward(const Shape3& in, std::span<const float>, const Tensor& x,
-                        const Tensor& grad_out, Tensor& grad_in, std::span<float>) const {
+                        const Tensor& grad_out, Tensor* grad_in, std::span<float>) const {
   const std::int64_t batch = x.dim(0);
   const Shape3 out = output_shape(in);
   FEDHISYN_CHECK(grad_out.numel() == batch * out.numel());
-  grad_in.resize({batch, in.c, in.h, in.w});
-  grad_in.fill(0.0f);
+  if (grad_in == nullptr) return;
+  grad_in->resize({batch, in.c, in.h, in.w});
+  grad_in->fill(0.0f);
   for (std::int64_t b = 0; b < batch; ++b) {
     const float* src = x.row(b).data();
     const float* go = grad_out.row(b).data();
-    float* gi = grad_in.row(b).data();
+    float* gi = grad_in->row(b).data();
     for (std::int64_t c = 0; c < in.c; ++c) {
       const float* plane = src + c * in.h * in.w;
       const float* goplane = go + c * out.h * out.w;

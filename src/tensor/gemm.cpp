@@ -17,8 +17,10 @@
 //     corner is stored back.  k is never split and every C element sees its
 //     k terms in ascending order, so results are bit-identical for any
 //     thread count, any tiling, any kernel variant (FEDHISYN_GEMM_KERNEL /
-//     FEDHISYN_GEMM_TUNE_CACHE) and either dispatch path — the determinism
+//     FEDHISYN_GEMM_TUNE_CACHE), inline or pooled — the determinism
 //     contract of common/parallel.hpp and gemm_kernel.hpp.
+//   * Every shape takes this driver, down to the 50x16x10 layers of the
+//     paper MLPs: packing is cheaper than a per-row fallback even there.
 //
 // Historical bit-compatibility: gemm/gemm_tn beta-initialise the accumulator
 // and add the k terms on top (the old memory-accumulation order); gemm_nt
@@ -46,14 +48,8 @@ namespace {
 using gemmk::GemmOp;
 using gemmk::detail::ResolvedGemm;
 
-// Below this many multiply-accumulates the pack/tile machinery costs more
-// than it saves; use the simple row kernel (same reduction order, so the two
-// paths are bit-identical and the cutoff is a pure perf knob).
-constexpr std::int64_t kBlockedFlopThreshold = std::int64_t{1} << 15;
-
-// Pool dispatch thresholds: the simple path keeps the historical >= 16 rows
-// rule, the blocked path wants enough work to amortise a pool wakeup.
-constexpr std::int64_t kParallelRowThreshold = 16;
+// Below this many multiply-accumulates a call runs inline: a pool wakeup
+// would cost more than the work it spreads.
 constexpr std::int64_t kParallelFlopThreshold = std::int64_t{1} << 17;
 
 // Pack the mr-row strip of op(A) starting at row i0 into ap (k x mr,
@@ -269,60 +265,6 @@ void blocked_gemm(const float* a, const float* b, float* c, std::int64_t m,
   }
 }
 
-/// Run `body(i)` for every output row (the simple-path dispatcher; unchanged
-/// historical behaviour).
-template <typename RowBody>
-void for_each_row(std::int64_t m, const RowBody& body) {
-  if (m >= kParallelRowThreshold && !ParallelExecutor::in_parallel_region()) {
-    ParallelExecutor::current().parallel_for(
-        static_cast<std::size_t>(m),
-        [&](std::size_t i, std::size_t) { body(static_cast<std::int64_t>(i)); });
-  } else {
-    for (std::int64_t i = 0; i < m; ++i) body(i);
-  }
-}
-
-// Small-matrix kernels: the same per-element reduction order as the blocked
-// path (beta first for NN/TN, beta at store for NT; k terms ascending), so
-// the flop-count cutoff never changes a single bit of the result.  Kernel
-// variant and tuning are irrelevant here by construction.
-template <GemmOp V>
-void simple_gemm(const float* a, const float* b, float* c, std::int64_t m,
-                 std::int64_t k, std::int64_t n, float beta) {
-  for_each_row(m, [&](std::int64_t i) {
-    float* ci = c + i * n;
-    if constexpr (V == GemmOp::kNT) {
-      const float* ai = a + i * k;
-      if (beta == 0.0f) {
-        for (std::int64_t j = 0; j < n; ++j) {
-          const float* bj = b + j * k;
-          float acc = 0.0f;
-          for (std::int64_t p = 0; p < k; ++p) acc += ai[p] * bj[p];
-          ci[j] = acc;
-        }
-      } else {
-        for (std::int64_t j = 0; j < n; ++j) {
-          const float* bj = b + j * k;
-          float acc = 0.0f;
-          for (std::int64_t p = 0; p < k; ++p) acc += ai[p] * bj[p];
-          ci[j] = beta * ci[j] + acc;
-        }
-      }
-    } else {
-      if (beta == 0.0f) {
-        for (std::int64_t j = 0; j < n; ++j) ci[j] = 0.0f;
-      } else if (beta != 1.0f) {
-        for (std::int64_t j = 0; j < n; ++j) ci[j] *= beta;
-      }
-      for (std::int64_t p = 0; p < k; ++p) {
-        const float aip = (V == GemmOp::kTN) ? a[p * m + i] : a[i * k + p];
-        const float* bp = b + p * n;
-        for (std::int64_t j = 0; j < n; ++j) ci[j] += aip * bp[j];
-      }
-    }
-  });
-}
-
 // Interned span name for a (op, n) shape class.  Traced paths only; the
 // one-entry memo makes the common case (repeated calls of one shape per
 // layer) lock-free after the first intern.
@@ -355,13 +297,6 @@ void gemm_run(GemmOp op, const float* a, const float* b, float* c,
                         "gemm");
   span.sarg("variant", gemm_runtime_info().variant.c_str());
   span.arg("flops", 2 * m * k * n);
-  if (m * k * n < kBlockedFlopThreshold) {
-    switch (op) {
-      case GemmOp::kNN: simple_gemm<GemmOp::kNN>(a, b, c, m, k, n, beta); return;
-      case GemmOp::kNT: simple_gemm<GemmOp::kNT>(a, b, c, m, k, n, beta); return;
-      case GemmOp::kTN: simple_gemm<GemmOp::kTN>(a, b, c, m, k, n, beta); return;
-    }
-  }
   switch (op) {
     case GemmOp::kNN: blocked_gemm<GemmOp::kNN>(a, b, c, m, k, n, beta, cfg); return;
     case GemmOp::kNT: blocked_gemm<GemmOp::kNT>(a, b, c, m, k, n, beta, cfg); return;

@@ -1,6 +1,6 @@
 // Single-precision GEMM kernels used by the dense and convolution layers.
 //
-// C (MxN) += / = op(A) * op(B).  Row-major.  Large shapes run a blocked,
+// C (MxN) += / = op(A) * op(B).  Row-major.  Every shape runs one blocked,
 // packed kernel (see gemm.cpp): C is tiled over a 2-D (row strip x column
 // panel) grid that the ParallelExecutor pool fans out over (inline when
 // already inside a parallel region), A/B panels are packed into per-thread
@@ -9,15 +9,15 @@
 // NEON, see gemm_kernel.hpp) and selected once per process by runtime CPUID
 // dispatch — overridable via FEDHISYN_GEMM_KERNEL, tunable per shape class
 // via an autotuner-written cache (FEDHISYN_GEMM_TUNE_CACHE); the selection
-// layer is tensor/gemm_tune.hpp.  Tiny shapes take a simple row kernel with
-// the identical reduction order.
+// layer is tensor/gemm_tune.hpp.
 //
 // Determinism: i/j are blocked but k never is — every C element accumulates
 // its k terms in ascending order with one rounded multiply and one rounded
 // add per term (no FMA anywhere), so results are bit-identical across thread
 // counts, kernel variants, tile tunings (the tuning cache,
-// tensor/gemm_tune.hpp) and dispatch paths.  Not a BLAS replacement — sized for
-// the models the FL simulation trains — but verified against an order-exact
+// tensor/gemm_tune.hpp) and inline vs pooled execution.  Not a BLAS
+// replacement — sized for the models the FL simulation trains — but
+// verified against an order-exact
 // reference (every kernel variant forced, exact float equality) in
 // tests/tensor_test.cpp and swept in bench/gemm_sweep.cpp.
 #pragma once

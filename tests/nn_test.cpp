@@ -4,11 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/counters.hpp"
 #include "common/rng.hpp"
 #include "nn/conv2d.hpp"
+#include "nn/dense.hpp"
 #include "nn/models.hpp"
 #include "nn/network.hpp"
 #include "nn/pool.hpp"
@@ -171,7 +176,7 @@ TEST(Network, MaxPoolForwardBackwardHandComputed) {
   Tensor grad_out({1, 1, 2, 2});
   for (int i = 0; i < 4; ++i) grad_out.at(i) = static_cast<float>(i + 1);
   Tensor grad_in;
-  pool.backward(in, {}, x, grad_out, grad_in, {});
+  pool.backward(in, {}, x, grad_out, &grad_in, {});
   EXPECT_FLOAT_EQ(grad_in.at(5), 1.0f);   // 4 at (1,1)
   EXPECT_FLOAT_EQ(grad_in.at(7), 2.0f);   // 5 at (1,3)
   EXPECT_FLOAT_EQ(grad_in.at(13), 3.0f);  // 7 at (3,1)
@@ -180,6 +185,60 @@ TEST(Network, MaxPoolForwardBackwardHandComputed) {
   double total = 0.0;
   for (int i = 0; i < 16; ++i) total += grad_in.at(i);
   EXPECT_DOUBLE_EQ(total, 10.0);
+}
+
+/// Backward through one layer with and without the input gradient: the
+/// parameter gradient must come out bit-identical either way.
+void expect_grad_params_independent_of_grad_in(const Layer& layer, const Shape3& in,
+                                               std::int64_t batch, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<float> params(static_cast<std::size_t>(layer.param_count(in)));
+  layer.init_params(in, params, rng);
+  Tensor x({batch, in.c, in.h, in.w});
+  for (std::int64_t i = 0; i < x.numel(); ++i) x.at(i) = static_cast<float>(rng.normal());
+  Tensor y;
+  layer.forward(in, params, x, y);
+  Tensor grad_out(y.shape());
+  for (std::int64_t i = 0; i < grad_out.numel(); ++i) {
+    grad_out.at(i) = static_cast<float>(rng.normal());
+  }
+
+  std::vector<float> full(params.size(), 0.0f);
+  std::vector<float> skipped(params.size(), 0.0f);
+  Tensor grad_in;
+  layer.backward(in, params, x, grad_out, &grad_in, full);
+  layer.backward(in, params, x, grad_out, nullptr, skipped);
+  EXPECT_EQ(grad_in.numel(), batch * in.numel());
+  for (std::size_t i = 0; i < full.size(); ++i) {
+    ASSERT_EQ(full[i], skipped[i]) << layer.name() << " grad_params at " << i;
+  }
+}
+
+TEST(Network, DenseBackwardWithoutGradInKeepsParamGradient) {
+  expect_grad_params_independent_of_grad_in(Dense(16), {32, 1, 1}, /*batch=*/50, 101);
+}
+
+TEST(Network, ConvBackwardWithoutGradInKeepsParamGradient) {
+  expect_grad_params_independent_of_grad_in(Conv2d(4, 3, 1, 1), {3, 8, 8}, /*batch=*/3,
+                                            103);
+}
+
+TEST(Network, LossAndGradSkipsFirstLayerInputGradient) {
+  // The laptop MLP: three forward GEMMs, three dW GEMMs, and a dx GEMM for
+  // every Dense layer but the first, whose input gradient nobody reads.
+  const auto net = make_mlp(64, 10, {32, 16});
+  Rng rng(107);
+  const auto weights = net.init_weights(rng);
+  const Problem p = make_problem(net, 50, rng);
+  Workspace ws;
+  std::vector<float> grad(weights.size());
+  const auto gemm_calls = [](const std::map<std::string, std::uint64_t>& snap) {
+    const auto it = snap.find("gemm.calls");
+    return it == snap.end() ? std::uint64_t{0} : it->second;
+  };
+  const auto before = counters::snapshot();
+  net.loss_and_grad(weights, p.x, p.y, grad, ws);
+  EXPECT_EQ(gemm_calls(counters::snapshot()) - gemm_calls(before), 8u);
 }
 
 TEST(Network, ConvPoolGradientMatchesFiniteDifference) {

@@ -145,8 +145,8 @@ TEST(Gemm, TransposedVariantsAgreeWithExplicitTranspose) {
 // --- order-exact references --------------------------------------------------
 // Same per-element float arithmetic as the kernels, spelled naively: k terms
 // in ascending order; gemm/gemm_tn start from the beta-applied C value,
-// gemm_nt accumulates from zero and applies beta at the store.  The blocked,
-// simple and parallel paths must all reproduce these bits exactly.
+// gemm_nt accumulates from zero and applies beta at the store.  Every kernel
+// variant, inline or pooled, must reproduce these bits exactly.
 
 void exact_gemm(const std::vector<float>& a, const std::vector<float>& b,
                 std::vector<float>& c, std::int64_t m, std::int64_t k,
@@ -238,13 +238,16 @@ void expect_all_variants_exact(std::int64_t m, std::int64_t k, std::int64_t n,
 
 // Adversarial shapes for the blocked kernel: degenerate m/n/k of 1, sizes
 // straddling register tiles (up to 14x32), the row-strip, and the column
-// panel (512, via n = 520), plus a flop count large enough to cross the
-// simple-path cutoff and dispatch the pool.  Shared between the
-// parameterised suite (default kernel) and the kernel-variant matrix below.
+// panel (512, via n = 520), a flop count large enough to dispatch the pool,
+// and the batch-50 shapes of the paper MLPs' forward, dW and dx GEMMs, where
+// Table 1 spends its time.  Shared between the parameterised suite (default
+// kernel) and the kernel-variant matrix below.
 const std::tuple<int, int, int> kGemmEdgeShapes[] = {
-    {1, 1, 1},   {1, 300, 1},  {1, 37, 300},  {300, 37, 1},
-    {3, 5, 7},   {4, 64, 8},   {5, 64, 9},    {7, 129, 15},
+    {1, 1, 1},    {1, 300, 1},   {1, 37, 300},  {300, 37, 1},
+    {3, 5, 7},    {4, 64, 8},    {5, 64, 9},    {7, 129, 15},
     {9, 33, 130}, {33, 70, 520}, {64, 256, 96},
+    {50, 32, 16}, {32, 50, 16},  {50, 16, 32},  {50, 16, 10},
+    {16, 50, 10}, {50, 10, 16},  {50, 192, 32}, {192, 50, 32},
 };
 
 class GemmExactShapes
