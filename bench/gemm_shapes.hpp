@@ -1,9 +1,8 @@
-// The GEMM shape sweep shared by bench_gemm_sweep (the BENCH_gemm.json
-// emitter the CI gate consumes) and bench_micro_substrate (the interactive
-// google-benchmark view).  One table so the two can never drift: dense-MLP
-// forward/backward at laptop and full batch, and the CNN im2col family
-// (forward, filter-gradient, column-gradient) at a paper-scale conv layer
-// (128 -> 64 channels, 3x3 kernel, 32x32 output: k = 128*3*3, n = 32*32).
+// The GEMM shape sweep of bench_gemm_sweep (the BENCH_gemm.json emitter the
+// CI gate consumes): dense-MLP forward/backward at laptop and full batch,
+// and the CNN im2col family (forward, filter-gradient, column-gradient) at
+// a paper-scale conv layer (128 -> 64 channels, 3x3 kernel, 32x32 output:
+// k = 128*3*3, n = 32*32).
 // cnn_im2col is the acceptance shape (k >= 256, n >= 256).  The mlp_small_*
 // trio is the middle layer of the laptop MLP at batch 50 (forward, dW, dx):
 // tiny calls that Table 1 makes millions of, gated so a slow small-shape

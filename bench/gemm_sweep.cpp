@@ -3,9 +3,9 @@
 // dense-MLP and CNN-im2col shapes that dominate Table 1 / fig6 / fig7
 // runtime, and emits machine-readable BENCH_gemm.json.
 //
-// Unlike bench_micro_substrate this needs no google-benchmark, so CI can
-// always build it; tools/bench_gate.py consumes the JSON and fails the
-// bench-regression job when a shape regresses against bench/baselines/.
+// It needs no google-benchmark, so CI can always build it;
+// tools/bench_gate.py consumes the JSON and fails the bench-regression job
+// when a shape regresses against bench/baselines/.
 //
 // The gate metric is `speedup_st` = reference-serial time / blocked time on
 // a 1-thread pool: a same-machine ratio, so it transfers across runner
@@ -53,7 +53,7 @@ using namespace fedhisyn;
 using bench::GemmShape;
 using Variant = bench::GemmVariant;
 
-// Shape table shared with bench_micro_substrate: bench/gemm_shapes.hpp.
+// Shape table: bench/gemm_shapes.hpp.
 constexpr auto& kShapes = bench::kGemmSweepShapes;
 
 // The pre-blocking per-row kernels, kept verbatim as the measurement

@@ -1,20 +1,21 @@
-// Async round throughput: serial-drain vs speculative RoundGraph execution
-// for the event-driven methods (TAFedAvg, FedAsync) across fleet sizes, and
-// emits machine-readable BENCH_rounds.json.
+// Async round throughput: wavefront-parallel RoundGraph execution of the
+// event-driven methods (TAFedAvg, FedAsync) across fleet sizes, against the
+// same rounds on a 1-thread pool, and emits machine-readable
+// BENCH_rounds.json.
 //
 // Needs no google-benchmark, so CI can always build it; tools/bench_gate.py
 // consumes the JSON and fails the bench-regression job when an entry
 // regresses against bench/baselines/BENCH_rounds.json.
 //
 // The gate metric is `speedup_model` = trained jobs / parallel dispatch
-// slots of the speculative schedule (RoundGraphStats::dispatch_slots): the
-// overlap factor the wavefront scheduler achieves at the configured thread
-// count.  It is a deterministic property of (fleet build, thread count) —
-// byte-stable across machines and immune to runner noise — so it gates the
-// *scheduler*, not the host.  Wall-clock rounds/sec for both modes are
-// emitted alongside as informational fields (on a pool with as many free
-// physical cores as FEDHISYN_THREADS, `speedup_wall` tracks
-// `speedup_model`).
+// slots of the wavefront schedule (RoundGraphStats::dispatch_slots): the
+// overlap factor the scheduler achieves at the configured thread count.  It
+// is a deterministic property of (fleet build, thread count) — byte-stable
+// across machines and immune to runner noise — so it gates the *scheduler*,
+// not the host.  Wall-clock ms/round on the configured pool and on a
+// 1-thread pool are emitted alongside as informational fields; their ratio
+// is `speedup_wall` (on a pool with as many free physical cores as
+// FEDHISYN_THREADS, it tracks `speedup_model`).
 //
 //   ./bench_round_throughput --out BENCH_rounds.json [--rounds N]
 //                            [--repeat N] [--threads N]
@@ -26,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "common/env.hpp"
 #include "common/hostinfo.hpp"
 #include "common/parallel.hpp"
 #include "core/presets.hpp"
@@ -46,10 +48,8 @@ struct Config {
 
 // Paper-scale is 100 devices with per-round epochs uniform in [5, 50]
 // (§6.1); the smaller fleets show how overlap grows with fleet size.  The
-// 8-device fleet runs on an 8-thread pool: only when threads exceed the
-// ready-wave width do idle slots appear, and that is where speculative
-// pre-training launches (the `speculated`/`accepted`/`reruns` fields) —
-// wider fleets keep every slot busy with ready jobs and never guess.
+// 8-device fleet runs on an 8-thread pool, wider than its ready waves, so
+// the entry shows the schedule's overlap when slots sit idle.
 constexpr Config kConfigs[] = {
     {"TAFedAvg", 8, 8},  {"TAFedAvg", 25}, {"TAFedAvg", 50}, {"TAFedAvg", 100},
     {"FedAsync", 8, 8},  {"FedAsync", 25}, {"FedAsync", 50}, {"FedAsync", 100},
@@ -60,13 +60,15 @@ struct Measurement {
   core::RoundGraphStats stats;  // summed over the measured rounds
 };
 
-/// Run `rounds` rounds on a fresh algorithm, `repeat` times; keep the
-/// fastest run's time and its (deterministic) summed stats.
+/// Run `rounds` rounds on a fresh algorithm, `repeat` times, on a
+/// `threads`-wide pool; keep the fastest run's time and its (deterministic)
+/// summed stats.
 Measurement measure(const core::BuiltExperiment& built, const Config& config,
-                    bool speculate, int rounds, int repeat) {
+                    std::size_t threads, int rounds, int repeat) {
   using clock = std::chrono::steady_clock;
-  core::FlOptions opts;
-  opts.speculate = speculate;
+  ParallelExecutor pool(threads);
+  ParallelExecutor::Bind bind(pool);
+  const core::FlOptions opts;
   Measurement best;
   best.ms_per_round = 1e30;
   for (int r = 0; r < repeat; ++r) {
@@ -79,9 +81,6 @@ Measurement measure(const core::BuiltExperiment& built, const Config& config,
       total.jobs += stats.jobs;
       total.waves += stats.waves;
       total.dispatch_slots += stats.dispatch_slots;
-      total.speculated += stats.speculated;
-      total.accepted += stats.accepted;
-      total.reruns += stats.reruns;
     }
     const double ms =
         std::chrono::duration<double, std::milli>(clock::now() - start).count() /
@@ -139,8 +138,6 @@ int main(int argc, char** argv) {
   for (const auto& config : kConfigs) {
     const std::size_t pool_threads =
         config.threads > 0 ? config.threads : threads;
-    ParallelExecutor pool(pool_threads);
-    ParallelExecutor::Bind bind(pool);
     core::BuildConfig build;
     build.dataset = "mnist";
     build.scale = core::default_scale(build.dataset, full_scale_enabled());
@@ -149,17 +146,17 @@ int main(int argc, char** argv) {
     build.partition.beta = 0.3;
     const auto built = core::build_experiment(build);
 
-    const auto serial = measure(*built, config, /*speculate=*/false, rounds, repeat);
-    const auto spec = measure(*built, config, /*speculate=*/true, rounds, repeat);
+    const auto one_thread = measure(*built, config, 1, rounds, repeat);
+    const auto pooled = measure(*built, config, pool_threads, rounds, repeat);
 
     const double jobs_per_round =
-        static_cast<double>(spec.stats.jobs) / rounds;
+        static_cast<double>(pooled.stats.jobs) / rounds;
     const double speedup_model =
-        static_cast<double>(spec.stats.jobs) /
-        static_cast<double>(spec.stats.dispatch_slots > 0
-                                ? spec.stats.dispatch_slots
-                                : spec.stats.jobs);
-    const double speedup_wall = serial.ms_per_round / spec.ms_per_round;
+        static_cast<double>(pooled.stats.jobs) /
+        static_cast<double>(pooled.stats.dispatch_slots > 0
+                                ? pooled.stats.dispatch_slots
+                                : pooled.stats.jobs);
+    const double speedup_wall = one_thread.ms_per_round / pooled.ms_per_round;
 
     char line[512];
     std::snprintf(
@@ -167,25 +164,23 @@ int main(int argc, char** argv) {
         "    {\"name\": \"%s/d%zu\", \"method\": \"%s\", \"devices\": %zu, "
         "\"threads\": %zu, "
         "\"jobs_per_round\": %.1f, \"waves_per_round\": %.1f, "
-        "\"speculated\": %zu, \"accepted\": %zu, \"reruns\": %zu, "
-        "\"serial_ms_per_round\": %.3f, \"spec_ms_per_round\": %.3f, "
-        "\"rounds_per_sec_serial\": %.3f, \"rounds_per_sec_spec\": %.3f, "
+        "\"one_thread_ms_per_round\": %.3f, \"ms_per_round\": %.3f, "
+        "\"rounds_per_sec\": %.3f, "
         "\"speedup_wall\": %.3f, \"speedup_model\": %.3f}",
         config.method, config.devices, config.method, config.devices,
         pool_threads, jobs_per_round,
-        static_cast<double>(spec.stats.waves) / rounds,
-        spec.stats.speculated, spec.stats.accepted, spec.stats.reruns,
-        serial.ms_per_round, spec.ms_per_round, 1000.0 / serial.ms_per_round,
-        1000.0 / spec.ms_per_round, speedup_wall, speedup_model);
+        static_cast<double>(pooled.stats.waves) / rounds,
+        one_thread.ms_per_round, pooled.ms_per_round,
+        1000.0 / pooled.ms_per_round, speedup_wall, speedup_model);
     if (!first) json += ",\n";
     first = false;
     json += line;
     std::fprintf(stderr,
-                 "%-14s %3zu devices  %6.1f jobs/round  serial %8.2f ms  "
-                 "spec %8.2f ms  wall %5.2fx  model %5.2fx\n",
+                 "%-14s %3zu devices  %6.1f jobs/round  1-thread %8.2f ms  "
+                 "%zu-thread %8.2f ms  wall %5.2fx  model %5.2fx\n",
                  config.method, config.devices, jobs_per_round,
-                 serial.ms_per_round, spec.ms_per_round, speedup_wall,
-                 speedup_model);
+                 one_thread.ms_per_round, pool_threads, pooled.ms_per_round,
+                 speedup_wall, speedup_model);
   }
   json += "\n  ]\n}\n";
 

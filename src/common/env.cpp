@@ -28,13 +28,6 @@ double env_double(const std::string& name, double fallback) {
   return parsed;
 }
 
-bool speculate_from_env() {
-  const char* value = std::getenv("FEDHISYN_SPECULATE");
-  if (value == nullptr) return true;
-  return !(std::strcmp(value, "0") == 0 || std::strcmp(value, "off") == 0 ||
-           std::strcmp(value, "false") == 0);
-}
-
 bool quiet_from_env() {
   const char* value = std::getenv("FEDHISYN_QUIET");
   if (value == nullptr || value[0] == '\0') return false;

@@ -3,11 +3,6 @@
 // Knobs recognised across the library:
 //   FEDHISYN_FULL=1          paper-scale experiment sizes (see presets.hpp)
 //   FEDHISYN_THREADS=N       worker-pool size (see common/parallel.hpp)
-//   FEDHISYN_SPECULATE=0|off run event-driven async rounds as the legacy
-//                            serial drain instead of the overlapped
-//                            speculative RoundGraph schedule (results are
-//                            byte-identical either way; see
-//                            core/round_graph.hpp).  Default: on.
 //   FEDHISYN_GRID_JOBS=N     concurrent grid cells (see exp/scheduler.hpp)
 //   FEDHISYN_DISPATCH=thread|process|tcp
 //                            grid cell backend: in-process worker threads
@@ -77,10 +72,6 @@ long env_long(const std::string& name, long fallback);
 /// Floating-point env var with default (returns `fallback` when
 /// unset/invalid).
 double env_double(const std::string& name, double fallback);
-
-/// FEDHISYN_SPECULATE: false when set to "0", "off" or "false", true
-/// otherwise (including unset) — speculative round execution is the default.
-bool speculate_from_env();
 
 /// FEDHISYN_QUIET: true when set to anything but "0"/"off"/"false"/empty —
 /// the dispatch workers then skip their per-build cache and connection log

@@ -109,17 +109,14 @@ RoundGraphStats FlAlgorithm::run_async_round(
     }
   }
 
-  // ---- Phase 2: execute.  Training jobs fan out on the pool (or drain
-  // serially with --speculate=off); the cheap server mixes run as the
-  // graph's commit chain, strictly in event order on this thread.
+  // ---- Phase 2: execute.  Training jobs fan out on the pool wave by wave;
+  // the cheap server mixes run as the graph's commit chain, strictly in
+  // event order on this thread.
   auto& pool = ParallelExecutor::current();
   if (job_scratch_.size() < pool.thread_count()) {
     job_scratch_.resize(pool.thread_count());
   }
-  const bool speculate = ctx_.opts.speculate;
-  const RoundGraphExecutor executor(speculate ? RoundGraphExecutor::Mode::kOverlap
-                                              : RoundGraphExecutor::Mode::kSerial,
-                                    speculate);
+  const RoundGraphExecutor executor;
   last_round_stats_ = executor.run(
       graph,
       [&](const RoundJob& job, std::vector<float>& model, std::size_t slot) {
@@ -133,10 +130,7 @@ RoundGraphStats FlAlgorithm::run_async_round(
           global_[i] = (1.0f - alpha) * global_[i] + alpha * output[i];
         }
         if (publish_into != nullptr) *publish_into = global_;
-      },
-      // Speculation guesses against the live global model — the latest
-      // available snapshot after every mix committed so far.
-      [&]() { return &global_; });
+      });
   ++rounds_completed_;
   return last_round_stats_;
 }

@@ -47,7 +47,7 @@ class FlAlgorithm {
   /// Execution statistics of the most recent RoundGraph-driven round (the
   /// event-driven async methods).  Zero-initialised for methods that do not
   /// run on the graph engine.  Stats are informational — they may vary with
-  /// opts.speculate and the thread count even though results never do.
+  /// the thread count even though results never do.
   const RoundGraphStats& last_round_stats() const { return last_round_stats_; }
 
  protected:
@@ -72,8 +72,7 @@ class FlAlgorithm {
   /// the moment it arrives.  The round's event timeline is replayed
   /// symbolically (durations depend only on the fleet profile), compiled
   /// into a RoundGraph whose serial commit chain carries the server mixes,
-  /// and executed per opts.speculate — overlapped + speculative, or the
-  /// legacy serial drain; both produce byte-identical models.
+  /// and executed wavefront-parallel — byte-identical at any thread count.
   /// `mix_alpha(staleness)` is the server mixing rate for an upload whose
   /// download happened `staleness` server versions ago.  Advances
   /// rounds_completed_; the number of uploads is the returned stats.jobs.
@@ -82,9 +81,9 @@ class FlAlgorithm {
       const std::function<float(std::int64_t)>& mix_alpha);
 
  private:
-  /// The one local-training invocation every async job goes through, so the
-  /// serial and speculative paths can never diverge on hyper-parameters
-  /// (the byte-identity contract depends on it).
+  /// The one local-training invocation every async job goes through, so no
+  /// job can diverge from another on hyper-parameters (the byte-identity
+  /// contract depends on it).
   void run_async_job(std::size_t device, int epochs, Rng rng, std::span<float> model,
                      TrainScratch& scratch);
 

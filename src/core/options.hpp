@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <span>
 
-#include "common/env.hpp"
 #include "data/dataset.hpp"
 #include "nn/network.hpp"
 #include "sim/device.hpp"
@@ -42,13 +41,10 @@ struct FlOptions {
   float momentum = 0.0f;
   /// TAFedAvg server mixing rate: w_G <- (1-a) w_G + a w_i.
   float async_alpha = 0.3f;
-  /// Execute event-driven async rounds (TAFedAvg, FedAsync) on the shared
-  /// RoundGraph engine — wavefront-overlapped with speculative staleness
-  /// execution — instead of the legacy serial event drain.  Results are
-  /// byte-identical either way; the knob (--speculate / FEDHISYN_SPECULATE)
-  /// exists for A/B benchmarking, so it is deliberately NOT part of
-  /// ExperimentSpec::to_key().
-  bool speculate = speculate_from_env();
+  /// Unread.  Kept only because the end-to-end benchmark harness
+  /// (e2ebench/harness.cpp:138) still assigns it, and that harness changes
+  /// only together with the benchmark itself; delete both then.
+  bool speculate = true;
   std::uint64_t seed = 1;
 };
 

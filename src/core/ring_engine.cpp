@@ -156,7 +156,7 @@ RingEngineResult RingEngine::run_interval(const std::vector<sim::RingTopology>& 
   // has no server.
   auto& pool = ParallelExecutor::current();
   std::vector<TrainScratch> scratch(pool.thread_count());
-  const RoundGraphExecutor executor(RoundGraphExecutor::Mode::kOverlap);
+  const RoundGraphExecutor executor;
   executor.run(
       graph,
       [&](const RoundJob& job, std::vector<float>& model, std::size_t slot) {

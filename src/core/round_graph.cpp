@@ -1,7 +1,6 @@
 #include "core/round_graph.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/check.hpp"
 #include "common/counters.hpp"
@@ -83,33 +82,19 @@ std::vector<float> RoundGraph::take(std::int64_t node) {
 
 namespace {
 
-bool same_bytes(const std::vector<float>& a, const std::vector<float>& b) {
-  return a.size() == b.size() &&
-         (a.empty() ||
-          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
-}
-
 // Fold one run's stats into the process counter registry (counts only, no
-// clocks) so --metrics-out totals jobs/waves/speculation across the sweep.
+// clocks) so --metrics-out totals jobs and waves across the sweep.
 void record_run_counters(const RoundGraphStats& stats) {
   static counters::Counter& jobs = counters::counter("round_graph.jobs");
   static counters::Counter& waves = counters::counter("round_graph.waves");
-  static counters::Counter& speculated =
-      counters::counter("round_graph.speculated");
-  static counters::Counter& accepted = counters::counter("round_graph.accepted");
-  static counters::Counter& reruns = counters::counter("round_graph.reruns");
   jobs.add(stats.jobs);
   waves.add(stats.waves);
-  speculated.add(stats.speculated);
-  accepted.add(stats.accepted);
-  reruns.add(stats.reruns);
 }
 
 }  // namespace
 
 RoundGraphStats RoundGraphExecutor::run(RoundGraph& graph, const TrainFn& train,
-                                        const CommitFn& commit,
-                                        const SnapshotFn& snapshot) const {
+                                        const CommitFn& commit) const {
   RoundGraphStats stats;
   auto& nodes = graph.nodes_;
   auto& jobs = graph.jobs_;
@@ -179,14 +164,13 @@ RoundGraphStats RoundGraphExecutor::run(RoundGraph& graph, const TrainFn& train,
   // kNoRoundNode marks "copy only".
   std::vector<std::int64_t> mover(nodes.size(), kNoRoundNode);
 
-  // ---- Wavefront levels (kOverlap).  A seed is available from the start; a
-  // job output appears at the end of its wave; a version appears when its
-  // commit runs — and commit j runs after the deepest wave any job i <= j
-  // trains in (the chain advances maximally between waves), which is
-  // prefix_max[j].
+  // ---- Wavefront levels.  A seed is available from the start; a job output
+  // appears at the end of its wave; a version appears when its commit runs —
+  // and commit j runs after the deepest wave any job i <= j trains in (the
+  // chain advances maximally between waves), which is prefix_max[j].
   std::vector<std::int64_t> job_level(job_count, 0);
   std::int64_t max_level = 0;
-  if (mode_ == Mode::kOverlap) {
+  {
     std::vector<std::int64_t> prefix_max(job_count, 0);
     std::int64_t running = 0;
     for (std::size_t j = 0; j < job_count; ++j) {
@@ -222,14 +206,13 @@ RoundGraphStats RoundGraphExecutor::run(RoundGraph& graph, const TrainFn& train,
     }
   }
 
-  // Final-reader analysis for the move economy.  kOverlap: the unique live
-  // consumer at the node's deepest consuming wave (a tie means concurrent
-  // readers — copy).  kSerial: the unique consumer overall.
+  // Final-reader analysis for the move economy: the unique live consumer at
+  // the node's deepest consuming wave (a tie means concurrent readers —
+  // copy).
   {
     struct FinalUse {
       std::int64_t level = -1;
       std::int64_t job = kNoRoundNode;
-      std::size_t consumers = 0;
     };
     std::vector<FinalUse> use(nodes.size());
     for (std::size_t j = 0; j < job_count; ++j) {
@@ -237,7 +220,6 @@ RoundGraphStats RoundGraphExecutor::run(RoundGraph& graph, const TrainFn& train,
       for (const auto input : {jobs[j].input_a, jobs[j].input_b}) {
         if (input == kNoRoundNode) continue;
         auto& entry = use[static_cast<std::size_t>(input)];
-        ++entry.consumers;
         if (job_level[j] > entry.level) {
           entry.level = job_level[j];
           entry.job = static_cast<std::int64_t>(j);
@@ -249,11 +231,7 @@ RoundGraphStats RoundGraphExecutor::run(RoundGraph& graph, const TrainFn& train,
     for (std::size_t i = 0; i < nodes.size(); ++i) {
       if (nodes[i].pinned) continue;
       if (nodes[i].kind == NodeKind::kOutput && has_commit) continue;
-      if (mode_ == Mode::kSerial) {
-        if (use[i].consumers == 1) mover[i] = use[i].job;
-      } else {
-        mover[i] = use[i].job;
-      }
+      mover[i] = use[i].job;
     }
   }
 
@@ -300,41 +278,15 @@ RoundGraphStats RoundGraphExecutor::run(RoundGraph& graph, const TrainFn& train,
     release(out);
   };
 
-  const auto release_inputs = [&](std::size_t j) {
-    release(jobs[j].input_a);
-    if (jobs[j].input_b != kNoRoundNode) release(jobs[j].input_b);
-  };
-
-  // -------------------------------------------------------- kSerial mode --
-  // The legacy event-queue drain: one job at a time on the caller thread, in
-  // commit (event) order.  The A/B reference for --speculate=off.
-  if (mode_ == Mode::kSerial) {
-    for (std::size_t j = 0; j < job_count; ++j) {
-      if (!live[j]) continue;
-      trace::TraceSpan job_span("train_job", "round_graph");
-      job_span.arg("job", static_cast<std::int64_t>(j));
-      auto& out = nodes[static_cast<std::size_t>(graph.outputs_[j])];
-      out.value = make_model(j);
-      train(jobs[j], out.value, 0);
-      out.has_value = true;
-      if (has_commit) run_commit(j);
-      release_inputs(j);
-    }
-    stats.dispatch_slots = stats.jobs;
-    record_run_counters(stats);
-    return stats;
-  }
-
-  // ------------------------------------------------------- kOverlap mode --
+  // ---- Execute wave by wave.
   //
   // Concurrency discipline (checked by review + TSan, not locks): all
-  // wavefront and speculation state (nodes, done, spec_guess/spec_output,
-  // batch, refs) is read and written on the caller thread between waves;
-  // during a wave the pool body touches only its own batch[i]'s job — its
-  // input nodes (made stable before dispatch: moves happen only via the
-  // job's own make_model, guesses are copied pre-dispatch) and its private
-  // output slot.  parallel_for's barrier orders every wave's writes before
-  // the epilogue's reads, so the engine needs no mutex to annotate.
+  // wavefront state (nodes, refs) is read and written on the caller
+  // thread between waves; during a wave the pool body touches only its own
+  // job — its input nodes (made stable before dispatch: moves happen only
+  // via the job's own make_model) and its private output slot.
+  // parallel_for's barrier orders every wave's writes before the epilogue's
+  // reads, so the engine needs no mutex to annotate.
   auto& pool = ParallelExecutor::current();
   const std::size_t threads = pool.thread_count();
   std::vector<std::vector<std::size_t>> by_level(
@@ -343,119 +295,39 @@ RoundGraphStats RoundGraphExecutor::run(RoundGraph& graph, const TrainFn& train,
     if (live[j]) by_level[static_cast<std::size_t>(job_level[j] - 1)].push_back(j);
   }
 
-  std::vector<std::uint8_t> done(job_count, 0);
   std::size_t next_commit = 0;
-  // Speculation bookkeeping.  A speculated job holds a private copy of its
-  // guessed input (the latest published version at launch time) and the
-  // model trained from it; both are resolved at the job's true wave.
-  const bool can_speculate = speculate_ && static_cast<bool>(snapshot);
-  std::vector<std::vector<float>> spec_guess;
-  std::vector<std::vector<float>> spec_output;
-  std::vector<std::uint8_t> speculated(job_count, 0);
-  if (can_speculate) {
-    spec_guess.resize(job_count);
-    spec_output.resize(job_count);
-  }
-
-  struct BatchEntry {
-    std::size_t job = 0;
-    bool spec = false;
-  };
-  std::vector<BatchEntry> batch;
-
   for (std::int64_t level = 1; level <= max_level; ++level) {
     const auto& wave = by_level[static_cast<std::size_t>(level - 1)];
-    batch.clear();
-
-    // Reconcile speculations whose true input just became final: accept the
-    // pre-trained model iff the guess was bit-identical to the real input
-    // (same bytes + same stream => bit-identical training), else discard and
-    // re-run.  Either way the committed bytes equal the serial drain's.
-    for (const auto j : wave) {
-      if (can_speculate && speculated[j]) {
-        const auto& truth = nodes[static_cast<std::size_t>(jobs[j].input_a)];
-        FEDHISYN_CHECK_MSG(truth.has_value, "job input was never produced");
-        if (same_bytes(truth.value, spec_guess[j])) {
-          auto& out = nodes[static_cast<std::size_t>(graph.outputs_[j])];
-          out.value = std::move(spec_output[j]);
-          out.has_value = true;
-          done[j] = 1;
-          ++stats.accepted;
-          trace::instant("speculation_accept", "round_graph");
-        } else {
-          ++stats.reruns;
-          trace::instant("speculation_rerun", "round_graph");
-          batch.push_back({j, false});
-        }
-        spec_guess[j] = {};
-        spec_output[j] = {};
-      } else {
-        batch.push_back({j, false});
-      }
-    }
-
-    // Fill idle pool slots with speculative pre-training: earliest-committing
-    // pending jobs whose input version is still unpublished train a copy of
-    // the latest available snapshot (the client's global state after every
-    // commit so far).  Guesses are copied here on the caller thread, before
-    // the dispatch, so neither the commits that produce the snapshot nor a
-    // same-wave move can race the read.
-    if (can_speculate && batch.size() < threads) {
-      std::size_t capacity = threads - batch.size();
-      for (std::size_t j = 0; j < job_count && capacity > 0; ++j) {
-        if (!live[j] || done[j] || speculated[j] || job_level[j] <= level ||
-            jobs[j].input_b != kNoRoundNode) {
-          continue;
-        }
-        const auto& input = nodes[static_cast<std::size_t>(jobs[j].input_a)];
-        if (input.kind != NodeKind::kVersion || input.has_value) continue;
-        const std::vector<float>* latest = snapshot();
-        if (latest == nullptr) break;  // no snapshot to guess from this wave
-        spec_guess[j] = *latest;
-        speculated[j] = 1;
-        ++stats.speculated;
-        batch.push_back({j, true});
-        --capacity;
-      }
-    }
-
-    if (!batch.empty()) {
+    if (!wave.empty()) {
       // The wave span lives on the caller thread and encloses the pool
       // barrier; train_job spans land on each executing thread's lane (the
       // caller trains inline as slot 0, so its jobs nest inside the wave).
       trace::TraceSpan wave_span("wave", "round_graph");
       wave_span.arg("level", level);
-      wave_span.arg("batch", static_cast<std::int64_t>(batch.size()));
-      pool.parallel_for(batch.size(), [&](std::size_t i, std::size_t slot) {
-        const auto [j, spec] = batch[i];
-        trace::TraceSpan job_span(spec ? "speculate_job" : "train_job",
-                                  "round_graph");
+      wave_span.arg("batch", static_cast<std::int64_t>(wave.size()));
+      pool.parallel_for(wave.size(), [&](std::size_t i, std::size_t slot) {
+        const std::size_t j = wave[i];
+        trace::TraceSpan job_span("train_job", "round_graph");
         job_span.arg("job", static_cast<std::int64_t>(j));
-        if (spec) {
-          spec_output[j] = spec_guess[j];
-          train(jobs[j], spec_output[j], slot);
-        } else {
-          auto model = make_model(j);
-          train(jobs[j], model, slot);
-          auto& out = nodes[static_cast<std::size_t>(graph.outputs_[j])];
-          out.value = std::move(model);
-          out.has_value = true;
-        }
+        auto model = make_model(j);
+        train(jobs[j], model, slot);
+        auto& out = nodes[static_cast<std::size_t>(graph.outputs_[j])];
+        out.value = std::move(model);
+        out.has_value = true;
       });
       ++stats.waves;
-      stats.dispatch_slots += (batch.size() + threads - 1) / threads;
+      stats.dispatch_slots += (wave.size() + threads - 1) / threads;
     }
 
-    // Wave epilogue (caller thread): mark completions, retire input reads,
-    // and advance the serial commit chain as far as finished jobs allow.
-    for (const auto& entry : batch) {
-      if (!entry.spec) done[entry.job] = 1;
-    }
+    // Wave epilogue (caller thread): retire input reads, and advance the
+    // serial commit chain over every job trained by now (with a commit
+    // chain all jobs are live, so each has a level).
     for (const auto j : wave) {
-      if (done[j]) release_inputs(j);
+      release(jobs[j].input_a);
+      if (jobs[j].input_b != kNoRoundNode) release(jobs[j].input_b);
     }
     if (has_commit) {
-      while (next_commit < job_count && done[next_commit]) {
+      while (next_commit < job_count && job_level[next_commit] <= level) {
         run_commit(next_commit);
         ++next_commit;
       }

@@ -11,25 +11,14 @@
 // stream.  RoundGraphExecutor then runs that DAG on the ParallelExecutor
 // pool.
 //
-// Execution modes:
-//   * kSerial — jobs run one at a time in commit order on the caller thread;
-//     this is the legacy event-queue drain, kept for A/B comparison
-//     (--speculate=off).
-//   * kOverlap — jobs run wavefront-parallel: a job is scheduled one wave
-//     after its last input is produced, and the commit chain (cheap server
-//     mixes) advances in job order between waves.  With speculation enabled,
-//     idle pool slots additionally pre-train jobs whose input version is not
-//     yet final against the latest published snapshot; when the true input
-//     resolves, a speculative result is accepted iff its input guess was
-//     bit-identical, otherwise the job re-runs — so either way the committed
-//     bytes match the serial drain exactly.
+// Execution: jobs run wavefront-parallel.  A job is scheduled one wave after
+// its last input is produced, and the commit chain (cheap server mixes)
+// advances in job order between waves.
 //
-// Determinism contract: for a fixed graph (same replay), kSerial and kOverlap
-// at any thread count, with or without speculation, produce bit-identical
-// node values and commit sequences.  Jobs draw from per-job streams stored in
-// the graph, never from thread identity; commits run in job order on the
-// caller thread; speculation only ever substitutes a result proven
-// bit-identical to the one it replaces.
+// Determinism contract: for a fixed graph (same replay), every thread count
+// produces bit-identical node values and commit sequences.  Jobs draw from
+// per-job streams stored in the graph, never from thread identity; commits
+// run in job order on the caller thread.
 #pragma once
 
 #include <cstddef>
@@ -105,26 +94,21 @@ class RoundGraph {
   std::vector<std::int64_t> publishes_;
 };
 
-/// Execution statistics of one run (informational: stats may vary with mode
-/// and thread count even though the committed bytes never do).
+/// Execution statistics of one run (informational: stats may vary with the
+/// thread count even though the committed bytes never do).
 struct RoundGraphStats {
   std::size_t jobs = 0;    // jobs executed (after pruning unobservable ones)
   std::size_t pruned = 0;  // jobs dropped because nothing observes them
-  std::size_t waves = 0;   // parallel waves dispatched (kOverlap)
+  std::size_t waves = 0;   // parallel waves dispatched
   /// Modeled parallel makespan in job units: sum over waves of
   /// ceil(batch / threads).  jobs / dispatch_slots is the schedule's
   /// overlap factor — deterministic for a fixed (graph, thread count),
   /// independent of the machine actually running it.
   std::size_t dispatch_slots = 0;
-  std::size_t speculated = 0;  // speculative pre-trainings launched
-  std::size_t accepted = 0;    // speculations whose input guess proved exact
-  std::size_t reruns = 0;      // speculations discarded and re-run
 };
 
 class RoundGraphExecutor {
  public:
-  enum class Mode { kSerial, kOverlap };
-
   /// Train the model in place.  Must be a pure deterministic function of
   /// (job.device, job.stream, model bytes); `slot` indexes the caller's
   /// per-thread scratch (< ParallelExecutor::current().thread_count()).
@@ -141,26 +125,11 @@ class RoundGraphExecutor {
       std::size_t job, const std::vector<float>& output,
       std::vector<float>* publish_into)>;
 
-  /// The latest available model snapshot for speculative pre-training: the
-  /// client's live global state after every commit run so far.  Called only
-  /// on the caller thread between waves (never concurrently with commits),
-  /// and the returned pointer is copied from before the next dispatch.
-  /// Without one, speculation never launches.
-  using SnapshotFn = std::function<const std::vector<float>*()>;
-
-  explicit RoundGraphExecutor(Mode mode, bool speculate = false)
-      : mode_(mode), speculate_(speculate) {}
-
   /// Execute the graph: train every (live) job and run the commit chain.
   /// Values of pinned nodes survive for RoundGraph::take(); everything else
   /// is freed as soon as its last reader has run.
   RoundGraphStats run(RoundGraph& graph, const TrainFn& train,
-                      const CommitFn& commit,
-                      const SnapshotFn& snapshot = nullptr) const;
-
- private:
-  Mode mode_;
-  bool speculate_;
+                      const CommitFn& commit) const;
 };
 
 }  // namespace fedhisyn::core

@@ -79,8 +79,8 @@ namespace fedhisyn::exp {
 /// before any work is fed: bump it on every change to a request or response
 /// line, so a stale worker is turned away at hello instead of failing deep
 /// inside response parsing.  2: responses carry the required `cache` and
-/// `telemetry` blocks.
-inline constexpr long kWireRevision = 2;
+/// `telemetry` blocks.  3: the spec JSON lost its round-engine mode field.
+inline constexpr long kWireRevision = 3;
 
 /// FEDHISYN_CELL_TIMEOUT_S when set to a positive number of (possibly
 /// fractional) seconds, else 0 — meaning "no per-cell deadline".

@@ -47,9 +47,9 @@ std::vector<std::string> split_host_list(const std::string& text) {
 }  // namespace
 
 GridDriverOptions handle_grid_flags(const Flags& flags) {
-  // Cache knobs ride on env vars (like --speculate below) and must be set
-  // before the --serve branch: a worker reads them from its environment, and
-  // the process backend's spawned workers inherit the coordinator's.
+  // Cache knobs ride on env vars and must be set before the --serve branch:
+  // a worker reads them from its environment, and the process backend's
+  // spawned workers inherit the coordinator's.
   if (flags.get_bool("quiet")) setenv("FEDHISYN_QUIET", "1", /*overwrite=*/1);
   if (flags.has("build-cache-mb")) {
     const double mb = flags.get_double("build-cache-mb", -1.0);
@@ -95,19 +95,6 @@ GridDriverOptions handle_grid_flags(const Flags& flags) {
     const long threads = flags.get_long("threads", 0);
     ParallelExecutor::global().set_thread_count(
         threads > 0 ? static_cast<std::size_t>(threads) : 1);
-  }
-  if (flags.has("speculate")) {
-    // The knob rides on the env var so every FlOptions constructed after
-    // flag handling — grid cells included — picks it up without each driver
-    // threading a field through (mirrors how --threads resizes the global
-    // pool).  Results are byte-identical either way; this is the A/B switch
-    // between the speculative RoundGraph schedule and the serial drain.
-    const std::string value = flags.get("speculate", "on");
-    FEDHISYN_CHECK_MSG(value == "on" || value == "off" || value == "1" ||
-                           value == "0" || value == "true" || value == "false",
-                       "--speculate takes on|off, got '" << value << "'");
-    const bool on = value == "on" || value == "1" || value == "true";
-    setenv("FEDHISYN_SPECULATE", on ? "1" : "0", /*overwrite=*/1);
   }
   GridDriverOptions options;
   const long jobs =

@@ -46,10 +46,6 @@
 //                     autotuner-written GEMM tuning cache (bench_gemm_sweep
 //                     --tune; FEDHISYN_GEMM_TUNE_CACHE, which child workers
 //                     inherit).  Scheduling only — never changes result bytes
-//   --speculate on|off
-//                     async rounds on the speculative RoundGraph engine (on,
-//                     the default) or the legacy serial drain (off); results
-//                     are byte-identical (FEDHISYN_SPECULATE fallback)
 //   --list-methods    print the registered algorithms (one description line
 //                     each) and exit
 //   --gemm-info       print the resolved GEMM dispatch state (selected

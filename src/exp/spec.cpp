@@ -146,7 +146,6 @@ std::string ExperimentSpec::to_json() const {
       << ",\"prox_mu\":" << json::fmt_float(opts.prox_mu)
       << ",\"momentum\":" << json::fmt_float(opts.momentum)
       << ",\"async_alpha\":" << json::fmt_float(opts.async_alpha)
-      << ",\"speculate\":" << (opts.speculate ? "true" : "false")
       << ",\"seed\":" << opts.seed
       << ",\"target\":" << json::fmt_float(target)
       << ",\"eval_every\":" << eval_every << "}";
@@ -199,7 +198,6 @@ ExperimentSpec ExperimentSpec::from_json(const json::Value& doc) {
   spec.opts.prox_mu = field("prox_mu").as_float();
   spec.opts.momentum = field("momentum").as_float();
   spec.opts.async_alpha = field("async_alpha").as_float();
-  spec.opts.speculate = field("speculate").as_bool();
   spec.opts.seed = static_cast<std::uint64_t>(field("seed").as_long());
   spec.target = field("target").as_float();
   spec.eval_every = static_cast<int>(field("eval_every").as_long());

@@ -257,7 +257,6 @@ TEST(SpecJson, RoundTripPreservesEveryOffDefaultKnob) {
   spec.opts.prox_mu = 0.007f;
   spec.opts.momentum = 0.9f;
   spec.opts.async_alpha = 0.125f;
-  spec.opts.speculate = false;
   spec.target = 0.87654321f;
   spec.eval_every = 4;
 
@@ -269,7 +268,6 @@ TEST(SpecJson, RoundTripPreservesEveryOffDefaultKnob) {
   EXPECT_EQ(back.opts.participation, spec.opts.participation);
   EXPECT_EQ(back.build.fleet_kind, core::FleetKind::kHomogeneous);
   EXPECT_FALSE(back.opts.direct_use);
-  EXPECT_FALSE(back.opts.speculate);
   EXPECT_TRUE(back.build.mlp_hidden.empty());
 }
 
@@ -279,6 +277,14 @@ TEST(SpecJson, MissingAndUnknownFieldsAreRejected) {
   ExperimentSpec spec;
   std::string wire = spec.to_json();
   wire.insert(wire.size() - 1, ",\"from_the_future\":1");
+  EXPECT_THROW(ExperimentSpec::from_json(wire), CheckError);
+}
+
+// The speculation knob left the wire at revision 3: an older coordinator's
+// spec still carrying it is an unknown field, not a silently dropped one.
+TEST(SpecJson, RetiredSpeculateFieldIsRejected) {
+  std::string wire = ExperimentSpec().to_json();
+  wire.insert(wire.size() - 1, ",\"speculate\":true");
   EXPECT_THROW(ExperimentSpec::from_json(wire), CheckError);
 }
 

@@ -1,17 +1,15 @@
 // The shared task-graph round engine (core/round_graph.hpp): executor
-// semantics on synthetic graphs (serial vs overlap equivalence, pruning,
-// pinning, speculation accept/re-run) and the byte-identity contract of the
-// speculative async rounds — FedAsync/TAFedAvg serialise identically (JSONL
-// line + final weights) between --speculate on/off and across 1/4/8
-// threads, including fleets engineered to produce equal-time event ties.
+// semantics on synthetic graphs (equivalence with an in-test sequential
+// reference, pruning, pinning) and the byte-identity contract of the async
+// rounds — FedAsync/TAFedAvg serialise identically (JSONL line + final
+// weights) across 1/4/8 threads, including fleets engineered to produce
+// equal-time event ties.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
-#include "common/env.hpp"
 #include "common/parallel.hpp"
 #include "core/fedasync.hpp"
 #include "core/presets.hpp"
@@ -29,7 +27,6 @@ namespace {
 
 using core::RoundGraph;
 using core::RoundGraphExecutor;
-using core::RoundGraphStats;
 using core::RoundJob;
 
 // Cheap deterministic stand-in for local training: a pure function of
@@ -51,11 +48,15 @@ struct MixWorld {
   RoundGraph graph;
   std::vector<float> global;
   std::vector<std::vector<float>> committed;  // global after each commit
+  /// Per job: the job whose commit published its input, or -1 for the
+  /// round-start snapshot (what the sequential reference walks).
+  std::vector<std::int64_t> input_job;
 
   explicit MixWorld(std::size_t chains, std::size_t length, std::size_t dim) {
     global.assign(dim, 1.0f);
     const std::int64_t snapshot = graph.add_seed(global);
     std::vector<std::int64_t> input(chains, snapshot);
+    std::vector<std::int64_t> publisher(chains, -1);
     // Interleave the chains round-robin, mirroring event-time order of a
     // homogeneous fleet.
     for (std::size_t step = 0; step < length; ++step) {
@@ -65,10 +66,12 @@ struct MixWorld {
         job.input_a = input[d];
         job.stream = 0x9E3779B97F4A7C15ull * (step * chains + d + 1);
         const std::size_t index = graph.add_job(job);
+        input_job.push_back(publisher[d]);
         if (step + 1 < length) {
           const std::int64_t version = graph.add_version();
           graph.publish_on_commit(index, version);
           input[d] = version;
+          publisher[d] = static_cast<std::int64_t>(index);
         }
       }
     }
@@ -88,70 +91,45 @@ struct MixWorld {
 
 std::vector<std::vector<float>> run_mix_world(std::size_t chains,
                                               std::size_t length, float alpha,
-                                              RoundGraphExecutor::Mode mode,
-                                              bool speculate,
-                                              std::size_t threads,
-                                              RoundGraphStats* stats_out = nullptr) {
+                                              std::size_t threads) {
   ParallelExecutor pool(threads);
   ParallelExecutor::Bind bind(pool);
   MixWorld world(chains, length, 16);
-  const RoundGraphExecutor executor(mode, speculate);
-  const auto stats =
-      executor.run(world.graph, fake_train(), world.commit_fn(alpha),
-                   [&world]() { return &world.global; });
-  if (stats_out != nullptr) *stats_out = stats;
+  const RoundGraphExecutor executor;
+  executor.run(world.graph, fake_train(), world.commit_fn(alpha));
   return world.committed;
 }
 
-TEST(RoundGraphExecutor, OverlapMatchesSerialOnMixChains) {
-  const auto serial = run_mix_world(3, 4, 0.3f, RoundGraphExecutor::Mode::kSerial,
-                                    false, 1);
-  ASSERT_EQ(serial.size(), 12u);
-  for (const std::size_t threads : {1u, 4u, 8u}) {
-    for (const bool speculate : {false, true}) {
-      const auto overlap = run_mix_world(
-          3, 4, 0.3f, RoundGraphExecutor::Mode::kOverlap, speculate, threads);
-      ASSERT_EQ(serial, overlap)
-          << "threads=" << threads << " speculate=" << speculate;
+/// The same world walked without the executor: every job in append order
+/// trains its input (the snapshot or an earlier commit's published global),
+/// is mixed into the global, and publishes the result.
+std::vector<std::vector<float>> sequential_mix_world(std::size_t chains,
+                                                     std::size_t length,
+                                                     float alpha) {
+  MixWorld world(chains, length, 16);
+  const auto train = fake_train();
+  const auto commit = world.commit_fn(alpha);
+  const std::vector<float> snapshot = world.global;
+  std::vector<std::vector<float>> published(world.graph.job_count());
+  for (std::size_t j = 0; j < world.graph.job_count(); ++j) {
+    const std::int64_t source = world.input_job[j];
+    std::vector<float> model =
+        source < 0 ? snapshot : published[static_cast<std::size_t>(source)];
+    train(world.graph.job(j), model, 0);
+    commit(j, model, &published[j]);
+  }
+  return world.committed;
+}
+
+TEST(RoundGraphExecutor, MatchesSequentialReferenceOnMixChains) {
+  for (const float alpha : {0.0f, 0.3f, 1.0f}) {
+    const auto reference = sequential_mix_world(3, 4, alpha);
+    ASSERT_EQ(reference.size(), 12u);
+    for (const std::size_t threads : {1u, 4u, 8u}) {
+      EXPECT_EQ(reference, run_mix_world(3, 4, alpha, threads))
+          << "alpha=" << alpha << " threads=" << threads;
     }
   }
-}
-
-TEST(RoundGraphExecutor, SpeculationAcceptsWhenGuessProvesExact) {
-  // alpha = 0: every commit publishes the unchanged snapshot, so a guess
-  // against the round-start model is always bit-identical to the true input
-  // — all speculations must be accepted, none re-run.
-  RoundGraphStats stats;
-  const auto serial =
-      run_mix_world(1, 4, 0.0f, RoundGraphExecutor::Mode::kSerial, false, 1);
-  const auto spec = run_mix_world(1, 4, 0.0f, RoundGraphExecutor::Mode::kOverlap,
-                                  true, 4, &stats);
-  EXPECT_EQ(serial, spec);
-  EXPECT_EQ(stats.speculated, 3u);  // the 3 later jobs of the 4-job chain
-  EXPECT_EQ(stats.accepted, 3u);
-  EXPECT_EQ(stats.reruns, 0u);
-}
-
-TEST(RoundGraphExecutor, SpeculationRerunsWhenGuessWasStale) {
-  // alpha = 1: every commit rewrites the global with the upload, so a guess
-  // against an older snapshot never matches — every speculation must be
-  // discarded and re-run, and the result must still equal the serial drain.
-  RoundGraphStats stats;
-  const auto serial =
-      run_mix_world(1, 4, 1.0f, RoundGraphExecutor::Mode::kSerial, false, 1);
-  const auto spec = run_mix_world(1, 4, 1.0f, RoundGraphExecutor::Mode::kOverlap,
-                                  true, 4, &stats);
-  EXPECT_EQ(serial, spec);
-  EXPECT_GT(stats.speculated, 0u);
-  EXPECT_EQ(stats.accepted, 0u);
-  EXPECT_EQ(stats.reruns, stats.speculated);
-}
-
-TEST(RoundGraphExecutor, SpeculationNeverLaunchesWithoutIdleSlots) {
-  // A 1-thread pool has no idle capacity: wavefront execution only.
-  RoundGraphStats stats;
-  run_mix_world(1, 4, 0.0f, RoundGraphExecutor::Mode::kOverlap, true, 1, &stats);
-  EXPECT_EQ(stats.speculated, 0u);
 }
 
 TEST(RoundGraphExecutor, PrunesJobsNothingObserves) {
@@ -170,7 +148,7 @@ TEST(RoundGraphExecutor, PrunesJobsNothingObserves) {
 
   ParallelExecutor pool(2);
   ParallelExecutor::Bind bind(pool);
-  const RoundGraphExecutor executor(RoundGraphExecutor::Mode::kOverlap);
+  const RoundGraphExecutor executor;
   const auto stats = executor.run(graph, fake_train(), nullptr);
   EXPECT_EQ(stats.jobs, 2u);
   EXPECT_EQ(stats.pruned, 1u);
@@ -181,26 +159,22 @@ TEST(RoundGraphExecutor, PrunesJobsNothingObserves) {
 
 TEST(RoundGraphExecutor, TwoInputJobsAverageBeforeTraining) {
   // The Observation-1 averaging edge: input_b is mixed 50/50 into input_a's
-  // copy before training, identically in both modes.
-  const auto run = [&](RoundGraphExecutor::Mode mode) {
-    RoundGraph graph;
-    const auto a = graph.add_seed({2.0f, 4.0f});
-    const auto b = graph.add_seed({6.0f, 8.0f});
-    const auto job = graph.add_job({0, a, b, 0});
-    graph.pin(graph.output_of(job));
-    ParallelExecutor pool(2);
-    ParallelExecutor::Bind bind(pool);
-    const RoundGraphExecutor executor(mode);
-    executor.run(graph,
-                 [](const RoundJob&, std::vector<float>& model, std::size_t) {
-                   for (auto& x : model) x += 1.0f;
-                 },
-                 nullptr);
-    return graph.take(graph.output_of(job));
-  };
+  // copy before training.
+  RoundGraph graph;
+  const auto a = graph.add_seed({2.0f, 4.0f});
+  const auto b = graph.add_seed({6.0f, 8.0f});
+  const auto job = graph.add_job({0, a, b, 0});
+  graph.pin(graph.output_of(job));
+  ParallelExecutor pool(2);
+  ParallelExecutor::Bind bind(pool);
+  const RoundGraphExecutor executor;
+  executor.run(graph,
+               [](const RoundJob&, std::vector<float>& model, std::size_t) {
+                 for (auto& x : model) x += 1.0f;
+               },
+               nullptr);
   const std::vector<float> expected = {5.0f, 7.0f};  // mean + 1
-  EXPECT_EQ(run(RoundGraphExecutor::Mode::kSerial), expected);
-  EXPECT_EQ(run(RoundGraphExecutor::Mode::kOverlap), expected);
+  EXPECT_EQ(graph.take(graph.output_of(job)), expected);
 }
 
 // ------------------------------------------------- EventQueue tie-breaks --
@@ -249,8 +223,7 @@ struct RunOutput {
   std::vector<float> weights;
 };
 
-RunOutput run_method(const std::string& method, bool speculate,
-                     std::size_t threads) {
+RunOutput run_method(const std::string& method, std::size_t threads) {
   ParallelExecutor::global().set_thread_count(threads);
   exp::ExperimentSpec spec;
   spec.build.dataset = "mnist";
@@ -259,7 +232,6 @@ RunOutput run_method(const std::string& method, bool speculate,
   spec.build.scale.rounds = 3;
   spec.with_seed(7);
   spec.method = method;
-  spec.opts.speculate = speculate;
   RunOutput out;
   exp::CellHooks hooks;
   hooks.final_weights = &out.weights;
@@ -279,18 +251,13 @@ void expect_bitwise_equal(const RunOutput& a, const RunOutput& b,
       << what;
 }
 
-TEST(SpeculativeByteIdentity, AsyncMethodsMatchSerialDrainAcrossThreadCounts) {
+TEST(AsyncByteIdentity, AsyncMethodsMatchAcrossThreadCounts) {
   for (const std::string method : {"FedAsync", "TAFedAvg"}) {
-    // The reference: legacy serial drain on one thread.
-    const auto reference = run_method(method, /*speculate=*/false, 1);
-    for (const bool speculate : {false, true}) {
-      for (const std::size_t threads : {1u, 4u, 8u}) {
-        const auto run = run_method(method, speculate, threads);
-        expect_bitwise_equal(reference, run,
-                             method + " speculate=" +
-                                 (speculate ? "on" : "off") + " threads=" +
-                                 std::to_string(threads));
-      }
+    // The reference: one thread, where every wave runs inline.
+    const auto reference = run_method(method, 1);
+    for (const std::size_t threads : {4u, 8u}) {
+      expect_bitwise_equal(reference, run_method(method, threads),
+                           method + " threads=" + std::to_string(threads));
     }
   }
 }
@@ -322,24 +289,23 @@ struct TieWorld {
     for (std::size_t d = 0; d < 4; ++d) fleet[d].epoch_time = 0.5;
   }
 
-  core::FlContext context(bool speculate) const {
+  core::FlContext context() const {
     core::FlContext ctx;
     ctx.network = &network;
     ctx.fed = &fed;
     ctx.fleet = &fleet;
     ctx.opts.local_epochs = 2;
     ctx.opts.batch_size = 20;
-    ctx.opts.speculate = speculate;
     return ctx;
   }
 };
 
-TEST(SpeculativeByteIdentity, HomogeneousFleetTiesStayDeterministic) {
+TEST(AsyncByteIdentity, HomogeneousFleetTiesStayDeterministic) {
   const TieWorld world;
-  const auto run = [&](bool speculate, std::size_t threads) {
+  const auto run = [&](std::size_t threads) {
     ParallelExecutor::global().set_thread_count(threads);
-    core::TAFedAvgAlgo tafedavg(world.context(speculate));
-    core::FedAsyncAlgo fedasync(world.context(speculate));
+    core::TAFedAvgAlgo tafedavg(world.context());
+    core::FedAsyncAlgo fedasync(world.context());
     std::vector<float> trace;
     for (int round = 0; round < 2; ++round) {
       tafedavg.run_round();
@@ -355,35 +321,9 @@ TEST(SpeculativeByteIdentity, HomogeneousFleetTiesStayDeterministic) {
         ParallelExecutor::threads_from_env());
     return trace;
   };
-  const auto reference = run(false, 1);
-  EXPECT_EQ(reference, run(true, 1));
-  EXPECT_EQ(reference, run(true, 4));
-  EXPECT_EQ(reference, run(false, 4));
-  EXPECT_EQ(reference, run(true, 8));
-}
-
-// ----------------------------------------------------------- env plumbing --
-
-TEST(SpeculateKnob, EnvParsingMatchesContract) {
-  const char* saved = std::getenv("FEDHISYN_SPECULATE");
-  const std::string previous = saved != nullptr ? saved : "";
-  unsetenv("FEDHISYN_SPECULATE");
-  EXPECT_TRUE(speculate_from_env());  // default on
-  for (const char* off : {"0", "off", "false"}) {
-    setenv("FEDHISYN_SPECULATE", off, 1);
-    EXPECT_FALSE(speculate_from_env()) << off;
-  }
-  for (const char* on : {"1", "on", "true"}) {
-    setenv("FEDHISYN_SPECULATE", on, 1);
-    EXPECT_TRUE(speculate_from_env()) << on;
-  }
-  setenv("FEDHISYN_SPECULATE", "off", 1);
-  EXPECT_FALSE(core::FlOptions{}.speculate);  // FlOptions default honours it
-  if (saved != nullptr) {
-    setenv("FEDHISYN_SPECULATE", previous.c_str(), 1);
-  } else {
-    unsetenv("FEDHISYN_SPECULATE");
-  }
+  const auto reference = run(1);
+  EXPECT_EQ(reference, run(4));
+  EXPECT_EQ(reference, run(8));
 }
 
 }  // namespace

@@ -18,9 +18,6 @@
 //   --lr X / --epochs N / --batch N                             [0.1 / 5 / 50]
 //   --momentum X          heavy-ball momentum for local SGD     [0]
 //   --threads N           worker-pool size (also: FEDHISYN_THREADS env)
-//   --speculate on|off    run async rounds on the speculative RoundGraph
-//                         engine (default on) or force the legacy serial
-//                         drain; results byte-identical (FEDHISYN_SPECULATE)
 //   --ring-order NAME     small-to-large|large-to-small|random  [small-to-large]
 //   --aggregation NAME    uniform|time|sample                   [uniform]
 //   --heterogeneity H     use an exact-ratio fleet instead of the
