@@ -14,7 +14,7 @@
 //
 //   ./bench_gemm_sweep --out BENCH_gemm.json [--min-time-ms 200] [--threads N]
 //                      [--shapes name,...] [--kernel VARIANT[:MRxNR]]
-//                      [--list-kernels] [--tune FILE [--tune-min-time-ms MS]]
+//                      [--list-kernels]
 //
 // Kernel modes: by default every shape is timed under the auto-selected
 // kernel (the plain entry, gated against bench/baselines/BENCH_gemm.json)
@@ -24,10 +24,6 @@
 // forces one variant for the plain entries instead and skips the per-variant
 // sweep; an unsupported variant exits with status 3 so CI can skip
 // gracefully.  --list-kernels prints the supported variant names and exits.
-//
-// --tune runs the one-shot autotuner (tensor/gemm_tune.hpp) over the
-// selected shapes for the selected variant and writes the tuning cache to
-// FILE — load it via FEDHISYN_GEMM_TUNE_CACHE / --gemm-tune-cache.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -175,15 +171,6 @@ const char* variant_name(Variant v) {
   return "?";
 }
 
-gemmk::GemmOp to_gemm_op(Variant v) {
-  switch (v) {
-    case Variant::kNN: return gemmk::GemmOp::kNN;
-    case Variant::kNT: return gemmk::GemmOp::kNT;
-    case Variant::kTN: return gemmk::GemmOp::kTN;
-  }
-  return gemmk::GemmOp::kNN;
-}
-
 /// Point FEDHISYN_GEMM_KERNEL at `spec` (nullptr = unset) and re-resolve the
 /// runtime selection — the documented test/bench reinit hook.
 void force_kernel(const char* spec) {
@@ -218,8 +205,6 @@ int main(int argc, char** argv) {
   std::size_t threads = ParallelExecutor::threads_from_env();
   std::string shapes_filter;
   std::string kernel_spec;
-  std::string tune_path;
-  double tune_min_time_ms = 50.0;
   bool list_kernels = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -240,17 +225,12 @@ int main(int argc, char** argv) {
       shapes_filter = next();
     } else if (arg == "--kernel") {
       kernel_spec = next();
-    } else if (arg == "--tune") {
-      tune_path = next();
-    } else if (arg == "--tune-min-time-ms") {
-      tune_min_time_ms = std::atof(next());
     } else if (arg == "--list-kernels") {
       list_kernels = true;
     } else {
       std::cerr << "usage: bench_gemm_sweep [--out FILE] [--min-time-ms MS] "
                    "[--threads N] [--shapes name,...] "
-                   "[--kernel VARIANT[:MRxNR]] [--list-kernels] "
-                   "[--tune FILE [--tune-min-time-ms MS]]\n";
+                   "[--kernel VARIANT[:MRxNR]] [--list-kernels]\n";
       return arg == "--help" ? 0 : 2;
     }
   }
@@ -308,26 +288,6 @@ int main(int argc, char** argv) {
       std::cerr << "bench_gemm_sweep: " << err.what() << "\n";
       return 3;
     }
-  }
-
-  // --tune: run the autotuner over the selected shapes and exit.
-  if (!tune_path.empty()) {
-    std::vector<GemmTuneShape> tune_shapes;
-    for (const GemmShape* s : selected) {
-      tune_shapes.push_back({to_gemm_op(s->variant), s->m, s->k, s->n});
-    }
-    const std::string variant = gemm_runtime_info().variant;
-    const GemmTuning tuning =
-        autotune_gemm(tune_shapes, variant, tune_min_time_ms);
-    save_gemm_tuning(tuning, tune_path);
-    for (const GemmTuneEntry& entry : tuning.entries) {
-      std::fprintf(stderr, "tune %-10s %s  kernel %-6s nc %5lld rows %3lld\n",
-                   variant.c_str(), entry.shape_class.c_str(),
-                   entry.kernel.c_str(), static_cast<long long>(entry.nc),
-                   static_cast<long long>(entry.rows));
-    }
-    std::cout << tune_path << std::endl;
-    return 0;
   }
 
   // Timing modes per shape: the current selection (plain entry, gated), and

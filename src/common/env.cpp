@@ -41,9 +41,4 @@ std::string gemm_kernel_from_env() {
   return value;
 }
 
-std::string gemm_tune_cache_from_env() {
-  const char* value = std::getenv("FEDHISYN_GEMM_TUNE_CACHE");
-  return value == nullptr ? std::string() : std::string(value);
-}
-
 }  // namespace fedhisyn

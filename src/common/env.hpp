@@ -33,13 +33,6 @@
 //                            loudly when unsupported) and an optional :MRxNR
 //                            suffix pins the register-tile shape.  Every
 //                            variant produces bit-identical results.
-//   FEDHISYN_GEMM_TUNE_CACHE=FILE
-//                            tuning cache written by the GEMM autotuner
-//                            (bench_gemm_sweep --tune): per-shape-class
-//                            kernel shapes and tile-grid sizes that replace
-//                            the built-in defaults.  A cache recorded for a
-//                            different variant is ignored with a warning;
-//                            tunings change scheduling only, never bytes.
 //   FEDHISYN_BUILD_CACHE_MB=M
 //                            byte budget (MiB, fractional allowed) of the
 //                            BuiltExperiment cache every execution backend
@@ -81,9 +74,5 @@ bool quiet_from_env();
 /// FEDHISYN_GEMM_KERNEL: the requested GEMM kernel variant spec ("auto" when
 /// unset; see tensor/gemm_tune.hpp for the grammar).
 std::string gemm_kernel_from_env();
-
-/// FEDHISYN_GEMM_TUNE_CACHE: path of the autotuner-written tuning cache
-/// (empty when unset — built-in defaults apply).
-std::string gemm_tune_cache_from_env();
 
 }  // namespace fedhisyn

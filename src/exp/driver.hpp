@@ -42,15 +42,11 @@
 //                     variant:MRxNR (FEDHISYN_GEMM_KERNEL, which child
 //                     workers inherit).  Bit-identical results either way;
 //                     an unsupported forced variant fails at startup
-//   --gemm-tune-cache FILE
-//                     autotuner-written GEMM tuning cache (bench_gemm_sweep
-//                     --tune; FEDHISYN_GEMM_TUNE_CACHE, which child workers
-//                     inherit).  Scheduling only — never changes result bytes
 //   --list-methods    print the registered algorithms (one description line
 //                     each) and exit
 //   --gemm-info       print the resolved GEMM dispatch state (selected
-//                     variant, forced kernel, tuning cache, per-class
-//                     configurations) and exit
+//                     variant, forced kernel, the one tile and tile-grid
+//                     sizes every call runs) and exit
 //   --serve [BIND:]PORT
 //                     become a resident dispatch worker: listen on PORT
 //                     (default bind 0.0.0.0; port 0 = ephemeral, announced
@@ -97,12 +93,11 @@ struct GridDriverOptions {
 };
 
 /// Apply the flags shared by every grid driver: export --quiet /
-/// --build-cache-mb / --gemm-kernel / --gemm-tune-cache to their env vars
-/// (before the --serve branch, so workers see them; the gemm flags are
-/// validated immediately), enter the --serve worker mode when requested,
-/// resize the global pool for --threads, resolve --grid-jobs /
-/// --dispatch / --resume / --quiet, capture --out, and handle
-/// --list-methods / --gemm-info (print and exit).
+/// --build-cache-mb / --gemm-kernel to their env vars (before the --serve
+/// branch, so workers see them; --gemm-kernel is validated immediately),
+/// enter the --serve worker mode when requested, resize the global pool for
+/// --threads, resolve --grid-jobs / --dispatch / --resume / --quiet,
+/// capture --out, and handle --list-methods / --gemm-info (print and exit).
 GridDriverOptions handle_grid_flags(const Flags& flags);
 
 /// Run a grid the standard way: honour --resume (scan `options.out` for

@@ -7,19 +7,18 @@
 // aligned scratch, and an MRxNR register micro-kernel does the arithmetic.
 // The micro-kernel is multiversioned per ISA (generic / AVX2 / AVX-512 /
 // NEON, see gemm_kernel.hpp) and selected once per process by runtime CPUID
-// dispatch — overridable via FEDHISYN_GEMM_KERNEL, tunable per shape class
-// via an autotuner-written cache (FEDHISYN_GEMM_TUNE_CACHE); the selection
-// layer is tensor/gemm_tune.hpp.
+// dispatch, overridable via FEDHISYN_GEMM_KERNEL; the selection layer is
+// tensor/gemm_tune.hpp.  The tile-grid sizes follow from the selected
+// register tile, so a process runs one schedule for every shape.
 //
 // Determinism: i/j are blocked but k never is — every C element accumulates
 // its k terms in ascending order with one rounded multiply and one rounded
 // add per term (no FMA anywhere), so results are bit-identical across thread
-// counts, kernel variants, tile tunings (the tuning cache,
-// tensor/gemm_tune.hpp) and inline vs pooled execution.  Not a BLAS
-// replacement — sized for the models the FL simulation trains — but
-// verified against an order-exact
-// reference (every kernel variant forced, exact float equality) in
-// tests/tensor_test.cpp and swept in bench/gemm_sweep.cpp.
+// counts, kernel variants, register tiles and inline vs pooled execution.
+// Not a BLAS replacement — sized for the models the FL simulation trains —
+// but verified against an order-exact reference (every kernel variant
+// forced, exact float equality) in tests/tensor_test.cpp and swept in
+// bench/gemm_sweep.cpp.
 #pragma once
 
 #include <cstdint>

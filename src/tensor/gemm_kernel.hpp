@@ -17,10 +17,10 @@
 // kernel TUs compile with -ffp-contract=off, see CMakeLists.txt, and
 // tests/tensor_test.cpp demands exact float equality across every variant).
 // Under that contract the register-tile shape, the ISA and the tile-grid
-// tuning are pure scheduling knobs: every variant produces identical bits.
+// sizes are pure scheduling knobs: every variant produces identical bits.
 //
-// Runtime selection (CPUID dispatch, FEDHISYN_GEMM_KERNEL, the tuning
-// cache) lives one layer up in tensor/gemm_tune.hpp.
+// Runtime selection (CPUID dispatch, FEDHISYN_GEMM_KERNEL) lives one layer
+// up in tensor/gemm_tune.hpp.
 #pragma once
 
 #include <cstdint>
@@ -55,7 +55,7 @@ struct GemmKernel {
 };
 
 /// One ISA variant: a runtime support predicate plus its kernel shapes,
-/// preferred shape first (the default when no tuning cache says otherwise).
+/// preferred shape first (the default unless FEDHISYN_GEMM_KERNEL pins one).
 struct GemmVariant {
   const char* name;    // "generic", "avx2", "avx512", "neon"
   bool (*supported)();  // runtime CPUID on x86, compile-time on aarch64
@@ -70,27 +70,12 @@ const GemmVariant& gemm_variant_avx2();
 const GemmVariant& gemm_variant_avx512();
 const GemmVariant& gemm_variant_neon();
 
-namespace detail {
-
-/// Fully-resolved kernel + tile-grid configuration for one gemm call: what
-/// the driver actually executes.  Produced by the runtime selection layer
-/// (tensor/gemm_tune.cpp) or directly by the autotuner's candidate sweep.
-struct ResolvedGemm {
-  std::int64_t mr = 4;
-  std::int64_t nr = 8;
-  std::int64_t nc = 512;    // column-panel width (multiple of nr)
-  std::int64_t rows = 8;    // rows per parallel task (multiple of mr)
-  KloopFn kloop = nullptr;
-};
-
-/// The blocked/packed driver entry used by both the public gemm()/gemm_nt()/
-/// gemm_tn() wrappers (with the runtime-selected config) and the autotuner
-/// (with each candidate config, no global state touched).  Spans are
-/// pre-checked by the callers.
-void gemm_run(GemmOp op, const float* a, const float* b, float* c,
-              std::int64_t m, std::int64_t k, std::int64_t n, float beta,
-              const ResolvedGemm& cfg);
-
-}  // namespace detail
+/// The tile-grid sizes the driver derives from a kernel's register tile:
+/// column panels of 512 columns rounded up to a multiple of nr, and row
+/// tasks of two register tiles.  One kernel per process means one schedule.
+inline std::int64_t panel_width(const GemmKernel& kernel) {
+  return (512 + kernel.nr - 1) / kernel.nr * kernel.nr;
+}
+inline std::int64_t task_rows(const GemmKernel& kernel) { return 2 * kernel.mr; }
 
 }  // namespace fedhisyn::gemmk

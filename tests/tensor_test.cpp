@@ -9,8 +9,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -264,11 +264,12 @@ TEST_P(GemmExactShapes, AllVariantsAllBetasMatchOrderExactReference) {
 INSTANTIATE_TEST_SUITE_P(EdgeShapes, GemmExactShapes,
                          ::testing::ValuesIn(kGemmEdgeShapes));
 
-// --- kernel-variant equivalence + tuning cache -------------------------------
+// --- kernel-variant equivalence + runtime selection --------------------------
 
 /// RAII wrapper around the documented test-only reinit hook
-/// (gemm_runtime_reinit, see docs/ARCHITECTURE.md): point one FEDHISYN_GEMM_*
-/// env var somewhere, re-resolve the runtime selection, restore both on exit.
+/// (gemm_runtime_reinit, see docs/ARCHITECTURE.md): set one env var
+/// (nullptr unsets it), re-resolve the runtime selection, restore both on
+/// exit.
 class ScopedGemmEnv {
  public:
   ScopedGemmEnv(const char* name, const char* value) : name_(name) {
@@ -362,176 +363,45 @@ TEST(GemmKernelMatrix, ForcedBadOrUnsupportedVariantFailsLoudly) {
   gemm(a, b, c, 4, 6, 5);  // must not throw
 }
 
-TEST(GemmTuneCache, ShapeClassMapping) {
+TEST(GemmRuntime, ShapeClassMapping) {
   EXPECT_EQ(gemm_shape_class(gemmk::GemmOp::kNN, kGemmWideN), "nn/narrow");
   EXPECT_EQ(gemm_shape_class(gemmk::GemmOp::kNN, kGemmWideN + 1), "nn/wide");
   EXPECT_EQ(gemm_shape_class(gemmk::GemmOp::kNT, 64), "nt/narrow");
   EXPECT_EQ(gemm_shape_class(gemmk::GemmOp::kTN, 1024), "tn/wide");
-  EXPECT_EQ(gemm_shape_classes().size(), 6u);
 }
 
-TEST(GemmTuneCache, CodecRejectsMalformedDocuments) {
-  EXPECT_THROW(gemm_tuning_from_json("not json"), CheckError);
-  EXPECT_THROW(gemm_tuning_from_json("{\"schema\": \"wrong/1\"}"), CheckError);
-  EXPECT_THROW(gemm_tuning_from_json(
-                   "{\"schema\": \"fedhisyn-gemm-tune/1\", \"variant\": \"g\"}"),
-               CheckError);
-  // Unknown shape class and non-positive sizes are rejected, not detuned.
-  EXPECT_THROW(
-      gemm_tuning_from_json(
-          "{\"schema\": \"fedhisyn-gemm-tune/1\", \"variant\": \"generic\", "
-          "\"entries\": [{\"class\": \"zz/huge\", \"kernel\": \"4x8\", "
-          "\"nc\": 512, \"rows\": 8}]}"),
-      CheckError);
-  EXPECT_THROW(
-      gemm_tuning_from_json(
-          "{\"schema\": \"fedhisyn-gemm-tune/1\", \"variant\": \"generic\", "
-          "\"entries\": [{\"class\": \"nn/wide\", \"kernel\": \"4x8\", "
-          "\"nc\": 0, \"rows\": 8}]}"),
-      CheckError);
-}
+// --gemm-info reports exactly the one schedule the driver runs: the forced
+// variant and tile, and a single resolved line whose panel width is 512
+// rounded up to a multiple of NR and whose task height is two MR tiles.
+TEST(GemmRuntime, InfoStringReportsTheOneResolvedSchedule) {
+  for (const GemmKernelId& id : gemm_kernel_catalog()) {
+    const std::string spec = id.variant + ":" + id.kernel;
+    SCOPED_TRACE(spec);
+    ScopedGemmEnv forced("FEDHISYN_GEMM_KERNEL", spec.c_str());
+    long long mr = 0;
+    long long nr = 0;
+    ASSERT_EQ(std::sscanf(id.kernel.c_str(), "%lldx%lld", &mr, &nr), 2);
+    const gemmk::GemmKernel& kernel = gemm_runtime_config();
+    EXPECT_EQ(kernel.mr, mr);
+    EXPECT_EQ(kernel.nr, nr);
 
-const GemmTuneEntry* find_tune_entry(const GemmTuning& tuning,
-                                     const std::string& shape_class) {
-  for (const GemmTuneEntry& entry : tuning.entries) {
-    if (entry.shape_class == shape_class) return &entry;
+    const std::string info = gemm_info_string();
+    EXPECT_NE(info.find("  variant:        " + id.variant + "\n"),
+              std::string::npos);
+    EXPECT_NE(info.find("  forced kernel:  " + id.kernel + "\n"),
+              std::string::npos);
+    const std::string resolved =
+        "  resolved config: " + id.kernel +
+        " nc=" + std::to_string((512 + nr - 1) / nr * nr) +
+        " rows=" + std::to_string(2 * mr) + "\n";
+    EXPECT_NE(info.find(resolved), std::string::npos) << info;
+    const auto first = info.find(" nc=");
+    ASSERT_NE(first, std::string::npos);
+    EXPECT_EQ(info.find(" nc=", first + 1), std::string::npos) << info;
   }
-  return nullptr;
-}
-
-TEST(GemmTuneCache, AutotuneRoundTripSelectsAndKeepsBytesIdentical) {
-  // One exemplar per touched class; tiny min-time keeps the sweep fast.
-  const GemmTuneShape shapes[] = {
-      {gemmk::GemmOp::kNN, 64, 256, 96},
-      {gemmk::GemmOp::kNT, 48, 200, 64},
-      {gemmk::GemmOp::kTN, 96, 64, 300},
-  };
-  const GemmTuning tuning = autotune_gemm(shapes, "generic", 0.05);
-  ASSERT_EQ(tuning.variant, "generic");
-  ASSERT_EQ(tuning.entries.size(), 3u);
-  ASSERT_NE(find_tune_entry(tuning, "nn/narrow"), nullptr);
-  ASSERT_NE(find_tune_entry(tuning, "nt/narrow"), nullptr);
-  ASSERT_NE(find_tune_entry(tuning, "tn/wide"), nullptr);
-
-  // The codec round-trips the tuning exactly (all-integer payload).
-  const GemmTuning reparsed =
-      gemm_tuning_from_json(gemm_tuning_to_json(tuning));
-  ASSERT_EQ(reparsed.variant, tuning.variant);
-  ASSERT_EQ(reparsed.entries.size(), tuning.entries.size());
-  for (std::size_t i = 0; i < tuning.entries.size(); ++i) {
-    EXPECT_EQ(reparsed.entries[i].shape_class, tuning.entries[i].shape_class);
-    EXPECT_EQ(reparsed.entries[i].kernel, tuning.entries[i].kernel);
-    EXPECT_EQ(reparsed.entries[i].nc, tuning.entries[i].nc);
-    EXPECT_EQ(reparsed.entries[i].rows, tuning.entries[i].rows);
-  }
-
-  const std::string path = ::testing::TempDir() + "gemm_tune_roundtrip.json";
-  save_gemm_tuning(tuning, path);
-
-  const std::int64_t m = 64;
-  const std::int64_t k = 256;
-  const std::int64_t n = 96;
-  Rng rng(777);
-  const auto a = random_vec(static_cast<std::size_t>(m * k), rng);
-  const auto b = random_vec(static_cast<std::size_t>(k * n), rng);
-  std::vector<float> plain(static_cast<std::size_t>(m * n));
-  std::vector<float> tuned(static_cast<std::size_t>(m * n));
-
-  ScopedGemmEnv kernel("FEDHISYN_GEMM_KERNEL", "generic");
-  gemm(a, b, plain, m, k, n);
-  {
-    ScopedGemmEnv cache("FEDHISYN_GEMM_TUNE_CACHE", path.c_str());
-    const GemmRuntimeInfo& info = gemm_runtime_info();
-    EXPECT_TRUE(info.cache_loaded);
-    EXPECT_EQ(info.cache_path, path);
-    EXPECT_EQ(info.variant, "generic");
-    // The loaded winners replace the built-in defaults.
-    const GemmTuneEntry* nn = find_tune_entry(tuning, "nn/narrow");
-    const auto& cfg = gemm_runtime_config(gemmk::GemmOp::kNN, n);
-    EXPECT_EQ(cfg.nc, nn->nc);
-    EXPECT_EQ(cfg.rows, nn->rows);
-    gemm(a, b, tuned, m, k, n);
-  }
-  // Tuning reschedules; it must not change a single byte.
-  ASSERT_EQ(0, std::memcmp(plain.data(), tuned.data(),
-                           plain.size() * sizeof(float)));
-}
-
-TEST(GemmTuneCache, HandWrittenCacheOverridesDefaults) {
-  // Non-default tile-grid sizes, written by hand: the runtime must execute
-  // them (selection observable through gemm_runtime_config) with bytes
-  // unchanged versus the defaults.
-  GemmTuning tuning;
-  tuning.variant = "generic";
-  tuning.entries.push_back({"nn/narrow", "4x8", 256, 16});
-  const std::string path = ::testing::TempDir() + "gemm_tune_custom.json";
-  save_gemm_tuning(tuning, path);
-
-  const std::int64_t m = 40;
-  const std::int64_t k = 120;
-  const std::int64_t n = 200;
-  Rng rng(778);
-  const auto a = random_vec(static_cast<std::size_t>(m * k), rng);
-  const auto b = random_vec(static_cast<std::size_t>(k * n), rng);
-  std::vector<float> plain(static_cast<std::size_t>(m * n));
-  std::vector<float> tuned(static_cast<std::size_t>(m * n));
-
-  ScopedGemmEnv kernel("FEDHISYN_GEMM_KERNEL", "generic");
-  // Copy (not reference): reinit rebuilds the runtime slot in place.
-  const std::int64_t default_nc = gemm_runtime_config(gemmk::GemmOp::kNN, n).nc;
-  const std::int64_t default_rows =
-      gemm_runtime_config(gemmk::GemmOp::kNN, n).rows;
-  const std::int64_t other_nc = gemm_runtime_config(gemmk::GemmOp::kNT, n).nc;
-  ASSERT_TRUE(default_nc != 256 || default_rows != 16);
-  gemm(a, b, plain, m, k, n);
-  {
-    ScopedGemmEnv cache("FEDHISYN_GEMM_TUNE_CACHE", path.c_str());
-    EXPECT_TRUE(gemm_runtime_info().cache_loaded);
-    const auto& cfg = gemm_runtime_config(gemmk::GemmOp::kNN, n);
-    EXPECT_EQ(cfg.nc, 256);
-    EXPECT_EQ(cfg.rows, 16);
-    // Untouched classes keep their defaults.
-    EXPECT_EQ(gemm_runtime_config(gemmk::GemmOp::kNT, n).nc, other_nc);
-    gemm(a, b, tuned, m, k, n);
-  }
-  ASSERT_EQ(0, std::memcmp(plain.data(), tuned.data(),
-                           plain.size() * sizeof(float)));
-}
-
-TEST(GemmTuneCache, VariantMismatchIsIgnoredGracefully) {
-  // A cache recorded on another host for a different ISA must not detune or
-  // break the run: it is ignored (with a warning), defaults apply.
-  GemmTuning tuning;
-  tuning.variant = "avx512";
-  tuning.entries.push_back({"nn/narrow", "14x32", 1024, 28});
-  const std::string path = ::testing::TempDir() + "gemm_tune_mismatch.json";
-  save_gemm_tuning(tuning, path);
-
-  ScopedGemmEnv kernel("FEDHISYN_GEMM_KERNEL", "generic");
-  const auto default_nc = gemm_runtime_config(gemmk::GemmOp::kNN, 64).nc;
-  ScopedGemmEnv cache("FEDHISYN_GEMM_TUNE_CACHE", path.c_str());
-  const GemmRuntimeInfo& info = gemm_runtime_info();
-  EXPECT_EQ(info.cache_path, path);
-  EXPECT_FALSE(info.cache_loaded);
-  EXPECT_EQ(gemm_runtime_config(gemmk::GemmOp::kNN, 64).nc, default_nc);
-}
-
-TEST(GemmTuneCache, MalformedCacheFileFailsLoudly) {
-  const std::string path = ::testing::TempDir() + "gemm_tune_broken.json";
-  std::ofstream(path) << "{\"schema\": \"fedhisyn-gemm-tune/1\"";  // truncated
-  const char* old = std::getenv("FEDHISYN_GEMM_TUNE_CACHE");
-  const std::string saved = old != nullptr ? old : "";
-  const bool had_old = old != nullptr;
-  setenv("FEDHISYN_GEMM_TUNE_CACHE", path.c_str(), /*overwrite=*/1);
-  EXPECT_THROW(gemm_runtime_reinit(), CheckError);
-  setenv("FEDHISYN_GEMM_TUNE_CACHE", "/no/such/dir/tune.json", /*overwrite=*/1);
-  EXPECT_THROW(gemm_runtime_reinit(), CheckError);
-  if (had_old) {
-    setenv("FEDHISYN_GEMM_TUNE_CACHE", saved.c_str(), /*overwrite=*/1);
-  } else {
-    unsetenv("FEDHISYN_GEMM_TUNE_CACHE");
-  }
-  gemm_runtime_reinit();
+  ScopedGemmEnv automatic("FEDHISYN_GEMM_KERNEL", nullptr);
+  EXPECT_NE(gemm_info_string().find("  forced kernel:  (none)\n"),
+            std::string::npos);
 }
 
 TEST(GemmExact, ExactZeroOperandsTakeNoShortcut) {
