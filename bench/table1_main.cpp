@@ -98,9 +98,7 @@ int main(int argc, char** argv) {
   }
   table.print();
   table.maybe_write_csv("table1");
-  exp::GridScheduler::Options budget_options;
-  budget_options.jobs = grid_options.grid_jobs;
-  const exp::GridScheduler budget(std::move(budget_options));
+  const exp::GridScheduler budget(grid_options.scheduler);
   std::printf("grid: %zu cells, %zu jobs x %zu threads, %.1fs wall\n", cells.size(),
               budget.resolved_jobs(cells.size()),
               budget.inner_threads(budget.resolved_jobs(cells.size())), elapsed);

@@ -3,11 +3,12 @@
 // Knobs recognised across the library:
 //   FEDHISYN_FULL=1          paper-scale experiment sizes (see presets.hpp)
 //   FEDHISYN_THREADS=N       worker-pool size (see common/parallel.hpp)
-//   FEDHISYN_GRID_JOBS=N     concurrent grid cells (see exp/scheduler.hpp)
+//   FEDHISYN_GRID_JOBS=N     concurrent grid cells (fallback for --grid-jobs)
 //   FEDHISYN_DISPATCH=thread|process|tcp
-//                            grid cell backend: in-process worker threads
-//                            (default), a crash-isolated pool of worker
-//                            processes, or remote --serve workers over TCP
+//                            grid cell backend (fallback for --dispatch):
+//                            in-process worker threads (default), a
+//                            crash-isolated pool of worker processes, or
+//                            remote --serve workers over TCP
 //                            (exp/dispatch.hpp).  Output files are
 //                            byte-identical in all three modes.
 //   FEDHISYN_WORKERS=host:port,...
@@ -18,14 +19,18 @@
 //                            extra attempts for a grid cell whose dispatch
 //                            worker crashed, hung past the cell timeout or
 //                            dropped its connection (default 2, i.e. 3 tries
-//                            total — the same numbers dispatch.hpp and the
-//                            README state).
+//                            total; a negative value keeps the default).
 //   FEDHISYN_CELL_TIMEOUT_S=S
 //                            per-cell deadline for the process/tcp dispatch
-//                            backends (fractional seconds; default off): a
-//                            worker that exceeds it is killed (process) or
-//                            disconnected (tcp) and the cell retried under
-//                            the same accounting as a crash.
+//                            backends (fractional seconds below 1e9; default
+//                            and any non-positive value: off): a worker that
+//                            exceeds it is killed (process) or disconnected
+//                            (tcp) and the cell retried under the same
+//                            accounting as a crash.
+//                            These five are the coordinator knobs: only
+//                            exp::handle_grid_flags (exp/driver.cpp) reads
+//                            them, once, and it check-fails on a malformed
+//                            value.
 //   FEDHISYN_GEMM_KERNEL=auto|generic|avx2|avx512|neon[:MRxNR]
 //                            GEMM micro-kernel variant (tensor/gemm_tune.hpp).
 //                            "auto" (the default) picks the best ISA the CPU

@@ -83,27 +83,6 @@ HostPort parse_host_port(const std::string& spec, const std::string& default_hos
   return hp;
 }
 
-std::vector<HostPort> parse_host_list(const std::string& csv,
-                                      const std::string& default_host) {
-  std::vector<HostPort> hosts;
-  std::string item;
-  const auto flush = [&] {
-    if (!item.empty()) hosts.push_back(parse_host_port(item, default_host));
-    item.clear();
-  };
-  for (const char c : csv) {
-    if (c == ',') {
-      flush();
-    } else if (c != ' ') {
-      item.push_back(c);
-    }
-  }
-  flush();
-  FEDHISYN_CHECK_MSG(!hosts.empty(),
-                     "empty worker list — expected host:port,host:port,...");
-  return hosts;
-}
-
 Deadline Deadline::after(double seconds) {
   Deadline deadline;
   deadline.armed_ = true;

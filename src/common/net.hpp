@@ -17,7 +17,6 @@
 #include <chrono>
 #include <string>
 #include <utility>
-#include <vector>
 
 namespace fedhisyn::net {
 
@@ -31,11 +30,6 @@ struct HostPort {
 /// a non-digit port, a port > 65535, or a bare IPv6 literal (use brackets)
 /// check-fails.
 HostPort parse_host_port(const std::string& spec, const std::string& default_host);
-
-/// Parse a comma-separated "host:port,host:port,..." worker list.
-/// Check-fails on an empty list or a malformed entry.
-std::vector<HostPort> parse_host_list(const std::string& csv,
-                                      const std::string& default_host);
 
 /// A point on the monotonic clock that blocking calls must not outlive.
 /// Default-constructed deadlines never expire.

@@ -28,7 +28,7 @@ namespace fedhisyn::exp {
 
 namespace {
 
-/// With no FEDHISYN_CELL_TIMEOUT_S, the hello line still gets a generous
+/// With no per-cell deadline, the hello line still gets a generous
 /// deadline: it is sent before any work, so a worker quiet this long is a
 /// wedged host or a binary that does not speak the protocol — without the
 /// bound, one such endpoint would stall the sweep forever.
@@ -440,28 +440,24 @@ std::unique_ptr<Link> connect_link(const net::HostPort& host, const net::Deadlin
                                 std::move(child));
 }
 
-/// Everything the shared loop needs from a backend.
-struct DispatchConfig {
-  std::size_t slots = 1;
-  int max_attempts = 3;
-  /// Per-cell deadline, resolved; 0 = none.
-  double cell_timeout_s = 0.0;
-  /// Deadline for the hello after a (re)connect.
-  double hello_grace_s = kDefaultHelloGraceS;
-  /// Open (or re-open) slot s.  nullptr = the slot is permanently dead
-  /// (unreachable host); its work is reassigned to the surviving slots.
-  std::function<std::unique_ptr<Link>(std::size_t)> connect;
-  std::function<void(std::size_t, std::size_t, const CellResult&)> on_cell;
-  /// Human lane titles for the merged trace, one per slot ("worker 0
-  /// (process)", "worker 1 (host:port)"); empty = a generic name.
-  std::vector<std::string> slot_names;
-};
+/// Opens (or re-opens) slot s; nullptr = the slot is permanently dead
+/// (unreachable host, child that never served) and its work is reassigned
+/// to the surviving slots.
+using ConnectFn = std::function<std::unique_ptr<Link>(std::size_t)>;
 
-/// The dispatch loop both backends run: feed idle ready workers in spec
-/// order, poll every live link, collect results by spec index, convert
-/// worker deaths and blown deadlines into bounded retries.  This is the one
-/// place deadline/retry semantics live; the backends differ only in how a
-/// slot's `--serve` worker is found (spawned locally or reached remotely).
+/// Deadline for the hello after a (re)connect: the cell deadline when one is
+/// set, else the generous default.
+double hello_grace_s(const TcpDispatcher::Options& options) {
+  return options.cell_timeout_s > 0 ? options.cell_timeout_s : kDefaultHelloGraceS;
+}
+
+/// The dispatch loop, one slot per entry of `slot_names` (the slot's lane
+/// title in the merged trace): feed idle ready workers in spec order, poll
+/// every live link, collect results by spec index, convert worker deaths and
+/// blown deadlines into bounded retries.  This is the one place
+/// deadline/retry semantics live; the worker sources differ only in how
+/// `connect` finds a slot's `--serve` worker (spawned locally or reached
+/// remotely).
 ///
 /// Concurrency discipline (checked by review, not locks): the coordinator is
 /// strictly single-threaded — every Slot, the pending deque, attempts and
@@ -470,7 +466,9 @@ struct DispatchConfig {
 /// (other processes/hosts).  A write to a vanished worker fails into the
 /// retry path instead of raising SIGPIPE: net::write_all sends with
 /// MSG_NOSIGNAL.
-std::vector<CellResult> run_dispatch(const DispatchConfig& config,
+std::vector<CellResult> run_dispatch(const TcpDispatcher::Options& options,
+                                     const std::vector<std::string>& slot_names,
+                                     const ConnectFn& connect,
                                      const std::vector<ExperimentSpec>& specs) {
   const std::size_t n = specs.size();
   std::vector<CellResult> results(n);
@@ -487,7 +485,7 @@ std::vector<CellResult> run_dispatch(const DispatchConfig& config,
     net::Deadline deadline;  // bounds the hello, then each in-flight cell
     std::int64_t feed_us = 0;  // trace timestamp of the in-flight request
   };
-  std::vector<Slot> slots(config.slots);
+  std::vector<Slot> slots(slot_names.size());
   std::deque<std::size_t> pending;
   for (std::size_t i = 0; i < n; ++i) pending.push_back(i);
   std::vector<int> attempts(n, 0);
@@ -510,11 +508,6 @@ std::vector<CellResult> run_dispatch(const DispatchConfig& config,
     const std::int64_t start_us = trace::now_us();
     for (std::size_t i = 0; i < n; ++i) enqueue_us[i] = start_us;
   }
-  const auto lane_name = [&](std::size_t s) {
-    return s < config.slot_names.size() && !config.slot_names[s].empty()
-               ? config.slot_names[s]
-               : "worker " + std::to_string(s);
-  };
   // Precomputed once: the affinity pass in the feed loop compares keys per
   // idle slot per iteration.
   std::vector<std::string> build_keys;
@@ -523,7 +516,7 @@ std::vector<CellResult> run_dispatch(const DispatchConfig& config,
 
   const auto open_slot = [&](std::size_t s) {
     Slot& slot = slots[s];
-    slot.link = config.connect(s);
+    slot.link = connect(s);
     slot.framer = net::LineFramer("worker " + std::to_string(s));
     slot.cell = -1;
     // A freshly spawned worker starts cold; a reconnected remote one may
@@ -537,7 +530,7 @@ std::vector<CellResult> run_dispatch(const DispatchConfig& config,
       slot.deadline = net::Deadline::never();
       return;
     }
-    slot.deadline = net::Deadline::after(config.hello_grace_s);
+    slot.deadline = net::Deadline::after(hello_grace_s(options));
   };
 
   /// A link died (EOF on its fd).  With a cell in flight — crash, timeout or
@@ -548,7 +541,7 @@ std::vector<CellResult> run_dispatch(const DispatchConfig& config,
     const bool was_ready = slot.ready;
     std::ostringstream death;
     if (slot.timed_out) {
-      death << "timed out after " << config.cell_timeout_s << "s";
+      death << "timed out after " << options.cell_timeout_s << "s";
     } else {
       death << slot.link->describe_exit();
     }
@@ -559,14 +552,14 @@ std::vector<CellResult> run_dispatch(const DispatchConfig& config,
     if (cell >= 0) {
       const std::size_t i = static_cast<std::size_t>(cell);
       FEDHISYN_CHECK_MSG(
-          attempts[i] < config.max_attempts,
+          attempts[i] < options.max_attempts,
           "grid cell '" << specs[i].label() << "' lost its worker ("
-                        << death.str() << ") on all " << config.max_attempts
+                        << death.str() << ") on all " << options.max_attempts
                         << " attempt(s) — giving up");
       std::fprintf(stderr,
                    "dispatch: worker died (%s) on cell '%s' (attempt %d/%d); retrying\n",
                    death.str().c_str(), specs[i].label().c_str(), attempts[i],
-                   config.max_attempts);
+                   options.max_attempts);
       retries_counter.add(1);
       if (tracing) {
         trace::instant("cell.retry", "dispatch");
@@ -616,7 +609,7 @@ std::vector<CellResult> run_dispatch(const DispatchConfig& config,
       // to coordinator time at the moment the request was fed.  Skew is the
       // request's network/decode latency — good enough to eyeball overlap.
       if (response.cell.telemetry.valid) {
-        trace::set_lane_name(1 + static_cast<int>(s), lane_name(s));
+        trace::set_lane_name(1 + static_cast<int>(s), slot_names[s]);
         for (const CellTelemetrySpan& span : response.cell.telemetry.spans) {
           trace::emit_foreign(1 + static_cast<int>(s), span.tid, span.name,
                               span.cat, slot.feed_us + span.ts_us, span.dur_us);
@@ -628,7 +621,7 @@ std::vector<CellResult> run_dispatch(const DispatchConfig& config,
     slot.cell = -1;
     slot.deadline = net::Deadline::never();
     ++done;
-    if (config.on_cell) config.on_cell(done, n, results[i]);
+    if (options.on_cell) options.on_cell(done, n, results[i]);
   };
 
   for (std::size_t s = 0; s < slots.size(); ++s) open_slot(s);
@@ -663,8 +656,8 @@ std::vector<CellResult> run_dispatch(const DispatchConfig& config,
       slot.cell = static_cast<long>(i);
       slot.last_key = build_keys[i];
       slot.timed_out = false;
-      if (config.cell_timeout_s > 0) {
-        slot.deadline = net::Deadline::after(config.cell_timeout_s);
+      if (options.cell_timeout_s > 0) {
+        slot.deadline = net::Deadline::after(options.cell_timeout_s);
       }
       if (tracing) {
         // Close the cell's queue-wait interval and open its in-flight one.
@@ -737,7 +730,7 @@ std::vector<CellResult> run_dispatch(const DispatchConfig& config,
                      "dispatch: cell '%s' exceeded the %gs deadline; killing its "
                      "worker\n",
                      specs[static_cast<std::size_t>(slot.cell)].label().c_str(),
-                     config.cell_timeout_s);
+                     options.cell_timeout_s);
       } else {
         std::fprintf(stderr, "dispatch: worker %zu sent no hello in time; dropping it\n",
                      s);
@@ -750,11 +743,6 @@ std::vector<CellResult> run_dispatch(const DispatchConfig& config,
 }
 
 }  // namespace
-
-double cell_timeout_from_env() {
-  const double timeout = env_double("FEDHISYN_CELL_TIMEOUT_S", 0.0);
-  return timeout > 0.0 ? timeout : 0.0;
-}
 
 int serve_main(const std::string& bind_spec) {
   FEDHISYN_CHECK_MSG(!bind_spec.empty() && bind_spec != "true",
@@ -797,45 +785,46 @@ int serve_main(const std::string& bind_spec) {
   }
 }
 
-ProcessDispatcher::ProcessDispatcher(Options options) : options_(std::move(options)) {}
-
-int ProcessDispatcher::max_attempts_from_env() {
-  const long retries = env_long("FEDHISYN_WORKER_RETRIES", 2);
-  return retries >= 0 ? static_cast<int>(retries) + 1 : 3;
+TcpDispatcher::TcpDispatcher(Options options) : options_(std::move(options)) {
+  FEDHISYN_CHECK_MSG(options_.hosts.empty() != (options_.spawn == 0),
+                     "TcpDispatcher needs exactly one worker source: hosts or spawn");
+  FEDHISYN_CHECK_MSG(options_.max_attempts >= 1,
+                     "TcpDispatcher needs max_attempts >= 1, got "
+                         << options_.max_attempts);
 }
 
-std::vector<CellResult> ProcessDispatcher::run(
+std::vector<CellResult> TcpDispatcher::run(
     const std::vector<ExperimentSpec>& specs) const {
   const std::size_t n = specs.size();
   if (n == 0) return {};
+  const bool spawning = options_.spawn > 0;
+  std::vector<net::HostPort> hosts;
+  hosts.reserve(options_.hosts.size());
+  for (const auto& spec : options_.hosts) {
+    hosts.push_back(net::parse_host_port(spec, "127.0.0.1"));
+  }
+  const std::size_t slots = std::min(spawning ? options_.spawn : hosts.size(), n);
 
-  const std::string binary = current_executable_path();
+  // Spawned slots: each (re)connect takes a fresh `--serve` child on an
+  // ephemeral loopback port, reads the port from its announce line and
+  // connects to it.  A child that never announces (a binary that cannot
+  // serve) retires the slot.  The first children are all spawned up front so
+  // their start-ups overlap.
+  const std::string binary = spawning ? current_executable_path() : std::string();
   std::vector<std::string> env;
   if (options_.threads_per_worker > 0) {
     env.push_back("FEDHISYN_THREADS=" + std::to_string(options_.threads_per_worker));
   }
-
-  DispatchConfig config;
-  config.slots = std::clamp<std::size_t>(options_.workers, 1, n);
-  config.max_attempts =
-      options_.max_attempts > 0 ? options_.max_attempts : max_attempts_from_env();
-  config.cell_timeout_s =
-      options_.cell_timeout_s < 0 ? cell_timeout_from_env() : options_.cell_timeout_s;
-  if (config.cell_timeout_s > 0) config.hello_grace_s = config.cell_timeout_s;
-  // Each (re)connect takes a fresh `--serve` child on an ephemeral loopback
-  // port, reads the port from its announce line and connects to it.  A child
-  // that never announces (a binary that cannot serve) retires the slot.  The
-  // first children are all spawned up front so their start-ups overlap.
-  const auto spawn = [&] {
+  const auto spawn_child = [&] {
     return std::make_unique<Subprocess>(
         std::vector<std::string>{binary, "--serve", "127.0.0.1:0"}, env);
   };
-  std::vector<std::unique_ptr<Subprocess>> first_children(config.slots);
-  for (auto& child : first_children) child = spawn();
-  config.connect = [&](std::size_t s) -> std::unique_ptr<Link> {
+  std::vector<std::unique_ptr<Subprocess>> first_children(spawning ? slots : 0);
+  for (auto& child : first_children) child = spawn_child();
+  const auto connect_child = [&](std::size_t s) -> std::unique_ptr<Link> {
     std::unique_ptr<Subprocess> child =
-        first_children[s] != nullptr ? std::move(first_children[s]) : spawn();
-    const net::Deadline deadline = net::Deadline::after(config.hello_grace_s);
+        first_children[s] != nullptr ? std::move(first_children[s]) : spawn_child();
+    const net::Deadline deadline = net::Deadline::after(hello_grace_s(options_));
     net::LineReader announce(child->stdout_fd(), "a spawned worker");
     std::string line;
     std::unique_ptr<Link> link;
@@ -851,61 +840,12 @@ std::vector<CellResult> ProcessDispatcher::run(
     }
     return link;
   };
-  config.on_cell = options_.on_cell;
-  config.slot_names.reserve(config.slots);
-  for (std::size_t s = 0; s < config.slots; ++s) {
-    config.slot_names.push_back("worker " + std::to_string(s) + " (process)");
-  }
-  return run_dispatch(config, specs);
-}
 
-TcpDispatcher::TcpDispatcher(Options options) : options_(std::move(options)) {}
-
-std::vector<std::string> TcpDispatcher::hosts_from_env() {
-  const char* value = std::getenv("FEDHISYN_WORKERS");
-  if (value == nullptr || value[0] == '\0') return {};
-  std::vector<std::string> hosts;
-  std::string item;
-  for (const char* c = value; *c != '\0'; ++c) {
-    if (*c == ',') {
-      if (!item.empty()) hosts.push_back(item);
-      item.clear();
-    } else if (*c != ' ') {
-      // Mirror net::parse_host_list: "a:1, b:2" must not yield host " b".
-      item.push_back(*c);
-    }
-  }
-  if (!item.empty()) hosts.push_back(item);
-  return hosts;
-}
-
-std::vector<CellResult> TcpDispatcher::run(
-    const std::vector<ExperimentSpec>& specs) const {
-  const std::size_t n = specs.size();
-  if (n == 0) return {};
-
-  const std::vector<std::string> raw =
-      options_.hosts.empty() ? hosts_from_env() : options_.hosts;
-  FEDHISYN_CHECK_MSG(!raw.empty(),
-                     "--dispatch tcp needs worker endpoints: pass --workers "
-                     "host:port,... or set FEDHISYN_WORKERS");
-  std::vector<net::HostPort> hosts;
-  hosts.reserve(raw.size());
-  for (const auto& spec : raw) hosts.push_back(net::parse_host_port(spec, "127.0.0.1"));
-
-  // First connect per host retries until the budget elapses (the worker may
-  // still be starting); a reconnect after a death gets a single try — a
-  // host that died mid-sweep is retired and its cells reassigned.
+  // Host slots: the first connect retries until the budget elapses (the
+  // worker may still be starting); a reconnect after a death gets a single
+  // try — a host that died mid-sweep is retired and its cells reassigned.
   std::vector<char> first_connect(hosts.size(), 1);
-  DispatchConfig config;
-  config.slots = std::min(hosts.size(), n);
-  config.max_attempts = options_.max_attempts > 0
-                            ? options_.max_attempts
-                            : ProcessDispatcher::max_attempts_from_env();
-  config.cell_timeout_s =
-      options_.cell_timeout_s < 0 ? cell_timeout_from_env() : options_.cell_timeout_s;
-  if (config.cell_timeout_s > 0) config.hello_grace_s = config.cell_timeout_s;
-  config.connect = [&](std::size_t s) -> std::unique_ptr<Link> {
+  const auto connect_host = [&](std::size_t s) -> std::unique_ptr<Link> {
     const net::HostPort& host = hosts[s];
     const bool keep_trying = first_connect[s] != 0;
     first_connect[s] = 0;
@@ -921,14 +861,16 @@ std::vector<CellResult> TcpDispatcher::run(
       ::usleep(100 * 1000);  // the worker may still be binding its port
     }
   };
-  config.on_cell = options_.on_cell;
-  config.slot_names.reserve(config.slots);
-  for (std::size_t s = 0; s < config.slots; ++s) {
-    config.slot_names.push_back("worker " + std::to_string(s) + " (" +
-                                hosts[s].host + ":" +
-                                std::to_string(hosts[s].port) + ")");
+
+  std::vector<std::string> slot_names;
+  slot_names.reserve(slots);
+  for (std::size_t s = 0; s < slots; ++s) {
+    const std::string where =
+        spawning ? "process" : hosts[s].host + ":" + std::to_string(hosts[s].port);
+    slot_names.push_back("worker " + std::to_string(s) + " (" + where + ")");
   }
-  return run_dispatch(config, specs);
+  if (spawning) return run_dispatch(options_, slot_names, connect_child, specs);
+  return run_dispatch(options_, slot_names, connect_host, specs);
 }
 
 }  // namespace fedhisyn::exp

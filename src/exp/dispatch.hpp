@@ -1,32 +1,34 @@
-// Process- and host-level grid dispatch: crash-isolated worker pools behind
-// GridScheduler's CellBackend seam (--dispatch=process|tcp /
-// FEDHISYN_DISPATCH).
+// Process- and host-level grid dispatch: one crash-isolated worker fleet
+// behind GridScheduler's CellBackend seam (--dispatch=process|tcp).
 //
 // Every dispatch worker is a `--serve [bind:]port` process (every grid
 // driver reaches it through exp::handle_grid_flags), and every link to one
-// is a TCP socket.  Process backend: the coordinator spawns
-// `<this binary> --serve 127.0.0.1:0` children itself, reads each child's
-// port from its announce line and connects over loopback.  TCP backend: the
-// coordinator connects to workers someone else started, on any machine.
-// The wire codec never assumed shared memory, a filesystem or a machine, so
-// the two backends differ only in where a slot's worker comes from.
+// is a TCP socket, so there is one dispatcher, TcpDispatcher, with two
+// worker sources: `spawn` N `<this binary> --serve 127.0.0.1:0` children
+// (the process backend — the coordinator reads each child's port from its
+// announce line and connects over loopback), or connect to the `hosts`
+// someone else started, on any machine (the tcp backend).  The wire codec
+// never assumed shared memory, a filesystem or a machine, so the two
+// sources differ only in where a slot's worker comes from.
 //
-// Both backends share one dispatch loop: cells travel as one line of JSON
+// One dispatch loop serves both: cells travel as one line of JSON
 // (ExperimentSpec::to_json), results come back as one line of JSON, the
 // parent collects in spec order — so serial, --grid-jobs N, --dispatch
 // process and --dispatch tcp output files are byte-identical.
 //
-// Failure handling (same accounting in both backends):
+// The dispatcher reads no environment: its caller resolves every knob
+// (exp::handle_grid_flags for the grid drivers) and passes it in Options.
+//
+// Failure handling (same accounting for both sources):
 //   * crash — a worker that segfaults/OOMs or drops its connection
 //     mid-cell: the cell is retried, up to `max_attempts` total tries
-//     (1 + FEDHISYN_WORKER_RETRIES; retries default 2, so 3 tries).  The
-//     process backend respawns the slot's child; the tcp backend reconnects
-//     once.
-//   * hang — with FEDHISYN_CELL_TIMEOUT_S set, a worker that exceeds the
-//     per-cell deadline is SIGKILLed (process) or disconnected (tcp) and
-//     the cell retried exactly like a crash.  Default: no deadline.
-//   * dead host — a tcp worker whose connection cannot be re-established
-//     (or a child that never announces its port) is retired; its cell is
+//     (default 3).  A spawned slot gets a fresh child; a host is
+//     reconnected once.
+//   * hang — with `cell_timeout_s` set, a worker that exceeds the per-cell
+//     deadline is SIGKILLed (spawned) or disconnected (host) and the cell
+//     retried exactly like a crash.  Default: no deadline.
+//   * dead host — a host whose connection cannot be re-established (or a
+//     child that never announces its port) is retired; its cell is
 //     reassigned to the remaining workers.
 //   * deterministic failure — the worker replies ok:false (e.g. an unknown
 //     method): rethrown in the parent without retry, like the thread
@@ -82,73 +84,47 @@ namespace fedhisyn::exp {
 /// `telemetry` blocks.  3: the spec JSON lost its round-engine mode field.
 inline constexpr long kWireRevision = 3;
 
-/// FEDHISYN_CELL_TIMEOUT_S when set to a positive number of (possibly
-/// fractional) seconds, else 0 — meaning "no per-cell deadline".
-double cell_timeout_from_env();
-
-class ProcessDispatcher {
- public:
-  struct Options {
-    /// Concurrent `--serve` children (clamped to the number of cells).
-    std::size_t workers = 1;
-    /// FEDHISYN_THREADS handed to each worker; 0 = inherit the parent's env.
-    std::size_t threads_per_worker = 0;
-    /// Total tries per cell before the sweep fails; 0 resolves
-    /// 1 + FEDHISYN_WORKER_RETRIES (retries default 2, i.e. 3 tries).
-    int max_attempts = 0;
-    /// Per-cell deadline in seconds; < 0 resolves FEDHISYN_CELL_TIMEOUT_S,
-    /// 0 disables.  A worker past the deadline is SIGKILLed and the cell
-    /// retried under the same accounting as a crash.
-    double cell_timeout_s = -1.0;
-    /// Per-finished-cell callback, (done, total, cell), completion order.
-    std::function<void(std::size_t, std::size_t, const CellResult&)> on_cell;
-  };
-
-  explicit ProcessDispatcher(Options options);
-
-  /// Spawn the worker pool (the running binary, current_executable_path(),
-  /// with --serve), run every spec on it, then kill it; results[i]
-  /// corresponds to specs[i].
-  std::vector<CellResult> run(const std::vector<ExperimentSpec>& specs) const;
-
-  /// 1 + FEDHISYN_WORKER_RETRIES (retries default 2, so 3 total tries); a
-  /// negative env value falls back to the default.
-  static int max_attempts_from_env();
-
- private:
-  Options options_;
-};
-
-/// Multi-host twin of ProcessDispatcher: one slot per already-running
-/// `--serve` worker, same loop, same retry/timeout/ordering semantics.
-/// Workers run wherever — the walkthrough in README "Multi-host grids"
-/// starts two on localhost.
+/// The grid's worker fleet: one slot per worker, fed by one poll loop with
+/// one retry/timeout/ordering discipline.  Workers come from exactly one
+/// source, `hosts` or `spawn`; the walkthrough in README "Multi-host grids"
+/// starts two hosts on localhost.
 class TcpDispatcher {
  public:
   struct Options {
-    /// Worker endpoints ("host:port"); empty resolves FEDHISYN_WORKERS.
+    /// Running `--serve` workers ("host:port"; bare "port" = 127.0.0.1),
+    /// one slot each.  A host whose connection drops is reconnected once,
+    /// then retired and its cells reassigned.
     std::vector<std::string> hosts;
-    /// Total tries per cell; 0 resolves 1 + FEDHISYN_WORKER_RETRIES.
-    int max_attempts = 0;
-    /// Per-cell deadline; < 0 resolves FEDHISYN_CELL_TIMEOUT_S, 0 disables.
-    double cell_timeout_s = -1.0;
-    /// Initial connects are retried until this budget elapses (workers may
-    /// still be starting); a *re*connect after a death gets one try — a host
-    /// that died mid-sweep is retired, its cells reassigned.
+    /// Local `--serve 127.0.0.1:0` children to spawn (the running binary,
+    /// current_executable_path()), clamped to the number of cells; a child
+    /// that dies is respawned.
+    std::size_t spawn = 0;
+    /// FEDHISYN_THREADS handed to each spawned child; 0 = inherit the
+    /// parent's env.  A host reads its own.
+    std::size_t threads_per_worker = 0;
+    /// Total tries per cell before the sweep fails.
+    int max_attempts = 3;
+    /// Per-cell deadline in seconds; 0 disables.  A worker past the
+    /// deadline is SIGKILLed (spawned) or disconnected (host) and the cell
+    /// retried under the same accounting as a crash.
+    double cell_timeout_s = 0.0;
+    /// Initial connects to `hosts` are retried until this budget elapses
+    /// (workers may still be starting); a *re*connect after a death gets
+    /// one try.
     double connect_timeout_s = 10.0;
     /// Per-finished-cell callback, (done, total, cell), completion order.
     std::function<void(std::size_t, std::size_t, const CellResult&)> on_cell;
   };
 
+  /// Check-fails unless exactly one worker source is set and
+  /// max_attempts >= 1.
   explicit TcpDispatcher(Options options);
 
-  /// Run every spec on the worker fleet; results[i] corresponds to specs[i].
-  /// Check-fails when no worker can be reached at all, or when every worker
-  /// dies with cells still outstanding.
+  /// Run every spec on the worker fleet (spawned children are killed
+  /// afterwards); results[i] corresponds to specs[i].  Check-fails when no
+  /// worker can be reached at all, or when every worker dies with cells
+  /// still outstanding.
   std::vector<CellResult> run(const std::vector<ExperimentSpec>& specs) const;
-
-  /// FEDHISYN_WORKERS split on commas; empty vector when unset.
-  static std::vector<std::string> hosts_from_env();
 
  private:
   Options options_;

@@ -1,11 +1,16 @@
 #include "exp/driver.hpp"
 
+#include <algorithm>
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
 
 #include "common/check.hpp"
 #include "common/counters.hpp"
+#include "common/net.hpp"
 #include "common/parallel.hpp"
 #include "common/trace.hpp"
 #include "core/registry.hpp"
@@ -33,8 +38,9 @@ std::vector<std::string> split_list(const std::string& text) {
   return items;
 }
 
-/// Worker endpoints additionally tolerate spaces after commas ("a:1, b:2"),
-/// matching net::parse_host_list — " b:2" would fail resolution at startup.
+/// The one worker-list parser (--workers / FEDHISYN_WORKERS).  Endpoints
+/// additionally tolerate spaces after commas ("a:1, b:2") — " b:2" would
+/// fail resolution at startup.
 std::vector<std::string> split_host_list(const std::string& text) {
   std::string stripped;
   stripped.reserve(text.size());
@@ -42,6 +48,95 @@ std::vector<std::string> split_host_list(const std::string& text) {
     if (c != ' ') stripped.push_back(c);
   }
   return split_list(stripped);
+}
+
+/// The flag's value when given, else the env var when set and non-empty,
+/// else `fallback` — the one flag > env > default rule of the driver knobs.
+/// Either name may be null: an env-only knob, a flag without env fallback.
+std::string flag_env_or(const Flags& flags, const char* flag, const char* env,
+                        const std::string& fallback) {
+  if (flag != nullptr && flags.has(flag)) return flags.get(flag, "");
+  const char* value = env != nullptr ? std::getenv(env) : nullptr;
+  return value != nullptr && value[0] != '\0' ? value : fallback;
+}
+
+/// Whole-string integer parse: false on empty text, trailing junk or
+/// overflow.
+bool parse_long(const std::string& text, long* out) {
+  char* end = nullptr;
+  errno = 0;
+  const long value = std::strtol(text.c_str(), &end, 10);
+  if (text.empty() || *end != '\0' || errno == ERANGE) return false;
+  *out = value;
+  return true;
+}
+
+/// Whole-string floating-point parse, same rules as parse_long.
+bool parse_double(const std::string& text, double* out) {
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(text.c_str(), &end);
+  if (text.empty() || *end != '\0' || errno == ERANGE) return false;
+  *out = value;
+  return true;
+}
+
+/// Resolve the five coordinator knobs (grid jobs, backend, workers, retries,
+/// cell deadline), check-failing on any malformed value — before the driver
+/// touches --out.
+GridScheduler::Options resolve_scheduler(const Flags& flags) {
+  GridScheduler::Options options;
+  const std::string jobs_text =
+      flag_env_or(flags, "grid-jobs", "FEDHISYN_GRID_JOBS", "1");
+  long jobs = 0;
+  FEDHISYN_CHECK_MSG(parse_long(jobs_text, &jobs) && jobs > 0,
+                     "--grid-jobs / FEDHISYN_GRID_JOBS takes a positive integer, got '"
+                         << jobs_text << "'");
+  options.jobs = static_cast<std::size_t>(jobs);
+
+  const std::string mode = flag_env_or(flags, "dispatch", "FEDHISYN_DISPATCH", "thread");
+  FEDHISYN_CHECK_MSG(mode == "thread" || mode == "process" || mode == "tcp",
+                     "--dispatch / FEDHISYN_DISPATCH takes thread|process|tcp, got '"
+                         << mode << "'");
+  options.backend = mode == "process" ? CellBackend::kProcess
+                    : mode == "tcp"   ? CellBackend::kTcp
+                                      : CellBackend::kThread;
+
+  FEDHISYN_CHECK_MSG(!flags.has("workers") || options.backend == CellBackend::kTcp,
+                     "--workers only makes sense with --dispatch tcp");
+  if (options.backend == CellBackend::kTcp) {
+    options.worker_hosts =
+        split_host_list(flag_env_or(flags, "workers", "FEDHISYN_WORKERS", ""));
+    FEDHISYN_CHECK_MSG(!options.worker_hosts.empty(),
+                       "--dispatch tcp needs worker endpoints: pass --workers "
+                       "host:port,... or set FEDHISYN_WORKERS");
+    // Check-fails on a malformed endpoint now rather than mid-sweep.
+    for (const auto& host : options.worker_hosts) net::parse_host_port(host, "127.0.0.1");
+  }
+
+  const std::string retries_text =
+      flag_env_or(flags, nullptr, "FEDHISYN_WORKER_RETRIES", "2");
+  long retries = 0;
+  FEDHISYN_CHECK_MSG(parse_long(retries_text, &retries),
+                     "FEDHISYN_WORKER_RETRIES takes an integer, got '" << retries_text
+                                                                       << "'");
+  // A negative count keeps the default of 2 retries (3 tries).
+  if (retries >= 0) {
+    options.max_attempts = static_cast<int>(std::min<long>(retries, INT_MAX - 1)) + 1;
+  }
+
+  const std::string timeout_text =
+      flag_env_or(flags, nullptr, "FEDHISYN_CELL_TIMEOUT_S", "0");
+  double timeout = 0.0;
+  // Bounded: the deadline clock counts int64 nanoseconds (overflowing near
+  // 9.2e9 s) and holds no inf or NaN.
+  FEDHISYN_CHECK_MSG(parse_double(timeout_text, &timeout) && std::isfinite(timeout) &&
+                         timeout < 1e9,
+                     "FEDHISYN_CELL_TIMEOUT_S takes a number of seconds below 1e9, got '"
+                         << timeout_text << "'");
+  // A non-positive deadline means off.
+  options.cell_timeout_s = timeout > 0.0 ? timeout : 0.0;
+  return options;
 }
 
 }  // namespace
@@ -91,25 +186,8 @@ GridDriverOptions handle_grid_flags(const Flags& flags) {
         threads > 0 ? static_cast<std::size_t>(threads) : 1);
   }
   GridDriverOptions options;
-  const long jobs =
-      flags.get_long("grid-jobs", static_cast<long>(GridScheduler::jobs_from_env()));
-  options.grid_jobs = jobs > 0 ? static_cast<std::size_t>(jobs) : 1;
+  options.scheduler = resolve_scheduler(flags);
   options.out = flags.get("out", "");
-  if (flags.has("dispatch")) {
-    const std::string mode = flags.get("dispatch", "thread");
-    FEDHISYN_CHECK_MSG(mode == "thread" || mode == "process" || mode == "tcp",
-                       "--dispatch takes thread|process|tcp, got '" << mode << "'");
-    options.dispatch = mode == "process" ? CellBackend::kProcess
-                       : mode == "tcp"   ? CellBackend::kTcp
-                                         : CellBackend::kThread;
-  }
-  options.workers = flags.get("workers", "");
-  // kAuto is fine too: FEDHISYN_DISPATCH=tcp with --workers on the command
-  // line is a legitimate combination.
-  FEDHISYN_CHECK_MSG(options.workers.empty() ||
-                         options.dispatch == CellBackend::kTcp ||
-                         options.dispatch == CellBackend::kAuto,
-                     "--workers only makes sense with --dispatch tcp");
   options.resume = flags.get_bool("resume");
   options.quiet = flags.get_bool("quiet");
   // Tracing resolves after the --serve branch on purpose: a worker never
@@ -182,10 +260,7 @@ std::vector<CellResult> run_grid(const std::vector<ExperimentSpec>& specs,
 
   if (!pending_specs.empty()) {
     const double start = trace::clock_seconds();
-    GridScheduler::Options sched;
-    sched.jobs = options.grid_jobs;
-    sched.backend = options.dispatch;
-    sched.worker_hosts = split_host_list(options.workers);
+    GridScheduler::Options sched = options.scheduler;
     // Serialised by the scheduler (both backends), so the append-order in
     // the streaming sink is completion order; the final rewrite below
     // restores spec order.
@@ -236,13 +311,7 @@ std::vector<CellResult> run_grid(const std::vector<ExperimentSpec>& specs,
 std::vector<std::string> list_flag(const Flags& flags, const std::string& key,
                                    const char* env_fallback,
                                    std::vector<std::string> defaults) {
-  std::string raw;
-  if (flags.has(key)) {
-    raw = flags.get(key, "");
-  } else if (env_fallback != nullptr) {
-    const char* value = std::getenv(env_fallback);
-    if (value != nullptr) raw = value;
-  }
+  const std::string raw = flag_env_or(flags, key.c_str(), env_fallback, "");
   if (raw.empty()) return defaults;
   auto items = split_list(raw);
   FEDHISYN_CHECK_MSG(!items.empty(), "--" << key << " given an empty list");

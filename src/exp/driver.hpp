@@ -54,6 +54,12 @@
 //                     killed; --dispatch process spawns this binary with
 //                     --serve 127.0.0.1:0 for each worker
 //
+// --grid-jobs, --dispatch and --workers plus the env-only
+// FEDHISYN_WORKER_RETRIES and FEDHISYN_CELL_TIMEOUT_S are the coordinator
+// knobs: handle_grid_flags resolves them once (flag > env > default) into
+// GridDriverOptions::scheduler and check-fails on a malformed value before
+// anything touches --out.  No other code reads them.
+//
 // Grid-restriction flags replace the old FEDHISYN_TABLE1_* getenv knobs;
 // the env vars remain as fallbacks for CI compatibility:
 //
@@ -73,14 +79,12 @@
 namespace fedhisyn::exp {
 
 struct GridDriverOptions {
-  std::size_t grid_jobs = 1;
+  /// How cells execute — grid jobs, backend, worker endpoints, retry and
+  /// deadline budget — as handle_grid_flags resolved them.  run_grid sets
+  /// `on_cell` itself.
+  GridScheduler::Options scheduler;
   /// Empty = no results file.
   std::string out;
-  /// Cell execution backend (--dispatch; kAuto resolves FEDHISYN_DISPATCH).
-  CellBackend dispatch = CellBackend::kAuto;
-  /// Comma-separated remote worker endpoints for the tcp backend
-  /// (--workers; empty lets the dispatcher resolve FEDHISYN_WORKERS).
-  std::string workers;
   /// Skip cells whose spec key already sits in the --out JSONL.
   bool resume = false;
   /// Suppress the per-cell progress lines on stderr.
@@ -95,9 +99,10 @@ struct GridDriverOptions {
 /// Apply the flags shared by every grid driver: export --quiet /
 /// --build-cache-mb / --gemm-kernel to their env vars (before the --serve
 /// branch, so workers see them; --gemm-kernel is validated immediately),
-/// enter the --serve worker mode when requested, resize the global pool for
-/// --threads, resolve --grid-jobs / --dispatch / --resume / --quiet,
-/// capture --out, and handle --list-methods / --gemm-info (print and exit).
+/// enter the --serve worker mode when requested, handle --list-methods /
+/// --gemm-info (print and exit), resize the global pool for --threads,
+/// resolve the coordinator knobs (check-failing on a malformed one) and
+/// --resume / --quiet, and capture --out.
 GridDriverOptions handle_grid_flags(const Flags& flags);
 
 /// Run a grid the standard way: honour --resume (scan `options.out` for

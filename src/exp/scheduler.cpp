@@ -1,14 +1,10 @@
 #include "exp/scheduler.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <mutex>
 #include <thread>
 
-#include <cstdlib>
-#include <cstring>
-
-#include "common/check.hpp"
-#include "common/env.hpp"
 #include "common/parallel.hpp"
 #include "common/thread_annotations.hpp"
 #include "common/trace.hpp"
@@ -69,27 +65,8 @@ CellResult run_cell(const ExperimentSpec& spec, const CellHooks& hooks) {
 
 GridScheduler::GridScheduler(Options options) : options_(std::move(options)) {}
 
-std::size_t GridScheduler::jobs_from_env() {
-  const long jobs = env_long("FEDHISYN_GRID_JOBS", 0);
-  return jobs > 0 ? static_cast<std::size_t>(jobs) : 1;
-}
-
-CellBackend GridScheduler::backend_from_env() {
-  const char* value = std::getenv("FEDHISYN_DISPATCH");
-  if (value == nullptr || value[0] == '\0' || std::strcmp(value, "thread") == 0) {
-    return CellBackend::kThread;
-  }
-  if (std::strcmp(value, "tcp") == 0) return CellBackend::kTcp;
-  FEDHISYN_CHECK_MSG(std::strcmp(value, "process") == 0,
-                     "FEDHISYN_DISPATCH takes thread|process|tcp, got '" << value
-                                                                         << "'");
-  return CellBackend::kProcess;
-}
-
 std::size_t GridScheduler::resolved_jobs(std::size_t cells) const {
-  std::size_t jobs = options_.jobs > 0 ? options_.jobs : jobs_from_env();
-  if (jobs > cells) jobs = cells;
-  return jobs > 0 ? jobs : 1;
+  return std::max<std::size_t>(1, std::min(options_.jobs, cells));
 }
 
 std::size_t GridScheduler::inner_threads(std::size_t jobs) const {
@@ -104,28 +81,20 @@ std::vector<CellResult> GridScheduler::run(
   std::vector<CellResult> results(specs.size());
   if (specs.empty()) return results;
 
-  const CellBackend backend = options_.backend == CellBackend::kAuto
-                                  ? backend_from_env()
-                                  : options_.backend;
-  if (backend == CellBackend::kProcess) {
-    // Same two-level budget as the thread backend, but each job slot is a
-    // spawned --serve worker process (crash-isolated, retried); collection
-    // stays in spec order, so the two backends emit byte-identical results.
-    const std::size_t jobs = resolved_jobs(specs.size());
-    ProcessDispatcher::Options dispatch;
-    dispatch.workers = jobs;
-    dispatch.threads_per_worker = inner_threads(jobs);
-    dispatch.max_attempts = options_.max_attempts;
-    dispatch.cell_timeout_s = options_.cell_timeout_s;
-    dispatch.on_cell = options_.on_cell;
-    return ProcessDispatcher(std::move(dispatch)).run(specs);
-  }
-  if (backend == CellBackend::kTcp) {
-    // One slot per remote --serve worker; the thread budget is whatever each
-    // worker's own FEDHISYN_THREADS says.  Collection stays in spec order,
-    // so tcp output is byte-identical to every other backend.
+  if (options_.backend != CellBackend::kThread) {
+    // Process: same two-level budget as the thread backend, but each job
+    // slot is a spawned --serve worker process (crash-isolated, retried).
+    // Tcp: one slot per remote --serve worker, whose thread budget is its own
+    // FEDHISYN_THREADS.  Collection stays in spec order either way, so every
+    // backend emits byte-identical results.
     TcpDispatcher::Options dispatch;
-    dispatch.hosts = options_.worker_hosts;
+    if (options_.backend == CellBackend::kProcess) {
+      const std::size_t jobs = resolved_jobs(specs.size());
+      dispatch.spawn = jobs;
+      dispatch.threads_per_worker = inner_threads(jobs);
+    } else {
+      dispatch.hosts = options_.worker_hosts;
+    }
     dispatch.max_attempts = options_.max_attempts;
     dispatch.cell_timeout_s = options_.cell_timeout_s;
     dispatch.on_cell = options_.on_cell;
@@ -139,10 +108,9 @@ std::vector<CellResult> GridScheduler::run(
   } progress;
   const auto run_one = [&](std::size_t i) {
     bool hit = false;
-    std::shared_ptr<const core::BuiltExperiment> built =
-        options_.share_builds ? cache.get(specs[i], &hit) : build_for(specs[i]);
+    const std::shared_ptr<const core::BuiltExperiment> built = cache.get(specs[i], &hit);
     results[i] = run_cell(specs[i], *built);
-    if (options_.share_builds) fill_cache_stats(results[i], cache, hit);
+    fill_cache_stats(results[i], cache, hit);
     if (options_.on_cell) {
       MutexLock lock(progress.mutex);
       options_.on_cell(++progress.done, specs.size(), results[i]);

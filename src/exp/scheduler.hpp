@@ -1,11 +1,12 @@
 // GridScheduler: runs a vector of ExperimentSpecs (grid cells) concurrently.
 //
-// Two-level thread budget: `jobs` cells run at once (--grid-jobs /
-// FEDHISYN_GRID_JOBS, default 1 = serial), each on its own worker thread
-// with a private ParallelExecutor of floor(total_threads / jobs) threads
-// bound as ParallelExecutor::current() — so a cell's inner parallel loops
-// (training waves, GEMM, evaluation) fan out on the cell's pool and
-// concurrent cells never contend for the global pool's single job slot.
+// Two-level thread budget: `jobs` cells run at once (default 1 = serial;
+// the grid drivers resolve --grid-jobs in exp::handle_grid_flags), each on
+// its own worker thread with a private ParallelExecutor of
+// floor(total_threads / jobs) threads bound as ParallelExecutor::current()
+// — so a cell's inner parallel loops (training waves, GEMM, evaluation) fan
+// out on the cell's pool and concurrent cells never contend for the global
+// pool's single job slot.
 // total_threads defaults to the global pool size (FEDHISYN_THREADS /
 // --threads).
 //
@@ -26,6 +27,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/runner.hpp"
@@ -112,44 +114,35 @@ CellResult run_cell(const ExperimentSpec& spec, const CellHooks& hooks = {});
 
 /// How GridScheduler executes cells:
 ///   kThread   worker threads in this process (the default);
-///   kProcess  a crash-isolated pool of `--serve` worker processes this
-///             binary spawns on loopback (exp/dispatch.hpp) — a crashing
-///             worker (segfault, OOM kill) cannot take the sweep down, and
-///             results stay byte-identical; a worker that *hangs* is killed
-///             and retried too once FEDHISYN_CELL_TIMEOUT_S arms the
-///             per-cell deadline;
-///   kTcp      workers already started with `--serve [bind:]port`, on this
-///             or other machines (--workers host:port,... /
-///             FEDHISYN_WORKERS), same loop and retry/timeout semantics as
-///             kProcess;
-///   kAuto     resolve FEDHISYN_DISPATCH ("thread"/"process"/"tcp"; default
-///             thread).
-enum class CellBackend { kAuto, kThread, kProcess, kTcp };
+///   kProcess  `jobs` crash-isolated `--serve` worker processes this binary
+///             spawns on loopback (exp/dispatch.hpp) — a crashing worker
+///             (segfault, OOM kill) cannot take the sweep down, and results
+///             stay byte-identical; a worker that *hangs* is killed and
+///             retried too once `cell_timeout_s` arms the per-cell deadline;
+///   kTcp      the workers in `worker_hosts`, already started with
+///             `--serve [bind:]port` on this or other machines; same
+///             dispatcher and retry/timeout semantics as kProcess.
+enum class CellBackend { kThread, kProcess, kTcp };
 
 class GridScheduler {
  public:
+  /// Every field is explicit: nothing here reads the environment (the grid
+  /// drivers resolve flags and env vars in exp::handle_grid_flags).
   struct Options {
-    /// Concurrent cells; 0 resolves FEDHISYN_GRID_JOBS (default 1).  Clamped
-    /// to the number of cells.
-    std::size_t jobs = 0;
+    /// Concurrent cells (>= 1), clamped to the number of cells.  The
+    /// process backend spawns this many workers.
+    std::size_t jobs = 1;
     /// Thread budget split across the running cells; 0 = the global pool's
     /// current size.
     std::size_t total_threads = 0;
-    /// Share BuiltExperiments between cells with equal build_key() through a
-    /// BuildCache (budget: FEDHISYN_BUILD_CACHE_MB).  False = every cell
-    /// builds privately, bypassing the cache entirely.
-    bool share_builds = true;
-    /// Cell execution backend (--dispatch / FEDHISYN_DISPATCH).
-    CellBackend backend = CellBackend::kAuto;
-    /// Process/tcp backends: tries per cell before the sweep fails (0
-    /// resolves 1 + FEDHISYN_WORKER_RETRIES).
-    int max_attempts = 0;
-    /// Tcp backend: remote worker endpoints ("host:port"); empty resolves
-    /// FEDHISYN_WORKERS.
+    /// Cell execution backend.
+    CellBackend backend = CellBackend::kThread;
+    /// Process/tcp backends: tries per cell before the sweep fails.
+    int max_attempts = 3;
+    /// Tcp backend: worker endpoints ("host:port").
     std::vector<std::string> worker_hosts;
-    /// Process/tcp backends: per-cell deadline in seconds; < 0 resolves
-    /// FEDHISYN_CELL_TIMEOUT_S, 0 disables.
-    double cell_timeout_s = -1.0;
+    /// Process/tcp backends: per-cell deadline in seconds; 0 disables.
+    double cell_timeout_s = 0.0;
     /// Progress callback, invoked once per finished cell (serialised, in
     /// completion order): (cells done, cells total, the cell).
     std::function<void(std::size_t, std::size_t, const CellResult&)> on_cell;
@@ -167,13 +160,6 @@ class GridScheduler {
   std::size_t resolved_jobs(std::size_t cells) const;
   /// Inner per-cell threads for the given outer job count.
   std::size_t inner_threads(std::size_t jobs) const;
-
-  /// FEDHISYN_GRID_JOBS when set to a positive integer, else 1.
-  static std::size_t jobs_from_env();
-
-  /// FEDHISYN_DISPATCH: kProcess for "process", kTcp for "tcp", kThread
-  /// otherwise (including unset); check-fails on an unrecognised value.
-  static CellBackend backend_from_env();
 
  private:
   Options options_;

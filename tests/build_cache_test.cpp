@@ -295,9 +295,9 @@ TEST(DispatchCache, AffinityDrainsInterleavedBuildsWithoutThrashing) {
   ScopedEnv budget("FEDHISYN_BUILD_CACHE_MB", budget_text);
   ScopedEnv quiet("FEDHISYN_QUIET", "1");
 
-  ProcessDispatcher::Options options;
-  options.workers = 1;
-  const auto process = ProcessDispatcher(options).run(specs);
+  TcpDispatcher::Options options;
+  options.spawn = 1;
+  const auto process = TcpDispatcher(options).run(specs);
   ASSERT_EQ(process.size(), 4u);
 
   // Byte-identity survives affinity reordering and the tiny budget.
@@ -360,7 +360,7 @@ TEST(DispatchCache, ResidentServeWorkerStaysWarmAcrossConnections) {
 }  // namespace fedhisyn::exp
 
 int main(int argc, char** argv) {
-  // ProcessDispatcher and the tcp tests spawn this binary with --serve:
+  // Spawning dispatchers and the host tests run this binary with --serve:
   // become a dispatch worker instead of running the suites.
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]) == "--serve" && i + 1 < argc) {

@@ -2,14 +2,15 @@
 // ExperimentSpec JSON wire codec (exact round-trip across every grid axis),
 // thread- vs process- vs tcp- vs serial-backend byte-identity, crash
 // isolation (a worker killed mid-cell — child process or remote connection —
-// is retried and the sweep survives), hung-worker deadlines
-// (FEDHISYN_CELL_TIMEOUT_S kills and retries under crash accounting),
-// --resume semantics, and the atomic / append-safe result sinks.
+// is retried and the sweep survives), hung-worker deadlines (the per-cell
+// timeout kills and retries under crash accounting), the coordinator knobs
+// handle_grid_flags resolves, --resume semantics, and the atomic /
+// append-safe result sinks.
 //
 // This binary has a custom main: invoked with --serve it becomes a dispatch
-// worker (the ProcessDispatcher spawns the running binary, i.e. this test,
-// and the tcp tests start two of themselves on ephemeral ports), otherwise
-// it runs the gtest suites.
+// worker (a dispatcher with `spawn` set runs the running binary, i.e. this
+// test, and the host tests start two of themselves on ephemeral ports),
+// otherwise it runs the gtest suites.
 #include <gtest/gtest.h>
 
 #include <csignal>
@@ -19,6 +20,7 @@
 #include <fstream>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -57,7 +59,8 @@ ExperimentGrid tiny_grid() {
   return grid;
 }
 
-/// RAII env override (restores the previous value, or unsets).
+/// RAII env override (restores the previous value, or unsets); a null
+/// `value` unsets the variable for the scope.
 class ScopedEnv {
  public:
   ScopedEnv(const char* name, const char* value) : name_(name) {
@@ -66,7 +69,11 @@ class ScopedEnv {
       had_old_ = true;
       old_ = old;
     }
-    ::setenv(name, value, 1);
+    if (value != nullptr) {
+      ::setenv(name, value, 1);
+    } else {
+      ::unsetenv(name);
+    }
   }
   ~ScopedEnv() {
     if (had_old_) {
@@ -334,8 +341,8 @@ TEST(Dispatch, ProcessMatchesThreadAndSerialByteIdentical) {
 TEST(Dispatch, DisabledBuildCacheIsByteIdenticalToTheDefault) {
   // Two interleaved builds (seeds 11/17) across four cells: with the cache
   // disabled every cell rebuilds from scratch, with the default budget the
-  // worker holds both builds warm — the output files must not be able to
-  // tell the difference.
+  // cache holds both builds warm — the output files must not be able to
+  // tell the difference, in this process or in a worker.
   auto grid_a = tiny_grid();
   grid_a.methods({"FedAvg", "FedHiSyn"});
   auto grid_b = tiny_grid();
@@ -346,31 +353,34 @@ TEST(Dispatch, DisabledBuildCacheIsByteIdenticalToTheDefault) {
   std::vector<ExperimentSpec> specs = {cells_a[0], cells_b[0], cells_a[1],
                                        cells_b[1]};
 
-  GridScheduler::Options options;
-  options.jobs = 1;
-  options.backend = CellBackend::kProcess;
+  for (const CellBackend backend : {CellBackend::kThread, CellBackend::kProcess}) {
+    SCOPED_TRACE(backend == CellBackend::kThread ? "thread backend" : "process backend");
+    GridScheduler::Options options;
+    options.jobs = 1;
+    options.backend = backend;
 
-  std::vector<CellResult> cold;
-  {
-    ScopedEnv disable("FEDHISYN_BUILD_CACHE_MB", "0");
-    cold = GridScheduler(options).run(specs);
-  }
-  const auto warm = GridScheduler(options).run(specs);
+    std::vector<CellResult> cold;
+    {
+      ScopedEnv disable("FEDHISYN_BUILD_CACHE_MB", "0");
+      cold = GridScheduler(options).run(specs);
+    }
+    const auto warm = GridScheduler(options).run(specs);
 
-  ASSERT_EQ(cold.size(), warm.size());
-  for (std::size_t i = 0; i < cold.size(); ++i) {
-    EXPECT_EQ(to_jsonl_line(cold[i]), to_jsonl_line(warm[i])) << i;
-    EXPECT_EQ(to_csv_row(cold[i]), to_csv_row(warm[i])) << i;
+    ASSERT_EQ(cold.size(), warm.size());
+    for (std::size_t i = 0; i < cold.size(); ++i) {
+      EXPECT_EQ(to_jsonl_line(cold[i]), to_jsonl_line(warm[i])) << i;
+      EXPECT_EQ(to_csv_row(cold[i]), to_csv_row(warm[i])) << i;
+    }
+    // The cache stats confirm the two runs really exercised different
+    // paths: all cold misses vs hits served warm.
+    for (const auto& cell : cold) {
+      ASSERT_TRUE(cell.cache.valid);
+      EXPECT_FALSE(cell.cache.hit);
+    }
+    EXPECT_EQ(cold[3].cache.misses, 4u);
+    EXPECT_TRUE(warm[2].cache.hit);
+    EXPECT_TRUE(warm[3].cache.hit);
   }
-  // The cache stats confirm the two runs really exercised different paths:
-  // all cold misses vs affinity-served hits.
-  for (const auto& cell : cold) {
-    ASSERT_TRUE(cell.cache.valid);
-    EXPECT_FALSE(cell.cache.hit);
-  }
-  EXPECT_EQ(cold[3].cache.misses, 4u);
-  EXPECT_TRUE(warm[2].cache.hit);
-  EXPECT_TRUE(warm[3].cache.hit);
 }
 
 TEST(Dispatch, CrashedWorkerIsRetriedAndTheSweepSurvives) {
@@ -428,22 +438,6 @@ TEST(Dispatch, DeterministicCellFailurePropagatesWithoutRetry) {
   }
 }
 
-TEST(Dispatch, MaxAttemptsResolvesFromEnv) {
-  EXPECT_EQ(ProcessDispatcher::max_attempts_from_env(), 3);  // default: 2 retries
-  ScopedEnv retries("FEDHISYN_WORKER_RETRIES", "5");
-  EXPECT_EQ(ProcessDispatcher::max_attempts_from_env(), 6);
-}
-
-TEST(Dispatch, CellTimeoutResolvesFromEnv) {
-  EXPECT_EQ(cell_timeout_from_env(), 0.0);  // default: no deadline
-  {
-    ScopedEnv timeout("FEDHISYN_CELL_TIMEOUT_S", "2.5");
-    EXPECT_EQ(cell_timeout_from_env(), 2.5);
-  }
-  ScopedEnv nonsense("FEDHISYN_CELL_TIMEOUT_S", "-3");
-  EXPECT_EQ(cell_timeout_from_env(), 0.0);  // non-positive = off
-}
-
 TEST(Dispatch, HungWorkerIsKilledAtTheDeadlineAndRetried) {
   auto grid = tiny_grid();
   grid.methods({"FedHiSyn", "FedAvg"});
@@ -458,10 +452,10 @@ TEST(Dispatch, HungWorkerIsKilledAtTheDeadlineAndRetried) {
   // attempt; the dispatcher must SIGKILL at the deadline and heal on attempt
   // 2 under the same accounting as a crash.
   ScopedEnv hang("FEDHISYN_TEST_HANG", "FedAvg:1:600");
-  ProcessDispatcher::Options options;
-  options.workers = 2;
+  TcpDispatcher::Options options;
+  options.spawn = 2;
   options.cell_timeout_s = 1.0;
-  const auto hung = ProcessDispatcher(options).run(specs);
+  const auto hung = TcpDispatcher(options).run(specs);
 
   ASSERT_EQ(clean.size(), hung.size());
   for (std::size_t i = 0; i < clean.size(); ++i) {
@@ -473,12 +467,12 @@ TEST(Dispatch, HungWorkerExhaustsAttemptsWhenItNeverHeals) {
   auto grid = tiny_grid();
   grid.methods({"FedAvg"});
   ScopedEnv hang("FEDHISYN_TEST_HANG", "FedAvg:600:600");  // every attempt wedges
-  ProcessDispatcher::Options options;
-  options.workers = 1;
+  TcpDispatcher::Options options;
+  options.spawn = 1;
   options.max_attempts = 2;
   options.cell_timeout_s = 0.3;
   try {
-    ProcessDispatcher(options).run(grid.expand());
+    TcpDispatcher(options).run(grid.expand());
     FAIL() << "expected CheckError";
   } catch (const CheckError& e) {
     EXPECT_NE(std::string(e.what()).find("giving up"), std::string::npos);
@@ -495,10 +489,10 @@ TEST(Dispatch, KilledCoordinatorLeavesNoServeChildBehind) {
     ::setenv("FEDHISYN_TEST_HANG", "FedAvg", /*overwrite=*/1);  // wedge for good
     auto grid = tiny_grid();
     grid.methods({"FedAvg"}).seeds({11, 17});
-    ProcessDispatcher::Options options;
-    options.workers = 2;
+    TcpDispatcher::Options options;
+    options.spawn = 2;
     try {
-      ProcessDispatcher(options).run(grid.expand());
+      TcpDispatcher(options).run(grid.expand());
     } catch (...) {
     }
     ::_exit(0);
@@ -671,23 +665,123 @@ TEST(TcpDispatch, WorkerStreamingAnEndlessLineHitsTheLineCap) {
 }
 
 TEST(TcpDispatch, NoWorkersConfiguredCheckFails) {
-  auto grid = tiny_grid();
-  grid.methods({"FedAvg"});
-  TcpDispatcher::Options options;  // no hosts, no FEDHISYN_WORKERS
-  EXPECT_THROW(TcpDispatcher(options).run(grid.expand()), CheckError);
+  // Exactly one worker source: neither hosts nor spawn is as wrong as both.
+  TcpDispatcher::Options neither;
+  EXPECT_THROW(TcpDispatcher{neither}, CheckError);
+  TcpDispatcher::Options both;
+  both.hosts = {"127.0.0.1:1"};
+  both.spawn = 1;
+  EXPECT_THROW(TcpDispatcher{both}, CheckError);
+  TcpDispatcher::Options no_tries;
+  no_tries.spawn = 1;
+  no_tries.max_attempts = 0;
+  EXPECT_THROW(TcpDispatcher{no_tries}, CheckError);
 }
 
-TEST(TcpDispatch, HostsResolveFromEnvWhenOptionsAreEmpty) {
-  {
-    // Spaces after commas are stripped, matching net::parse_host_list —
-    // " hostB" would otherwise fail resolution at sweep startup.
-    ScopedEnv workers("FEDHISYN_WORKERS", "hostA:7800, hostB:7801");
-    const auto hosts = TcpDispatcher::hosts_from_env();
-    ASSERT_EQ(hosts.size(), 2u);
-    EXPECT_EQ(hosts[0], "hostA:7800");
-    EXPECT_EQ(hosts[1], "hostB:7801");
+// ------------------------------------------------------------ grid flags --
+
+using EnvList = std::vector<std::pair<std::string, std::string>>;
+
+/// handle_grid_flags on `args`, with the five coordinator env vars unset
+/// except those `env` sets.
+GridDriverOptions resolve_grid_flags(const std::vector<std::string>& args,
+                                     const EnvList& env) {
+  std::vector<std::unique_ptr<ScopedEnv>> scoped;
+  for (const char* name : {"FEDHISYN_GRID_JOBS", "FEDHISYN_DISPATCH", "FEDHISYN_WORKERS",
+                           "FEDHISYN_WORKER_RETRIES", "FEDHISYN_CELL_TIMEOUT_S"}) {
+    const char* value = nullptr;
+    for (const auto& [key, text] : env) {
+      if (key == name) value = text.c_str();
+    }
+    scoped.push_back(std::make_unique<ScopedEnv>(name, value));
   }
-  EXPECT_TRUE(TcpDispatcher::hosts_from_env().empty());
+  std::vector<const char*> argv;
+  for (const auto& arg : args) argv.push_back(arg.c_str());
+  return handle_grid_flags(Flags::parse(static_cast<int>(argv.size()), argv.data()));
+}
+
+TEST(GridFlags, ResolveFlagThenEnvThenDefault) {
+  struct Resolved {
+    const char* name;
+    std::vector<std::string> args;
+    EnvList env;
+    std::size_t jobs;
+    CellBackend backend;
+    std::vector<std::string> hosts;
+    int max_attempts;
+    double cell_timeout_s;
+  };
+  const CellBackend thread = CellBackend::kThread;
+  const std::vector<Resolved> resolved = {
+      {"defaults", {}, {}, 1, thread, {}, 3, 0.0},
+      {"jobs from env", {}, {{"FEDHISYN_GRID_JOBS", "3"}}, 3, thread, {}, 3, 0.0},
+      {"jobs flag beats env",
+       {"--grid-jobs", "2"},
+       {{"FEDHISYN_GRID_JOBS", "3"}},
+       2, thread, {}, 3, 0.0},
+      {"backend from env", {}, {{"FEDHISYN_DISPATCH", "process"}}, 1,
+       CellBackend::kProcess, {}, 3, 0.0},
+      {"backend flag beats env",
+       {"--dispatch", "thread"},
+       {{"FEDHISYN_DISPATCH", "process"}},
+       1, thread, {}, 3, 0.0},
+      {"workers from env, spaces after commas stripped",
+       {},
+       {{"FEDHISYN_DISPATCH", "tcp"}, {"FEDHISYN_WORKERS", "hostA:7800, hostB:7801"}},
+       1, CellBackend::kTcp, {"hostA:7800", "hostB:7801"}, 3, 0.0},
+      {"workers flag beats env",
+       {"--dispatch", "tcp", "--workers", "hostC:7802"},
+       {{"FEDHISYN_WORKERS", "hostA:7800"}},
+       1, CellBackend::kTcp, {"hostC:7802"}, 3, 0.0},
+      {"workers env ignored off tcp", {}, {{"FEDHISYN_WORKERS", "hostA:7800"}}, 1,
+       thread, {}, 3, 0.0},
+      {"retries from env", {}, {{"FEDHISYN_WORKER_RETRIES", "5"}}, 1, thread, {}, 6,
+       0.0},
+      {"negative retries keep the default", {}, {{"FEDHISYN_WORKER_RETRIES", "-1"}}, 1,
+       thread, {}, 3, 0.0},
+      {"timeout from env", {}, {{"FEDHISYN_CELL_TIMEOUT_S", "2.5"}}, 1, thread, {}, 3,
+       2.5},
+      {"non-positive timeout is off", {}, {{"FEDHISYN_CELL_TIMEOUT_S", "-3"}}, 1, thread,
+       {}, 3, 0.0},
+  };
+  for (const Resolved& c : resolved) {
+    SCOPED_TRACE(c.name);
+    const GridScheduler::Options options = resolve_grid_flags(c.args, c.env).scheduler;
+    EXPECT_EQ(options.jobs, c.jobs);
+    EXPECT_EQ(options.backend, c.backend);
+    EXPECT_EQ(options.worker_hosts, c.hosts);
+    EXPECT_EQ(options.max_attempts, c.max_attempts);
+    EXPECT_EQ(options.cell_timeout_s, c.cell_timeout_s);
+  }
+
+  struct Rejected {
+    const char* name;
+    std::vector<std::string> args;
+    EnvList env;
+  };
+  const std::vector<Rejected> rejected = {
+      {"non-numeric --grid-jobs", {"--grid-jobs", "two"}, {}},
+      {"zero --grid-jobs", {"--grid-jobs", "0"}, {}},
+      {"non-numeric jobs env", {}, {{"FEDHISYN_GRID_JOBS", "two"}}},
+      {"negative jobs env", {}, {{"FEDHISYN_GRID_JOBS", "-2"}}},
+      {"unknown backend", {"--dispatch", "gpu"}, {}},
+      {"unknown backend env", {}, {{"FEDHISYN_DISPATCH", "gpu"}}},
+      {"tcp flag without endpoints", {"--dispatch", "tcp"}, {}},
+      {"tcp env without endpoints", {}, {{"FEDHISYN_DISPATCH", "tcp"}}},
+      {"malformed endpoint", {"--dispatch", "tcp", "--workers", "hostA:port"}, {}},
+      {"malformed endpoint env",
+       {},
+       {{"FEDHISYN_DISPATCH", "tcp"}, {"FEDHISYN_WORKERS", "hostA:7800,hostB:99999"}}},
+      {"--workers off tcp", {"--dispatch", "process", "--workers", "hostA:7800"}, {}},
+      {"--workers with the default backend", {"--workers", "hostA:7800"}, {}},
+      {"non-numeric retries", {}, {{"FEDHISYN_WORKER_RETRIES", "lots"}}},
+      {"non-numeric timeout", {}, {{"FEDHISYN_CELL_TIMEOUT_S", "soon"}}},
+      {"unbounded timeout", {}, {{"FEDHISYN_CELL_TIMEOUT_S", "inf"}}},
+  };
+  for (const Rejected& c : rejected) {
+    SCOPED_TRACE(c.name);
+    EXPECT_THROW(resolve_grid_flags(c.args, c.env), CheckError);
+  }
 }
 
 // ---------------------------------------------------------------- resume --
@@ -721,7 +815,7 @@ TEST(RunGrid, ResumeSkipsCompletedCellsAndReproducesTheFileByteExactly) {
   resume_options.out = resume_path;
   resume_options.quiet = true;
   resume_options.resume = true;
-  resume_options.dispatch = CellBackend::kProcess;
+  resume_options.scheduler.backend = CellBackend::kProcess;
   const auto resumed = run_grid(specs, resume_options);
 
   // Final file byte-identical to the uninterrupted sweep, results aligned.
@@ -737,6 +831,24 @@ TEST(RunGrid, ResumeSkipsCompletedCellsAndReproducesTheFileByteExactly) {
 
   std::remove(full_path.c_str());
   std::remove(resume_path.c_str());
+}
+
+TEST(RunGrid, MisconfiguredTcpSweepLeavesAnExistingOutUnchanged) {
+  // A tcp sweep with no endpoints must fail while its flags resolve — before
+  // run_grid's fresh-sweep truncation could empty a previous results file.
+  const std::string path = "dispatch_test_misconfigured.jsonl";
+  write_file(path, {"{\"previous\":1}"});
+  auto grid = tiny_grid();
+  grid.methods({"FedAvg"});
+  const char* argv[] = {"--out", path.c_str()};
+  {
+    ScopedEnv dispatch("FEDHISYN_DISPATCH", "tcp");
+    ScopedEnv workers("FEDHISYN_WORKERS", nullptr);
+    EXPECT_THROW(run_grid(grid.expand(), handle_grid_flags(Flags::parse(2, argv))),
+                 CheckError);
+  }
+  EXPECT_EQ(read_lines(path), std::vector<std::string>{"{\"previous\":1}"});
+  std::remove(path.c_str());
 }
 
 TEST(RunGrid, ResumeRequiresAJsonlOut) {
@@ -886,7 +998,7 @@ TEST(Subprocess, EnvOverridesReachTheChild) {
 }  // namespace fedhisyn::exp
 
 int main(int argc, char** argv) {
-  // ProcessDispatcher and the tcp tests spawn this binary with --serve:
+  // Spawning dispatchers and the host tests run this binary with --serve:
   // become a dispatch worker instead of running the suites.
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]) == "--serve" && i + 1 < argc) {

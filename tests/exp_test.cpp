@@ -265,22 +265,6 @@ TEST(Scheduler, ProgressCallbackFiresOncePerCell) {
   EXPECT_EQ(last_total, 2u);
 }
 
-TEST(Scheduler, SharedBuildsMatchPrivateBuilds) {
-  auto grid = tiny_grid();
-  grid.methods({"FedAvg", "FedHiSyn"});
-  const auto specs = grid.expand();
-  GridScheduler::Options shared;
-  shared.share_builds = true;
-  GridScheduler::Options private_builds;
-  private_builds.share_builds = false;
-  const auto a = GridScheduler(shared).run(specs);
-  const auto b = GridScheduler(private_builds).run(specs);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(to_jsonl_line(a[i]), to_jsonl_line(b[i])) << i;
-  }
-}
-
 TEST(Scheduler, CellExceptionsPropagate) {
   auto grid = tiny_grid();
   grid.methods({"FedAvg", "FedBogus"});

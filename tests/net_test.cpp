@@ -87,17 +87,6 @@ TEST(ParseHostPort, IPv6LiteralsNeedBrackets) {
   EXPECT_THROW(parse_host_port("[::1]7800", "h"), CheckError);
 }
 
-TEST(ParseHostList, SplitsAndAppliesDefaults) {
-  const auto hosts = parse_host_list("a:1,b:2,3", "fallback");
-  ASSERT_EQ(hosts.size(), 3u);
-  EXPECT_EQ(hosts[0].host, "a");
-  EXPECT_EQ(hosts[1].port, 2);
-  EXPECT_EQ(hosts[2].host, "fallback");
-  EXPECT_EQ(hosts[2].port, 3);
-  EXPECT_THROW(parse_host_list("", "h"), CheckError);
-  EXPECT_THROW(parse_host_list(",,", "h"), CheckError);
-}
-
 // -------------------------------------------------------------- deadline --
 
 TEST(DeadlineTest, NeverNeverExpires) {
