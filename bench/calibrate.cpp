@@ -20,7 +20,7 @@
 int main(int argc, char** argv) {
   using namespace fedhisyn;
   const auto flags = Flags::parse(argc - 1, argv + 1);
-  const auto grid_options = exp::handle_grid_flags(flags);
+  const auto grid_options = exp::handle_grid_flags(flags, {"dataset", "partition"});
   const bool full = full_scale_enabled();
 
   exp::ExperimentGrid grid;

@@ -9,7 +9,7 @@
 // and the derived per-cell dispatch overhead.  A fourth sub-bench measures the
 // worker-side multi-build LRU cache (exp/build_cache.hpp): a
 // build-interleaved 2-build sweep of build-heavy cells on one process
-// worker, cold (FEDHISYN_BUILD_CACHE_MB=0) vs warm (default budget), where
+// worker, cold (cache budget 0) vs warm (default budget), where
 // the affinity pass + resident cache must beat rebuild-per-cell by >= 2x.
 // Emits machine-readable BENCH_dispatch.json; CI gates cells_per_sec (and
 // cells_per_sec_warm for the cache entry) against
@@ -57,11 +57,17 @@ double run_backend(const std::vector<fedhisyn::exp::ExperimentSpec>& specs,
   return best;
 }
 
+/// The sweeps use many distinct builds: spawned workers run quiet, keeping
+/// their per-build cache log lines out of the bench output.
 double run_backend(const std::vector<fedhisyn::exp::ExperimentSpec>& specs,
-                   fedhisyn::exp::CellBackend backend, std::size_t jobs, int repeat) {
+                   fedhisyn::exp::CellBackend backend, std::size_t jobs, int repeat,
+                   std::size_t build_cache_bytes =
+                       fedhisyn::exp::BuildCache::default_budget_bytes()) {
   fedhisyn::exp::GridScheduler::Options options;
   options.jobs = jobs;
   options.backend = backend;
+  options.worker.quiet = true;
+  options.worker.build_cache_bytes = build_cache_bytes;
   return run_backend(specs, std::move(options), repeat);
 }
 
@@ -72,7 +78,7 @@ class ServeWorker {
   ServeWorker()
       : proc_(std::vector<std::string>{fedhisyn::current_executable_path(),
                                        "--serve", "127.0.0.1:0"},
-              {}) {
+              {"FEDHISYN_QUIET=1"}) {
     fedhisyn::net::LineReader announce(proc_.stdout_fd());
     std::string line;
     FEDHISYN_CHECK_MSG(
@@ -101,10 +107,8 @@ class ServeWorker {
 int main(int argc, char** argv) {
   using namespace fedhisyn;
   const auto flags = Flags::parse(argc - 1, argv + 1);
-  exp::handle_grid_flags(flags);  // --serve / --threads / --list-methods
-  // The sweeps below use many distinct builds; keep the workers' per-build
-  // cache log lines out of the bench output.
-  ::setenv("FEDHISYN_QUIET", "1", /*overwrite=*/1);
+  // --serve / --threads / --list-methods, plus this bench's own flags.
+  exp::handle_grid_flags(flags, {"cells", "jobs", "repeat"});
 
   const std::size_t cells = static_cast<std::size_t>(flags.get_long("cells", 12));
   const std::size_t jobs = static_cast<std::size_t>(flags.get_long("jobs", 2));
@@ -150,10 +154,9 @@ int main(int argc, char** argv) {
   // process worker, with build-heavy cells (32 devices x 64 samples to
   // generate and partition, but participation 1/8 so only 4 devices train
   // one round) — the regime the multi-build LRU cache exists for.  Cold
-  // disables the cache (FEDHISYN_BUILD_CACHE_MB=0, inherited by the worker):
-  // every cell rebuilds.  Warm uses the default budget: the coordinator's
-  // affinity pass plus the resident cache reduce the interleave to one build
-  // per key.
+  // disables the worker's cache (budget 0): every cell rebuilds.  Warm uses
+  // the default budget: the coordinator's affinity pass plus the resident
+  // cache reduce the interleave to one build per key.
   exp::ExperimentGrid cache_grid;
   cache_grid.base().build.scale.devices = 32;
   cache_grid.base().build.scale.train_samples_per_device = 64;
@@ -176,10 +179,8 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < kCacheCells; ++i) {
     cache_specs.push_back(i % 2 == 0 ? cache_cell_a : cache_cell_b);
   }
-  ::setenv("FEDHISYN_BUILD_CACHE_MB", "0", /*overwrite=*/1);
-  const double cold_wall =
-      run_backend(cache_specs, exp::CellBackend::kProcess, 1, repeat);
-  ::unsetenv("FEDHISYN_BUILD_CACHE_MB");
+  const double cold_wall = run_backend(cache_specs, exp::CellBackend::kProcess, 1, repeat,
+                                      /*build_cache_bytes=*/0);
   const double warm_wall =
       run_backend(cache_specs, exp::CellBackend::kProcess, 1, repeat);
 

@@ -22,7 +22,7 @@
 int main(int argc, char** argv) {
   using namespace fedhisyn;
   const auto flags = Flags::parse(argc - 1, argv + 1);
-  const auto grid_options = exp::handle_grid_flags(flags);
+  const auto grid_options = exp::handle_grid_flags(flags, {"dataset"});
   const bool full = full_scale_enabled();
   const std::vector<std::size_t> ks =
       full ? std::vector<std::size_t>{1, 10, 20, 30, 40, 50}

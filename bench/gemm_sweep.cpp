@@ -171,25 +171,6 @@ const char* variant_name(Variant v) {
   return "?";
 }
 
-/// Point FEDHISYN_GEMM_KERNEL at `spec` (nullptr = unset) and re-resolve the
-/// runtime selection — the documented test/bench reinit hook.
-void force_kernel(const char* spec) {
-  if (spec == nullptr) {
-    unsetenv("FEDHISYN_GEMM_KERNEL");
-  } else {
-    setenv("FEDHISYN_GEMM_KERNEL", spec, /*overwrite=*/1);
-  }
-  gemm_runtime_reinit();
-}
-
-/// "avx512" or "avx2:6x16": the resolved selection, for the "kernel" field.
-std::string kernel_desc() {
-  const GemmRuntimeInfo& info = gemm_runtime_info();
-  std::string desc = info.variant;
-  if (!info.forced_kernel.empty()) desc += ":" + info.forced_kernel;
-  return desc;
-}
-
 bool variant_supported(const std::string& name) {
   for (const std::string& supported : gemm_supported_variants()) {
     if (supported == name) return true;
@@ -283,7 +264,7 @@ int main(int argc, char** argv) {
       return 3;
     }
     try {
-      force_kernel(kernel_spec.c_str());
+      gemm_runtime_select(kernel_spec);
     } catch (const CheckError& err) {
       std::cerr << "bench_gemm_sweep: " << err.what() << "\n";
       return 3;
@@ -295,7 +276,7 @@ int main(int argc, char** argv) {
   // entries (single-thread only; the ref timing is shared).
   struct Mode {
     std::string suffix;       // "" or "@avx2"
-    std::string kernel_env;   // "" = the sweep's default selection
+    std::string spec;         // "" = the sweep's default selection
   };
   std::vector<Mode> modes;
   modes.push_back({"", ""});
@@ -304,10 +285,9 @@ int main(int argc, char** argv) {
       modes.push_back({"@" + name, name});
     }
   }
-  const char* original_env = std::getenv("FEDHISYN_GEMM_KERNEL");
-  const std::string original_spec = original_env != nullptr ? original_env : "";
-  const bool original_set = original_env != nullptr || !kernel_spec.empty();
-  const std::string default_spec = kernel_spec.empty() ? original_spec : kernel_spec;
+  // The plain entries run the selection the sweep started with: --kernel,
+  // else FEDHISYN_GEMM_KERNEL, else auto.
+  const std::string default_spec = gemm_runtime_info().spec();
 
   ParallelExecutor pool_st(1);
   ParallelExecutor pool_mt(threads);
@@ -330,12 +310,8 @@ int main(int argc, char** argv) {
         time_best_ms(min_time_ms, [&] { run_reference(s, ops); });
 
     for (const Mode& mode : modes) {
-      if (mode.kernel_env.empty()) {
-        force_kernel(original_set ? default_spec.c_str() : nullptr);
-      } else {
-        force_kernel(mode.kernel_env.c_str());
-      }
-      const std::string kernel = kernel_desc();
+      gemm_runtime_select(mode.spec.empty() ? default_spec : mode.spec);
+      const std::string kernel = gemm_runtime_info().spec();
 
       double blk_st_ms = 0.0;
       {
@@ -395,11 +371,6 @@ int main(int argc, char** argv) {
     }
   }
   json += "\n  ]\n}\n";
-
-  // Leave the selection the way the process started.
-  force_kernel(original_set ? (kernel_spec.empty() ? original_spec.c_str()
-                                                   : kernel_spec.c_str())
-                            : nullptr);
 
   std::ofstream out(out_path);
   if (!out) {

@@ -13,8 +13,8 @@
 //                     results are byte-identical to a serial run)
 //   --threads N       total worker-thread budget (FEDHISYN_THREADS fallback)
 //   --out PATH        per-cell results as JSONL (or CSV with *.csv)
-//   --part 100,50     restrict participation %  (FEDHISYN_TABLE1_PART)
-//   --dataset a,b     restrict datasets         (FEDHISYN_TABLE1_DATASET)
+//   --part 100,50     restrict participation %
+//   --dataset a,b     restrict datasets
 //   --partition x,y   restrict partitions: iid | dir<beta>
 //   --list-methods    print the registered algorithms and exit
 //   FEDHISYN_FULL=1   paper-scale (100 devices, 100/150 rounds)
@@ -40,7 +40,7 @@
 int main(int argc, char** argv) {
   using namespace fedhisyn;
   const auto flags = Flags::parse(argc - 1, argv + 1);
-  const auto grid_options = exp::handle_grid_flags(flags);
+  const auto grid_options = exp::handle_grid_flags(flags, {"dataset", "part", "partition"});
   const bool full = full_scale_enabled();
 
   const auto& methods = core::table1_methods();

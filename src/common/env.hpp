@@ -45,9 +45,11 @@
 //                            caching; unset = a default sized to hold the
 //                            full Table-1 sweep.  Caching changes when
 //                            builds happen, never result bytes.
-//   FEDHISYN_QUIET=1         suppress the dispatch workers' per-build cache
-//                            and connection log lines on stderr (--quiet
-//                            sets this so spawned workers inherit it).
+//   FEDHISYN_QUIET=1         suppress the progress lines and the dispatch
+//                            workers' cache and connection log lines.
+//                            These three are the worker knobs: only
+//                            exp::handle_grid_flags resolves them (plus the
+//                            first gemm call of a binary that never calls it).
 //   FEDHISYN_TRACE=FILE      write a Chrome-trace/Perfetto JSON timeline of
 //                            the run to FILE (fallback for the grid drivers'
 //                            --trace flag; see common/trace.hpp and
@@ -66,18 +68,5 @@ bool full_scale_enabled();
 
 /// Integer env var with default (returns `fallback` when unset/invalid).
 long env_long(const std::string& name, long fallback);
-
-/// Floating-point env var with default (returns `fallback` when
-/// unset/invalid).
-double env_double(const std::string& name, double fallback);
-
-/// FEDHISYN_QUIET: true when set to anything but "0"/"off"/"false"/empty —
-/// the dispatch workers then skip their per-build cache and connection log
-/// lines.
-bool quiet_from_env();
-
-/// FEDHISYN_GEMM_KERNEL: the requested GEMM kernel variant spec ("auto" when
-/// unset; see tensor/gemm_tune.hpp for the grammar).
-std::string gemm_kernel_from_env();
 
 }  // namespace fedhisyn

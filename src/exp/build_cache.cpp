@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/counters.hpp"
-#include "common/env.hpp"
 #include "common/trace.hpp"
 
 namespace fedhisyn::exp {
@@ -40,12 +39,6 @@ BuildCache::BuildCache(Config config) : config_(std::move(config)) {}
 
 std::size_t BuildCache::default_budget_bytes() {
   return std::size_t{512} * 1024 * 1024;
-}
-
-std::size_t BuildCache::budget_bytes_from_env() {
-  const double mb = env_double("FEDHISYN_BUILD_CACHE_MB", -1.0);
-  if (mb < 0.0) return default_budget_bytes();
-  return static_cast<std::size_t>(mb * 1024.0 * 1024.0);
 }
 
 void BuildCache::log_line(const char* what, const std::string& key,

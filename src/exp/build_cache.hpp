@@ -7,10 +7,10 @@
 // byte budget measured by BuiltExperiment::memory_bytes(), so a resident
 // worker can hold every build of a sweep warm (a build-interleaved cell
 // order no longer thrashes rebuilds, which is what the PR-6 single-entry
-// cache did) while worker memory stays bounded.  Budget resolution:
-// FEDHISYN_BUILD_CACHE_MB / --build-cache-mb; 0 disables caching entirely
-// (every get() builds fresh and stores nothing); unset defaults to
-// default_budget_bytes(), sized to hold the full Table-1 sweep at paper
+// cache did) while worker memory stays bounded.  The budget is explicit
+// (Config::max_bytes, resolved by exp::handle_grid_flags): 0 disables
+// caching entirely (every get() builds fresh and stores nothing); the
+// default, default_budget_bytes(), holds the full Table-1 sweep at paper
 // scale.
 //
 // Concurrency: get() is safe from any number of threads.  Same-key callers
@@ -64,8 +64,6 @@ class BuildCache {
     std::size_t resident_builds = 0;
   };
 
-  /// Budget from FEDHISYN_BUILD_CACHE_MB, log lines off.
-  BuildCache() : BuildCache(Config{budget_bytes_from_env(), {}}) {}
   explicit BuildCache(Config config);
 
   BuildCache(const BuildCache&) = delete;
@@ -83,10 +81,6 @@ class BuildCache {
 
   /// The configured byte budget (0 = disabled).
   std::size_t max_bytes() const { return config_.max_bytes; }
-
-  /// FEDHISYN_BUILD_CACHE_MB in (possibly fractional) MiB: 0 disables,
-  /// unset/negative/garbage falls back to default_budget_bytes().
-  static std::size_t budget_bytes_from_env();
 
   /// The default budget: 512 MiB, comfortably above the ~300 MB the full
   /// Table-1 sweep's builds occupy at paper scale (8 distinct build keys —

@@ -17,12 +17,12 @@
 
 #include "common/check.hpp"
 #include "common/counters.hpp"
-#include "common/env.hpp"
 #include "common/json.hpp"
 #include "common/net.hpp"
 #include "common/subprocess.hpp"
 #include "common/trace.hpp"
 #include "exp/build_cache.hpp"
+#include "exp/driver.hpp"
 
 namespace fedhisyn::exp {
 
@@ -368,16 +368,6 @@ std::string handle_request(const std::string& line, BuildCache* cache) {
   } catch (const std::exception& e) {
     return encode_error_response(e.what());
   }
-}
-
-/// Worker-side cache config: byte budget from FEDHISYN_BUILD_CACHE_MB
-/// (--build-cache-mb sets it before the worker branch runs), per-build
-/// hit/miss/evict log lines on stderr unless FEDHISYN_QUIET suppresses them.
-BuildCache::Config worker_cache_config(const char* tag) {
-  BuildCache::Config config;
-  config.max_bytes = BuildCache::budget_bytes_from_env();
-  if (!quiet_from_env()) config.log_tag = tag;
-  return config;
 }
 
 /// The worker's request/response loop on one coordinator connection: greet,
@@ -744,7 +734,7 @@ std::vector<CellResult> run_dispatch(const TcpDispatcher::Options& options,
 
 }  // namespace
 
-int serve_main(const std::string& bind_spec) {
+int serve_main(const std::string& bind_spec, const WorkerConfig& config) {
   FEDHISYN_CHECK_MSG(!bind_spec.empty() && bind_spec != "true",
                      "--serve needs [bind:]port (port 0 picks an ephemeral port)");
   const net::HostPort bind = net::parse_host_port(bind_spec, "0.0.0.0");
@@ -760,20 +750,19 @@ int serve_main(const std::string& bind_spec) {
   // The cache outlives connections: the worker is resident, so back-to-back
   // sweeps (or a coordinator reconnect) reuse warm builds under the LRU byte
   // budget.
-  BuildCache cache(worker_cache_config("fedhisyn-serve"));
-  // FEDHISYN_QUIET silences the connection lines like the cache log lines.
-  const bool quiet = quiet_from_env();
+  BuildCache cache(BuildCache::Config{config.build_cache_bytes,
+                                      config.quiet ? "" : "fedhisyn-serve"});
   for (;;) {
     const int conn = net::tcp_accept(listen_fd);
     if (conn < 0) return 0;
-    if (!quiet) std::fprintf(stderr, "fedhisyn-serve: coordinator connected\n");
+    if (!config.quiet) std::fprintf(stderr, "fedhisyn-serve: coordinator connected\n");
     try {
       serve_stream(conn, &cache);
     } catch (const std::exception& e) {  // an over-long line: drop the peer only
       std::fprintf(stderr, "fedhisyn-serve: dropping coordinator: %s\n", e.what());
     }
     ::close(conn);
-    if (quiet) continue;
+    if (config.quiet) continue;
     const BuildCache::Stats stats = cache.stats();
     std::fprintf(stderr,
                  "fedhisyn-serve: coordinator disconnected (cache: %llu hit(s), "
@@ -783,6 +772,10 @@ int serve_main(const std::string& bind_spec) {
                  static_cast<unsigned long long>(stats.evictions),
                  stats.resident_builds);
   }
+}
+
+int serve_main(const std::string& bind_spec) {
+  return serve_main(bind_spec, resolve_worker_config(Flags{}));
 }
 
 TcpDispatcher::TcpDispatcher(Options options) : options_(std::move(options)) {
@@ -811,13 +804,9 @@ std::vector<CellResult> TcpDispatcher::run(
   // serve) retires the slot.  The first children are all spawned up front so
   // their start-ups overlap.
   const std::string binary = spawning ? current_executable_path() : std::string();
-  std::vector<std::string> env;
-  if (options_.threads_per_worker > 0) {
-    env.push_back("FEDHISYN_THREADS=" + std::to_string(options_.threads_per_worker));
-  }
   const auto spawn_child = [&] {
     return std::make_unique<Subprocess>(
-        std::vector<std::string>{binary, "--serve", "127.0.0.1:0"}, env);
+        std::vector<std::string>{binary, "--serve", "127.0.0.1:0"}, options_.spawn_env);
   };
   std::vector<std::unique_ptr<Subprocess>> first_children(spawning ? slots : 0);
   for (auto& child : first_children) child = spawn_child();

@@ -99,9 +99,9 @@ class TcpDispatcher {
     /// current_executable_path()), clamped to the number of cells; a child
     /// that dies is respawned.
     std::size_t spawn = 0;
-    /// FEDHISYN_THREADS handed to each spawned child; 0 = inherit the
-    /// parent's env.  A host reads its own.
-    std::size_t threads_per_worker = 0;
+    /// "KEY=VALUE" overrides on each spawned child's inherited environment
+    /// (its thread slice and worker knobs).  A host reads its own.
+    std::vector<std::string> spawn_env;
     /// Total tries per cell before the sweep fails.
     int max_attempts = 3;
     /// Per-cell deadline in seconds; 0 disables.  A worker past the
@@ -134,9 +134,11 @@ class TcpDispatcher {
 /// as "fedhisyn-serve: listening on <host>:<port>", then accept coordinator
 /// connections one at a time, answering each one's cell requests until the
 /// peer disconnects.  The worker is resident: its multi-build LRU cache
-/// (exp/build_cache.hpp, budget FEDHISYN_BUILD_CACHE_MB / --build-cache-mb)
-/// survives across connections, so consecutive sweeps over the same builds
-/// skip every rebuild.  Runs until killed.
+/// (exp/build_cache.hpp, budget from `config`) survives across connections,
+/// so consecutive sweeps over the same builds skip every rebuild.  Runs
+/// until killed.
+int serve_main(const std::string& bind_spec, const WorkerConfig& config);
+/// The same, with `config` resolved from the environment alone.
 int serve_main(const std::string& bind_spec);
 
 }  // namespace fedhisyn::exp

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <map>
 
 #include "common/check.hpp"
@@ -81,18 +82,21 @@ bool parse_double(const std::string& text, double* out) {
   return true;
 }
 
+/// `text` as a count >= 1, check-failing with `what` (the knob's names).
+std::size_t positive_count(const std::string& text, const char* what) {
+  long value = 0;
+  FEDHISYN_CHECK_MSG(parse_long(text, &value) && value > 0,
+                     what << " takes a positive integer, got '" << text << "'");
+  return static_cast<std::size_t>(value);
+}
+
 /// Resolve the five coordinator knobs (grid jobs, backend, workers, retries,
 /// cell deadline), check-failing on any malformed value — before the driver
 /// touches --out.
 GridScheduler::Options resolve_scheduler(const Flags& flags) {
   GridScheduler::Options options;
-  const std::string jobs_text =
-      flag_env_or(flags, "grid-jobs", "FEDHISYN_GRID_JOBS", "1");
-  long jobs = 0;
-  FEDHISYN_CHECK_MSG(parse_long(jobs_text, &jobs) && jobs > 0,
-                     "--grid-jobs / FEDHISYN_GRID_JOBS takes a positive integer, got '"
-                         << jobs_text << "'");
-  options.jobs = static_cast<std::size_t>(jobs);
+  options.jobs = positive_count(flag_env_or(flags, "grid-jobs", "FEDHISYN_GRID_JOBS", "1"),
+                                "--grid-jobs / FEDHISYN_GRID_JOBS");
 
   const std::string mode = flag_env_or(flags, "dispatch", "FEDHISYN_DISPATCH", "thread");
   FEDHISYN_CHECK_MSG(mode == "thread" || mode == "process" || mode == "tcp",
@@ -104,6 +108,10 @@ GridScheduler::Options resolve_scheduler(const Flags& flags) {
 
   FEDHISYN_CHECK_MSG(!flags.has("workers") || options.backend == CellBackend::kTcp,
                      "--workers only makes sense with --dispatch tcp");
+  FEDHISYN_CHECK_MSG(options.backend != CellBackend::kTcp ||
+                         (!flags.has("gemm-kernel") && !flags.has("build-cache-mb")),
+                     "--gemm-kernel and --build-cache-mb configure this process's "
+                     "workers; a --dispatch tcp host reads its own flags");
   if (options.backend == CellBackend::kTcp) {
     options.worker_hosts =
         split_host_list(flag_env_or(flags, "workers", "FEDHISYN_WORKERS", ""));
@@ -139,35 +147,63 @@ GridScheduler::Options resolve_scheduler(const Flags& flags) {
   return options;
 }
 
+/// Comma-separated list flag: the flag's items when given non-empty, else
+/// `defaults`.
+std::vector<std::string> list_flag(const Flags& flags, const std::string& key,
+                                   std::vector<std::string> defaults) {
+  const std::string raw = flags.get(key, "");
+  if (raw.empty()) return defaults;
+  auto items = split_list(raw);
+  FEDHISYN_CHECK_MSG(!items.empty(), "--" << key << " given an empty list");
+  return items;
+}
+
 }  // namespace
 
-GridDriverOptions handle_grid_flags(const Flags& flags) {
-  // Cache knobs ride on env vars and must be set before the --serve branch:
-  // a worker reads them from its environment, and the process backend's
-  // spawned workers inherit the coordinator's.
-  if (flags.get_bool("quiet")) setenv("FEDHISYN_QUIET", "1", /*overwrite=*/1);
-  if (flags.has("build-cache-mb")) {
-    const double mb = flags.get_double("build-cache-mb", -1.0);
-    FEDHISYN_CHECK_MSG(mb >= 0.0,
-                       "--build-cache-mb takes a byte budget in MiB (0 disables "
-                       "build caching), got '"
-                           << flags.get("build-cache-mb", "") << "'");
-    setenv("FEDHISYN_BUILD_CACHE_MB", flags.get("build-cache-mb", "").c_str(),
-           /*overwrite=*/1);
+WorkerConfig resolve_worker_config(const Flags& flags) {
+  WorkerConfig config;
+  const std::string quiet = flag_env_or(flags, "quiet", "FEDHISYN_QUIET", "0");
+  config.quiet = quiet != "0" && quiet != "off" && quiet != "false";
+  const std::string mb_text =
+      flag_env_or(flags, "build-cache-mb", "FEDHISYN_BUILD_CACHE_MB", "");
+  if (!mb_text.empty()) {
+    double mb = 0.0;
+    const bool parsed = parse_double(mb_text, &mb);
+    // The cast below is undefined unless the byte count is finite and fits.
+    const double bytes = mb * 1024.0 * 1024.0;
+    FEDHISYN_CHECK_MSG(
+        parsed && mb >= 0.0 &&
+            bytes < static_cast<double>(std::numeric_limits<std::size_t>::max()),
+        "--build-cache-mb / FEDHISYN_BUILD_CACHE_MB takes a byte budget in MiB "
+        "(0 disables build caching), got '"
+            << mb_text << "'");
+    config.build_cache_bytes = static_cast<std::size_t>(bytes);
   }
-  if (flags.has("gemm-kernel")) {
-    setenv("FEDHISYN_GEMM_KERNEL", flags.get("gemm-kernel", "auto").c_str(),
-           /*overwrite=*/1);
-    // Validate immediately: a bad variant name should stop the sweep here,
-    // not mid-grid inside the first gemm call.  Workers inherit the env var
-    // set above and resolve independently.
-    gemm_runtime_reinit();
+  return config;
+}
+
+GridDriverOptions handle_grid_flags(const Flags& flags,
+                                    const std::vector<std::string>& own_flags) {
+  std::vector<std::string> known = {
+      "threads", "grid-jobs", "dispatch", "workers", "out", "resume", "quiet", "trace",
+      "metrics-out", "build-cache-mb", "gemm-kernel", "list-methods", "gemm-info", "serve"};
+  known.insert(known.end(), own_flags.begin(), own_flags.end());
+  for (const std::string& key : flags.keys()) {
+    FEDHISYN_CHECK_MSG(std::find(known.begin(), known.end(), key) != known.end(),
+                       "unknown flag --" << key);
+  }
+  // The worker knobs resolve before the --serve branch: a worker runs on
+  // them.  An unknown or unsupported kernel fails here, not in a gemm call.
+  const WorkerConfig worker = resolve_worker_config(flags);
+  gemm_runtime_select(flag_env_or(flags, "gemm-kernel", "FEDHISYN_GEMM_KERNEL", "auto"));
+  if (!worker.quiet) {
+    std::fprintf(stderr, "fedhisyn: gemm variant=%s\n", gemm_runtime_info().spec().c_str());
   }
   if (flags.has("serve")) {
     // Dispatch-worker mode: serve the exp/dispatch.hpp protocol over TCP,
     // for a --dispatch tcp coordinator or as a child the process backend
     // spawned.  Never returns to the driver.
-    std::exit(serve_main(flags.get("serve", "")));
+    std::exit(serve_main(flags.get("serve", ""), worker));
   }
   if (flags.get_bool("list-methods")) {
     for (const auto& method : core::registered_methods()) {
@@ -181,15 +217,14 @@ GridDriverOptions handle_grid_flags(const Flags& flags) {
     std::exit(0);
   }
   if (flags.has("threads")) {
-    const long threads = flags.get_long("threads", 0);
     ParallelExecutor::global().set_thread_count(
-        threads > 0 ? static_cast<std::size_t>(threads) : 1);
+        positive_count(flags.get("threads", ""), "--threads"));
   }
   GridDriverOptions options;
   options.scheduler = resolve_scheduler(flags);
+  options.scheduler.worker = worker;
   options.out = flags.get("out", "");
   options.resume = flags.get_bool("resume");
-  options.quiet = flags.get_bool("quiet");
   // Tracing resolves after the --serve branch on purpose: a worker never
   // sink-traces a whole run — it records per cell when a request's trace
   // field asks, and FEDHISYN_TRACE is deliberately not exported to children
@@ -237,7 +272,7 @@ std::vector<CellResult> run_grid(const std::vector<ExperimentSpec>& specs,
       results[i].result.comm_to_target = it->second.comm_to_target;
       results[i].result.rounds_to_target = it->second.rounds_to_target;
     }
-    if (!options.quiet && resumed_count > 0) {
+    if (!options.scheduler.worker.quiet && resumed_count > 0) {
       std::fprintf(stderr, "resume: %zu/%zu cells already complete in %s\n",
                    resumed_count, total, options.out.c_str());
     }
@@ -272,7 +307,7 @@ std::vector<CellResult> run_grid(const std::vector<ExperimentSpec>& specs,
       static counters::Histogram& latency =
           counters::histogram("grid.cell_seconds_us");
       latency.record(static_cast<std::uint64_t>(cell.seconds * 1e6));
-      if (options.quiet) return;
+      if (options.scheduler.worker.quiet) return;
       const double elapsed = trace::clock_seconds() - start;
       const double eta = elapsed / static_cast<double>(done) *
                          static_cast<double>(count - done);
@@ -308,24 +343,14 @@ std::vector<CellResult> run_grid(const std::vector<ExperimentSpec>& specs,
   return results;
 }
 
-std::vector<std::string> list_flag(const Flags& flags, const std::string& key,
-                                   const char* env_fallback,
-                                   std::vector<std::string> defaults) {
-  const std::string raw = flag_env_or(flags, key.c_str(), env_fallback, "");
-  if (raw.empty()) return defaults;
-  auto items = split_list(raw);
-  FEDHISYN_CHECK_MSG(!items.empty(), "--" << key << " given an empty list");
-  return items;
-}
-
 std::vector<std::string> datasets_from_flags(const Flags& flags,
                                              std::vector<std::string> defaults) {
-  return list_flag(flags, "dataset", "FEDHISYN_TABLE1_DATASET", std::move(defaults));
+  return list_flag(flags, "dataset", std::move(defaults));
 }
 
 std::vector<double> participations_from_flags(const Flags& flags,
                                               std::vector<double> defaults) {
-  const auto items = list_flag(flags, "part", "FEDHISYN_TABLE1_PART", {});
+  const auto items = list_flag(flags, "part", {});
   if (items.empty()) return defaults;
   std::vector<double> fractions;
   for (const auto& item : items) {
@@ -341,7 +366,7 @@ std::vector<double> participations_from_flags(const Flags& flags,
 
 std::vector<data::PartitionConfig> partitions_from_flags(
     const Flags& flags, std::vector<data::PartitionConfig> defaults) {
-  const auto items = list_flag(flags, "partition", nullptr, {});
+  const auto items = list_flag(flags, "partition", {});
   if (items.empty()) return defaults;
   std::vector<data::PartitionConfig> partitions;
   for (const auto& item : items) {

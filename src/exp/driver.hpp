@@ -15,9 +15,9 @@
 //                     spec key) and run only the rest; resumed lines are
 //                     re-emitted verbatim, so the final file is
 //                     byte-identical to an uninterrupted sweep
-//   --quiet           suppress the per-cell progress lines on stderr, and
-//                     (via FEDHISYN_QUIET, which spawned workers inherit)
-//                     the dispatch workers' cache and connection log lines
+//   --quiet           suppress the per-cell progress lines on stderr and the
+//                     dispatch workers' cache and connection log lines
+//                     (FEDHISYN_QUIET fallback)
 //   --trace FILE      write a Chrome-trace/Perfetto JSON timeline of the
 //                     sweep to FILE (FEDHISYN_TRACE fallback): executor
 //                     batches, round waves, GEMM calls, build-cache builds
@@ -34,14 +34,13 @@
 //                     byte budget in MiB (fractional ok) of the shared
 //                     BuiltExperiment cache (exp/build_cache.hpp); 0
 //                     disables caching, unset = a default holding the full
-//                     Table-1 sweep (FEDHISYN_BUILD_CACHE_MB, which child
-//                     workers inherit; a remote --serve worker reads its
-//                     *own* flag/env).  Never changes result bytes.
+//                     Table-1 sweep (FEDHISYN_BUILD_CACHE_MB fallback).
+//                     Never changes result bytes
 //   --gemm-kernel K   GEMM micro-kernel variant: auto (CPUID dispatch, the
 //                     default) | generic | avx2 | avx512 | neon, optionally
-//                     variant:MRxNR (FEDHISYN_GEMM_KERNEL, which child
-//                     workers inherit).  Bit-identical results either way;
-//                     an unsupported forced variant fails at startup
+//                     variant:MRxNR (FEDHISYN_GEMM_KERNEL fallback).
+//                     Bit-identical results either way; an unsupported
+//                     forced variant fails at startup
 //   --list-methods    print the registered algorithms (one description line
 //                     each) and exit
 //   --gemm-info       print the resolved GEMM dispatch state (selected
@@ -54,17 +53,19 @@
 //                     killed; --dispatch process spawns this binary with
 //                     --serve 127.0.0.1:0 for each worker
 //
-// --grid-jobs, --dispatch and --workers plus the env-only
-// FEDHISYN_WORKER_RETRIES and FEDHISYN_CELL_TIMEOUT_S are the coordinator
-// knobs: handle_grid_flags resolves them once (flag > env > default) into
-// GridDriverOptions::scheduler and check-fails on a malformed value before
-// anything touches --out.  No other code reads them.
+// handle_grid_flags resolves every knob once (flag > env > default) and
+// check-fails on a malformed value before anything touches --out: the
+// coordinator knobs (--grid-jobs, --dispatch, --workers and the env-only
+// FEDHISYN_WORKER_RETRIES / FEDHISYN_CELL_TIMEOUT_S) into
+// GridDriverOptions::scheduler, the worker knobs (--quiet,
+// --build-cache-mb) into scheduler.worker and --gemm-kernel into the
+// process-wide GEMM selection.  Spawned workers get all three as explicit
+// env overrides; tcp hosts read their own, so tcp rejects the latter two.
 //
-// Grid-restriction flags replace the old FEDHISYN_TABLE1_* getenv knobs;
-// the env vars remain as fallbacks for CI compatibility:
+// Grid-restriction flags, for the drivers that list them as their own:
 //
-//   --dataset a,b     restrict the dataset axis   (FEDHISYN_TABLE1_DATASET)
-//   --part 100,50     restrict participation %    (FEDHISYN_TABLE1_PART)
+//   --dataset a,b     restrict the dataset axis
+//   --part 100,50     restrict participation %
 //   --partition x,y   restrict partitions: iid | dir<beta> (e.g. dir0.3)
 #pragma once
 
@@ -79,16 +80,13 @@
 namespace fedhisyn::exp {
 
 struct GridDriverOptions {
-  /// How cells execute — grid jobs, backend, worker endpoints, retry and
-  /// deadline budget — as handle_grid_flags resolved them.  run_grid sets
-  /// `on_cell` itself.
+  /// How cells execute, as handle_grid_flags resolved it (worker.quiet also
+  /// silences the progress lines).  run_grid sets `on_cell` itself.
   GridScheduler::Options scheduler;
   /// Empty = no results file.
   std::string out;
   /// Skip cells whose spec key already sits in the --out JSONL.
   bool resume = false;
-  /// Suppress the per-cell progress lines on stderr.
-  bool quiet = false;
   /// Chrome-trace JSON output path (--trace / FEDHISYN_TRACE); empty = off.
   /// Non-empty enables trace recording for the whole run.
   std::string trace_out;
@@ -96,14 +94,18 @@ struct GridDriverOptions {
   std::string metrics_out;
 };
 
-/// Apply the flags shared by every grid driver: export --quiet /
-/// --build-cache-mb / --gemm-kernel to their env vars (before the --serve
-/// branch, so workers see them; --gemm-kernel is validated immediately),
-/// enter the --serve worker mode when requested, handle --list-methods /
-/// --gemm-info (print and exit), resize the global pool for --threads,
-/// resolve the coordinator knobs (check-failing on a malformed one) and
-/// --resume / --quiet, and capture --out.
-GridDriverOptions handle_grid_flags(const Flags& flags);
+/// --quiet / FEDHISYN_QUIET and --build-cache-mb / FEDHISYN_BUILD_CACHE_MB
+/// (flag > env > default); check-fails on a budget that is not a finite
+/// MiB count >= 0 whose byte count fits size_t.
+WorkerConfig resolve_worker_config(const Flags& flags);
+
+/// Apply the flags shared by every grid driver: reject flags outside that
+/// set and `own_flags`, resolve the worker knobs and select the GEMM kernel
+/// (logging it unless quiet), enter --serve mode when requested, handle
+/// --list-methods / --gemm-info (print and exit), resize the global pool
+/// for --threads, resolve the coordinator knobs, --resume and --out.
+GridDriverOptions handle_grid_flags(const Flags& flags,
+                                    const std::vector<std::string>& own_flags = {});
 
 /// Run a grid the standard way: honour --resume (scan `options.out` for
 /// finished cells and run only the rest), stream each finished cell's JSONL
@@ -119,19 +121,11 @@ GridDriverOptions handle_grid_flags(const Flags& flags);
 std::vector<CellResult> run_grid(const std::vector<ExperimentSpec>& specs,
                                  const GridDriverOptions& options);
 
-/// Comma-separated list flag with an env-var fallback: the flag value when
-/// present, else the env var `env_fallback` (when non-null and set), else
-/// `defaults`.
-std::vector<std::string> list_flag(const Flags& flags, const std::string& key,
-                                   const char* env_fallback,
-                                   std::vector<std::string> defaults);
-
-/// --dataset restriction with the FEDHISYN_TABLE1_DATASET fallback.
+/// --dataset restriction.
 std::vector<std::string> datasets_from_flags(const Flags& flags,
                                              std::vector<std::string> defaults);
 
-/// --part restriction (percent values: "100,50,10") with the
-/// FEDHISYN_TABLE1_PART fallback.  Returns fractions in [0, 1].
+/// --part restriction (percent: "100,50,10") as fractions in [0, 1].
 std::vector<double> participations_from_flags(const Flags& flags,
                                               std::vector<double> defaults);
 

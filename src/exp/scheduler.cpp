@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <mutex>
 #include <thread>
 
@@ -11,6 +12,7 @@
 #include "core/registry.hpp"
 #include "exp/build_cache.hpp"
 #include "exp/dispatch.hpp"
+#include "tensor/gemm_tune.hpp"
 
 namespace fedhisyn::exp {
 
@@ -28,6 +30,18 @@ void fill_cache_stats(CellResult& cell, const BuildCache& cache, bool hit) {
   cell.cache.evictions = stats.evictions;
   cell.cache.resident_bytes = stats.resident_bytes;
   cell.cache.resident_builds = stats.resident_builds;
+}
+
+/// The env overrides configuring a spawned --serve worker like this process
+/// (the budget's %.17g MiB text round-trips its byte count exactly).
+std::vector<std::string> spawn_env(const WorkerConfig& worker, std::size_t threads) {
+  char budget_mb[64];
+  std::snprintf(budget_mb, sizeof(budget_mb), "%.17g",
+                static_cast<double>(worker.build_cache_bytes) / (1024.0 * 1024.0));
+  return {"FEDHISYN_THREADS=" + std::to_string(threads),
+          std::string("FEDHISYN_BUILD_CACHE_MB=") + budget_mb,
+          std::string("FEDHISYN_QUIET=") + (worker.quiet ? "1" : "0"),
+          "FEDHISYN_GEMM_KERNEL=" + gemm_runtime_info().spec()};
 }
 
 }  // namespace
@@ -91,7 +105,7 @@ std::vector<CellResult> GridScheduler::run(
     if (options_.backend == CellBackend::kProcess) {
       const std::size_t jobs = resolved_jobs(specs.size());
       dispatch.spawn = jobs;
-      dispatch.threads_per_worker = inner_threads(jobs);
+      dispatch.spawn_env = spawn_env(options_.worker, inner_threads(jobs));
     } else {
       dispatch.hosts = options_.worker_hosts;
     }
@@ -101,7 +115,7 @@ std::vector<CellResult> GridScheduler::run(
     return TcpDispatcher(std::move(dispatch)).run(specs);
   }
 
-  BuildCache cache;
+  BuildCache cache(BuildCache::Config{options_.worker.build_cache_bytes, {}});
   struct Progress {
     Mutex mutex;
     std::size_t done FEDHISYN_GUARDED_BY(mutex) = 0;

@@ -18,9 +18,9 @@
 //
 // Builds are deduped through the shared exp::BuildCache (build_cache.hpp):
 // cells with equal spec.build_key() share one BuiltExperiment (e.g. Table 1
-// runs 7 methods per build), LRU-evicted under the FEDHISYN_BUILD_CACHE_MB
-// byte budget — the same class the dispatch workers use, so every backend
-// has identical caching semantics.
+// runs 7 methods per build), LRU-evicted under the WorkerConfig byte budget
+// — the same class the dispatch workers use, so every backend has identical
+// caching semantics.
 #pragma once
 
 #include <cstddef>
@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "core/runner.hpp"
+#include "exp/build_cache.hpp"
 #include "exp/spec.hpp"
 
 namespace fedhisyn::exp {
@@ -112,6 +113,15 @@ CellResult run_cell(const ExperimentSpec& spec, const core::BuiltExperiment& bui
 /// Convenience: build then run.
 CellResult run_cell(const ExperimentSpec& spec, const CellHooks& hooks = {});
 
+/// The knobs the coordinator and each --serve worker apply to themselves
+/// (exp::resolve_worker_config).
+struct WorkerConfig {
+  /// Silence the workers' per-build cache and connection log lines.
+  bool quiet = false;
+  /// BuildCache byte budget; 0 disables caching.
+  std::size_t build_cache_bytes = BuildCache::default_budget_bytes();
+};
+
 /// How GridScheduler executes cells:
 ///   kThread   worker threads in this process (the default);
 ///   kProcess  `jobs` crash-isolated `--serve` worker processes this binary
@@ -143,6 +153,8 @@ class GridScheduler {
     std::vector<std::string> worker_hosts;
     /// Process/tcp backends: per-cell deadline in seconds; 0 disables.
     double cell_timeout_s = 0.0;
+    /// Thread/process backends: this process's / the spawned workers' knobs.
+    WorkerConfig worker;
     /// Progress callback, invoked once per finished cell (serialised, in
     /// completion order): (cells done, cells total, the cell).
     std::function<void(std::size_t, std::size_t, const CellResult&)> on_cell;

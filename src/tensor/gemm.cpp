@@ -169,7 +169,7 @@ void run_micro_tile(const float* ap, const float* bp, float* c, std::int64_t n,
 // panel reuses its packed copy instead of re-packing.  Tasks are numbered
 // panel-major for exactly this reason.  Keying on the call id (not the B
 // pointer) makes stale hits impossible across calls — including across a
-// test-only gemm_runtime_reinit() changing the kernel between calls.
+// gemm_runtime_select() changing the kernel between calls.
 std::atomic<std::uint64_t> g_gemm_call_id{1};
 
 struct BPanelMemo {

@@ -4,12 +4,11 @@
 #include "tensor/gemm_tune.hpp"
 
 #include <array>
-#include <cstdio>
+#include <cstdlib>
 #include <sstream>
 #include <utility>
 
 #include "common/check.hpp"
-#include "common/env.hpp"
 
 namespace fedhisyn {
 
@@ -54,23 +53,12 @@ struct Runtime {
   const GemmKernel* kernel = nullptr;
 };
 
-void log_selection_once(const GemmRuntimeInfo& info) {
-  static bool logged = false;  // once per process, not per reinit
-  if (logged) return;
-  logged = true;
-  if (quiet_from_env()) return;
-  std::string line = "fedhisyn: gemm variant=" + info.variant;
-  if (!info.forced_kernel.empty()) line += " kernel=" + info.forced_kernel;
-  std::fprintf(stderr, "%s\n", line.c_str());
-}
-
-/// Resolve FEDHISYN_GEMM_KERNEL into a Runtime: the forced variant (and
-/// tile, when pinned), else the best supported ISA with its preferred tile.
-/// Throws CheckError on an unknown or unsupported variant or an unknown
-/// kernel label; callers leave the previous selection in place.
-Runtime build_runtime() {
+/// Resolve a kernel spec into a Runtime: the forced variant (and tile, when
+/// pinned), else the best supported ISA with its preferred tile.  Throws
+/// CheckError on an unknown or unsupported variant or an unknown kernel
+/// label; callers leave the previous selection in place.
+Runtime build_runtime(const std::string& spec) {
   Runtime rt;
-  const std::string spec = gemm_kernel_from_env();
   const GemmVariant* variant = nullptr;
   if (spec.empty() || spec == "auto") {
     for (const GemmVariant* candidate : all_variants()) {
@@ -85,16 +73,16 @@ Runtime build_runtime() {
     const std::string name = spec.substr(0, colon);
     variant = find_variant(name);
     FEDHISYN_CHECK_MSG(variant != nullptr,
-                       "FEDHISYN_GEMM_KERNEL names unknown variant '"
+                       "GEMM kernel '" << spec << "' names unknown variant '"
                            << name << "' (generic|avx2|avx512|neon|auto)");
     FEDHISYN_CHECK_MSG(variant_usable(*variant),
-                       "FEDHISYN_GEMM_KERNEL forces variant '"
+                       "GEMM kernel '" << spec << "' forces variant '"
                            << name << "' but this CPU does not support it");
     if (colon != std::string::npos) {
       const std::string label = spec.substr(colon + 1);
       rt.kernel = find_kernel(*variant, label);
       FEDHISYN_CHECK_MSG(rt.kernel != nullptr,
-                         "FEDHISYN_GEMM_KERNEL forces unknown kernel '"
+                         "GEMM kernel '" << spec << "' forces unknown kernel '"
                              << label << "' of variant '" << name << "'");
       rt.info.forced_kernel = label;
     }
@@ -104,11 +92,14 @@ Runtime build_runtime() {
   return rt;
 }
 
-Runtime& runtime_slot() {
-  static Runtime runtime = [] {
-    Runtime rt = build_runtime();
-    log_selection_once(rt.info);
-    return rt;
+/// The process-wide selection.  Its first use initialises it: from `first`
+/// when gemm_runtime_select got there first, else from FEDHISYN_GEMM_KERNEL
+/// (the one read of it, for binaries that never select).
+Runtime& runtime_slot(const Runtime* first = nullptr) {
+  static Runtime runtime = [first] {
+    if (first != nullptr) return *first;
+    const char* spec = std::getenv("FEDHISYN_GEMM_KERNEL");
+    return build_runtime(spec != nullptr ? spec : "auto");
   }();
   return runtime;
 }
@@ -124,10 +115,9 @@ const GemmRuntimeInfo& gemm_runtime_info() { return runtime_slot().info; }
 
 const GemmKernel& gemm_runtime_config() { return *runtime_slot().kernel; }
 
-void gemm_runtime_reinit() {
-  Runtime fresh = build_runtime();  // may throw: slot stays untouched
-  log_selection_once(fresh.info);
-  runtime_slot() = std::move(fresh);
+void gemm_runtime_select(const std::string& spec) {
+  Runtime fresh = build_runtime(spec);  // may throw: slot stays untouched
+  runtime_slot(&fresh) = std::move(fresh);
 }
 
 std::vector<std::string> gemm_supported_variants() {

@@ -1,14 +1,15 @@
 // Runtime kernel selection for the blocked GEMM family.
 //
 // The micro-kernel variants (gemm_kernel.hpp) all produce identical bits, so
-// which one runs is a pure performance decision.  This layer makes that
-// decision once per process and resolves it to one kernel:
-// FEDHISYN_GEMM_KERNEL forces a variant ("generic" | "avx2" | "avx512" |
-// "neon", optionally "variant:MRxNR" to pin the register tile); "auto" or
-// unset picks the best ISA the CPU supports (avx512 > avx2 > neon > generic,
-// probed via __builtin_cpu_supports on x86) with its preferred tile.  The
-// driver derives the tile-grid sizes from that tile (gemmk::panel_width,
-// gemmk::task_rows), so every call in the process runs one schedule.
+// which one runs is a pure performance decision.  This layer holds it as
+// process-wide state, resolved from a spec to one kernel: a forced variant
+// ("generic" | "avx2" | "avx512" | "neon", optionally "variant:MRxNR" to
+// pin the register tile), or "auto" for the best ISA the CPU supports
+// (avx512 > avx2 > neon > generic, probed via __builtin_cpu_supports on
+// x86) with its preferred tile.  The spec comes from gemm_runtime_select,
+// else FEDHISYN_GEMM_KERNEL at first use.  The driver derives the tile-grid
+// sizes from that tile (gemmk::panel_width, gemmk::task_rows), so every
+// call in the process runs one schedule.
 //
 // None of this can change result bytes — only scheduling.  The equivalence
 // suite in tests/tensor_test.cpp forces every catalog entry and demands
@@ -37,22 +38,23 @@ std::string gemm_shape_class(gemmk::GemmOp op, std::int64_t n);
 /// --gemm-info diagnostic).
 struct GemmRuntimeInfo {
   std::string variant;        // selected variant name
-  std::string forced_kernel;  // non-empty when FEDHISYN_GEMM_KERNEL pinned a label
+  std::string forced_kernel;  // non-empty when the spec pinned a tile label
+
+  /// The spec selecting exactly this kernel: "avx512" or "avx2:6x16".
+  std::string spec() const {
+    return forced_kernel.empty() ? variant : variant + ":" + forced_kernel;
+  }
 };
 const GemmRuntimeInfo& gemm_runtime_info();
 
-/// The kernel the public gemm entry points execute.  Resolves the
-/// process-wide selection on first use (logging one startup line unless
-/// FEDHISYN_QUIET).
+/// The kernel the public gemm entry points execute.
 const gemmk::GemmKernel& gemm_runtime_config();
 
-/// Drop the resolved selection and re-read the environment on next use.
-/// Test/bench hook only (documented in docs/ARCHITECTURE.md): lets the
-/// equivalence suite and the bench sweep force kernels via setenv without
-/// process restarts.  Not thread-safe against concurrent gemm calls.  Throws
-/// CheckError (leaving the previous selection intact) when the environment
-/// forces an unsupported variant or an unknown kernel label.
-void gemm_runtime_reinit();
+/// Replace the selection with the one `spec` names (grid drivers at
+/// startup; tests and benches flipping kernels).  Not thread-safe against
+/// concurrent gemm calls.  Throws CheckError, keeping the previous
+/// selection, on an unknown or unsupported variant or kernel label.
+void gemm_runtime_select(const std::string& spec);
 
 /// Names of the variants this CPU can run, auto-preference order first.
 std::vector<std::string> gemm_supported_variants();

@@ -1,10 +1,10 @@
 // Tests for the shared multi-build LRU BuildCache (exp/build_cache.hpp):
 // BuiltExperiment::memory_bytes() sizing, hit/miss counter semantics and
 // pointer sharing, LRU eviction under a byte budget, the disabled (budget 0)
-// mode, same-key build deduplication under concurrency, the
-// FEDHISYN_BUILD_CACHE_MB budget resolution, the coordinator's build-affinity
-// pass (observed end-to-end through the process backend's per-cell cache
-// stats), and a resident --serve worker staying warm across connections.
+// mode, same-key build deduplication under concurrency, the coordinator's
+// build-affinity pass (observed end-to-end through the process backend's
+// per-cell cache stats), and a resident --serve worker staying warm across
+// connections.
 //
 // This binary has a custom main like dispatch_test: invoked with --serve it
 // becomes a dispatch worker (the process/tcp tests spawn it), otherwise it
@@ -45,31 +45,6 @@ ExperimentGrid tiny_grid() {
   grid.base().target = 0.999f;
   return grid;
 }
-
-/// RAII env override (restores the previous value, or unsets).
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    if (old != nullptr) {
-      had_old_ = true;
-      old_ = old;
-    }
-    ::setenv(name, value, 1);
-  }
-  ~ScopedEnv() {
-    if (had_old_) {
-      ::setenv(name_, old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  bool had_old_ = false;
-  std::string old_;
-};
 
 /// A resident `--serve` worker: this test binary self-exec'd on an ephemeral
 /// loopback port, endpoint parsed back from its announce line.  Killed (and
@@ -240,26 +215,6 @@ TEST(BuildCache, ConcurrentSameKeyCallersShareOneBuild) {
   EXPECT_EQ(stats.resident_builds, 1u);
 }
 
-// ------------------------------------------------------------ env budget --
-
-TEST(BuildCache, BudgetResolvesFromEnv) {
-  EXPECT_EQ(BuildCache::budget_bytes_from_env(), BuildCache::default_budget_bytes());
-  {
-    ScopedEnv mb("FEDHISYN_BUILD_CACHE_MB", "1.5");
-    EXPECT_EQ(BuildCache::budget_bytes_from_env(),
-              static_cast<std::size_t>(1.5 * 1024 * 1024));
-  }
-  {
-    ScopedEnv mb("FEDHISYN_BUILD_CACHE_MB", "0");
-    EXPECT_EQ(BuildCache::budget_bytes_from_env(), 0u);  // disabled
-  }
-  {
-    ScopedEnv mb("FEDHISYN_BUILD_CACHE_MB", "garbage");
-    EXPECT_EQ(BuildCache::budget_bytes_from_env(),
-              BuildCache::default_budget_bytes());
-  }
-}
-
 // ------------------------------------------- dispatch: affinity + stats --
 
 TEST(DispatchCache, AffinityDrainsInterleavedBuildsWithoutThrashing) {
@@ -286,17 +241,17 @@ TEST(DispatchCache, AffinityDrainsInterleavedBuildsWithoutThrashing) {
   const auto serial = GridScheduler(serial_options).run(specs);
 
   // Budget: 1.5 builds — one resident at a time (both builds are the same
-  // size: same scale, different seed).  Workers inherit the env var.
+  // size: same scale, different seed), handed to the worker as an override.
   const double budget_mb =
       1.5 * static_cast<double>(build_for(specs[0])->memory_bytes()) /
       (1024.0 * 1024.0);
   char budget_text[64];
   std::snprintf(budget_text, sizeof(budget_text), "%.9g", budget_mb);
-  ScopedEnv budget("FEDHISYN_BUILD_CACHE_MB", budget_text);
-  ScopedEnv quiet("FEDHISYN_QUIET", "1");
 
   TcpDispatcher::Options options;
   options.spawn = 1;
+  options.spawn_env = {std::string("FEDHISYN_BUILD_CACHE_MB=") + budget_text,
+                       "FEDHISYN_QUIET=1"};
   const auto process = TcpDispatcher(options).run(specs);
   ASSERT_EQ(process.size(), 4u);
 

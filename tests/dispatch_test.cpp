@@ -3,9 +3,9 @@
 // thread- vs process- vs tcp- vs serial-backend byte-identity, crash
 // isolation (a worker killed mid-cell — child process or remote connection —
 // is retried and the sweep survives), hung-worker deadlines (the per-cell
-// timeout kills and retries under crash accounting), the coordinator knobs
-// handle_grid_flags resolves, --resume semantics, and the atomic /
-// append-safe result sinks.
+// timeout kills and retries under crash accounting), the coordinator and
+// worker knobs handle_grid_flags resolves, --resume semantics, and the
+// atomic / append-safe result sinks.
 //
 // This binary has a custom main: invoked with --serve it becomes a dispatch
 // worker (a dispatcher with `spawn` set runs the running binary, i.e. this
@@ -39,6 +39,7 @@
 #include "exp/grid.hpp"
 #include "exp/scheduler.hpp"
 #include "exp/sinks.hpp"
+#include "tensor/gemm_tune.hpp"
 
 namespace fedhisyn::exp {
 namespace {
@@ -358,12 +359,10 @@ TEST(Dispatch, DisabledBuildCacheIsByteIdenticalToTheDefault) {
     GridScheduler::Options options;
     options.jobs = 1;
     options.backend = backend;
+    GridScheduler::Options disabled = options;
+    disabled.worker.build_cache_bytes = 0;
 
-    std::vector<CellResult> cold;
-    {
-      ScopedEnv disable("FEDHISYN_BUILD_CACHE_MB", "0");
-      cold = GridScheduler(options).run(specs);
-    }
+    const auto cold = GridScheduler(disabled).run(specs);
     const auto warm = GridScheduler(options).run(specs);
 
     ASSERT_EQ(cold.size(), warm.size());
@@ -380,6 +379,27 @@ TEST(Dispatch, DisabledBuildCacheIsByteIdenticalToTheDefault) {
     EXPECT_EQ(cold[3].cache.misses, 4u);
     EXPECT_TRUE(warm[2].cache.hit);
     EXPECT_TRUE(warm[3].cache.hit);
+  }
+}
+
+TEST(Dispatch, SpawnedWorkersTakeTheBudgetTheCoordinatorResolved) {
+  // With FEDHISYN_BUILD_CACHE_MB unset, --build-cache-mb 0 can reach a
+  // spawned worker only through the dispatcher's explicit overrides.  Three
+  // methods share one build: a disabled cache misses on every cell, the
+  // default would hit on two.
+  ScopedEnv unset("FEDHISYN_BUILD_CACHE_MB", nullptr);
+  auto grid = tiny_grid();
+  grid.methods({"FedAvg", "FedHiSyn", "FedAT"});
+  const auto specs = grid.expand();
+  const char* argv[] = {"--dispatch", "process", "--build-cache-mb", "0", "--quiet"};
+  const GridDriverOptions options = handle_grid_flags(Flags::parse(5, argv));
+  const auto cells = run_grid(specs, options);
+  ASSERT_EQ(cells.size(), specs.size());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    ASSERT_TRUE(cells[i].cache.valid) << i;
+    EXPECT_FALSE(cells[i].cache.hit) << i;
+    EXPECT_EQ(cells[i].cache.misses, i + 1) << i;
+    EXPECT_EQ(cells[i].cache.resident_builds, 0u) << i;
   }
 }
 
@@ -682,13 +702,17 @@ TEST(TcpDispatch, NoWorkersConfiguredCheckFails) {
 
 using EnvList = std::vector<std::pair<std::string, std::string>>;
 
-/// handle_grid_flags on `args`, with the five coordinator env vars unset
-/// except those `env` sets.
+/// handle_grid_flags on `args` (accepting the caller's `own_flags`), with
+/// the five coordinator and three worker env vars unset except those `env`
+/// sets.
 GridDriverOptions resolve_grid_flags(const std::vector<std::string>& args,
-                                     const EnvList& env) {
+                                     const EnvList& env,
+                                     const std::vector<std::string>& own_flags = {}) {
   std::vector<std::unique_ptr<ScopedEnv>> scoped;
-  for (const char* name : {"FEDHISYN_GRID_JOBS", "FEDHISYN_DISPATCH", "FEDHISYN_WORKERS",
-                           "FEDHISYN_WORKER_RETRIES", "FEDHISYN_CELL_TIMEOUT_S"}) {
+  for (const char* name :
+       {"FEDHISYN_GRID_JOBS", "FEDHISYN_DISPATCH", "FEDHISYN_WORKERS",
+        "FEDHISYN_WORKER_RETRIES", "FEDHISYN_CELL_TIMEOUT_S", "FEDHISYN_QUIET",
+        "FEDHISYN_BUILD_CACHE_MB", "FEDHISYN_GEMM_KERNEL"}) {
     const char* value = nullptr;
     for (const auto& [key, text] : env) {
       if (key == name) value = text.c_str();
@@ -697,7 +721,8 @@ GridDriverOptions resolve_grid_flags(const std::vector<std::string>& args,
   }
   std::vector<const char*> argv;
   for (const auto& arg : args) argv.push_back(arg.c_str());
-  return handle_grid_flags(Flags::parse(static_cast<int>(argv.size()), argv.data()));
+  return handle_grid_flags(Flags::parse(static_cast<int>(argv.size()), argv.data()),
+                           own_flags);
 }
 
 TEST(GridFlags, ResolveFlagThenEnvThenDefault) {
@@ -754,6 +779,49 @@ TEST(GridFlags, ResolveFlagThenEnvThenDefault) {
     EXPECT_EQ(options.cell_timeout_s, c.cell_timeout_s);
   }
 
+  // The worker knobs: quiet, the cache budget, and the GEMM kernel the
+  // process selected.
+  struct Worker {
+    const char* name;
+    std::vector<std::string> args;
+    EnvList env;
+    bool quiet;
+    std::size_t cache_bytes;
+    std::string gemm;
+  };
+  const std::size_t fallback = BuildCache::default_budget_bytes();
+  const std::string automatic = gemm_supported_variants().front();
+  const std::vector<Worker> workers = {
+      {"worker defaults", {}, {}, false, fallback, automatic},
+      {"quiet flag", {"--quiet"}, {}, true, fallback, automatic},
+      {"quiet from env", {}, {{"FEDHISYN_QUIET", "1"}}, true, fallback, automatic},
+      {"quiet flag beats env", {"--quiet"}, {{"FEDHISYN_QUIET", "off"}}, true, fallback,
+       automatic},
+      {"quiet env off", {}, {{"FEDHISYN_QUIET", "off"}}, false, fallback, automatic},
+      {"budget from env", {}, {{"FEDHISYN_BUILD_CACHE_MB", "1.5"}}, false,
+       std::size_t{3} << 19, automatic},
+      {"budget flag beats env",
+       {"--build-cache-mb", "0"},
+       {{"FEDHISYN_BUILD_CACHE_MB", "1.5"}},
+       false, 0, automatic},
+      {"budget with the process backend", {"--dispatch", "process", "--build-cache-mb", "0"},
+       {}, false, 0, automatic},
+      {"kernel from env", {}, {{"FEDHISYN_GEMM_KERNEL", "generic"}}, false, fallback,
+       "generic"},
+      {"kernel flag beats env",
+       {"--gemm-kernel", "generic:4x8"},
+       {{"FEDHISYN_GEMM_KERNEL", "bogus"}},
+       false, fallback, "generic:4x8"},
+      {"kernel back to auto", {}, {}, false, fallback, automatic},
+  };
+  for (const Worker& c : workers) {
+    SCOPED_TRACE(c.name);
+    const WorkerConfig worker = resolve_grid_flags(c.args, c.env).scheduler.worker;
+    EXPECT_EQ(worker.quiet, c.quiet);
+    EXPECT_EQ(worker.build_cache_bytes, c.cache_bytes);
+    EXPECT_EQ(gemm_runtime_info().spec(), c.gemm);
+  }
+
   struct Rejected {
     const char* name;
     std::vector<std::string> args;
@@ -777,11 +845,45 @@ TEST(GridFlags, ResolveFlagThenEnvThenDefault) {
       {"non-numeric retries", {}, {{"FEDHISYN_WORKER_RETRIES", "lots"}}},
       {"non-numeric timeout", {}, {{"FEDHISYN_CELL_TIMEOUT_S", "soon"}}},
       {"unbounded timeout", {}, {{"FEDHISYN_CELL_TIMEOUT_S", "inf"}}},
+      {"negative budget", {"--build-cache-mb", "-1"}, {}},
+      {"garbage budget env", {}, {{"FEDHISYN_BUILD_CACHE_MB", "garbage"}}},
+      {"infinite budget", {"--build-cache-mb", "inf"}, {}},
+      {"infinite budget env", {}, {{"FEDHISYN_BUILD_CACHE_MB", "inf"}}},
+      {"budget past size_t", {"--build-cache-mb", "1e30"}, {}},
+      {"budget past size_t env", {}, {{"FEDHISYN_BUILD_CACHE_MB", "1e30"}}},
+      {"NaN budget", {"--build-cache-mb", "nan"}, {}},
+      {"NaN budget env", {}, {{"FEDHISYN_BUILD_CACHE_MB", "nan"}}},
+      {"unknown kernel", {"--gemm-kernel", "bogus"}, {}},
+      {"unknown kernel env", {}, {{"FEDHISYN_GEMM_KERNEL", "bogus"}}},
+      {"unknown kernel tile", {"--gemm-kernel", "generic:9x9"}, {}},
+      {"--gemm-kernel with tcp",
+       {"--dispatch", "tcp", "--workers", "hostA:7800", "--gemm-kernel", "generic"},
+       {}},
+      {"--build-cache-mb with tcp",
+       {"--dispatch", "tcp", "--workers", "hostA:7800", "--build-cache-mb", "0"},
+       {}},
+      {"non-numeric --threads", {"--threads", "abc"}, {}},
+      {"zero --threads", {"--threads", "0"}, {}},
+      {"negative --threads", {"--threads", "-3"}, {}},
   };
   for (const Rejected& c : rejected) {
     SCOPED_TRACE(c.name);
     EXPECT_THROW(resolve_grid_flags(c.args, c.env), CheckError);
   }
+  // The tcp row selected "generic" before its backend check failed; leave
+  // the process on the default kernel for the tests after this one.
+  gemm_runtime_select("auto");
+}
+
+TEST(GridFlags, UnknownFlagsAreRejected) {
+  // A flag nothing reads any more (the autotuner's cache went in an earlier
+  // cleanup) fails instead of being silently ignored.
+  EXPECT_THROW(resolve_grid_flags({"--gemm-tune-cache", "tune.json"}, {}), CheckError);
+  // A grid-restriction flag is accepted only from a caller that lists it.
+  EXPECT_THROW(resolve_grid_flags({"--dataset", "mnist"}, {}), CheckError);
+  EXPECT_EQ(resolve_grid_flags({"--dataset", "mnist", "--grid-jobs", "2"}, {}, {"dataset"})
+                .scheduler.jobs,
+            2u);
 }
 
 // ---------------------------------------------------------------- resume --
@@ -795,7 +897,7 @@ TEST(RunGrid, ResumeSkipsCompletedCellsAndReproducesTheFileByteExactly) {
 
   GridDriverOptions full_options;
   full_options.out = full_path;
-  full_options.quiet = true;
+  full_options.scheduler.worker.quiet = true;
   const auto full = run_grid(specs, full_options);
   ASSERT_EQ(full.size(), specs.size());
   const auto full_lines = read_lines(full_path);
@@ -813,7 +915,7 @@ TEST(RunGrid, ResumeSkipsCompletedCellsAndReproducesTheFileByteExactly) {
   ScopedEnv crash("FEDHISYN_TEST_CRASH", "FedHiSyn");
   GridDriverOptions resume_options;
   resume_options.out = resume_path;
-  resume_options.quiet = true;
+  resume_options.scheduler.worker.quiet = true;
   resume_options.resume = true;
   resume_options.scheduler.backend = CellBackend::kProcess;
   const auto resumed = run_grid(specs, resume_options);

@@ -1,8 +1,8 @@
 // Unit tests for src/tensor: GEMM kernels against a naive reference and an
 // order-exact reference (exact float equality — the blocked kernel must
 // preserve the per-element reduction order), the kernel-variant equivalence
-// matrix (every ISA micro-kernel forced via FEDHISYN_GEMM_KERNEL must
-// reproduce the same bits), the tuning-cache round trip, softmax/xent
+// matrix (every ISA micro-kernel forced via gemm_runtime_select must
+// reproduce the same bits), the runtime selection, softmax/xent
 // numerics, im2col/col2im adjointness, elementwise ops.
 #include <gtest/gtest.h>
 
@@ -266,43 +266,24 @@ INSTANTIATE_TEST_SUITE_P(EdgeShapes, GemmExactShapes,
 
 // --- kernel-variant equivalence + runtime selection --------------------------
 
-/// RAII wrapper around the documented test-only reinit hook
-/// (gemm_runtime_reinit, see docs/ARCHITECTURE.md): set one env var
-/// (nullptr unsets it), re-resolve the runtime selection, restore both on
+/// RAII kernel override through gemm_runtime_select (see
+/// docs/ARCHITECTURE.md): select `spec`, restore the previous selection on
 /// exit.
-class ScopedGemmEnv {
+class ScopedGemmKernel {
  public:
-  ScopedGemmEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_old_ = old != nullptr;
-    if (had_old_) old_ = old;
-    if (value == nullptr) {
-      unsetenv(name);
-    } else {
-      setenv(name, value, /*overwrite=*/1);
-    }
-    gemm_runtime_reinit();
+  explicit ScopedGemmKernel(const std::string& spec)
+      : previous_(gemm_runtime_info().spec()) {
+    gemm_runtime_select(spec);
   }
-  ~ScopedGemmEnv() {
-    if (had_old_) {
-      setenv(name_.c_str(), old_.c_str(), /*overwrite=*/1);
-    } else {
-      unsetenv(name_.c_str());
-    }
-    // Restores run innermost-first, so by the time the outermost scope
-    // unwinds the environment is valid again; swallow nothing silently.
-    gemm_runtime_reinit();
-  }
-  ScopedGemmEnv(const ScopedGemmEnv&) = delete;
-  ScopedGemmEnv& operator=(const ScopedGemmEnv&) = delete;
+  ~ScopedGemmKernel() { gemm_runtime_select(previous_); }
+  ScopedGemmKernel(const ScopedGemmKernel&) = delete;
+  ScopedGemmKernel& operator=(const ScopedGemmKernel&) = delete;
 
  private:
-  std::string name_;
-  std::string old_;
-  bool had_old_ = false;
+  std::string previous_;
 };
 
-// Every runnable (variant, kernel) catalog entry, forced via the env knob,
+// Every runnable (variant, kernel) catalog entry, forced via the selection,
 // must reproduce the order-exact reference bits on every edge shape, every
 // beta, all three ops.  The references are the same anchor the default-kernel
 // suite uses, so this is transitively exact equality across all variants.
@@ -312,7 +293,7 @@ TEST(GemmKernelMatrix, AllCatalogEntriesBitIdenticalToOrderExactReference) {
   for (const GemmKernelId& id : catalog) {
     const std::string spec = id.variant + ":" + id.kernel;
     SCOPED_TRACE(spec);
-    ScopedGemmEnv forced("FEDHISYN_GEMM_KERNEL", spec.c_str());
+    ScopedGemmKernel forced(spec);
     EXPECT_EQ(gemm_runtime_info().variant, id.variant);
     EXPECT_EQ(gemm_runtime_info().forced_kernel, id.kernel);
     for (const auto& shape : kGemmEdgeShapes) {
@@ -326,16 +307,12 @@ TEST(GemmKernelMatrix, AllCatalogEntriesBitIdenticalToOrderExactReference) {
 }
 
 TEST(GemmKernelMatrix, ForcedBadOrUnsupportedVariantFailsLoudly) {
-  const char* old = std::getenv("FEDHISYN_GEMM_KERNEL");
-  const std::string saved = old != nullptr ? old : "";
-  const bool had_old = old != nullptr;
+  const std::string before = gemm_runtime_info().spec();
 
   // Unknown variant name.
-  setenv("FEDHISYN_GEMM_KERNEL", "bogus", /*overwrite=*/1);
-  EXPECT_THROW(gemm_runtime_reinit(), CheckError);
+  EXPECT_THROW(gemm_runtime_select("bogus"), CheckError);
   // Known variant, unknown register-tile label.
-  setenv("FEDHISYN_GEMM_KERNEL", "generic:9x9", /*overwrite=*/1);
-  EXPECT_THROW(gemm_runtime_reinit(), CheckError);
+  EXPECT_THROW(gemm_runtime_select("generic:9x9"), CheckError);
   // A real variant this CPU cannot run (neon on x86, avx2 on aarch64 — one
   // of the three always qualifies).
   const auto supported = gemm_supported_variants();
@@ -344,18 +321,12 @@ TEST(GemmKernelMatrix, ForcedBadOrUnsupportedVariantFailsLoudly) {
         supported.end()) {
       continue;
     }
-    setenv("FEDHISYN_GEMM_KERNEL", candidate.c_str(), /*overwrite=*/1);
-    EXPECT_THROW(gemm_runtime_reinit(), CheckError);
+    EXPECT_THROW(gemm_runtime_select(candidate), CheckError);
     break;
   }
 
-  // A failed reinit leaves the previous (valid) selection intact.
-  if (had_old) {
-    setenv("FEDHISYN_GEMM_KERNEL", saved.c_str(), /*overwrite=*/1);
-  } else {
-    unsetenv("FEDHISYN_GEMM_KERNEL");
-  }
-  gemm_runtime_reinit();
+  // A failed select leaves the previous (valid) selection intact.
+  EXPECT_EQ(gemm_runtime_info().spec(), before);
   Rng rng(11);
   const auto a = random_vec(4 * 6, rng);
   const auto b = random_vec(6 * 5, rng);
@@ -377,7 +348,7 @@ TEST(GemmRuntime, InfoStringReportsTheOneResolvedSchedule) {
   for (const GemmKernelId& id : gemm_kernel_catalog()) {
     const std::string spec = id.variant + ":" + id.kernel;
     SCOPED_TRACE(spec);
-    ScopedGemmEnv forced("FEDHISYN_GEMM_KERNEL", spec.c_str());
+    ScopedGemmKernel forced(spec);
     long long mr = 0;
     long long nr = 0;
     ASSERT_EQ(std::sscanf(id.kernel.c_str(), "%lldx%lld", &mr, &nr), 2);
@@ -399,7 +370,7 @@ TEST(GemmRuntime, InfoStringReportsTheOneResolvedSchedule) {
     ASSERT_NE(first, std::string::npos);
     EXPECT_EQ(info.find(" nc=", first + 1), std::string::npos) << info;
   }
-  ScopedGemmEnv automatic("FEDHISYN_GEMM_KERNEL", nullptr);
+  ScopedGemmKernel automatic("auto");
   EXPECT_NE(gemm_info_string().find("  forced kernel:  (none)\n"),
             std::string::npos);
 }

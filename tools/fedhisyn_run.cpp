@@ -34,7 +34,8 @@
 //
 // Like every grid driver, the binary also understands --serve [BIND:]PORT
 // (become a dispatch worker; see exp/dispatch.hpp), which is how a
-// --dispatch=process parent spawns its workers.
+// --dispatch=process parent spawns its workers, and rejects any flag
+// outside these and the shared grid-driver set (exp/driver.hpp).
 #include <cstdio>
 #include <fstream>
 
@@ -86,8 +87,13 @@ int main(int argc, char** argv) {
 
 int run_experiment(const fedhisyn::Flags& flags) {
   using namespace fedhisyn;
-  // Shared grid-driver flags: --threads, --list-methods, --out.
-  const auto grid_options = exp::handle_grid_flags(flags);
+  // Shared grid-driver flags (--threads, --list-methods, --out, ...) plus
+  // this tool's experiment-definition flags; anything else is rejected.
+  const auto grid_options = exp::handle_grid_flags(
+      flags, {"dataset", "method", "rounds", "devices", "iid", "beta", "participation",
+              "clusters", "lr", "epochs", "batch", "momentum", "ring-order", "aggregation",
+              "heterogeneity", "cnn", "seed", "target", "eval-every", "history-csv",
+              "save-model"});
 
   exp::ExperimentSpec spec;
   spec.build.dataset = flags.get("dataset", "mnist");

@@ -23,6 +23,11 @@ failing on source patterns that are known to break bit-identity:
   par-stl    std::reduce / std::transform_reduce / std::execution — the
              parallel STL reassociates floating-point reductions; reduction
              order must stay explicit.
+  setenv     setenv / unsetenv — the environment is process-global mutable
+             state.  Every knob is resolved once (exp::handle_grid_flags)
+             and passed on explicitly; a spawned worker gets its values as
+             Subprocess env overrides.  Also enforced over bench/ (run with
+             --rules setenv there).
   global     mutable non-const globals (the repo's g_ naming convention, or
              file-scope `static` definitions) outside registered
              construct-on-first-use singletons — cross-run mutable state is
@@ -68,6 +73,7 @@ PATTERN_RULES = [
         ),
     ),
     ("omp", re.compile(r"#\s*pragma\s+omp\b")),
+    ("setenv", re.compile(r"(?<![\w])(?:un)?setenv\s*\(")),
     (
         "par-stl",
         re.compile(r"std::reduce\b|std::transform_reduce\b|std::execution\b"),
@@ -173,8 +179,11 @@ def iter_source_files(root):
                 yield os.path.join(directory, name)
 
 
-def lint(root, entries):
-    """Returns a list of (rel_path, line_number, rule, raw_line) violations."""
+def lint(root, entries, rules=None):
+    """Returns a list of (rel_path, line_number, rule, raw_line) violations,
+    checking only `rules` when given."""
+    enabled = set(RULE_IDS if rules is None else rules)
+    pattern_rules = [(rule, pattern) for rule, pattern in PATTERN_RULES if rule in enabled]
     violations = []
     for path in iter_source_files(root):
         rel = os.path.relpath(path, root)
@@ -185,17 +194,21 @@ def lint(root, entries):
                 code = stripper.strip(raw)
                 if not code.strip():
                     continue
-                for rule, pattern in PATTERN_RULES:
+                for rule, pattern in pattern_rules:
                     if pattern.search(code) and not allowed(entries, rule, rel, raw):
                         violations.append((rel, number, rule, raw.strip()))
-                if check_global(code) and not allowed(entries, "global", rel, raw):
+                if (
+                    "global" in enabled
+                    and check_global(code)
+                    and not allowed(entries, "global", rel, raw)
+                ):
                     violations.append((rel, number, "global", raw.strip()))
     return violations
 
 
-def run(root, allowlist_path):
+def run(root, allowlist_path, rules=None):
     entries = load_allowlist(allowlist_path)
-    violations = lint(root, entries)
+    violations = lint(root, entries, rules)
     for rel, number, rule, text in violations:
         print(f"{os.path.join(root, rel)}:{number}: [{rule}] {text}")
     stale = [entry for entry in entries if not entry.used]
@@ -239,6 +252,10 @@ FIXTURES = {
         "double bad_sum = std::reduce(v.begin(), v.end());\n"
         "double ok_sum = std::reduce(v.begin(), v.end());  // determinism: twin-par-stl\n"
     ),
+    "setenv": (
+        "void bad() { ::setenv(\"FEDHISYN_QUIET\", \"1\", 1); unsetenv(\"X\"); }\n"
+        "void ok() { setenv(\"X\", \"1\", 1); }  // determinism: twin-setenv\n"
+    ),
     "global": (
         "static int g_bad_counter = 0;\n"
         "static int g_ok_counter = 0;  // determinism: twin-global\n"
@@ -257,6 +274,7 @@ CLEAN_FIXTURE = (
     "  return instance;\n"
     "}\n"
     "void strftime_like(int runtime_t) { (void)runtime_t; }\n"
+    "std::vector<std::string> spawn_env = {\"FEDHISYN_QUIET=1\"};\n"
 )
 
 
@@ -291,6 +309,11 @@ def self_test():
         if allowed(entries, "rng", "fixture_omp.cpp", "std::rand()"):
             failures.append("allowlist leaked across rule/path boundaries")
 
+        # --rules narrows the pass: only the named rule fires.
+        got = {(rel, rule) for rel, _, rule, _ in lint(root, [], rules=["setenv"])}
+        if got != {("fixture_setenv.cpp", "setenv")}:
+            failures.append(f"--rules setenv fired {sorted(got)}")
+
     if failures:
         for failure in failures:
             print(f"self-test FAIL: {failure}")
@@ -307,6 +330,10 @@ def main():
         help="annotated exception file (rule|path|line-substring|reason)",
     )
     parser.add_argument(
+        "--rules",
+        help=f"comma-separated rule IDs to check (default: all of {','.join(RULE_IDS)})",
+    )
+    parser.add_argument(
         "--self-test",
         action="store_true",
         help="run the fixture-based self-test and exit",
@@ -318,7 +345,13 @@ def main():
         parser.error("--root is required (or use --self-test)")
     if not os.path.isdir(args.root):
         parser.error(f"--root {args.root} is not a directory")
-    return run(args.root, args.allowlist)
+    rules = None
+    if args.rules:
+        rules = args.rules.split(",")
+        unknown = sorted(set(rules) - set(RULE_IDS))
+        if unknown:
+            parser.error(f"unknown rule(s) {', '.join(unknown)} (known: {', '.join(RULE_IDS)})")
+    return run(args.root, args.allowlist, rules)
 
 
 if __name__ == "__main__":
