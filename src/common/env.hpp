@@ -41,9 +41,9 @@
 //   FEDHISYN_BUILD_CACHE_MB=M
 //                            byte budget (MiB, fractional allowed) of the
 //                            BuiltExperiment cache every execution backend
-//                            shares (exp/build_cache.hpp).  0 disables
-//                            caching; unset = a default sized to hold the
-//                            full Table-1 sweep.  Caching changes when
+//                            shares (exp/build_cache.hpp).  0 keeps no
+//                            build resident; unset = a default sized to
+//                            hold the full Table-1 sweep.  Caching changes when
 //                            builds happen, never result bytes.
 //   FEDHISYN_QUIET=1         suppress the progress lines and the dispatch
 //                            workers' cache and connection log lines.

@@ -14,9 +14,9 @@ double mib(std::size_t bytes) {
   return static_cast<double>(bytes) / (1024.0 * 1024.0);
 }
 
-// Registry mirrors of the per-cache tallies: every BuildCache instance adds
-// into one process-wide set of names, so --metrics-out reports cache
-// behaviour whichever backend (thread pool, worker process) owned the cache.
+// The one record of cache outcomes: every BuildCache instance adds into one
+// process-wide set of names, so --metrics-out reports cache behaviour
+// whichever backend (thread pool, worker process) owned the cache.
 counters::Counter& hit_counter() {
   static counters::Counter& counter = counters::counter("build_cache.hits");
   return counter;
@@ -41,33 +41,9 @@ std::size_t BuildCache::default_budget_bytes() {
   return std::size_t{512} * 1024 * 1024;
 }
 
-void BuildCache::log_line(const char* what, const std::string& key,
-                          double mb) const {
-  if (config_.log_tag.empty()) return;
-  if (mb >= 0.0) {
-    std::fprintf(stderr, "%s: build %s %s (%.1f MiB)\n", config_.log_tag.c_str(),
-                 what, key.c_str(), mb);
-  } else {
-    std::fprintf(stderr, "%s: build %s %s\n", config_.log_tag.c_str(), what,
-                 key.c_str());
-  }
-}
-
 std::shared_ptr<const core::BuiltExperiment> BuildCache::get(
     const ExperimentSpec& spec, bool* out_hit) {
   const std::string key = spec.build_key();
-  if (config_.max_bytes == 0) {
-    {
-      MutexLock lock(mutex_);
-      ++misses_;
-    }
-    miss_counter().add(1);
-    log_line("miss (cache disabled)", key, -1.0);
-    if (out_hit != nullptr) *out_hit = false;
-    trace::TraceSpan span("build", "build_cache");
-    return core::build_experiment(spec.build);
-  }
-
   std::shared_ptr<Entry> entry;
   bool hit = false;
   {
@@ -77,16 +53,14 @@ std::shared_ptr<const core::BuiltExperiment> BuildCache::get(
     if (!hit) slot = std::make_shared<Entry>();
     entry = slot;
     entry->last_use = ++tick_;
-    if (hit) {
-      ++hits_;
-    } else {
-      ++misses_;
-    }
   }
   (hit ? hit_counter() : miss_counter()).add(1);
   // The miss line prints *before* the build so a warm-up phase that takes
   // tens of seconds is visibly building, not hung.
-  log_line(hit ? "hit" : "miss", key, -1.0);
+  if (!config_.log_tag.empty()) {
+    std::fprintf(stderr, "%s: build %s %s\n", config_.log_tag.c_str(),
+                 hit ? "hit" : "miss", key.c_str());
+  }
 
   // The build runs outside mutex_ (different keys must build concurrently);
   // the entry's once_flag serialises same-key callers onto one build.
@@ -151,7 +125,6 @@ void BuildCache::evict_past_budget() {
     Entry& victim = *lru->second;
     resident_bytes_ -= victim.bytes;
     victim.resident = false;
-    ++evictions_;
     eviction_counter().add(1);
     if (!config_.log_tag.empty()) {
       std::fprintf(stderr, "%s: build evict %s: freed %.1f MiB (LRU, budget %.1f MiB)\n",
@@ -165,9 +138,6 @@ void BuildCache::evict_past_budget() {
 BuildCache::Stats BuildCache::stats() const {
   MutexLock lock(mutex_);
   Stats stats;
-  stats.hits = hits_;
-  stats.misses = misses_;
-  stats.evictions = evictions_;
   stats.resident_bytes = resident_bytes_;
   stats.resident_builds = entries_.size();
   return stats;

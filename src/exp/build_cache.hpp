@@ -8,24 +8,26 @@
 // worker can hold every build of a sweep warm (a build-interleaved cell
 // order no longer thrashes rebuilds, which is what the PR-6 single-entry
 // cache did) while worker memory stays bounded.  The budget is explicit
-// (Config::max_bytes, resolved by exp::handle_grid_flags): 0 disables
-// caching entirely (every get() builds fresh and stores nothing); the
-// default, default_budget_bytes(), holds the full Table-1 sweep at paper
-// scale.
+// (Config::max_bytes, resolved by exp::handle_grid_flags).  A budget of 0
+// keeps no build resident: each build is accounted and evicted at once, so a
+// sequential get() builds every time, and only concurrent same-key callers
+// share the one build in flight.  The default, default_budget_bytes(), holds
+// the full Table-1 sweep at paper scale.
 //
 // Concurrency: get() is safe from any number of threads.  Same-key callers
 // are deduped on a per-entry once_flag (the first caller builds, the rest
-// wait), different keys build concurrently, and the map/counters are
-// mutex-guarded with clang thread-safety annotations.  Eviction only drops
-// the cache's reference — cells still running on an evicted build keep it
-// alive through their shared_ptr.
+// wait), different keys build concurrently, and the map is mutex-guarded
+// with clang thread-safety annotations.  Eviction only drops the cache's
+// reference — cells still running on an evicted build keep it alive through
+// their shared_ptr.
 //
 // Determinism: the cache decides *when* a build happens, never what a cell
 // computes — a build is a pure function of the spec's build fields, so hit,
-// miss and evict sequences cannot reach result bytes.  Hit/miss/eviction
-// counters are observability only: they travel in the dispatch wire
-// protocol's `cache` block and the serve log, and the JSONL/CSV sinks
-// exclude them (like CellResult::seconds).
+// miss and evict sequences cannot reach result bytes.  Outcomes are counted
+// only in the process counter registry (build_cache.hits / .misses /
+// .evictions, common/counters.hpp), which a dispatch worker ships back as
+// per-cell deltas on the wire's `telemetry` block; like
+// CellResult::seconds, the JSONL/CSV sinks never see them.
 #pragma once
 
 #include <cstddef>
@@ -44,8 +46,8 @@ namespace fedhisyn::exp {
 class BuildCache {
  public:
   struct Config {
-    /// LRU byte budget over BuiltExperiment::memory_bytes(); 0 = caching
-    /// disabled (every get() builds fresh, nothing is retained).
+    /// LRU byte budget over BuiltExperiment::memory_bytes(); 0 = no build
+    /// stays resident.
     std::size_t max_bytes = 0;
     /// Non-empty: hit/miss/evict lines are printed to stderr prefixed with
     /// this tag (the dispatch workers' serve log).  Empty = silent (the
@@ -53,13 +55,9 @@ class BuildCache {
     std::string log_tag;
   };
 
-  /// Counter snapshot.  hits/misses/evictions are cumulative over the
-  /// cache's lifetime (for a --serve worker: across connections and sweeps);
-  /// resident_* describe the current contents.
+  /// The current contents.  Hit, miss and eviction totals live in the
+  /// counter registry (build_cache.*), not here.
   struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
     std::size_t resident_bytes = 0;
     std::size_t resident_builds = 0;
   };
@@ -79,7 +77,7 @@ class BuildCache {
 
   Stats stats() const;
 
-  /// The configured byte budget (0 = disabled).
+  /// The configured byte budget (0 = nothing stays resident).
   std::size_t max_bytes() const { return config_.max_bytes; }
 
   /// The default budget: 512 MiB, comfortably above the ~300 MB the full
@@ -101,7 +99,6 @@ class BuildCache {
   };
 
   void evict_past_budget() FEDHISYN_REQUIRES(mutex_);
-  void log_line(const char* what, const std::string& key, double mb) const;
 
   const Config config_;
   mutable Mutex mutex_;
@@ -109,9 +106,6 @@ class BuildCache {
   std::map<std::string, std::shared_ptr<Entry>> entries_
       FEDHISYN_GUARDED_BY(mutex_);
   std::size_t resident_bytes_ FEDHISYN_GUARDED_BY(mutex_) = 0;
-  std::uint64_t hits_ FEDHISYN_GUARDED_BY(mutex_) = 0;
-  std::uint64_t misses_ FEDHISYN_GUARDED_BY(mutex_) = 0;
-  std::uint64_t evictions_ FEDHISYN_GUARDED_BY(mutex_) = 0;
 };
 
 }  // namespace fedhisyn::exp

@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <cerrno>
 #include <climits>
+#include <cmath>
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
 #include <ctime>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <sstream>
 
 #include <poll.h>
@@ -88,11 +90,6 @@ std::string encode_ok_response(const CellResult& cell) {
   const core::ExperimentResult& result = cell.result;
   std::ostringstream out;
   out << "{\"ok\":true,\"seconds\":" << json::fmt_double(cell.seconds)
-      << ",\"cache\":{\"hit\":" << (cell.cache.hit ? "true" : "false")
-      << ",\"hits\":" << cell.cache.hits << ",\"misses\":" << cell.cache.misses
-      << ",\"evictions\":" << cell.cache.evictions
-      << ",\"resident_bytes\":" << cell.cache.resident_bytes
-      << ",\"resident_builds\":" << cell.cache.resident_builds << "}"
       << ",\"telemetry\":{\"dropped\":" << cell.telemetry.dropped
       << ",\"spans\":[";
   for (std::size_t i = 0; i < cell.telemetry.spans.size(); ++i) {
@@ -138,6 +135,15 @@ std::string encode_error_response(const std::string& message) {
   return "{\"ok\":false,\"error\":\"" + json::escape(message) + "\"}";
 }
 
+/// A count in a response's telemetry block.  Negative is malformed: cast to
+/// uint64 it would wrap the coordinator's counter when added.
+std::uint64_t as_count(const json::Value& value, const std::string& what) {
+  const long long count = value.as_long();
+  FEDHISYN_CHECK_MSG(count >= 0, "worker response telemetry " << what << " is negative: "
+                                                              << value.text);
+  return static_cast<std::uint64_t>(count);
+}
+
 /// Parsed worker reply; `error` empty means ok, and `cell` carries
 /// everything but the spec (the parent knows the spec by index).
 struct Response {
@@ -164,34 +170,11 @@ Response parse_response(const std::string& line) {
     return *value;
   };
   response.cell.seconds = field("seconds").as_double();
-  // Like `seconds`, the cache block reports worker-side observability the
-  // result sinks exclude — still a required field, so a worker that stops
-  // reporting it is caught immediately rather than silently losing stats.
-  const json::Value& cache = field("cache");
-  FEDHISYN_CHECK_MSG(cache.kind == json::Value::Kind::kObject,
-                     "worker response 'cache' is not an object");
-  const auto cache_field = [&](const char* name) -> const json::Value& {
-    const json::Value* value = cache.find(name);
-    FEDHISYN_CHECK_MSG(value != nullptr,
-                       "worker response cache block lacks '" << name << "'");
-    return *value;
-  };
-  response.cell.cache.valid = true;
-  response.cell.cache.hit = cache_field("hit").as_bool();
-  response.cell.cache.hits =
-      static_cast<std::uint64_t>(cache_field("hits").as_long());
-  response.cell.cache.misses =
-      static_cast<std::uint64_t>(cache_field("misses").as_long());
-  response.cell.cache.evictions =
-      static_cast<std::uint64_t>(cache_field("evictions").as_long());
-  response.cell.cache.resident_bytes =
-      static_cast<std::size_t>(cache_field("resident_bytes").as_long());
-  response.cell.cache.resident_builds =
-      static_cast<std::size_t>(cache_field("resident_builds").as_long());
-  // The telemetry block is required like the cache block: spans the worker
-  // recorded for this cell (empty unless the request asked for tracing) plus
-  // its counter deltas.  Strictly shaped — a malformed block fails the cell
-  // loudly instead of silently dropping observability.
+  // The telemetry block is worker-side observability the result sinks
+  // exclude, still required: spans the worker recorded for this cell (empty
+  // unless the request asked for tracing) plus its counter deltas, the
+  // build_cache.* outcomes included.  Strictly shaped — a malformed block
+  // fails the cell loudly instead of silently dropping observability.
   const json::Value& telemetry = field("telemetry");
   FEDHISYN_CHECK_MSG(telemetry.kind == json::Value::Kind::kObject,
                      "worker response 'telemetry' is not an object");
@@ -202,8 +185,7 @@ Response parse_response(const std::string& line) {
     return *value;
   };
   CellTelemetry& tel = response.cell.telemetry;
-  tel.valid = true;
-  tel.dropped = static_cast<std::uint64_t>(telemetry_field("dropped").as_long());
+  tel.dropped = as_count(telemetry_field("dropped"), "'dropped'");
   const json::Value& spans = telemetry_field("spans");
   FEDHISYN_CHECK_MSG(spans.kind == json::Value::Kind::kArray,
                      "worker response telemetry 'spans' is not an array");
@@ -225,8 +207,7 @@ Response parse_response(const std::string& line) {
                      "worker response telemetry 'counters' is not an object");
   tel.counters.reserve(tel_counters.members.size());
   for (const auto& [name, value] : tel_counters.members) {
-    tel.counters.emplace_back(name,
-                              static_cast<std::uint64_t>(value.as_long()));
+    tel.counters.emplace_back(name, as_count(value, "counter '" + name + "'"));
   }
   core::ExperimentResult& result = response.cell.result;
   result.algorithm = field("algorithm").as_string();
@@ -256,38 +237,26 @@ Response parse_response(const std::string& line) {
 
 // ---------------------------------------------------------- worker side --
 
-/// FEDHISYN_TEST_CRASH="<label-substring>[:<attempt>]": abort before running
-/// any cell whose label contains the substring, while the request's attempt
-/// number is <= the bound (unbounded when omitted).  Lets tests inject a
-/// crash that heals on retry; inert unless the env var is set.
-void maybe_inject_crash(const std::string& label, int attempt) {
-  const char* value = std::getenv("FEDHISYN_TEST_CRASH");
-  if (value == nullptr || value[0] == '\0') return;
-  std::string token = value;
-  int below_attempt = INT_MAX;
-  const std::size_t colon = token.rfind(':');
-  if (colon != std::string::npos) {
-    char* end = nullptr;
-    const long bound = std::strtol(token.c_str() + colon + 1, &end, 10);
-    if (end != token.c_str() + colon + 1 && *end == '\0' && bound > 0) {
-      below_attempt = static_cast<int>(bound);
-      token = token.substr(0, colon);
-    }
-  }
-  if (label.find(token) != std::string::npos && attempt <= below_attempt) {
-    std::fprintf(stderr, "worker: FEDHISYN_TEST_CRASH hit for '%s' (attempt %d)\n",
-                 label.c_str(), attempt);
-    std::abort();
-  }
-}
+/// A fault the FEDHISYN_TEST_CRASH / FEDHISYN_TEST_HANG hooks inject, from
+/// "<label-substring>[:<attempt>[:<seconds>]]": it fires on cells whose label
+/// contains the substring while the request's attempt number is <= the bound
+/// (unbounded when omitted).  `seconds` is the hang's sleep.
+struct TestFault {
+  std::string label;
+  int max_attempt = INT_MAX;
+  double seconds = 600.0;
 
-/// FEDHISYN_TEST_HANG="<label-substring>[:<attempt>[:<seconds>]]": sleep
-/// `seconds` (default 600) before running a matching cell while the
-/// request's attempt number is <= the bound — a wedged-but-alive worker for
-/// the per-cell timeout tests.  Inert unless the env var is set.
-void maybe_inject_hang(const std::string& label, int attempt) {
-  const char* value = std::getenv("FEDHISYN_TEST_HANG");
-  if (value == nullptr || value[0] == '\0') return;
+  bool fires(const std::string& cell_label, int attempt) const {
+    return cell_label.find(label) != std::string::npos && attempt <= max_attempt;
+  }
+};
+
+/// The fault `env_name` describes; nullopt while it is unset or empty (the
+/// hooks are inert outside tests).  Check-fails on a malformed value, which
+/// reaches the coordinator as the cell's ok:false error.
+std::optional<TestFault> test_fault(const char* env_name) {
+  const char* value = std::getenv(env_name);
+  if (value == nullptr || value[0] == '\0') return std::nullopt;
   std::vector<std::string> parts(1);
   for (const char* c = value; *c != '\0'; ++c) {
     if (*c == ':') {
@@ -296,17 +265,43 @@ void maybe_inject_hang(const std::string& label, int attempt) {
       parts.back().push_back(*c);
     }
   }
-  int below_attempt = INT_MAX;
-  double sleep_s = 600.0;
+  FEDHISYN_CHECK_MSG(parts.size() <= 3,
+                     env_name << "=" << value
+                              << " is not <label>[:<attempt>[:<seconds>]]");
+  TestFault fault;
+  fault.label = parts[0];
+  char* end = nullptr;
   if (parts.size() >= 2) {
-    const long bound = std::strtol(parts[1].c_str(), nullptr, 10);
-    if (bound > 0) below_attempt = static_cast<int>(bound);
+    const long bound = std::strtol(parts[1].c_str(), &end, 10);
+    FEDHISYN_CHECK_MSG(*end == '\0' && bound > 0,
+                       env_name << "=" << value
+                                << ": the attempt bound must be a positive integer");
+    fault.max_attempt = static_cast<int>(std::min<long>(bound, INT_MAX));
   }
-  if (parts.size() >= 3) {
-    const double seconds = std::strtod(parts[2].c_str(), nullptr);
-    if (seconds > 0) sleep_s = seconds;
+  if (parts.size() == 3) {
+    fault.seconds = std::strtod(parts[2].c_str(), &end);
+    FEDHISYN_CHECK_MSG(*end == '\0' && fault.seconds > 0 && std::isfinite(fault.seconds),
+                       env_name << "=" << value << ": the seconds must be positive");
   }
-  if (label.find(parts[0]) == std::string::npos || attempt > below_attempt) return;
+  return fault;
+}
+
+/// FEDHISYN_TEST_CRASH: abort before running a matching cell — a crash that
+/// heals on retry when the attempt is bounded.
+void maybe_inject_crash(const std::string& label, int attempt) {
+  const std::optional<TestFault> fault = test_fault("FEDHISYN_TEST_CRASH");
+  if (!fault || !fault->fires(label, attempt)) return;
+  std::fprintf(stderr, "worker: FEDHISYN_TEST_CRASH hit for '%s' (attempt %d)\n",
+               label.c_str(), attempt);
+  std::abort();
+}
+
+/// FEDHISYN_TEST_HANG: sleep `seconds` before running a matching cell — a
+/// wedged-but-alive worker for the per-cell timeout tests.
+void maybe_inject_hang(const std::string& label, int attempt) {
+  const std::optional<TestFault> fault = test_fault("FEDHISYN_TEST_HANG");
+  if (!fault || !fault->fires(label, attempt)) return;
+  const double sleep_s = fault->seconds;
   std::fprintf(stderr,
                "worker: FEDHISYN_TEST_HANG hit for '%s' (attempt %d): sleeping %gs\n",
                label.c_str(), attempt, sleep_s);
@@ -323,26 +318,22 @@ void maybe_inject_hang(const std::string& label, int attempt) {
 std::string handle_request(const std::string& line, BuildCache* cache) {
   try {
     const json::Value doc = json::parse(line);
-    const json::Value* spec_value = doc.find("spec");
-    const json::Value* attempt_value = doc.find("attempt");
-    FEDHISYN_CHECK_MSG(spec_value != nullptr && attempt_value != nullptr,
-                       "worker request lacks 'spec'/'attempt'");
-    const ExperimentSpec spec = ExperimentSpec::from_json(*spec_value);
-    const int attempt = static_cast<int>(attempt_value->as_long());
-    // Absent on requests from a pre-telemetry coordinator: treated as off so
-    // a mixed-version smoke still runs (responses always carry the block).
-    const json::Value* trace_value = doc.find("trace");
-    const bool want_trace = trace_value != nullptr && trace_value->as_long() != 0;
+    const auto field = [&](const char* name) -> const json::Value& {
+      const json::Value* value = doc.find(name);
+      FEDHISYN_CHECK_MSG(value != nullptr, "worker request lacks '" << name << "'");
+      return *value;
+    };
+    const ExperimentSpec spec = ExperimentSpec::from_json(field("spec"));
+    const int attempt = static_cast<int>(field("attempt").as_long());
+    const bool want_trace = field("trace").as_long() != 0;
     maybe_inject_crash(spec.label(), attempt);
     maybe_inject_hang(spec.label(), attempt);
 
     const std::map<std::string, std::uint64_t> counters_before =
         counters::snapshot();
     if (want_trace) trace::collect_begin();
-    bool hit = false;
-    const std::shared_ptr<const core::BuiltExperiment> built = cache->get(spec, &hit);
+    const std::shared_ptr<const core::BuiltExperiment> built = cache->get(spec);
     CellResult cell = run_cell(spec, *built);
-    cell.telemetry.valid = true;
     if (want_trace) {
       const std::vector<trace::CollectedSpan> spans =
           trace::collect_end(kMaxWireSpans, &cell.telemetry.dropped);
@@ -353,17 +344,10 @@ std::string handle_request(const std::string& line, BuildCache* cache) {
       }
     }
     // Counter deltas ship whether or not tracing is on — counting is always
-    // live, and the coordinator folds them into its own registry.
+    // live, and the coordinator folds them into its own registry.  This is
+    // how the cell's build-cache hit or miss reaches the coordinator.
     cell.telemetry.counters =
         counters::delta(counters_before, counters::snapshot());
-    const BuildCache::Stats stats = cache->stats();
-    cell.cache.valid = true;
-    cell.cache.hit = hit;
-    cell.cache.hits = stats.hits;
-    cell.cache.misses = stats.misses;
-    cell.cache.evictions = stats.evictions;
-    cell.cache.resident_bytes = stats.resident_bytes;
-    cell.cache.resident_builds = stats.resident_builds;
     return encode_ok_response(cell);
   } catch (const std::exception& e) {
     return encode_error_response(e.what());
@@ -598,12 +582,10 @@ std::vector<CellResult> run_dispatch(const TcpDispatcher::Options& options,
       // ...and the worker's own spans on its lane, rebased from cell-relative
       // to coordinator time at the moment the request was fed.  Skew is the
       // request's network/decode latency — good enough to eyeball overlap.
-      if (response.cell.telemetry.valid) {
-        trace::set_lane_name(1 + static_cast<int>(s), slot_names[s]);
-        for (const CellTelemetrySpan& span : response.cell.telemetry.spans) {
-          trace::emit_foreign(1 + static_cast<int>(s), span.tid, span.name,
-                              span.cat, slot.feed_us + span.ts_us, span.dur_us);
-        }
+      trace::set_lane_name(1 + static_cast<int>(s), slot_names[s]);
+      for (const CellTelemetrySpan& span : response.cell.telemetry.spans) {
+        trace::emit_foreign(1 + static_cast<int>(s), span.tid, span.name, span.cat,
+                            slot.feed_us + span.ts_us, span.dur_us);
       }
     }
     response.cell.spec = specs[i];
@@ -763,14 +745,15 @@ int serve_main(const std::string& bind_spec, const WorkerConfig& config) {
     }
     ::close(conn);
     if (config.quiet) continue;
-    const BuildCache::Stats stats = cache.stats();
+    // The registry's totals are this cache's: a worker process has only one.
+    const auto total = [](const char* name) {
+      return static_cast<unsigned long long>(counters::counter(name).get());
+    };
     std::fprintf(stderr,
                  "fedhisyn-serve: coordinator disconnected (cache: %llu hit(s), "
                  "%llu miss(es), %llu eviction(s); %zu build(s) resident)\n",
-                 static_cast<unsigned long long>(stats.hits),
-                 static_cast<unsigned long long>(stats.misses),
-                 static_cast<unsigned long long>(stats.evictions),
-                 stats.resident_builds);
+                 total("build_cache.hits"), total("build_cache.misses"),
+                 total("build_cache.evictions"), cache.stats().resident_builds);
   }
 }
 

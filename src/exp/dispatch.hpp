@@ -39,12 +39,10 @@
 //
 // Wire protocol (one JSON object per line, floats exact via %.9g/%.17g;
 // every line is capped at net::kMaxLineBytes):
-//   worker -> parent  {"hello":"fedhisyn-worker","proto":2}   (on connect)
+//   worker -> parent  {"hello":"fedhisyn-worker","proto":kWireRevision}
+//                                                              (on connect)
 //   parent -> worker  {"attempt":A,"trace":0|1,"spec":{...}}
 //   worker -> parent  {"ok":true,"seconds":S,
-//                      "cache":{"hit":true|false,"hits":H,"misses":M,
-//                               "evictions":E,"resident_bytes":RB,
-//                               "resident_builds":RN},
 //                      "telemetry":{"dropped":D,"spans":[...],
 //                                   "counters":{...}},
 //                      "algorithm":"...","final":F,
@@ -56,10 +54,11 @@
 // change), instead of feeding specs into the void, and delays dispatch to a
 // freshly (re)connected worker until it is actually serving — a reconnect
 // to a wedged host parks until the host recovers instead of eating retries.
-// The `cache` block is the worker's BuildCache observability (this cell's
-// hit/miss plus the worker-lifetime counters, see exp/build_cache.hpp);
-// like `seconds` it lands in CellResult but never in the result sinks, so
-// output files stay byte-identical warm vs cold.
+// Every request field is required.  The `telemetry` block carries the
+// cell's counter deltas, its build-cache hit or miss among them
+// (build_cache.*, see exp/build_cache.hpp), which the coordinator adds into
+// its own registry; like `seconds` it lands in CellResult but never in the
+// result sinks, so output files stay byte-identical warm vs cold.
 //
 // Build affinity: when several cells are pending, the coordinator prefers
 // handing a worker the earliest pending cell whose build_key() matches the
@@ -82,7 +81,8 @@ namespace fedhisyn::exp {
 /// line, so a stale worker is turned away at hello instead of failing deep
 /// inside response parsing.  2: responses carry the required `cache` and
 /// `telemetry` blocks.  3: the spec JSON lost its round-engine mode field.
-inline constexpr long kWireRevision = 3;
+/// 4: responses lost the `cache` block, and requests must carry `trace`.
+inline constexpr long kWireRevision = 4;
 
 /// The grid's worker fleet: one slot per worker, fed by one poll loop with
 /// one retry/timeout/ordering discipline.  Workers come from exactly one

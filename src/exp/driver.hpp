@@ -33,8 +33,9 @@
 //   --build-cache-mb M
 //                     byte budget in MiB (fractional ok) of the shared
 //                     BuiltExperiment cache (exp/build_cache.hpp); 0
-//                     disables caching, unset = a default holding the full
-//                     Table-1 sweep (FEDHISYN_BUILD_CACHE_MB fallback).
+//                     keeps no build resident, unset = a default holding
+//                     the full Table-1 sweep (FEDHISYN_BUILD_CACHE_MB
+//                     fallback).
 //                     Never changes result bytes
 //   --gemm-kernel K   GEMM micro-kernel variant: auto (CPUID dispatch, the
 //                     default) | generic | avx2 | avx512 | neon, optionally

@@ -18,20 +18,6 @@ namespace fedhisyn::exp {
 
 namespace {
 
-/// Copy a cache's counter snapshot (plus this cell's hit/miss) into the
-/// cell's observability block — the same shape the dispatch workers put on
-/// the wire, so thread- and process-backend cells report identically.
-void fill_cache_stats(CellResult& cell, const BuildCache& cache, bool hit) {
-  const BuildCache::Stats stats = cache.stats();
-  cell.cache.valid = true;
-  cell.cache.hit = hit;
-  cell.cache.hits = stats.hits;
-  cell.cache.misses = stats.misses;
-  cell.cache.evictions = stats.evictions;
-  cell.cache.resident_bytes = stats.resident_bytes;
-  cell.cache.resident_builds = stats.resident_builds;
-}
-
 /// The env overrides configuring a spawned --serve worker like this process
 /// (the budget's %.17g MiB text round-trips its byte count exactly).
 std::vector<std::string> spawn_env(const WorkerConfig& worker, std::size_t threads) {
@@ -121,10 +107,8 @@ std::vector<CellResult> GridScheduler::run(
     std::size_t done FEDHISYN_GUARDED_BY(mutex) = 0;
   } progress;
   const auto run_one = [&](std::size_t i) {
-    bool hit = false;
-    const std::shared_ptr<const core::BuiltExperiment> built = cache.get(specs[i], &hit);
+    const std::shared_ptr<const core::BuiltExperiment> built = cache.get(specs[i]);
     results[i] = run_cell(specs[i], *built);
-    fill_cache_stats(results[i], cache, hit);
     if (options_.on_cell) {
       MutexLock lock(progress.mutex);
       options_.on_cell(++progress.done, specs.size(), results[i]);

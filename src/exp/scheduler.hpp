@@ -20,7 +20,8 @@
 // cells with equal spec.build_key() share one BuiltExperiment (e.g. Table 1
 // runs 7 methods per build), LRU-evicted under the WorkerConfig byte budget
 // — the same class the dispatch workers use, so every backend has identical
-// caching semantics.
+// caching semantics and counts its outcomes in the same build_cache.*
+// registry counters (a dispatched cell's deltas come home in its telemetry).
 #pragma once
 
 #include <cstddef>
@@ -35,24 +36,6 @@
 #include "exp/spec.hpp"
 
 namespace fedhisyn::exp {
-
-/// Build-cache observability for one cell: whether its build was served
-/// warm, plus a counter snapshot of the cache that served it (cumulative
-/// over the serving worker's lifetime — for a resident --serve worker that
-/// spans connections and sweeps).  Travels on the dispatch wire protocol's
-/// `cache` block; like `seconds`, the JSONL/CSV sinks exclude it, so output
-/// files stay byte-identical warm vs cold and across backends.
-struct CellCacheStats {
-  /// False when no build cache reported for this cell (e.g. a resumed cell).
-  bool valid = false;
-  /// This cell's build was resident — no build ran for it.
-  bool hit = false;
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t evictions = 0;
-  std::size_t resident_bytes = 0;
-  std::size_t resident_builds = 0;
-};
 
 /// One trace span a dispatch worker recorded while running a cell
 /// (common/trace.hpp collection mode), shipped back on the wire protocol's
@@ -69,13 +52,12 @@ struct CellTelemetrySpan {
 
 /// Worker-side observability for one dispatched cell: the spans recorded
 /// while it ran (empty unless the coordinator requested tracing) plus the
-/// cell's counter-registry deltas (always reported — counting is free).
-/// Like `seconds` and the cache block, the JSONL/CSV sinks exclude it, so
-/// output files stay byte-identical traced vs untraced and across backends.
+/// cell's counter-registry deltas (always reported — counting is free), the
+/// build_cache.* outcomes included.  Empty for thread-backend cells, which
+/// record into the coordinator's own buffers and registry.  Like `seconds`,
+/// the JSONL/CSV sinks exclude it, so output files stay byte-identical
+/// traced vs untraced and across backends.
 struct CellTelemetry {
-  /// False when no worker reported telemetry for this cell (thread-backend
-  /// cells record into the coordinator's own buffers instead).
-  bool valid = false;
   std::vector<CellTelemetrySpan> spans;
   /// Spans lost to the worker's buffer cap or the wire cap.
   std::uint64_t dropped = 0;
@@ -83,15 +65,14 @@ struct CellTelemetry {
   std::vector<std::pair<std::string, std::uint64_t>> counters;
 };
 
-/// Everything one finished cell produced.  Wall-clock seconds, the cache
-/// block and the telemetry block are reported for humans only — result
-/// sinks exclude them so output files stay byte-stable across thread
-/// counts, machines, cache states and tracing on/off.
+/// Everything one finished cell produced.  Wall-clock seconds and the
+/// telemetry block are reported for humans only — result sinks exclude them
+/// so output files stay byte-stable across thread counts, machines, cache
+/// states and tracing on/off.
 struct CellResult {
   ExperimentSpec spec;
   core::ExperimentResult result;
   double seconds = 0.0;
-  CellCacheStats cache;
   CellTelemetry telemetry;
 };
 
@@ -118,7 +99,7 @@ CellResult run_cell(const ExperimentSpec& spec, const CellHooks& hooks = {});
 struct WorkerConfig {
   /// Silence the workers' per-build cache and connection log lines.
   bool quiet = false;
-  /// BuildCache byte budget; 0 disables caching.
+  /// BuildCache byte budget; 0 keeps no build resident.
   std::size_t build_cache_bytes = BuildCache::default_budget_bytes();
 };
 

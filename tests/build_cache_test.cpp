@@ -1,10 +1,11 @@
 // Tests for the shared multi-build LRU BuildCache (exp/build_cache.hpp):
-// BuiltExperiment::memory_bytes() sizing, hit/miss counter semantics and
-// pointer sharing, LRU eviction under a byte budget, the disabled (budget 0)
-// mode, same-key build deduplication under concurrency, the coordinator's
-// build-affinity pass (observed end-to-end through the process backend's
-// per-cell cache stats), and a resident --serve worker staying warm across
-// connections.
+// BuiltExperiment::memory_bytes() sizing, hit/miss counting and pointer
+// sharing, LRU eviction under a byte budget, the budget-0 mode, same-key
+// build deduplication under concurrency, the coordinator's build-affinity
+// pass (observed end-to-end through the build_cache.* counter deltas each
+// dispatched cell ships home), and a resident --serve worker staying warm
+// across connections.  Every outcome is read from the counter registry, the
+// one place the cache counts them.
 //
 // This binary has a custom main like dispatch_test: invoked with --serve it
 // becomes a dispatch worker (the process/tcp tests spawn it), otherwise it
@@ -18,7 +19,9 @@
 #include <thread>
 #include <vector>
 
+#include "cache_outcomes.hpp"
 #include "common/check.hpp"
+#include "common/counters.hpp"
 #include "common/net.hpp"
 #include "common/subprocess.hpp"
 #include "exp/build_cache.hpp"
@@ -113,6 +116,7 @@ TEST(MemoryBytes, GrowsWithTheTrainingSet) {
 
 TEST(BuildCache, MissThenHitSharesOnePointer) {
   BuildCache cache(BuildCache::Config{BuildCache::default_budget_bytes(), {}});
+  const auto before = counters::snapshot();
   bool hit = true;
   const auto first = cache.get(tiny_spec(11), &hit);
   EXPECT_FALSE(hit);
@@ -120,10 +124,11 @@ TEST(BuildCache, MissThenHitSharesOnePointer) {
   EXPECT_TRUE(hit);
   EXPECT_EQ(first.get(), second.get());
 
+  const CacheOutcomes counted = cache_outcomes_since(before);
+  EXPECT_EQ(counted.hits, 1u);
+  EXPECT_EQ(counted.misses, 1u);
+  EXPECT_EQ(counted.evictions, 0u);
   const BuildCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.evictions, 0u);
   EXPECT_EQ(stats.resident_builds, 1u);
   EXPECT_EQ(stats.resident_bytes, first->memory_bytes());
 }
@@ -147,12 +152,13 @@ TEST(BuildCache, EvictsLeastRecentlyUsedPastTheByteBudget) {
   // budget of 2.5 builds holds exactly two.
   const std::size_t one = build_for(tiny_spec(1))->memory_bytes();
   BuildCache cache(BuildCache::Config{one * 5 / 2, {}});
+  const auto before = counters::snapshot();
 
   const auto s1 = cache.get(tiny_spec(1));  // resident: {1}
   cache.get(tiny_spec(2));                  // resident: {1, 2}
   cache.get(tiny_spec(1));                  // refresh 1's recency
   cache.get(tiny_spec(3));                  // over budget -> evict 2 (LRU)
-  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(cache_outcomes_since(before).evictions, 1u);
   EXPECT_EQ(cache.stats().resident_builds, 2u);
 
   bool hit = true;
@@ -161,10 +167,11 @@ TEST(BuildCache, EvictsLeastRecentlyUsedPastTheByteBudget) {
   cache.get(tiny_spec(3), &hit);  // 3 survived both evictions
   EXPECT_TRUE(hit);
 
+  const CacheOutcomes counted = cache_outcomes_since(before);
+  EXPECT_EQ(counted.misses, 4u);  // 1, 2, 3, then 2 again
+  EXPECT_EQ(counted.hits, 2u);    // the refresh of 1, the final 3
+  EXPECT_EQ(counted.evictions, 2u);
   const BuildCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.misses, 4u);  // 1, 2, 3, then 2 again
-  EXPECT_EQ(stats.hits, 2u);    // the refresh of 1, the final 3
-  EXPECT_EQ(stats.evictions, 2u);
   EXPECT_EQ(stats.resident_builds, 2u);
   EXPECT_LE(stats.resident_bytes, cache.max_bytes());
   // Eviction only drops the cache's reference: the evicted build stays
@@ -172,17 +179,22 @@ TEST(BuildCache, EvictsLeastRecentlyUsedPastTheByteBudget) {
   EXPECT_GT(s1->fed.train.x.numel(), 0);
 }
 
-// -------------------------------------------------------------- disabled --
+// ---------------------------------------------------------- zero budget --
 
 TEST(BuildCache, ZeroBudgetDisablesCachingButBuildsIdentically) {
   BuildCache disabled(BuildCache::Config{0, {}});
+  const auto before = counters::snapshot();
   bool hit = true;
   const auto first = disabled.get(tiny_spec(11), &hit);
   EXPECT_FALSE(hit);
   const auto second = disabled.get(tiny_spec(11), &hit);
   EXPECT_FALSE(hit);
   EXPECT_NE(first.get(), second.get());  // nothing was retained
-  EXPECT_EQ(disabled.stats().misses, 2u);
+  // Each build is accounted and evicted at once.
+  const CacheOutcomes counted = cache_outcomes_since(before);
+  EXPECT_EQ(counted.misses, 2u);
+  EXPECT_EQ(counted.hits, 0u);
+  EXPECT_EQ(counted.evictions, 2u);
   EXPECT_EQ(disabled.stats().resident_builds, 0u);
   EXPECT_EQ(disabled.stats().resident_bytes, 0u);
 
@@ -199,6 +211,7 @@ TEST(BuildCache, ZeroBudgetDisablesCachingButBuildsIdentically) {
 
 TEST(BuildCache, ConcurrentSameKeyCallersShareOneBuild) {
   BuildCache cache(BuildCache::Config{BuildCache::default_budget_bytes(), {}});
+  const auto before = counters::snapshot();
   constexpr int kThreads = 4;
   std::vector<std::shared_ptr<const core::BuiltExperiment>> builds(kThreads);
   std::vector<std::thread> threads;
@@ -208,14 +221,14 @@ TEST(BuildCache, ConcurrentSameKeyCallersShareOneBuild) {
   }
   for (auto& thread : threads) thread.join();
   for (int t = 1; t < kThreads; ++t) EXPECT_EQ(builds[0].get(), builds[t].get());
-  const BuildCache::Stats stats = cache.stats();
   // Exactly one build ran; a caller that waited on it counts as a hit.
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits, static_cast<std::uint64_t>(kThreads - 1));
-  EXPECT_EQ(stats.resident_builds, 1u);
+  const CacheOutcomes counted = cache_outcomes_since(before);
+  EXPECT_EQ(counted.misses, 1u);
+  EXPECT_EQ(counted.hits, static_cast<std::uint64_t>(kThreads - 1));
+  EXPECT_EQ(cache.stats().resident_builds, 1u);
 }
 
-// ------------------------------------------- dispatch: affinity + stats --
+// ----------------------------------------- dispatch: affinity + counts --
 
 TEST(DispatchCache, AffinityDrainsInterleavedBuildsWithoutThrashing) {
   // Four cells over two builds (A = seed 11, B = seed 17), deliberately
@@ -252,7 +265,9 @@ TEST(DispatchCache, AffinityDrainsInterleavedBuildsWithoutThrashing) {
   options.spawn = 1;
   options.spawn_env = {std::string("FEDHISYN_BUILD_CACHE_MB=") + budget_text,
                        "FEDHISYN_QUIET=1"};
+  const auto before = counters::snapshot();
   const auto process = TcpDispatcher(options).run(specs);
+  const CacheOutcomes counted = cache_outcomes_since(before);
   ASSERT_EQ(process.size(), 4u);
 
   // Byte-identity survives affinity reordering and the tiny budget.
@@ -260,21 +275,26 @@ TEST(DispatchCache, AffinityDrainsInterleavedBuildsWithoutThrashing) {
     EXPECT_EQ(to_jsonl_line(serial[i]), to_jsonl_line(process[i])) << i;
   }
 
-  // Per-cell hit flags: the first cell of each build missed, its affinity
-  // partner hit.  (Assignment order was A0, A1, B0, B1; results are indexed
-  // by spec, so the hits land on indices 2 and 3.)
-  for (const auto& cell : process) ASSERT_TRUE(cell.cache.valid);
-  EXPECT_FALSE(process[0].cache.hit);  // A0: cold
-  EXPECT_FALSE(process[1].cache.hit);  // B0: cold (after A was evicted)
-  EXPECT_TRUE(process[2].cache.hit);   // A1: affinity kept A resident
-  EXPECT_TRUE(process[3].cache.hit);   // B1: affinity kept B resident
+  // Per-cell outcomes, from each cell's shipped counter deltas: the first
+  // cell of each build missed, its affinity partner hit.  (Assignment order
+  // was A0, A1, B0, B1; results are indexed by spec, so the hits land on
+  // indices 2 and 3.)
+  const auto outcome = [&](std::size_t i) {
+    return cache_outcomes(process[i].telemetry.counters);
+  };
+  EXPECT_EQ(outcome(0).misses, 1u);  // A0: cold
+  EXPECT_EQ(outcome(1).misses, 1u);  // B0: cold (after A was evicted)
+  EXPECT_EQ(outcome(2).hits, 1u);    // A1: affinity kept A resident
+  EXPECT_EQ(outcome(3).hits, 1u);    // B1: affinity kept B resident
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    EXPECT_EQ(outcome(i).hits + outcome(i).misses, 1u) << i;
+  }
 
-  // Worker-lifetime counters on the last-finished cell (B1): 2 builds total,
+  // The whole sweep, as the coordinator's registry totals it: 2 builds,
   // not 4, and exactly one eviction (A, when B displaced it).
-  EXPECT_EQ(process[3].cache.misses, 2u);
-  EXPECT_EQ(process[3].cache.hits, 2u);
-  EXPECT_EQ(process[3].cache.evictions, 1u);
-  EXPECT_EQ(process[3].cache.resident_builds, 1u);
+  EXPECT_EQ(counted.misses, 2u);
+  EXPECT_EQ(counted.hits, 2u);
+  EXPECT_EQ(counted.evictions, 1u);
 }
 
 TEST(DispatchCache, ResidentServeWorkerStaysWarmAcrossConnections) {
@@ -289,21 +309,25 @@ TEST(DispatchCache, ResidentServeWorkerStaysWarmAcrossConnections) {
   TcpDispatcher::Options options;
   options.hosts = {worker.endpoint()};
 
+  auto before = counters::snapshot();
   const auto first = TcpDispatcher(options).run(specs);
+  const CacheOutcomes first_counted = cache_outcomes_since(before);
   ASSERT_EQ(first.size(), 2u);
-  ASSERT_TRUE(first[0].cache.valid);
-  EXPECT_FALSE(first[0].cache.hit);  // the sweep's one build
-  EXPECT_TRUE(first[1].cache.hit);   // same build key, second method
-  EXPECT_EQ(first[1].cache.misses, 1u);
+  EXPECT_EQ(cache_outcomes(first[0].telemetry.counters).misses, 1u);  // the one build
+  EXPECT_EQ(cache_outcomes(first[1].telemetry.counters).hits, 1u);  // same key, 2nd method
+  EXPECT_EQ(first_counted.misses, 1u);
+  EXPECT_EQ(first_counted.hits, 1u);
 
+  before = counters::snapshot();
   const auto second = TcpDispatcher(options).run(specs);
+  const CacheOutcomes second_counted = cache_outcomes_since(before);
   ASSERT_EQ(second.size(), 2u);
-  EXPECT_TRUE(second[0].cache.hit);  // warm from the previous connection
-  EXPECT_TRUE(second[1].cache.hit);
-  // Counters are worker-lifetime: still the single build, three hits now.
-  EXPECT_EQ(second[1].cache.misses, 1u);
-  EXPECT_EQ(second[1].cache.hits, 3u);
-  EXPECT_EQ(second[1].cache.evictions, 0u);
+  // Warm from the previous connection: no build ran, nothing was evicted.
+  EXPECT_EQ(cache_outcomes(second[0].telemetry.counters).hits, 1u);
+  EXPECT_EQ(cache_outcomes(second[1].telemetry.counters).hits, 1u);
+  EXPECT_EQ(second_counted.misses, 0u);
+  EXPECT_EQ(second_counted.hits, 2u);
+  EXPECT_EQ(second_counted.evictions, 0u);
 
   // The two sweeps' output bytes are identical — warmth is invisible there.
   for (std::size_t i = 0; i < specs.size(); ++i) {

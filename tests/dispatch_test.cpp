@@ -30,7 +30,9 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "cache_outcomes.hpp"
 #include "common/check.hpp"
+#include "common/counters.hpp"
 #include "common/json.hpp"
 #include "common/net.hpp"
 #include "common/subprocess.hpp"
@@ -362,23 +364,26 @@ TEST(Dispatch, DisabledBuildCacheIsByteIdenticalToTheDefault) {
     GridScheduler::Options disabled = options;
     disabled.worker.build_cache_bytes = 0;
 
+    // Both backends count in this process's registry: the thread backend's
+    // cache directly, the process backend's through the folded-in deltas.
+    auto before = counters::snapshot();
     const auto cold = GridScheduler(disabled).run(specs);
+    const CacheOutcomes cold_counted = cache_outcomes_since(before);
+    before = counters::snapshot();
     const auto warm = GridScheduler(options).run(specs);
+    const CacheOutcomes warm_counted = cache_outcomes_since(before);
 
     ASSERT_EQ(cold.size(), warm.size());
     for (std::size_t i = 0; i < cold.size(); ++i) {
       EXPECT_EQ(to_jsonl_line(cold[i]), to_jsonl_line(warm[i])) << i;
       EXPECT_EQ(to_csv_row(cold[i]), to_csv_row(warm[i])) << i;
     }
-    // The cache stats confirm the two runs really exercised different
-    // paths: all cold misses vs hits served warm.
-    for (const auto& cell : cold) {
-      ASSERT_TRUE(cell.cache.valid);
-      EXPECT_FALSE(cell.cache.hit);
-    }
-    EXPECT_EQ(cold[3].cache.misses, 4u);
-    EXPECT_TRUE(warm[2].cache.hit);
-    EXPECT_TRUE(warm[3].cache.hit);
+    // The counts confirm the two runs really exercised different paths: all
+    // cold misses vs hits served warm.
+    EXPECT_EQ(cold_counted.hits, 0u);
+    EXPECT_EQ(cold_counted.misses, 4u);
+    EXPECT_EQ(warm_counted.hits, 2u);
+    EXPECT_EQ(warm_counted.misses, 2u);
   }
 }
 
@@ -395,11 +400,12 @@ TEST(Dispatch, SpawnedWorkersTakeTheBudgetTheCoordinatorResolved) {
   const GridDriverOptions options = handle_grid_flags(Flags::parse(5, argv));
   const auto cells = run_grid(specs, options);
   ASSERT_EQ(cells.size(), specs.size());
+  // Each cell built, and its build was evicted at once.
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    ASSERT_TRUE(cells[i].cache.valid) << i;
-    EXPECT_FALSE(cells[i].cache.hit) << i;
-    EXPECT_EQ(cells[i].cache.misses, i + 1) << i;
-    EXPECT_EQ(cells[i].cache.resident_builds, 0u) << i;
+    const CacheOutcomes outcome = cache_outcomes(cells[i].telemetry.counters);
+    EXPECT_EQ(outcome.hits, 0u) << i;
+    EXPECT_EQ(outcome.misses, 1u) << i;
+    EXPECT_EQ(outcome.evictions, 1u) << i;
   }
 }
 
@@ -444,18 +450,24 @@ TEST(Dispatch, UnhealableCrashExhaustsRetriesAndThrows) {
 }
 
 TEST(Dispatch, DeterministicCellFailurePropagatesWithoutRetry) {
-  auto grid = tiny_grid();
-  grid.methods({"FedBogus"});
-  GridScheduler::Options options;
-  options.jobs = 1;
-  options.backend = CellBackend::kProcess;
-  try {
-    GridScheduler(options).run(grid.expand());
-    FAIL() << "expected CheckError";
-  } catch (const CheckError& e) {
-    EXPECT_NE(std::string(e.what()).find("failed in worker"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("FedBogus"), std::string::npos);
-  }
+  const auto fails_in_worker = [](const std::string& method, const std::string& named) {
+    auto grid = tiny_grid();
+    grid.methods({method});
+    GridScheduler::Options options;
+    options.jobs = 1;
+    options.backend = CellBackend::kProcess;
+    try {
+      GridScheduler(options).run(grid.expand());
+      FAIL() << "expected CheckError naming " << named;
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("failed in worker"), std::string::npos);
+      EXPECT_NE(std::string(e.what()).find(named), std::string::npos) << e.what();
+    }
+  };
+  fails_in_worker("FedBogus", "FedBogus");
+  // A malformed fault hook fails the cell instead of being read some other way.
+  ScopedEnv typo("FEDHISYN_TEST_CRASH", "FedAvg:soon");
+  fails_in_worker("FedAvg", "FEDHISYN_TEST_CRASH=FedAvg:soon: the attempt bound");
 }
 
 TEST(Dispatch, HungWorkerIsKilledAtTheDeadlineAndRetried) {
@@ -682,6 +694,66 @@ TEST(TcpDispatch, WorkerStreamingAnEndlessLineHitsTheLineCap) {
               std::string::npos)
         << what;
   }
+}
+
+TEST(TcpDispatch, NegativeCounterDeltaIsRejected) {
+  // Telemetry counts are unsigned on both ends: a -1 on the wire would wrap
+  // the coordinator's counter to 2^64-1 when added, so the cell must fail
+  // loudly, naming the field.
+  const auto rejects = [](const std::string& telemetry, const std::string& named) {
+    FakeEndpoint liar([telemetry](int fd) {
+      net::write_all(fd, hello_line(kWireRevision));
+      net::LineReader reader(fd);
+      std::string request;
+      if (reader.read_line(&request) != net::LineReader::Status::kLine) return;
+      net::write_all(fd, "{\"ok\":true,\"seconds\":0.5,\"telemetry\":" + telemetry +
+                             ",\"algorithm\":\"FedAvg\",\"final\":0.5,\"best\":0.5,"
+                             "\"comm\":null,\"rounds_to_target\":null,\"history\":[]}\n");
+      drain(fd);
+    });
+    auto grid = tiny_grid();
+    grid.methods({"FedAvg"});
+    TcpDispatcher::Options options;
+    options.hosts = {liar.endpoint()};
+    try {
+      TcpDispatcher(options).run(grid.expand());
+      FAIL() << "expected CheckError naming " << named;
+    } catch (const CheckError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("telemetry " + named + " is negative: -1"), std::string::npos)
+          << what;
+    }
+  };
+  rejects(R"({"dropped":0,"spans":[],"counters":{"build_cache.hits":-1}})",
+          "counter 'build_cache.hits'");
+  rejects(R"({"dropped":-1,"spans":[],"counters":{}})", "'dropped'");
+}
+
+TEST(TcpDispatch, RequestLackingTraceGetsAnErrorReply) {
+  // Every request field is required: a worker answers a request without
+  // `trace` with ok:false instead of guessing.
+  ServeWorker worker({"FEDHISYN_QUIET=1"});
+  const net::HostPort host = net::parse_host_port(worker.endpoint(), "127.0.0.1");
+  const net::Deadline deadline = net::Deadline::after(30.0);
+  const int fd = net::tcp_connect(host.host, host.port, deadline);
+  ASSERT_GE(fd, 0);
+  net::LineReader reader(fd);
+  std::string hello;
+  ASSERT_EQ(reader.read_line(&hello, deadline), net::LineReader::Status::kLine);
+  auto grid = tiny_grid();
+  grid.methods({"FedAvg"});
+  ASSERT_TRUE(net::write_all(
+      fd, "{\"attempt\":1,\"spec\":" + grid.expand()[0].to_json() + "}\n"));
+  std::string reply;
+  const net::LineReader::Status status = reader.read_line(&reply, deadline);
+  ::close(fd);
+  ASSERT_EQ(status, net::LineReader::Status::kLine);
+  const json::Value doc = json::parse(reply);
+  ASSERT_NE(doc.find("ok"), nullptr) << reply;
+  EXPECT_FALSE(doc.find("ok")->as_bool()) << reply;
+  ASSERT_NE(doc.find("error"), nullptr) << reply;
+  EXPECT_NE(doc.find("error")->as_string().find("lacks 'trace'"), std::string::npos)
+      << reply;
 }
 
 TEST(TcpDispatch, NoWorkersConfiguredCheckFails) {
