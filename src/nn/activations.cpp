@@ -25,7 +25,12 @@ void Relu::backward(const Shape3&, std::span<const float>, const Tensor& x,
   const float* go = grad_out.data();
   float* gi = grad_in->data();
   const std::int64_t n = x.numel();
-  for (std::int64_t i = 0; i < n; ++i) gi[i] = xin[i] > 0.0f ? go[i] : 0.0f;
+  // go[i] is loaded unconditionally so the select vectorises; the result is
+  // the same exact select.
+  for (std::int64_t i = 0; i < n; ++i) {
+    const float g = go[i];
+    gi[i] = xin[i] > 0.0f ? g : 0.0f;
+  }
 }
 
 void Flatten::forward(const Shape3& in, std::span<const float>, const Tensor& x,
