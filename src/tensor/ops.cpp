@@ -74,15 +74,21 @@ float softmax_xent_rows(std::span<const float> logits, std::span<const std::int3
     FEDHISYN_CHECK_MSG(y >= 0 && y < cols, "label " << y << " out of range [0," << cols << ")");
     float max_v = row[0];
     for (std::int64_t c = 1; c < cols; ++c) max_v = std::max(max_v, row[c]);
+    // The gradient path keeps each exp in grad and scales it in place:
+    // std::exp(float) is deterministic, so one call gives the bytes two did.
+    float* grow = want_grad ? grad.data() + r * cols : nullptr;
     double sum = 0.0;
-    for (std::int64_t c = 0; c < cols; ++c) sum += std::exp(row[c] - max_v);
+    for (std::int64_t c = 0; c < cols; ++c) {
+      const float e = std::exp(row[c] - max_v);
+      if (want_grad) grow[c] = e;
+      sum += e;
+    }
     const double log_sum = std::log(sum) + max_v;
     total_loss += log_sum - row[y];
     if (want_grad) {
-      float* grow = grad.data() + r * cols;
       const double inv_sum = 1.0 / sum;
       for (std::int64_t c = 0; c < cols; ++c) {
-        const double p = std::exp(row[c] - max_v) * inv_sum;
+        const double p = grow[c] * inv_sum;
         grow[c] = static_cast<float>(p) * inv_rows;
       }
       grow[y] -= inv_rows;
