@@ -6,7 +6,9 @@
 // cnn_im2col is the acceptance shape (k >= 256, n >= 256).  The mlp_small_*
 // trio is the middle layer of the laptop MLP at batch 50 (forward, dW, dx):
 // tiny calls that Table 1 makes millions of, gated so a slow small-shape
-// path cannot come back unnoticed.
+// path cannot come back unnoticed.  mlp0_fwd / mlp0_dw are the first layer
+// of the mnist MLP at batch 50 (forward, dW), where Table 1 spends most of
+// its GEMM time.
 //
 // Shape names are the keys of bench/baselines/BENCH_gemm.json — renaming or
 // removing one requires a baseline refresh (see README "Performance").
@@ -32,6 +34,8 @@ inline constexpr GemmShape kGemmSweepShapes[] = {
     {"mlp_small_fwd", GemmVariant::kNN, 50, 32, 16},
     {"mlp_small_dw", GemmVariant::kTN, 32, 50, 16},
     {"mlp_small_dx", GemmVariant::kNT, 50, 16, 32},
+    {"mlp0_fwd", GemmVariant::kNN, 50, 784, 32},
+    {"mlp0_dw", GemmVariant::kTN, 784, 50, 32},
     {"cnn_im2col", GemmVariant::kNN, 64, 1152, 1024},
     {"cnn_dfilters", GemmVariant::kNT, 64, 1024, 1152},
     {"cnn_dcols", GemmVariant::kTN, 1152, 64, 1024},

@@ -46,11 +46,10 @@ namespace fedhisyn {
 class ScratchArena {
  public:
   enum Buf : std::size_t {
-    kGemmPackA = 0,       // packed A row strip (k x MR, zero-padded)
-    kGemmPackB = 1,       // packed B column panel (k x NC, zero-padded)
-    kConvColumns = 2,     // im2col column matrix
-    kConvGradColumns = 3, // conv backward column-gradient matrix
-    kBufferCount = 4,
+    kGemmPackB = 0,       // packed B column panel (k x NC, zero-padded)
+    kConvColumns = 1,     // im2col column matrix
+    kConvGradColumns = 2, // conv backward column-gradient matrix
+    kBufferCount = 3,
   };
 
   /// The calling thread's buffer `which`, grown to hold >= `floats` floats,

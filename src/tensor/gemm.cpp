@@ -1,28 +1,33 @@
-// Blocked, packed GEMM driver (BLIS/GotoBLAS-style, sized for this
-// simulator).  One driver serves all three operand layouts and every
-// micro-kernel variant (gemm_kernels_*.cpp, selected once per process by
-// tensor/gemm_tune.cpp):
+// Blocked GEMM driver (BLIS/GotoBLAS-style, sized for this simulator).  One
+// driver serves all three operand layouts and every micro-kernel variant
+// (gemm_kernels_*.cpp, selected once per process by tensor/gemm_tune.cpp):
 //
 //   * C is tiled over (task_rows x NC) tasks: row strips crossed with column
 //     panels, both sized from the selected kernel's register tile
 //     (gemmk::task_rows / gemmk::panel_width).  The 2-D grid is what the
 //     pool parallelises over, so wide-N conv (im2col) shapes scale past `m`
 //     threads.
-//   * The B column panel is packed once per (thread, panel) into a
-//     contiguous, zero-padded, 64-byte-aligned ScratchArena buffer laid out
-//     in NR-wide sub-panels; A is packed per MR-row strip.  Packing
-//     normalises all three memory layouts (NN / NT / TN) into the same
-//     micro-kernel operands; MR/NR come from the selected kernel.
-//   * Every register tile stages through a 64-byte-aligned MR x NR
-//     accumulator: the driver beta-initialises it (per-op semantics below),
-//     the selected k-loop accumulates the *full* k extent, and the valid
-//     corner is stored back.  k is never split and every C element sees its
-//     k terms in ascending order, so results are bit-identical for any
-//     thread count, any tiling, any kernel variant (FEDHISYN_GEMM_KERNEL),
-//     inline or pooled — the determinism contract of common/parallel.hpp
-//     and gemm_kernel.hpp.
+//   * A is never packed: the micro-kernel reads op(A) in place through MR
+//     row pointers and a k step (1 for NN/NT, m for TN).  Rows past a
+//     strip's end point at its last valid row and are never stored.
+//   * B is read in place for narrow NN/TN shapes (n <= kGemmWideN) on every
+//     full NR sub-panel: op(B) is B, row stride n.  B is packed once per
+//     (thread, panel) into a zero-padded, 64-byte-aligned ScratchArena
+//     buffer of NR-wide sub-panels for NT (op(B) = B^T strides k per
+//     column), for a narrow shape's ragged last sub-panel, and for wide
+//     shapes, where in-place rows 4 KiB apart thrash the cache.
+//   * A full register tile whose beta the kernel applies itself (NN/TN with
+//     beta 0 or 1, NT with beta 0) initialises from and stores straight to
+//     C.  Edge tiles and other betas stage through a 64-byte-aligned MR x NR
+//     tile: the driver beta-initialises it (per-op semantics below), the
+//     k-loop accumulates, and the valid corner is stored back.
+//   * The k-loop always covers the *full* k extent: k is never split and
+//     every C element sees its k terms in ascending order, so results are
+//     bit-identical for any thread count, any tiling, any kernel variant
+//     (FEDHISYN_GEMM_KERNEL), packed or in place, inline or pooled — the
+//     determinism contract of common/parallel.hpp and gemm_kernel.hpp.
 //   * Every shape takes this driver, down to the 50x16x10 layers of the
-//     paper MLPs: packing is cheaper than a per-row fallback even there.
+//     paper MLPs.
 //
 // Historical bit-compatibility: gemm/gemm_tn beta-initialise the accumulator
 // and add the k terms on top (the old memory-accumulation order); gemm_nt
@@ -54,33 +59,6 @@ using gemmk::GemmOp;
 // would cost more than the work it spreads.
 constexpr std::int64_t kParallelFlopThreshold = std::int64_t{1} << 17;
 
-// Pack the mr-row strip of op(A) starting at row i0 into ap (k x mr,
-// zero-padded rows past m): ap[p*mr + ii] = op(A)(i0+ii, p).
-template <GemmOp V>
-void pack_a_strip(const float* a, std::int64_t m, std::int64_t k, std::int64_t i0,
-                  std::int64_t mr, float* ap) {
-  const std::int64_t rows = std::min(mr, m - i0);
-  if constexpr (V == GemmOp::kTN) {
-    // A is (k x m) row-major, so op(A)(i, p) = a[p*m + i]: contiguous in i.
-    for (std::int64_t p = 0; p < k; ++p) {
-      const float* src = a + p * m + i0;
-      float* out = ap + p * mr;
-      for (std::int64_t ii = 0; ii < rows; ++ii) out[ii] = src[ii];
-      for (std::int64_t ii = rows; ii < mr; ++ii) out[ii] = 0.0f;
-    }
-  } else {
-    // A is (m x k) row-major: read each row contiguously, scatter into the
-    // strip (the strip is cache-resident, the source may not be).
-    for (std::int64_t ii = 0; ii < rows; ++ii) {
-      const float* src = a + (i0 + ii) * k;
-      for (std::int64_t p = 0; p < k; ++p) ap[p * mr + ii] = src[p];
-    }
-    for (std::int64_t ii = rows; ii < mr; ++ii) {
-      for (std::int64_t p = 0; p < k; ++p) ap[p * mr + ii] = 0.0f;
-    }
-  }
-}
-
 // Pack the column panel [jc, jc+nc) of op(B) into bp as nr-wide sub-panels:
 // bp[(jr/nr)*(k*nr) + p*nr + jj] = op(B)(p, jc+jr+jj), zero-padded past n.
 template <GemmOp V>
@@ -111,54 +89,53 @@ void pack_b_panel(const float* b, std::int64_t k, std::int64_t n, std::int64_t j
   }
 }
 
-// One register tile: beta-initialise the staging accumulator (per-op
-// semantics), run the selected k-loop over the full k extent, store the
-// mr_valid x nr_valid corner.  The zero padding in the packs makes the
-// full-tile k-loop valid on edges too: padded rows and columns accumulate
-// garbage-free zeros the store never reads.  Per element this is the exact
-// init/accumulate/store arithmetic of the pre-dispatch kernel, so the bits
-// are unchanged — and identical for every kernel variant.
+// One register tile at (i0, j0) with an mr_valid x nr_valid valid corner.
+// `a` addresses op(A) as a + i*a_pitch + p*a_step; `b`/`ldb` is the tile's
+// op(B) sub-panel, in place or packed.  Per element this is the exact
+// init/accumulate/store arithmetic of the reference, so the bits are
+// unchanged — and identical for every kernel variant and every path here.
 template <GemmOp V>
-void run_micro_tile(const float* ap, const float* bp, float* c, std::int64_t n,
+void run_micro_tile(const float* a, std::int64_t a_pitch, std::int64_t a_step,
+                    const float* b, std::int64_t ldb, float* c, std::int64_t n,
                     std::int64_t k, std::int64_t i0, std::int64_t j0,
                     std::int64_t mr_valid, std::int64_t nr_valid, float beta,
                     const GemmKernel& kernel) {
-  alignas(64) float acc[gemmk::kMaxMR * gemmk::kMaxNR];
   const std::int64_t mr = kernel.mr;
   const std::int64_t nr = kernel.nr;
-  if (V == GemmOp::kNT || beta == 0.0f) {
+  const float* rows[gemmk::kMaxMR];
+  for (std::int64_t ii = 0; ii < mr; ++ii) {
+    rows[ii] = a + (i0 + std::min(ii, mr_valid - 1)) * a_pitch;
+  }
+  float* ct = c + i0 * n + j0;
+  if (mr_valid == mr && nr_valid == nr &&
+      (beta == 0.0f || (V != GemmOp::kNT && beta == 1.0f))) {
+    kernel.kloop(rows, a_step, b, ldb, k, ct, n, beta != 0.0f);
+    return;
+  }
+  alignas(64) float acc[gemmk::kMaxMR * gemmk::kMaxNR];
+  const bool load = V != GemmOp::kNT && beta != 0.0f;
+  if (load) {
+    // Padded rows and columns start at zero; they are never stored.
     for (std::int64_t ii = 0; ii < mr; ++ii) {
-      for (std::int64_t jj = 0; jj < nr; ++jj) acc[ii * nr + jj] = 0.0f;
-    }
-  } else if (beta == 1.0f) {
-    // Guard the row pointer too: forming c + row*n for a padded row past the
-    // end of C would be UB even unread.
-    for (std::int64_t ii = 0; ii < mr; ++ii) {
-      const float* ci = ii < mr_valid ? c + (i0 + ii) * n + j0 : nullptr;
       for (std::int64_t jj = 0; jj < nr; ++jj) {
-        acc[ii * nr + jj] = (ii < mr_valid && jj < nr_valid) ? ci[jj] : 0.0f;
-      }
-    }
-  } else {
-    for (std::int64_t ii = 0; ii < mr; ++ii) {
-      const float* ci = ii < mr_valid ? c + (i0 + ii) * n + j0 : nullptr;
-      for (std::int64_t jj = 0; jj < nr; ++jj) {
-        acc[ii * nr + jj] = (ii < mr_valid && jj < nr_valid) ? beta * ci[jj] : 0.0f;
+        const bool valid = ii < mr_valid && jj < nr_valid;
+        const float cij = valid ? ct[ii * n + jj] : 0.0f;
+        acc[ii * nr + jj] = beta == 1.0f ? cij : beta * cij;
       }
     }
   }
-  kernel.kloop(ap, bp, k, acc);
+  kernel.kloop(rows, a_step, b, ldb, k, acc, nr, load);
   if (V == GemmOp::kNT && beta != 0.0f) {
     // beta == 1 multiplies by exactly 1.0f, so one path covers both.
     for (std::int64_t ii = 0; ii < mr_valid; ++ii) {
-      float* ci = c + (i0 + ii) * n + j0;
+      float* ci = ct + ii * n;
       for (std::int64_t jj = 0; jj < nr_valid; ++jj) {
         ci[jj] = beta * ci[jj] + acc[ii * nr + jj];
       }
     }
   } else {
     for (std::int64_t ii = 0; ii < mr_valid; ++ii) {
-      float* ci = c + (i0 + ii) * n + j0;
+      float* ci = ct + ii * n;
       for (std::int64_t jj = 0; jj < nr_valid; ++jj) ci[jj] = acc[ii * nr + jj];
     }
   }
@@ -178,19 +155,21 @@ struct BPanelMemo {
 };
 thread_local BPanelMemo tl_bpanel;
 
+// Pack the columns [j0, j0+cols) of op(B) (cols > 0) for one panel, or
+// reuse this thread's packed copy from the previous task of the same panel.
 template <GemmOp V>
 const float* ensure_b_panel(const float* b, std::int64_t k, std::int64_t n,
-                            std::int64_t jc, std::int64_t nc, std::int64_t nr,
-                            std::int64_t nc_padded, std::uint64_t call_id,
-                            std::int64_t panel_index) {
+                            std::int64_t j0, std::int64_t cols, std::int64_t nr,
+                            std::uint64_t call_id, std::int64_t panel_index) {
   // The pool hands out task indices in ascending order, so a thread's tasks
   // for one panel are contiguous: between packing a panel and a memo hit on
   // it there is no intervening kGemmPackB request of a different size, and
   // the buffer is never reallocated out from under a hit.
+  const std::int64_t cols_padded = (cols + nr - 1) / nr * nr;
   auto bp = ScratchArena::buffer(ScratchArena::kGemmPackB,
-                                 static_cast<std::size_t>(k * nc_padded));
+                                 static_cast<std::size_t>(k * cols_padded));
   if (tl_bpanel.call_id != call_id || tl_bpanel.panel_index != panel_index) {
-    pack_b_panel<V>(b, k, n, jc, nc, nr, bp.data());
+    pack_b_panel<V>(b, k, n, j0, cols, nr, bp.data());
     tl_bpanel = {call_id, panel_index};
   }
   return bp.data();
@@ -209,11 +188,15 @@ void blocked_gemm(const float* a, const float* b, float* c, std::int64_t m,
   const std::int64_t tasks = row_strips * col_panels;
   const std::uint64_t call_id =
       g_gemm_call_id.fetch_add(1, std::memory_order_relaxed);
+  // op(A)(i, p) = a[i*a_pitch + p*a_step].
+  const std::int64_t a_pitch = V == GemmOp::kTN ? 1 : k;
+  const std::int64_t a_step = V == GemmOp::kTN ? m : 1;
+  const bool b_in_place = V != GemmOp::kNT && n <= kGemmWideN;
 
   const auto task_body = [&](std::int64_t task) {
     // Pack-vs-kernel attribution: timed only while tracing is on (the off
     // path must not read a clock), accumulated as microsecond counters so
-    // --metrics-out splits GEMM time into its memory and compute halves.
+    // --metrics-out splits GEMM time into B packing and the tiles.
     const bool traced = trace::enabled();
     const std::int64_t t_start = traced ? trace::now_us() : 0;
     // Panel-major numbering: consecutive tasks share a B panel, so the
@@ -222,31 +205,27 @@ void blocked_gemm(const float* a, const float* b, float* c, std::int64_t m,
     const std::int64_t strip_index = task % row_strips;
     const std::int64_t jc = panel_index * panel_width;
     const std::int64_t nc = std::min(panel_width, n - jc);
-    const std::int64_t nc_padded = ((nc + nr - 1) / nr) * nr;
-    const float* bp = ensure_b_panel<V>(b, k, n, jc, nc, nr, nc_padded, call_id,
-                                        panel_index);
+    // Columns [jc, jc+nc_in_place) are read from B itself, the rest packed.
+    const std::int64_t nc_in_place = b_in_place ? nc / nr * nr : 0;
+    const float* bp =
+        nc_in_place < nc ? ensure_b_panel<V>(b, k, n, jc + nc_in_place, nc - nc_in_place,
+                                             nr, call_id, panel_index)
+                         : nullptr;
+    const std::int64_t t_packed = traced ? trace::now_us() : 0;
     const std::int64_t i_begin = strip_index * task_rows;
     const std::int64_t i_end = std::min(m, i_begin + task_rows);
-    const std::int64_t strips = (i_end - i_begin + mr - 1) / mr;
-    // Pack every A strip of the task up front, then walk B sub-panels in the
-    // outer loop: each (k x nr) sub-panel is touched once per task and stays
-    // L1-hot across the strips, instead of streaming the whole packed panel
-    // once per strip.
-    auto ap = ScratchArena::buffer(ScratchArena::kGemmPackA,
-                                   static_cast<std::size_t>(strips * k * mr));
-    for (std::int64_t s = 0; s < strips; ++s) {
-      pack_a_strip<V>(a, m, k, i_begin + s * mr, mr, ap.data() + s * k * mr);
-    }
-    const std::int64_t t_packed = traced ? trace::now_us() : 0;
+    // B sub-panels in the outer loop: each (k x nr) sub-panel is touched once
+    // per task and stays L1-hot across the task's strips.
     for (std::int64_t jr = 0; jr < nc; jr += nr) {
-      const float* panel = bp + (jr / nr) * (k * nr);
+      const bool in_place = jr < nc_in_place;
+      const float* panel = in_place ? b + jc + jr : bp + (jr - nc_in_place) * k;
+      const std::int64_t ldb = in_place ? n : nr;
       const std::int64_t nr_valid = std::min(nr, nc - jr);
-      for (std::int64_t s = 0; s < strips; ++s) {
-        const std::int64_t i0 = i_begin + s * mr;
+      for (std::int64_t i0 = i_begin; i0 < i_end; i0 += mr) {
         // Clamp to the task boundary, not just m: tasks own disjoint row
         // ranges, so a strip must never write into the next task's rows.
         const std::int64_t mr_valid = std::min(mr, i_end - i0);
-        run_micro_tile<V>(ap.data() + s * k * mr, panel, c, n, k, i0, jc + jr,
+        run_micro_tile<V>(a, a_pitch, a_step, panel, ldb, c, n, k, i0, jc + jr,
                           mr_valid, nr_valid, beta, kernel);
       }
     }

@@ -1,23 +1,27 @@
 // Internal micro-kernel ABI of the blocked GEMM family (tensor/gemm.cpp)
 // and its arch-specialised implementations (gemm_kernels_*.cpp).
 //
-// One blocked driver serves every ISA: it packs op(A)/op(B) into p-major
-// panels, beta-initialises an MR x NR staging tile with the per-variant
-// semantics, calls the selected micro-kernel's k-loop, and stores the valid
-// corner back to C.  Only the k-loop is ISA-specific, so a kernel variant is
-// a function pointer plus its register-tile shape.
+// One blocked driver serves every ISA: it hands a micro-kernel MR row
+// pointers into op(A) (read in place, never packed), op(B) either in place
+// or as a packed NR-wide sub-panel, and a C tile to initialise and store —
+// C itself for full tiles, a 64-byte-aligned MR x NR staging tile for edge
+// tiles and for betas the kernel cannot apply.  Only the k-loop is
+// ISA-specific, so a kernel variant is a function pointer plus its
+// register-tile shape.
 //
 // The k-loop contract is the repo's byte-identity contract in miniature:
 //
-//   acc[ii*nr + jj] += sum over p ascending of ap[p*mr+ii] * bp[p*nr+jj]
+//   c[ii*ldc + jj] = (load_c ? c[ii*ldc + jj] : 0.0f)
+//                    + sum over p ascending of a[ii][p*a_step] * b[p*ldb + jj]
 //
 // with exactly one IEEE-rounded multiply and one IEEE-rounded add per term
 // (NO fused multiply-add: contraction skips the product rounding and would
 // make an FMA variant's bytes diverge from the generic kernel's — the
 // kernel TUs compile with -ffp-contract=off, see CMakeLists.txt, and
 // tests/tensor_test.cpp demands exact float equality across every variant).
-// Under that contract the register-tile shape, the ISA and the tile-grid
-// sizes are pure scheduling knobs: every variant produces identical bits.
+// Under that contract the register-tile shape, the ISA, the tile-grid
+// sizes and whether an operand is packed are pure scheduling knobs: every
+// variant produces identical bits.
 //
 // Runtime selection (CPUID dispatch, FEDHISYN_GEMM_KERNEL) lives one layer
 // up in tensor/gemm_tune.hpp.
@@ -29,22 +33,30 @@
 namespace fedhisyn::gemmk {
 
 /// The three public entry points' operand layouts (gemm / gemm_nt / gemm_tn).
-/// Only packing and the C-tile beta semantics differ per op; the k-loop is
-/// op-agnostic.
+/// Only the operand addressing and the C-tile beta semantics differ per op;
+/// the k-loop is op-agnostic.
 enum class GemmOp { kNN, kNT, kTN };
 
-/// Largest register tile any variant declares; the driver's staging
-/// accumulator is sized to this (a 64-byte-aligned stack array).
+/// Largest register tile any variant declares; the driver's staging tile
+/// and row-pointer array are sized to this (stack arrays).
 inline constexpr std::int64_t kMaxMR = 16;
 inline constexpr std::int64_t kMaxNR = 32;
 
-/// Micro-kernel k-loop: accumulate the full k extent of one register tile
-/// into the staging accumulator `acc` (mr x nr row-major, 64-byte aligned,
-/// already initialised by the driver).  `ap` is the packed A strip (k x mr,
-/// p-major), `bp` the packed B sub-panel (k x nr, p-major); both are
-/// zero-padded past the valid edge, so the loop never branches on it.
-using KloopFn = void (*)(const float* ap, const float* bp, std::int64_t k,
-                         float* acc);
+/// Micro-kernel k-loop: compute one full mr x nr register tile over the
+/// whole k extent, per the contract above.
+///   * `a` holds mr row pointers into op(A): a[ii][p*a_step] is row ii's
+///     k-th term.  a_step is 1 for NN/NT (an A row is contiguous in k) and
+///     m for TN (A is stored k x m).  The driver points rows past the
+///     strip's end at its last valid row, so every read is in bounds; their
+///     results land only in staging rows that are never stored.
+///   * `b` is op(B) at the tile's first column with row stride `ldb`: B in
+///     place (ldb = n) or a zero-padded packed sub-panel (ldb = nr).  All nr
+///     columns are read.
+///   * `c` is the tile with row stride `ldc`: initialised from itself when
+///     `load_c`, from +0.0f otherwise, and all mr x nr elements are stored.
+using KloopFn = void (*)(const float* const* a, std::int64_t a_step,
+                         const float* b, std::int64_t ldb, std::int64_t k,
+                         float* c, std::int64_t ldc, bool load_c);
 
 /// One register-tile shape of one ISA variant.
 struct GemmKernel {

@@ -27,43 +27,51 @@ namespace {
 bool avx2_supported() { return __builtin_cpu_supports("avx2") != 0; }
 
 // 8x8: 8 ymm accumulators + 1 b load + 1 a broadcast = 10 of 16 ymm regs.
-__attribute__((target("avx2"))) void kloop_8x8(const float* ap, const float* bp,
-                                               std::int64_t k, float* acc) {
+__attribute__((target("avx2"))) void kloop_8x8(
+    const float* const* a, std::int64_t a_step, const float* b, std::int64_t ldb,
+    std::int64_t k, float* c, std::int64_t ldc, bool load_c) {
   __m256 vacc[8];
-  for (int ii = 0; ii < 8; ++ii) vacc[ii] = _mm256_loadu_ps(acc + ii * 8);
+  const float* ar[8];
+  for (int ii = 0; ii < 8; ++ii) {
+    vacc[ii] = load_c ? _mm256_loadu_ps(c + ii * ldc) : _mm256_setzero_ps();
+    ar[ii] = a[ii];
+  }
   for (std::int64_t p = 0; p < k; ++p) {
-    const __m256 b = _mm256_loadu_ps(bp + p * 8);
-    const float* a = ap + p * 8;
+    const __m256 bv = _mm256_loadu_ps(b + p * ldb);
+    const std::int64_t off = p * a_step;
     for (int ii = 0; ii < 8; ++ii) {
-      vacc[ii] = _mm256_add_ps(vacc[ii], _mm256_mul_ps(_mm256_set1_ps(a[ii]), b));
+      vacc[ii] = _mm256_add_ps(vacc[ii], _mm256_mul_ps(_mm256_set1_ps(ar[ii][off]), bv));
     }
   }
-  for (int ii = 0; ii < 8; ++ii) _mm256_storeu_ps(acc + ii * 8, vacc[ii]);
+  for (int ii = 0; ii < 8; ++ii) _mm256_storeu_ps(c + ii * ldc, vacc[ii]);
 }
 
 // 6x16: 12 accumulators + 2 b loads + 1 broadcast = 15 of 16 ymm regs.  The
-// wider tile reads each packed B element once per 6 rows instead of once per
-// 8, which favours the wide-n conv shapes.
-__attribute__((target("avx2"))) void kloop_6x16(const float* ap, const float* bp,
-                                                std::int64_t k, float* acc) {
+// wider tile reads each B element once per 6 rows instead of once per 8,
+// which favours the wide-n conv shapes.
+__attribute__((target("avx2"))) void kloop_6x16(
+    const float* const* a, std::int64_t a_step, const float* b, std::int64_t ldb,
+    std::int64_t k, float* c, std::int64_t ldc, bool load_c) {
   __m256 vacc[6][2];
+  const float* ar[6];
   for (int ii = 0; ii < 6; ++ii) {
-    vacc[ii][0] = _mm256_loadu_ps(acc + ii * 16);
-    vacc[ii][1] = _mm256_loadu_ps(acc + ii * 16 + 8);
+    vacc[ii][0] = load_c ? _mm256_loadu_ps(c + ii * ldc) : _mm256_setzero_ps();
+    vacc[ii][1] = load_c ? _mm256_loadu_ps(c + ii * ldc + 8) : _mm256_setzero_ps();
+    ar[ii] = a[ii];
   }
   for (std::int64_t p = 0; p < k; ++p) {
-    const __m256 b0 = _mm256_loadu_ps(bp + p * 16);
-    const __m256 b1 = _mm256_loadu_ps(bp + p * 16 + 8);
-    const float* a = ap + p * 6;
+    const __m256 b0 = _mm256_loadu_ps(b + p * ldb);
+    const __m256 b1 = _mm256_loadu_ps(b + p * ldb + 8);
+    const std::int64_t off = p * a_step;
     for (int ii = 0; ii < 6; ++ii) {
-      const __m256 ai = _mm256_set1_ps(a[ii]);
+      const __m256 ai = _mm256_set1_ps(ar[ii][off]);
       vacc[ii][0] = _mm256_add_ps(vacc[ii][0], _mm256_mul_ps(ai, b0));
       vacc[ii][1] = _mm256_add_ps(vacc[ii][1], _mm256_mul_ps(ai, b1));
     }
   }
   for (int ii = 0; ii < 6; ++ii) {
-    _mm256_storeu_ps(acc + ii * 16, vacc[ii][0]);
-    _mm256_storeu_ps(acc + ii * 16 + 8, vacc[ii][1]);
+    _mm256_storeu_ps(c + ii * ldc, vacc[ii][0]);
+    _mm256_storeu_ps(c + ii * ldc + 8, vacc[ii][1]);
   }
 }
 

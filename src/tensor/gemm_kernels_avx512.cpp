@@ -20,42 +20,46 @@ namespace {
 
 bool avx512_supported() { return __builtin_cpu_supports("avx512f") != 0; }
 
-__attribute__((target("avx512f"))) void kloop_8x16(const float* ap,
-                                                   const float* bp,
-                                                   std::int64_t k, float* acc) {
+__attribute__((target("avx512f"))) void kloop_8x16(
+    const float* const* a, std::int64_t a_step, const float* b, std::int64_t ldb,
+    std::int64_t k, float* c, std::int64_t ldc, bool load_c) {
   __m512 vacc[8];
-  for (int ii = 0; ii < 8; ++ii) vacc[ii] = _mm512_loadu_ps(acc + ii * 16);
+  const float* ar[8];
+  for (int ii = 0; ii < 8; ++ii) {
+    vacc[ii] = load_c ? _mm512_loadu_ps(c + ii * ldc) : _mm512_setzero_ps();
+    ar[ii] = a[ii];
+  }
   for (std::int64_t p = 0; p < k; ++p) {
-    const __m512 b = _mm512_loadu_ps(bp + p * 16);
-    const float* a = ap + p * 8;
+    const __m512 bv = _mm512_loadu_ps(b + p * ldb);
+    const std::int64_t off = p * a_step;
     for (int ii = 0; ii < 8; ++ii) {
-      vacc[ii] = _mm512_add_ps(vacc[ii], _mm512_mul_ps(_mm512_set1_ps(a[ii]), b));
+      vacc[ii] = _mm512_add_ps(vacc[ii], _mm512_mul_ps(_mm512_set1_ps(ar[ii][off]), bv));
     }
   }
-  for (int ii = 0; ii < 8; ++ii) _mm512_storeu_ps(acc + ii * 16, vacc[ii]);
+  for (int ii = 0; ii < 8; ++ii) _mm512_storeu_ps(c + ii * ldc, vacc[ii]);
 }
 
-__attribute__((target("avx512f"))) void kloop_14x32(const float* ap,
-                                                    const float* bp,
-                                                    std::int64_t k, float* acc) {
+__attribute__((target("avx512f"))) void kloop_14x32(
+    const float* const* a, std::int64_t a_step, const float* b, std::int64_t ldb,
+    std::int64_t k, float* c, std::int64_t ldc, bool load_c) {
   __m512 vacc[14][2];
   for (int ii = 0; ii < 14; ++ii) {
-    vacc[ii][0] = _mm512_loadu_ps(acc + ii * 32);
-    vacc[ii][1] = _mm512_loadu_ps(acc + ii * 32 + 16);
+    vacc[ii][0] = load_c ? _mm512_loadu_ps(c + ii * ldc) : _mm512_setzero_ps();
+    vacc[ii][1] = load_c ? _mm512_loadu_ps(c + ii * ldc + 16) : _mm512_setzero_ps();
   }
   for (std::int64_t p = 0; p < k; ++p) {
-    const __m512 b0 = _mm512_loadu_ps(bp + p * 32);
-    const __m512 b1 = _mm512_loadu_ps(bp + p * 32 + 16);
-    const float* a = ap + p * 14;
+    const __m512 b0 = _mm512_loadu_ps(b + p * ldb);
+    const __m512 b1 = _mm512_loadu_ps(b + p * ldb + 16);
+    const std::int64_t off = p * a_step;
     for (int ii = 0; ii < 14; ++ii) {
-      const __m512 ai = _mm512_set1_ps(a[ii]);
+      const __m512 ai = _mm512_set1_ps(a[ii][off]);
       vacc[ii][0] = _mm512_add_ps(vacc[ii][0], _mm512_mul_ps(ai, b0));
       vacc[ii][1] = _mm512_add_ps(vacc[ii][1], _mm512_mul_ps(ai, b1));
     }
   }
   for (int ii = 0; ii < 14; ++ii) {
-    _mm512_storeu_ps(acc + ii * 32, vacc[ii][0]);
-    _mm512_storeu_ps(acc + ii * 32 + 16, vacc[ii][1]);
+    _mm512_storeu_ps(c + ii * ldc, vacc[ii][0]);
+    _mm512_storeu_ps(c + ii * ldc + 16, vacc[ii][1]);
   }
 }
 

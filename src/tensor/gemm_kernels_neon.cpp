@@ -22,48 +22,54 @@ namespace {
 
 bool neon_supported() { return true; }
 
-void kloop_4x8(const float* ap, const float* bp, std::int64_t k, float* acc) {
+void kloop_4x8(const float* const* a, std::int64_t a_step, const float* b,
+               std::int64_t ldb, std::int64_t k, float* c, std::int64_t ldc,
+               bool load_c) {
+  const float32x4_t zero = vdupq_n_f32(0.0f);
   float32x4_t vacc[4][2];
   for (int ii = 0; ii < 4; ++ii) {
-    vacc[ii][0] = vld1q_f32(acc + ii * 8);
-    vacc[ii][1] = vld1q_f32(acc + ii * 8 + 4);
+    vacc[ii][0] = load_c ? vld1q_f32(c + ii * ldc) : zero;
+    vacc[ii][1] = load_c ? vld1q_f32(c + ii * ldc + 4) : zero;
   }
   for (std::int64_t p = 0; p < k; ++p) {
-    const float32x4_t b0 = vld1q_f32(bp + p * 8);
-    const float32x4_t b1 = vld1q_f32(bp + p * 8 + 4);
-    const float* a = ap + p * 4;
+    const float32x4_t b0 = vld1q_f32(b + p * ldb);
+    const float32x4_t b1 = vld1q_f32(b + p * ldb + 4);
+    const std::int64_t off = p * a_step;
     for (int ii = 0; ii < 4; ++ii) {
-      const float32x4_t ai = vdupq_n_f32(a[ii]);
+      const float32x4_t ai = vdupq_n_f32(a[ii][off]);
       vacc[ii][0] = vaddq_f32(vacc[ii][0], vmulq_f32(ai, b0));
       vacc[ii][1] = vaddq_f32(vacc[ii][1], vmulq_f32(ai, b1));
     }
   }
   for (int ii = 0; ii < 4; ++ii) {
-    vst1q_f32(acc + ii * 8, vacc[ii][0]);
-    vst1q_f32(acc + ii * 8 + 4, vacc[ii][1]);
+    vst1q_f32(c + ii * ldc, vacc[ii][0]);
+    vst1q_f32(c + ii * ldc + 4, vacc[ii][1]);
   }
 }
 
 // 8x8: 16 accumulators + 2 b loads + 1 dup = 19 of 32 q registers.
-void kloop_8x8(const float* ap, const float* bp, std::int64_t k, float* acc) {
+void kloop_8x8(const float* const* a, std::int64_t a_step, const float* b,
+               std::int64_t ldb, std::int64_t k, float* c, std::int64_t ldc,
+               bool load_c) {
+  const float32x4_t zero = vdupq_n_f32(0.0f);
   float32x4_t vacc[8][2];
   for (int ii = 0; ii < 8; ++ii) {
-    vacc[ii][0] = vld1q_f32(acc + ii * 8);
-    vacc[ii][1] = vld1q_f32(acc + ii * 8 + 4);
+    vacc[ii][0] = load_c ? vld1q_f32(c + ii * ldc) : zero;
+    vacc[ii][1] = load_c ? vld1q_f32(c + ii * ldc + 4) : zero;
   }
   for (std::int64_t p = 0; p < k; ++p) {
-    const float32x4_t b0 = vld1q_f32(bp + p * 8);
-    const float32x4_t b1 = vld1q_f32(bp + p * 8 + 4);
-    const float* a = ap + p * 8;
+    const float32x4_t b0 = vld1q_f32(b + p * ldb);
+    const float32x4_t b1 = vld1q_f32(b + p * ldb + 4);
+    const std::int64_t off = p * a_step;
     for (int ii = 0; ii < 8; ++ii) {
-      const float32x4_t ai = vdupq_n_f32(a[ii]);
+      const float32x4_t ai = vdupq_n_f32(a[ii][off]);
       vacc[ii][0] = vaddq_f32(vacc[ii][0], vmulq_f32(ai, b0));
       vacc[ii][1] = vaddq_f32(vacc[ii][1], vmulq_f32(ai, b1));
     }
   }
   for (int ii = 0; ii < 8; ++ii) {
-    vst1q_f32(acc + ii * 8, vacc[ii][0]);
-    vst1q_f32(acc + ii * 8 + 4, vacc[ii][1]);
+    vst1q_f32(c + ii * ldc, vacc[ii][0]);
+    vst1q_f32(c + ii * ldc + 4, vacc[ii][1]);
   }
 }
 

@@ -240,14 +240,20 @@ void expect_all_variants_exact(std::int64_t m, std::int64_t k, std::int64_t n,
 // straddling register tiles (up to 14x32), the row-strip, and the column
 // panel (512, via n = 520), a flop count large enough to dispatch the pool,
 // and the batch-50 shapes of the paper MLPs' forward, dW and dx GEMMs, where
-// Table 1 spends its time.  Shared between the parameterised suite (default
-// kernel) and the kernel-variant matrix below.
+// Table 1 spends its time.  The second block targets the in-place operand
+// path: m < MR on full narrow B sub-panels (A rows clamped), m not a multiple
+// of MR, the in-place/packed B boundary (n = kGemmWideN and one past it) and
+// a tall TN shape.  Operands are sized exactly, so a sanitizer build catches
+// any unclamped A row or B over-read.  Shared between the parameterised
+// suite (default kernel) and the kernel-variant matrix below.
 const std::tuple<int, int, int> kGemmEdgeShapes[] = {
     {1, 1, 1},    {1, 300, 1},   {1, 37, 300},  {300, 37, 1},
     {3, 5, 7},    {4, 64, 8},    {5, 64, 9},    {7, 129, 15},
     {9, 33, 130}, {33, 70, 520}, {64, 256, 96},
     {50, 32, 16}, {32, 50, 16},  {50, 16, 32},  {50, 16, 10},
     {16, 50, 10}, {50, 10, 16},  {50, 192, 32}, {192, 50, 32},
+    {3, 40, 32},  {7, 784, 16},  {50, 784, 32}, {784, 50, 32},
+    {13, 20, 64}, {21, 24, 256}, {21, 24, 257}, {3072, 50, 32},
 };
 
 class GemmExactShapes
