@@ -1,4 +1,4 @@
-// GEMM shape sweep: times the blocked/packed kernels (tensor/gemm.hpp)
+// GEMM shape sweep: times the blocked kernels (tensor/gemm.hpp)
 // against a serial per-row reference (the pre-blocking kernel) over the
 // dense-MLP and CNN-im2col shapes that dominate Table 1 / fig6 / fig7
 // runtime, and emits machine-readable BENCH_gemm.json.

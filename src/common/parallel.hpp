@@ -33,7 +33,7 @@
 
 namespace fedhisyn {
 
-/// Thread-local aligned scratch buffers for the hot kernels (GEMM panel
+/// Thread-local aligned scratch buffers for the hot kernels (GEMM B-panel
 /// packing, conv im2col columns).  Buffers live for the thread's lifetime and
 /// grow monotonically, so steady-state kernel calls never allocate.
 ///
@@ -46,7 +46,7 @@ namespace fedhisyn {
 class ScratchArena {
  public:
   enum Buf : std::size_t {
-    kGemmPackB = 0,       // packed B column panel (k x NC, zero-padded)
+    kGemmPackB = 0,       // packed op(B) columns (k x NC, zero-padded; A is never packed)
     kConvColumns = 1,     // im2col column matrix
     kConvGradColumns = 2, // conv backward column-gradient matrix
     kBufferCount = 3,

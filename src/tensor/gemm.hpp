@@ -1,10 +1,11 @@
 // Single-precision GEMM kernels used by the dense and convolution layers.
 //
-// C (MxN) += / = op(A) * op(B).  Row-major.  Every shape runs one blocked,
-// packed kernel (see gemm.cpp): C is tiled over a 2-D (row strip x column
-// panel) grid that the ParallelExecutor pool fans out over (inline when
-// already inside a parallel region), A/B panels are packed into per-thread
-// aligned scratch, and an MRxNR register micro-kernel does the arithmetic.
+// C (MxN) += / = op(A) * op(B).  Row-major.  Every shape runs one blocked
+// kernel (see gemm.cpp): C is tiled over a 2-D (row strip x column panel)
+// grid that the ParallelExecutor pool fans out over (inline when already
+// inside a parallel region), and an MRxNR register micro-kernel does the
+// arithmetic.  A is read in place; B is read in place on narrow NN/TN
+// shapes and packed into per-thread aligned scratch otherwise.
 // The micro-kernel is multiversioned per ISA (generic / AVX2 / AVX-512 /
 // NEON, see gemm_kernel.hpp) and selected once per process by runtime CPUID
 // dispatch, overridable via FEDHISYN_GEMM_KERNEL; the selection layer is
@@ -14,7 +15,8 @@
 // Determinism: i/j are blocked but k never is — every C element accumulates
 // its k terms in ascending order with one rounded multiply and one rounded
 // add per term (no FMA anywhere), so results are bit-identical across thread
-// counts, kernel variants, register tiles and inline vs pooled execution.
+// counts, kernel variants, register tiles, packed vs in-place operands and
+// inline vs pooled execution.
 // Not a BLAS replacement — sized for the models the FL simulation trains —
 // but verified against an order-exact reference (every kernel variant
 // forced, exact float equality) in tests/tensor_test.cpp and swept in

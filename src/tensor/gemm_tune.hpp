@@ -16,8 +16,9 @@
 // exact float equality.
 //
 // Shape classes.  Trace spans name each call by operand layout and output
-// width: {nn, nt, tn} x {narrow (n <= 256), wide}.  The classes label
-// timings only; they do not select anything.
+// width: {nn, nt, tn} x {narrow (n <= 256), wide}.  The same bound decides
+// whether the driver reads NN/TN's B in place (gemm.cpp); the classes
+// select no kernel or tile.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +29,8 @@
 
 namespace fedhisyn {
 
-/// Outputs with n <= kGemmWideN are "narrow", the rest "wide".
+/// Outputs with n <= kGemmWideN are "narrow", the rest "wide".  Narrow
+/// NN/TN calls read B in place; wide ones pack it.
 inline constexpr std::int64_t kGemmWideN = 256;
 
 /// Shape-class span name, e.g. "nn/narrow" or "tn/wide".
