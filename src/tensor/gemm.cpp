@@ -15,7 +15,8 @@
 //     (thread, panel) into a zero-padded, 64-byte-aligned ScratchArena
 //     buffer of NR-wide sub-panels for NT (op(B) = B^T strides k per
 //     column), for a narrow shape's ragged last sub-panel, and for wide
-//     shapes, where in-place rows 4 KiB apart thrash the cache.
+//     shapes: on the 64x1152x1024 conv shape (B rows 4 KiB apart) reading
+//     B in place ran over 2x slower than packing it.
 //   * A full register tile whose beta the kernel applies itself (NN/TN with
 //     beta 0 or 1, NT with beta 0) initialises from and stores straight to
 //     C.  Edge tiles and other betas stage through a 64-byte-aligned MR x NR

@@ -61,8 +61,7 @@ constexpr std::int64_t kNV = kNR / 4;
 
 // One k term: vacc[ii][jv] += a[ii][off] * b[4*jv..4*jv+3].
 FEDHISYN_ALWAYS_INLINE void micro_step(const float* const* a, std::int64_t off,
-                                       const float* b,
-                                       v4f vacc[kMR][kNV]) {
+                                       const float* b, v4f vacc[kMR][kNV]) {
   for (std::int64_t ii = 0; ii < kMR; ++ii) {
     const v4f ai = v4_broadcast(a[ii][off]);
     for (std::int64_t jv = 0; jv < kNV; ++jv) {
