@@ -10,13 +10,18 @@
 //   * A is never packed: the micro-kernel reads op(A) in place through MR
 //     row pointers and a k step (1 for NN/NT, m for TN).  Rows past a
 //     strip's end point at its last valid row and are never stored.
-//   * B is read in place for narrow NN/TN shapes (n <= kGemmWideN) on every
-//     full NR sub-panel: op(B) is B, row stride n.  B is packed once per
-//     (thread, panel) into a zero-padded, 64-byte-aligned ScratchArena
-//     buffer of NR-wide sub-panels for NT (op(B) = B^T strides k per
-//     column), for a narrow shape's ragged last sub-panel, and for wide
-//     shapes: on the 64x1152x1024 conv shape (B rows 4 KiB apart) reading
-//     B in place ran over 2x slower than packing it.
+//   * B is read in place for NN/TN shapes whose B rows are under 512 bytes
+//     (n < 128) on every full NR sub-panel: op(B) is B, row stride n.  B is
+//     packed once per (thread, panel) into a zero-padded, 64-byte-aligned
+//     ScratchArena buffer of NR-wide sub-panels for NT (op(B) = B^T strides
+//     k per column), for a ragged last sub-panel, and for wider rows.  The
+//     bound is the measured crossover (bench_gemm_sweep, 1 thread, best of
+//     6 runs on a 4-vCPU AVX-512 Xeon, avx512 and forced avx2): in place
+//     wins on 50x784xn NN and 784x50xn TN for n <= 100 (up to 19% on avx2),
+//     splits at n = 128 (NN +10%/-1%, TN -6%/-8%), and loses from n = 200
+//     (NN -4%/-9%, TN -3%/-7%; 784x50x256 TN -21% on avx512).  On the
+//     64x1152x1024 conv shape (B rows 4 KiB apart) in place ran over 2x
+//     slower than packing.
 //   * A full register tile whose beta the kernel applies itself (NN/TN with
 //     beta 0 or 1, NT with beta 0) initialises from and stores straight to
 //     C.  Edge tiles and other betas stage through a 64-byte-aligned MR x NR
@@ -59,6 +64,9 @@ using gemmk::GemmOp;
 // Below this many multiply-accumulates a call runs inline: a pool wakeup
 // would cost more than the work it spreads.
 constexpr std::int64_t kParallelFlopThreshold = std::int64_t{1} << 17;
+
+// NN/TN read B in place while a B row is shorter than this (see the header).
+constexpr std::int64_t kInPlaceBRowBytes = 512;
 
 // Pack the column panel [jc, jc+nc) of op(B) into bp as nr-wide sub-panels:
 // bp[(jr/nr)*(k*nr) + p*nr + jj] = op(B)(p, jc+jr+jj), zero-padded past n.
@@ -121,7 +129,7 @@ void run_micro_tile(const float* a, std::int64_t a_pitch, std::int64_t a_step,
       for (std::int64_t jj = 0; jj < nr; ++jj) {
         const bool valid = ii < mr_valid && jj < nr_valid;
         const float cij = valid ? ct[ii * n + jj] : 0.0f;
-        acc[ii * nr + jj] = beta == 1.0f ? cij : beta * cij;
+        acc[ii * nr + jj] = beta * cij;
       }
     }
   }
@@ -192,7 +200,8 @@ void blocked_gemm(const float* a, const float* b, float* c, std::int64_t m,
   // op(A)(i, p) = a[i*a_pitch + p*a_step].
   const std::int64_t a_pitch = V == GemmOp::kTN ? 1 : k;
   const std::int64_t a_step = V == GemmOp::kTN ? m : 1;
-  const bool b_in_place = V != GemmOp::kNT && n <= kGemmWideN;
+  const bool b_in_place =
+      V != GemmOp::kNT && n * std::int64_t{sizeof(float)} < kInPlaceBRowBytes;
 
   const auto task_body = [&](std::int64_t task) {
     // Pack-vs-kernel attribution: timed only while tracing is on (the off

@@ -4,8 +4,8 @@
 // kernel (see gemm.cpp): C is tiled over a 2-D (row strip x column panel)
 // grid that the ParallelExecutor pool fans out over (inline when already
 // inside a parallel region), and an MRxNR register micro-kernel does the
-// arithmetic.  A is read in place; B is read in place on narrow NN/TN
-// shapes and packed into per-thread aligned scratch otherwise.
+// arithmetic.  A is read in place; B is read in place on NN/TN shapes with
+// n < 128 and packed into per-thread aligned scratch otherwise.
 // The micro-kernel is multiversioned per ISA (generic / AVX2 / AVX-512 /
 // NEON, see gemm_kernel.hpp) and selected once per process by runtime CPUID
 // dispatch, overridable via FEDHISYN_GEMM_KERNEL; the selection layer is

@@ -16,9 +16,8 @@
 // exact float equality.
 //
 // Shape classes.  Trace spans name each call by operand layout and output
-// width: {nn, nt, tn} x {narrow (n <= 256), wide}.  The same bound decides
-// whether the driver reads NN/TN's B in place (gemm.cpp); the classes
-// select no kernel or tile.
+// width: {nn, nt, tn} x {narrow (n <= 256), wide}.  The classes are labels
+// only: they select no kernel, tile or operand path.
 #pragma once
 
 #include <cstdint>
@@ -29,8 +28,7 @@
 
 namespace fedhisyn {
 
-/// Outputs with n <= kGemmWideN are "narrow", the rest "wide".  Narrow
-/// NN/TN calls read B in place; wide ones pack it.
+/// Outputs with n <= kGemmWideN are "narrow", the rest "wide".
 inline constexpr std::int64_t kGemmWideN = 256;
 
 /// Shape-class span name, e.g. "nn/narrow" or "tn/wide".

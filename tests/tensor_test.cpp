@@ -242,7 +242,8 @@ void expect_all_variants_exact(std::int64_t m, std::int64_t k, std::int64_t n,
 // and the batch-50 shapes of the paper MLPs' forward, dW and dx GEMMs, where
 // Table 1 spends its time.  The second block targets the in-place operand
 // path: m < MR on full narrow B sub-panels (A rows clamped), m not a multiple
-// of MR, the in-place/packed B boundary (n = kGemmWideN and one past it) and
+// of MR, the in-place/packed B boundary (n = 127 and 128: B rows under and
+// at 512 bytes), the narrow/wide trace-class boundary (n = 256 and 257) and
 // a tall TN shape.  Operands are sized exactly, so a sanitizer build catches
 // any unclamped A row or B over-read.  Shared between the parameterised
 // suite (default kernel) and the kernel-variant matrix below.
@@ -253,7 +254,8 @@ const std::tuple<int, int, int> kGemmEdgeShapes[] = {
     {50, 32, 16}, {32, 50, 16},  {50, 16, 32},  {50, 16, 10},
     {16, 50, 10}, {50, 10, 16},  {50, 192, 32}, {192, 50, 32},
     {3, 40, 32},  {7, 784, 16},  {50, 784, 32}, {784, 50, 32},
-    {13, 20, 64}, {21, 24, 256}, {21, 24, 257}, {3072, 50, 32},
+    {13, 20, 64}, {21, 24, 127}, {21, 24, 128}, {21, 24, 256},
+    {21, 24, 257}, {3072, 50, 32},
 };
 
 class GemmExactShapes
