@@ -68,6 +68,31 @@ TEST(Synthetic, BalancedClassDraw) {
   }
 }
 
+/// FNV-1a over the bytes of a split's inputs and labels.
+std::uint64_t split_digest(const SyntheticSplit& split) {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto mix = [&h](const void* data, std::size_t bytes) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < bytes; ++i) h = (h ^ p[i]) * 1099511628211ull;
+  };
+  for (const Dataset* set : {&split.train, &split.test}) {
+    mix(set->x.data(), static_cast<std::size_t>(set->x.numel()) * sizeof(float));
+    mix(set->y.data(), set->y.size() * sizeof(std::int32_t));
+  }
+  return h;
+}
+
+TEST(Synthetic, LaptopSuitesCharacterization) {
+  // The laptop scale of the mnist and cifar10 suites (20 devices x 40
+  // samples, 500 test samples), pinned to exact bytes.
+  Rng mnist_rng(42);
+  EXPECT_EQ(split_digest(generate(mnist_like(), 800, 500, mnist_rng)),
+            5209631634456905928ull);
+  Rng cifar_rng(42);
+  EXPECT_EQ(split_digest(generate(cifar10_like(), 800, 500, cifar_rng)),
+            5534761582839952173ull);
+}
+
 TEST(Synthetic, DeterministicGivenSeed) {
   Rng a(7);
   Rng b(7);

@@ -3,9 +3,11 @@
 // training sanity (loss decreases on a learnable problem).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -330,6 +332,50 @@ TEST(Network, AccuracyChunkingInvariant) {
   EXPECT_FLOAT_EQ(a1, a7);
   EXPECT_FLOAT_EQ(a7, a23);
   EXPECT_FLOAT_EQ(a23, a100);
+}
+
+/// FNV-1a over the bytes of the loss and the gradient: any bit that moves
+/// changes the digest.
+std::uint64_t loss_grad_digest(float loss, std::span<const float> grad) {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto mix = [&h](const void* data, std::size_t bytes) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < bytes; ++i) h = (h ^ p[i]) * 1099511628211ull;
+  };
+  mix(&loss, sizeof(loss));
+  mix(grad.data(), grad.size_bytes());
+  return h;
+}
+
+/// Characterisation: one loss_and_grad of a fixed problem, pinned to exact
+/// bytes.  The gradient buffer starts out full of junk and the pass runs
+/// twice on one workspace, so a layer that leaves part of its gradient slice
+/// unwritten, or a reused activation buffer that leaks stale values, moves
+/// the digest.
+std::uint64_t step_digest(const Network& net, std::int64_t batch, std::uint64_t seed) {
+  Rng rng(seed);
+  const auto weights = net.init_weights(rng);
+  const Problem p = make_problem(net, batch, rng);
+  Workspace ws;
+  std::vector<float> grad(weights.size(), 1234.5f);
+  const float first = net.loss_and_grad(weights, p.x, p.y, grad, ws);
+  const std::uint64_t digest = loss_grad_digest(first, grad);
+  std::fill(grad.begin(), grad.end(), -0.0f);
+  const float second = net.loss_and_grad(weights, p.x, p.y, grad, ws);
+  EXPECT_EQ(loss_grad_digest(second, grad), digest) << "second pass differs";
+  return digest;
+}
+
+TEST(Characterization, MlpLossAndGradBytes) {
+  EXPECT_EQ(step_digest(make_mlp(64, 10, {32, 16}), 40, 201), 2520364446938128171ull);
+  EXPECT_EQ(step_digest(make_mlp(64, 10, {32, 16}), 50, 202), 2146854456150948362ull);
+  EXPECT_EQ(step_digest(make_mlp(192, 10, {32, 16}), 40, 203), 5280350945492408845ull);
+  EXPECT_EQ(step_digest(make_mlp(192, 10, {32, 16}), 50, 204), 16173625023887624840ull);
+}
+
+TEST(Characterization, CnnLossAndGradBytes) {
+  // The paper CNN on a cifar10-shaped batch (3x8x8 inputs, 10 classes).
+  EXPECT_EQ(step_digest(make_cnn({3, 8, 8}, 10), 8, 205), 12928038091054846580ull);
 }
 
 TEST(Update, SgdStepAlgebra) {
