@@ -1,5 +1,7 @@
 #include "core/algorithm.hpp"
 
+#include <algorithm>
+
 #include "common/check.hpp"
 #include "common/parallel.hpp"
 #include "core/trainer.hpp"
@@ -23,12 +25,27 @@ float FlAlgorithm::evaluate_test_accuracy() {
                                 std::span<const std::int32_t>(test.y), eval_ws_);
 }
 
+std::vector<std::size_t> longest_job_first(std::span<const std::int64_t> costs) {
+  std::vector<std::size_t> order(costs.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return costs[a] != costs[b] ? costs[a] > costs[b] : a < b;
+  });
+  return order;
+}
+
 double FlAlgorithm::round_duration() const {
   return sim::slowest_job_time(*ctx_.fleet, ctx_.opts.local_epochs);
 }
 
 std::vector<std::size_t> FlAlgorithm::draw_participants() {
   return sim::sample_participants(ctx_.device_count(), ctx_.opts.participation, rng_);
+}
+
+std::int64_t FlAlgorithm::local_steps(std::size_t device, int epochs) const {
+  const std::int64_t batch = ctx_.opts.batch_size;
+  const std::int64_t shard = ctx_.fed->shards[device].size();
+  return epochs * ((shard + batch - 1) / batch);
 }
 
 Rng FlAlgorithm::job_stream(std::uint64_t round_mult, std::uint64_t device_mult,

@@ -20,6 +20,13 @@
 
 namespace fedhisyn::core {
 
+/// The order to hand jobs of the given costs to parallel_for in: longest job
+/// first (descending cost, ties by ascending index).  The pool starts jobs
+/// in the order given, so a long job no longer starts last and runs alone.
+/// Results still land by job index and are combined in index order, so the
+/// order shortens the makespan without moving a byte.
+std::vector<std::size_t> longest_job_first(std::span<const std::int64_t> costs);
+
 class FlAlgorithm {
  public:
   explicit FlAlgorithm(const FlContext& ctx);
@@ -56,6 +63,8 @@ class FlAlgorithm {
   double round_duration() const;
   /// Draw this round's participant set.
   std::vector<std::size_t> draw_participants();
+  /// Local SGD steps of one job: epochs x ceil(shard size / batch size).
+  std::int64_t local_steps(std::size_t device, int epochs) const;
 
   /// Rng stream for one local-training job, keyed on (seed, round, device,
   /// event sequence).  `round_mult`/`device_mult` are per-algorithm salts so

@@ -70,7 +70,13 @@ void FedATAlgo::run_round() {
       if (active.empty()) continue;
 
       std::vector<std::vector<float>> locals(active.size());
-      pool.parallel_for(active.size(), [&](std::size_t i, std::size_t slot) {
+      std::vector<std::int64_t> cost(active.size());
+      for (std::size_t i = 0; i < active.size(); ++i) {
+        cost[i] = local_steps(active[i], ctx_.opts.local_epochs);
+      }
+      const auto order = longest_job_first(cost);
+      pool.parallel_for(active.size(), [&](std::size_t k, std::size_t slot) {
+        const std::size_t i = order[k];
         const std::size_t device = active[i];
         auto& my_scratch = scratch[slot];
         Rng device_rng =

@@ -39,8 +39,14 @@ void FedAvgFamily::run_round() {
   std::vector<std::vector<float>> locals(participants.size());
   auto& pool = ParallelExecutor::current();
   std::vector<TrainScratch> scratch(pool.thread_count());
+  std::vector<std::int64_t> cost(participants.size());
+  for (std::size_t i = 0; i < participants.size(); ++i) {
+    cost[i] = local_steps(participants[i], epochs_for_device(participants[i], interval));
+  }
+  const auto order = longest_job_first(cost);
 
-  pool.parallel_for(participants.size(), [&](std::size_t i, std::size_t slot) {
+  pool.parallel_for(participants.size(), [&](std::size_t k, std::size_t slot) {
+    const std::size_t i = order[k];
     const std::size_t device = participants[i];
     auto& my_scratch = scratch[slot];
     Rng device_rng = job_stream(0x517CC1B7ull, 0x2545F491ull, device, 0);

@@ -24,24 +24,30 @@ void ScaffoldAlgo::run_round() {
   std::vector<std::vector<float>> c_deltas(participants.size());
   auto& pool = ParallelExecutor::current();
   std::vector<TrainScratch> scratch(pool.thread_count());
+  // SCAFFOLD uses the maximum achievable epochs, like FedAvg in the paper.
+  std::vector<int> epochs(participants.size());
+  std::vector<std::int64_t> cost(participants.size());
+  for (std::size_t i = 0; i < participants.size(); ++i) {
+    const double epoch_time = (*ctx_.fleet)[participants[i]].epoch_time;
+    epochs[i] = std::max(1, static_cast<int>(std::floor(interval / epoch_time)));
+    cost[i] = local_steps(participants[i], epochs[i]);
+  }
+  const auto order = longest_job_first(cost);
 
   // Participants never share a device within one round (drawn without
   // replacement), so the c_local_[device] refresh below is race-free.
-  pool.parallel_for(participants.size(), [&](std::size_t i, std::size_t slot) {
+  pool.parallel_for(participants.size(), [&](std::size_t k, std::size_t slot) {
+    const std::size_t i = order[k];
     const std::size_t device = participants[i];
     auto& my_scratch = scratch[slot];
     Rng device_rng = job_stream(0x9E3779B9ull, 0x85EBCA6Bull, device, 0);
     locals[i] = global_;
 
-    // SCAFFOLD uses the maximum achievable epochs, like FedAvg in the paper.
-    const double epoch_time = (*ctx_.fleet)[device].epoch_time;
-    const int epochs = std::max(1, static_cast<int>(std::floor(interval / epoch_time)));
-
     UpdateExtras extras;
     extras.c_local = c_local_[device];
     extras.c_global = c_global_;
     const auto outcome =
-        train_local(*ctx_.network, locals[i], ctx_.fed->shards[device], epochs,
+        train_local(*ctx_.network, locals[i], ctx_.fed->shards[device], epochs[i],
                     ctx_.opts.batch_size, ctx_.opts.lr, UpdateKind::kScaffold, extras,
                     device_rng, my_scratch);
 

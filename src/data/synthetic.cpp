@@ -79,25 +79,40 @@ namespace {
 /// dimension is class-revealing on its own.
 class Mixer {
  public:
-  Mixer(std::int64_t dim, Rng& rng) : dim_(dim), r_(static_cast<std::size_t>(dim * dim)) {
+  /// R is drawn row by row (R[i][j], j fastest) and stored transposed, so
+  /// apply() can sweep it a column at a time.
+  Mixer(std::int64_t dim, Rng& rng) : dim_(dim), rt_(static_cast<std::size_t>(dim * dim)) {
     const double scale = 0.35 / std::sqrt(static_cast<double>(dim));
-    for (auto& value : r_) value = static_cast<float>(rng.normal(0.0, scale));
+    for (std::int64_t i = 0; i < dim; ++i) {
+      for (std::int64_t j = 0; j < dim; ++j) {
+        rt_[static_cast<std::size_t>(j * dim + i)] = static_cast<float>(rng.normal(0.0, scale));
+      }
+    }
   }
 
-  void apply(std::span<float> x, std::span<float> scratch) const {
+  /// Each output keeps its own double sum x[i] + R[i][0]*x[0] + R[i][1]*x[1]
+  /// + ... in ascending j, so the bytes match a row-by-row dot product; the
+  /// column sweep only turns one latency-bound add chain into dim
+  /// independent ones.
+  void apply(std::span<float> x, std::span<double> acc) const {
     FEDHISYN_CHECK(static_cast<std::int64_t>(x.size()) == dim_);
+    FEDHISYN_CHECK(static_cast<std::int64_t>(acc.size()) == dim_);
     for (std::int64_t i = 0; i < dim_; ++i) {
-      double acc = x[static_cast<std::size_t>(i)];
-      const float* row = r_.data() + i * dim_;
-      for (std::int64_t j = 0; j < dim_; ++j) acc += row[j] * x[static_cast<std::size_t>(j)];
-      scratch[static_cast<std::size_t>(i)] = static_cast<float>(acc);
+      acc[static_cast<std::size_t>(i)] = x[static_cast<std::size_t>(i)];
     }
-    for (std::int64_t i = 0; i < dim_; ++i) x[static_cast<std::size_t>(i)] = scratch[static_cast<std::size_t>(i)];
+    for (std::int64_t j = 0; j < dim_; ++j) {
+      const float xj = x[static_cast<std::size_t>(j)];
+      const float* col = rt_.data() + j * dim_;
+      for (std::int64_t i = 0; i < dim_; ++i) acc[static_cast<std::size_t>(i)] += col[i] * xj;
+    }
+    for (std::int64_t i = 0; i < dim_; ++i) {
+      x[static_cast<std::size_t>(i)] = static_cast<float>(acc[static_cast<std::size_t>(i)]);
+    }
   }
 
  private:
   std::int64_t dim_;
-  std::vector<float> r_;
+  std::vector<float> rt_;  // rt_[j * dim + i] = R[i][j]
 };
 
 }  // namespace
@@ -131,7 +146,7 @@ SyntheticSplit generate(const SyntheticSpec& spec, std::int64_t train_samples,
   }
 
   Mixer mixer(dim, rng);
-  std::vector<float> scratch(static_cast<std::size_t>(dim));
+  std::vector<double> scratch(static_cast<std::size_t>(dim));
 
   auto make_split = [&](std::int64_t count) {
     Dataset set;

@@ -79,19 +79,27 @@ void Conv2d::forward(const Shape3& in, std::span<const float> params, const Tens
     for (std::int64_t oc = 0; oc < out_channels_; ++oc) {
       float* plane = out_row.data() + oc * col_cols;
       const float bv = bias[static_cast<std::size_t>(oc)];
-      for (std::int64_t p = 0; p < col_cols; ++p) plane[p] += bv;
+      if (relu_) {
+        for (std::int64_t p = 0; p < col_cols; ++p) {
+          const float t = plane[p] + bv;
+          plane[p] = t > 0.0f ? t : 0.0f;
+        }
+      } else {
+        for (std::int64_t p = 0; p < col_cols; ++p) plane[p] += bv;
+      }
     }
   });
 }
 
 void Conv2d::backward(const Shape3& in, std::span<const float> params, const Tensor& x,
-                      const Tensor& grad_out, Tensor* grad_in,
+                      const Tensor& y, Tensor& grad_out, Tensor* grad_in,
                       std::span<float> grad_params) const {
   const ConvGeometry g = geometry(in);
   const std::int64_t batch = x.dim(0);
   const std::int64_t col_rows = g.col_rows();
   const std::int64_t col_cols = g.col_cols();
   FEDHISYN_CHECK(grad_out.numel() == batch * out_channels_ * col_cols);
+  FEDHISYN_CHECK(!relu_ || y.numel() == grad_out.numel());
   FEDHISYN_CHECK(static_cast<std::int64_t>(grad_params.size()) == param_count(in));
 
   const auto filters = params.subspan(0, static_cast<std::size_t>(out_channels_ * col_rows));
@@ -99,6 +107,10 @@ void Conv2d::backward(const Shape3& in, std::span<const float> params, const Ten
   auto grad_bias = grad_params.subspan(static_cast<std::size_t>(out_channels_ * col_rows),
                                        static_cast<std::size_t>(out_channels_));
 
+  // The filter gradient accumulates over the batch at beta 1 from +0.  (A
+  // beta-0 first call would not match it: NT stores beta*C + dot, which
+  // turns a -0 dot into +0.)
+  fill(grad_params, 0.0f);
   if (grad_in != nullptr) {
     grad_in->resize({batch, in.c, in.h, in.w});
     grad_in->fill(0.0f);
@@ -116,16 +128,26 @@ void Conv2d::backward(const Shape3& in, std::span<const float> params, const Ten
   for (std::int64_t b = 0; b < batch; ++b) {
     im2col(x.row(b), g, columns);
     const auto go_row = grad_out.row(b);
+    // Mask grad_out by the folded ReLU (y > 0) and, in the same sweep,
+    // dBias[oc] += sum_pix grad_out[oc, pix].
+    for (std::int64_t oc = 0; oc < out_channels_; ++oc) {
+      float* plane = go_row.data() + oc * col_cols;
+      double acc = 0.0;
+      if (relu_) {
+        const float* out = y.row(b).data() + oc * col_cols;
+        for (std::int64_t p = 0; p < col_cols; ++p) {
+          const float gv = out[p] > 0.0f ? plane[p] : 0.0f;
+          plane[p] = gv;
+          acc += gv;
+        }
+      } else {
+        for (std::int64_t p = 0; p < col_cols; ++p) acc += plane[p];
+      }
+      grad_bias[static_cast<std::size_t>(oc)] += static_cast<float>(acc);
+    }
     // dFilters[oc, cr] += grad_out[oc, pix] * columns[cr, pix]^T
     gemm_nt(go_row, std::span<const float>(columns), grad_filters, out_channels_, col_cols,
             col_rows, /*beta=*/1.0f);
-    // dBias[oc] += sum_pix grad_out[oc, pix]
-    for (std::int64_t oc = 0; oc < out_channels_; ++oc) {
-      const float* plane = go_row.data() + oc * col_cols;
-      double acc = 0.0;
-      for (std::int64_t p = 0; p < col_cols; ++p) acc += plane[p];
-      grad_bias[static_cast<std::size_t>(oc)] += static_cast<float>(acc);
-    }
     if (grad_in == nullptr) continue;
     // dColumns[cr, pix] = filters^T[cr, oc] * grad_out[oc, pix]
     gemm_tn(filters, go_row, grad_columns, col_rows, out_channels_, col_cols);

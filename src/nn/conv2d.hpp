@@ -1,5 +1,6 @@
 // 2-D convolution via im2col + GEMM.  Parameters: filters stored row-major
 // [out_channels, in_channels*kernel*kernel] followed by bias [out_channels].
+// The output optionally passes through a folded ReLU.
 #pragma once
 
 #include "nn/layer.hpp"
@@ -19,8 +20,12 @@ class Conv2d final : public Layer {
   void forward(const Shape3& in, std::span<const float> params, const Tensor& x,
                Tensor& y) const override;
   void backward(const Shape3& in, std::span<const float> params, const Tensor& x,
-                const Tensor& grad_out, Tensor* grad_in,
+                const Tensor& y, Tensor& grad_out, Tensor* grad_in,
                 std::span<float> grad_params) const override;
+  bool fuse_relu() override {
+    relu_ = true;
+    return true;
+  }
 
  private:
   ConvGeometry geometry(const Shape3& in) const;
@@ -29,6 +34,7 @@ class Conv2d final : public Layer {
   std::int64_t kernel_;
   std::int64_t stride_;
   std::int64_t padding_;
+  bool relu_ = false;
 };
 
 }  // namespace fedhisyn::nn

@@ -40,16 +40,24 @@ void Dense::forward(const Shape3& in, std::span<const float> params, const Tenso
   gemm(x.span(), weights, y.span(), batch, fan_in, units_);
   for (std::int64_t b = 0; b < batch; ++b) {
     float* row = y.data() + b * units_;
-    for (std::int64_t j = 0; j < units_; ++j) row[j] += bias[static_cast<std::size_t>(j)];
+    if (relu_) {
+      for (std::int64_t j = 0; j < units_; ++j) {
+        const float t = row[j] + bias[static_cast<std::size_t>(j)];
+        row[j] = t > 0.0f ? t : 0.0f;
+      }
+    } else {
+      for (std::int64_t j = 0; j < units_; ++j) row[j] += bias[static_cast<std::size_t>(j)];
+    }
   }
 }
 
 void Dense::backward(const Shape3& in, std::span<const float> params, const Tensor& x,
-                     const Tensor& grad_out, Tensor* grad_in,
+                     const Tensor& y, Tensor& grad_out, Tensor* grad_in,
                      std::span<float> grad_params) const {
   const std::int64_t batch = x.dim(0);
   const std::int64_t fan_in = in.numel();
   FEDHISYN_CHECK(grad_out.numel() == batch * units_);
+  FEDHISYN_CHECK(!relu_ || y.numel() == batch * units_);
   FEDHISYN_CHECK(static_cast<std::int64_t>(grad_params.size()) == param_count(in));
 
   const auto weights = params.subspan(0, static_cast<std::size_t>(fan_in * units_));
@@ -57,15 +65,28 @@ void Dense::backward(const Shape3& in, std::span<const float> params, const Tens
   auto grad_b = grad_params.subspan(static_cast<std::size_t>(fan_in * units_),
                                     static_cast<std::size_t>(units_));
 
-  // dW[in, out] += x^T(batch, in) * grad_out(batch, out).  m = fan_in here,
-  // so the blocked kernel's 2-D tiling (not row-parallelism) is what spreads
-  // this tall-skinny shape over the pool.
-  gemm_tn(x.span(), grad_out.span(), grad_w, fan_in, batch, units_, /*beta=*/1.0f);
-  // db += column sums of grad_out
+  // One sweep masks grad_out by the folded ReLU (y > 0 exactly when the
+  // pre-activation is, NaN included) and sums db = column sums of the
+  // masked grad_out from +0 in batch order.
+  for (std::int64_t j = 0; j < units_; ++j) grad_b[static_cast<std::size_t>(j)] = 0.0f;
   for (std::int64_t b = 0; b < batch; ++b) {
-    const float* row = grad_out.data() + b * units_;
-    for (std::int64_t j = 0; j < units_; ++j) grad_b[static_cast<std::size_t>(j)] += row[j];
+    float* row = grad_out.data() + b * units_;
+    if (relu_) {
+      const float* out = y.data() + b * units_;
+      for (std::int64_t j = 0; j < units_; ++j) {
+        const float g = out[j] > 0.0f ? row[j] : 0.0f;
+        row[j] = g;
+        grad_b[static_cast<std::size_t>(j)] += g;
+      }
+    } else {
+      for (std::int64_t j = 0; j < units_; ++j) grad_b[static_cast<std::size_t>(j)] += row[j];
+    }
   }
+  // dW[in, out] = x^T(batch, in) * grad_out(batch, out).  m = fan_in here,
+  // so the blocked kernel's 2-D tiling (not row-parallelism) is what spreads
+  // this tall-skinny shape over the pool.  Beta 0 starts every element from
+  // +0, as beta 1 onto a zeroed slice did.
+  gemm_tn(x.span(), grad_out.span(), grad_w, fan_in, batch, units_);
   if (grad_in == nullptr) return;
   // dx(batch, in) = grad_out(batch, out) * W^T(out, in); W stored [in, out].
   grad_in->resize({batch, fan_in});

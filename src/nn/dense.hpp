@@ -1,5 +1,6 @@
 // Fully-connected layer: y = x * W + b with W stored row-major [in, out]
-// followed by the bias [out] in the parameter slice.
+// followed by the bias [out] in the parameter slice, optionally followed by
+// a folded ReLU.
 #pragma once
 
 #include "nn/layer.hpp"
@@ -17,11 +18,16 @@ class Dense final : public Layer {
   void forward(const Shape3& in, std::span<const float> params, const Tensor& x,
                Tensor& y) const override;
   void backward(const Shape3& in, std::span<const float> params, const Tensor& x,
-                const Tensor& grad_out, Tensor* grad_in,
+                const Tensor& y, Tensor& grad_out, Tensor* grad_in,
                 std::span<float> grad_params) const override;
+  bool fuse_relu() override {
+    relu_ = true;
+    return true;
+  }
 
  private:
   std::int64_t units_;
+  bool relu_ = false;
 };
 
 }  // namespace fedhisyn::nn

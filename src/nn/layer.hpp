@@ -29,7 +29,8 @@ struct Shape3 {
 
 /// A stateless differentiable layer.  `x` is the batch input [B, in.numel()],
 /// `y` the batch output [B, out.numel()], both row-major with one sample per
-/// row.  `backward` receives the same cached input `x` that `forward` saw.
+/// row.  `backward` receives the same cached input `x` and output `y` that
+/// `forward` saw.
 class Layer {
  public:
   virtual ~Layer() = default;
@@ -43,14 +44,18 @@ class Layer {
 
   virtual void forward(const Shape3& in, std::span<const float> params, const Tensor& x,
                        Tensor& y) const = 0;
-  /// grad_in is overwritten; grad_params is *accumulated* into (caller zeroes
-  /// the blob once per backward pass).  A null grad_in means the caller needs
-  /// no input gradient (the network's first layer): the layer then skips that
-  /// work entirely, and grad_params must come out bit-identical to a pass that
-  /// did compute it.
+  /// grad_in and grad_params are overwritten (no caller zeroes either), and
+  /// grad_out may be overwritten: a layer with a folded ReLU masks it in
+  /// place.  A null grad_in means the caller needs no input gradient (the
+  /// network's first layer): the layer then skips that work entirely, and
+  /// grad_params must come out bit-identical to a pass that did compute it.
   virtual void backward(const Shape3& in, std::span<const float> params, const Tensor& x,
-                        const Tensor& grad_out, Tensor* grad_in,
+                        const Tensor& y, Tensor& grad_out, Tensor* grad_in,
                         std::span<float> grad_params) const = 0;
+
+  /// Fold a ReLU into this layer's output: y = max(layer(x), 0).  Returns
+  /// false for a layer that cannot take one.
+  virtual bool fuse_relu() { return false; }
 };
 
 }  // namespace fedhisyn::nn

@@ -30,7 +30,6 @@ Network make_cnn(Shape3 input, std::int64_t n_classes, std::int64_t conv1_channe
       .add_conv2d(conv2_channels, /*kernel=*/5, /*stride=*/1, /*padding=*/2)
       .add_relu()
       .add_maxpool2()
-      .add_flatten()
       .add_dense(fc1_units)
       .add_relu()
       .add_dense(fc2_units)

@@ -2,7 +2,6 @@
 
 #include "common/check.hpp"
 #include "common/parallel.hpp"
-#include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/dense.hpp"
 #include "nn/pool.hpp"
@@ -24,7 +23,8 @@ Network& Network::add_dense(std::int64_t units) {
 
 Network& Network::add_relu() {
   FEDHISYN_CHECK(!finalized_);
-  layers_.push_back(std::make_unique<Relu>());
+  FEDHISYN_CHECK_MSG(!layers_.empty() && layers_.back()->fuse_relu(),
+                     "add_relu() must follow add_dense() or add_conv2d()");
   return *this;
 }
 
@@ -38,12 +38,6 @@ Network& Network::add_conv2d(std::int64_t out_channels, std::int64_t kernel,
 Network& Network::add_maxpool2() {
   FEDHISYN_CHECK(!finalized_);
   layers_.push_back(std::make_unique<MaxPool2>());
-  return *this;
-}
-
-Network& Network::add_flatten() {
-  FEDHISYN_CHECK(!finalized_);
-  layers_.push_back(std::make_unique<Flatten>());
   return *this;
 }
 
@@ -125,7 +119,6 @@ float Network::loss_and_grad(std::span<const float> weights, const Tensor& x,
   check_finalized();
   FEDHISYN_CHECK(static_cast<std::int64_t>(grad.size()) == param_count_);
   forward(weights, x, ws);
-  fill(grad, 0.0f);
 
   const Tensor& logits = ws.activations.back();
   const std::int64_t batch = x.dim(0);
@@ -134,7 +127,7 @@ float Network::loss_and_grad(std::span<const float> weights, const Tensor& x,
       softmax_xent_rows(logits.span(), labels, batch, n_classes_, ws.logit_grad.span());
 
   ws.gradients.resize(layers_.size());
-  const Tensor* grad_out = &ws.logit_grad;
+  Tensor* grad_out = &ws.logit_grad;
   for (std::size_t idx = layers_.size(); idx-- > 0;) {
     const Tensor& layer_in = idx == 0 ? x : ws.activations[idx - 1];
     const std::int64_t count = layers_[idx]->param_count(in_shapes_[idx]);
@@ -142,8 +135,8 @@ float Network::loss_and_grad(std::span<const float> weights, const Tensor& x,
                                        static_cast<std::size_t>(count));
     // Nothing reads the network input's gradient, so layer 0 skips it.
     Tensor* grad_in = idx == 0 ? nullptr : &ws.gradients[idx];
-    layers_[idx]->backward(in_shapes_[idx], layer_params(weights, idx), layer_in, *grad_out,
-                           grad_in, grad_slice);
+    layers_[idx]->backward(in_shapes_[idx], layer_params(weights, idx), layer_in,
+                           ws.activations[idx], *grad_out, grad_in, grad_slice);
     grad_out = &ws.gradients[idx];
   }
   return loss_value;

@@ -31,11 +31,14 @@ class Network {
   Network& operator=(Network&&) = default;
 
   Network& add_dense(std::int64_t units);
+  /// Folds a ReLU into the layer just added, which must be a dense or conv2d
+  /// layer (check-fails otherwise).  Adds no layer of its own.
   Network& add_relu();
   Network& add_conv2d(std::int64_t out_channels, std::int64_t kernel, std::int64_t stride = 1,
                       std::int64_t padding = 0);
+  /// A dense layer after it reads the pooled [B, C, H, W] activations as
+  /// flat rows, so no flatten layer is needed.
   Network& add_maxpool2();
-  Network& add_flatten();
 
   /// Validates that the last layer emits exactly n_classes logits and
   /// freezes the architecture.  Must be called before any math.
@@ -58,7 +61,8 @@ class Network {
              std::span<const std::int32_t> labels, Workspace& ws) const;
 
   /// Mean loss + full gradient w.r.t. weights (grad overwritten, not
-  /// accumulated).  grad.size() must equal param_count().
+  /// accumulated: every layer writes its own slice, so grad needs no
+  /// zeroing).  grad.size() must equal param_count().
   float loss_and_grad(std::span<const float> weights, const Tensor& x,
                       std::span<const std::int32_t> labels, std::span<float> grad,
                       Workspace& ws) const;

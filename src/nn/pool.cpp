@@ -36,7 +36,8 @@ void MaxPool2::forward(const Shape3& in, std::span<const float>, const Tensor& x
 }
 
 void MaxPool2::backward(const Shape3& in, std::span<const float>, const Tensor& x,
-                        const Tensor& grad_out, Tensor* grad_in, std::span<float>) const {
+                        const Tensor&, Tensor& grad_out, Tensor* grad_in,
+                        std::span<float>) const {
   const std::int64_t batch = x.dim(0);
   const Shape3 out = output_shape(in);
   FEDHISYN_CHECK(grad_out.numel() == batch * out.numel());

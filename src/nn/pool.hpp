@@ -14,7 +14,7 @@ class MaxPool2 final : public Layer {
   void forward(const Shape3& in, std::span<const float> params, const Tensor& x,
                Tensor& y) const override;
   void backward(const Shape3& in, std::span<const float> params, const Tensor& x,
-                const Tensor& grad_out, Tensor* grad_in,
+                const Tensor& y, Tensor& grad_out, Tensor* grad_in,
                 std::span<float> grad_params) const override;
 };
 

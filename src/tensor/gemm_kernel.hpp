@@ -23,6 +23,14 @@
 // sizes and whether an operand is packed are pure scheduling knobs: every
 // variant produces identical bits.
 //
+// Every x86 and generic kernel keeps its C tile in registers for the whole
+// call: the loops that initialise and store the accumulators carry
+// `#pragma GCC unroll <MR>`.  Without it GCC keeps the accumulator array in
+// memory, clears it with `rep stos` and moves every accumulator through the
+// stack on the way in and out — about 20 ns per tile at any k, the same
+// bits.  tools/check_kernel_codegen.py fails the build's kernel objects on
+// either pattern.
+//
 // Runtime selection (CPUID dispatch, FEDHISYN_GEMM_KERNEL) lives one layer
 // up in tensor/gemm_tune.hpp.
 #pragma once

@@ -32,6 +32,7 @@ __attribute__((target("avx2"))) void kloop_8x8(
     std::int64_t k, float* c, std::int64_t ldc, bool load_c) {
   __m256 vacc[8];
   const float* ar[8];
+#pragma GCC unroll 8
   for (int ii = 0; ii < 8; ++ii) {
     vacc[ii] = load_c ? _mm256_loadu_ps(c + ii * ldc) : _mm256_setzero_ps();
     ar[ii] = a[ii];
@@ -43,6 +44,7 @@ __attribute__((target("avx2"))) void kloop_8x8(
       vacc[ii] = _mm256_add_ps(vacc[ii], _mm256_mul_ps(_mm256_set1_ps(ar[ii][off]), bv));
     }
   }
+#pragma GCC unroll 8
   for (int ii = 0; ii < 8; ++ii) _mm256_storeu_ps(c + ii * ldc, vacc[ii]);
 }
 
@@ -54,6 +56,7 @@ __attribute__((target("avx2"))) void kloop_6x16(
     std::int64_t k, float* c, std::int64_t ldc, bool load_c) {
   __m256 vacc[6][2];
   const float* ar[6];
+#pragma GCC unroll 6
   for (int ii = 0; ii < 6; ++ii) {
     vacc[ii][0] = load_c ? _mm256_loadu_ps(c + ii * ldc) : _mm256_setzero_ps();
     vacc[ii][1] = load_c ? _mm256_loadu_ps(c + ii * ldc + 8) : _mm256_setzero_ps();
@@ -69,6 +72,7 @@ __attribute__((target("avx2"))) void kloop_6x16(
       vacc[ii][1] = _mm256_add_ps(vacc[ii][1], _mm256_mul_ps(ai, b1));
     }
   }
+#pragma GCC unroll 6
   for (int ii = 0; ii < 6; ++ii) {
     _mm256_storeu_ps(c + ii * ldc, vacc[ii][0]);
     _mm256_storeu_ps(c + ii * ldc + 8, vacc[ii][1]);

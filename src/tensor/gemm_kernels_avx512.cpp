@@ -25,6 +25,7 @@ __attribute__((target("avx512f"))) void kloop_8x16(
     std::int64_t k, float* c, std::int64_t ldc, bool load_c) {
   __m512 vacc[8];
   const float* ar[8];
+#pragma GCC unroll 8
   for (int ii = 0; ii < 8; ++ii) {
     vacc[ii] = load_c ? _mm512_loadu_ps(c + ii * ldc) : _mm512_setzero_ps();
     ar[ii] = a[ii];
@@ -36,6 +37,7 @@ __attribute__((target("avx512f"))) void kloop_8x16(
       vacc[ii] = _mm512_add_ps(vacc[ii], _mm512_mul_ps(_mm512_set1_ps(ar[ii][off]), bv));
     }
   }
+#pragma GCC unroll 8
   for (int ii = 0; ii < 8; ++ii) _mm512_storeu_ps(c + ii * ldc, vacc[ii]);
 }
 
@@ -43,6 +45,7 @@ __attribute__((target("avx512f"))) void kloop_14x32(
     const float* const* a, std::int64_t a_step, const float* b, std::int64_t ldb,
     std::int64_t k, float* c, std::int64_t ldc, bool load_c) {
   __m512 vacc[14][2];
+#pragma GCC unroll 14
   for (int ii = 0; ii < 14; ++ii) {
     vacc[ii][0] = load_c ? _mm512_loadu_ps(c + ii * ldc) : _mm512_setzero_ps();
     vacc[ii][1] = load_c ? _mm512_loadu_ps(c + ii * ldc + 16) : _mm512_setzero_ps();
@@ -57,6 +60,7 @@ __attribute__((target("avx512f"))) void kloop_14x32(
       vacc[ii][1] = _mm512_add_ps(vacc[ii][1], _mm512_mul_ps(ai, b1));
     }
   }
+#pragma GCC unroll 14
   for (int ii = 0; ii < 14; ++ii) {
     _mm512_storeu_ps(c + ii * ldc, vacc[ii][0]);
     _mm512_storeu_ps(c + ii * ldc + 16, vacc[ii][1]);

@@ -79,6 +79,7 @@ void kloop_4x8(const float* const* a, std::int64_t a_step, const float* b,
                bool load_c) {
   v4f vacc[kMR][kNV];
   const float* ar[kMR];
+#pragma GCC unroll 4
   for (std::int64_t ii = 0; ii < kMR; ++ii) {
     for (std::int64_t jv = 0; jv < kNV; ++jv) {
       vacc[ii][jv] = load_c ? v4_loadu(c + ii * ldc + jv * 4) : v4_broadcast(0.0f);
@@ -91,6 +92,7 @@ void kloop_4x8(const float* const* a, std::int64_t a_step, const float* b,
     micro_step(ar, (p + 1) * a_step, b + (p + 1) * ldb, vacc);
   }
   for (; p < k; ++p) micro_step(ar, p * a_step, b + p * ldb, vacc);
+#pragma GCC unroll 4
   for (std::int64_t ii = 0; ii < kMR; ++ii) {
     for (std::int64_t jv = 0; jv < kNV; ++jv) {
       v4_storeu(c + ii * ldc + jv * 4, vacc[ii][jv]);

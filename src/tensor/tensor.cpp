@@ -1,5 +1,6 @@
 #include "tensor/tensor.hpp"
 
+#include <algorithm>
 #include <numeric>
 #include <sstream>
 
@@ -56,9 +57,10 @@ void Tensor::fill(float value) {
   for (auto& x : data_) x = value;
 }
 
-void Tensor::resize(std::vector<std::int64_t> shape) {
-  shape_ = std::move(shape);
-  FEDHISYN_CHECK(shape_.size() <= 4);
+void Tensor::resize(std::span<const std::int64_t> shape) {
+  if (std::equal(shape.begin(), shape.end(), shape_.begin(), shape_.end())) return;
+  FEDHISYN_CHECK(shape.size() <= 4);
+  shape_.assign(shape.begin(), shape.end());
   numel_ = shape_numel(shape_);
   data_.assign(static_cast<std::size_t>(numel_), 0.0f);
 }

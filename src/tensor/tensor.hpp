@@ -41,8 +41,13 @@ class Tensor {
   void reshape(std::vector<std::int64_t> shape);
   /// Set every element to `value`.
   void fill(float value);
-  /// Resize, discarding contents (used to reuse workspace buffers).
-  void resize(std::vector<std::int64_t> shape);
+  /// Resize a reused workspace buffer.  A new shape zero-fills; an unchanged
+  /// shape is a no-op that neither allocates nor zeroes, so the contents are
+  /// whatever the buffer held before.
+  void resize(std::initializer_list<std::int64_t> shape) {
+    resize(std::span<const std::int64_t>(shape.begin(), shape.size()));
+  }
+  void resize(std::span<const std::int64_t> shape);
 
   std::string shape_str() const;
 

@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "common/check.hpp"
+#include "core/algorithm.hpp"
 #include "core/decentral.hpp"
 #include "core/registry.hpp"
 #include "core/fedhisyn_algo.hpp"
@@ -64,6 +67,15 @@ FlOptions fast_opts() {
   opts.batch_size = 20;
   opts.clusters = 3;
   return opts;
+}
+
+TEST(LongestJobFirst, DescendingCostTiesByIndex) {
+  const std::vector<std::int64_t> costs = {3, 9, 3, 1, 9, 0, 3};
+  EXPECT_EQ(longest_job_first(costs), (std::vector<std::size_t>{1, 4, 0, 2, 6, 3, 5}));
+  EXPECT_TRUE(longest_job_first(std::vector<std::int64_t>{}).empty());
+  // Equal costs keep index order.
+  EXPECT_EQ(longest_job_first(std::vector<std::int64_t>(4, 2)),
+            (std::vector<std::size_t>{0, 1, 2, 3}));
 }
 
 TEST(Factory, BuildsEveryTable1Method) {

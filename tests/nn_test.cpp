@@ -99,6 +99,19 @@ TEST(Network, FinalizeValidatesHead) {
   EXPECT_THROW(net.finalize(), CheckError);
 }
 
+TEST(Network, AddReluFoldsOnlyIntoDenseOrConv) {
+  Network empty({8, 1, 1}, 4);
+  EXPECT_THROW(empty.add_relu(), CheckError);
+  Network pooled({2, 4, 4}, 4);
+  pooled.add_conv2d(2, 3, 1, 1).add_relu().add_maxpool2();
+  EXPECT_THROW(pooled.add_relu(), CheckError);
+  // The ReLU adds no layer of its own.
+  Network mlp({8, 1, 1}, 4);
+  mlp.add_dense(6).add_relu().add_dense(4);
+  mlp.finalize();
+  EXPECT_EQ(mlp.layer_count(), 2u);
+}
+
 TEST(Network, RequiresFinalizeBeforeUse) {
   Network net({8, 1, 1}, 4);
   net.add_dense(4);
@@ -132,10 +145,10 @@ TEST(Network, DeepMlpGradientMatchesFiniteDifference) {
 }
 
 TEST(Network, SmoothConvGradientIsExact) {
-  // conv -> flatten -> dense -> softmax has no kinks: the loss is smooth in
+  // conv -> dense -> softmax has no kinks: the loss is smooth in
   // the weights, so central differences must match tightly everywhere.
   Network net({2, 6, 6}, 3);
-  net.add_conv2d(3, 3, 1, 1).add_flatten().add_dense(3);
+  net.add_conv2d(3, 3, 1, 1).add_dense(3);
   net.finalize();
   Rng rng(101);
   auto weights = net.init_weights(rng);
@@ -178,7 +191,7 @@ TEST(Network, MaxPoolForwardBackwardHandComputed) {
   Tensor grad_out({1, 1, 2, 2});
   for (int i = 0; i < 4; ++i) grad_out.at(i) = static_cast<float>(i + 1);
   Tensor grad_in;
-  pool.backward(in, {}, x, grad_out, &grad_in, {});
+  pool.backward(in, {}, x, y, grad_out, &grad_in, {});
   EXPECT_FLOAT_EQ(grad_in.at(5), 1.0f);   // 4 at (1,1)
   EXPECT_FLOAT_EQ(grad_in.at(7), 2.0f);   // 5 at (1,3)
   EXPECT_FLOAT_EQ(grad_in.at(13), 3.0f);  // 7 at (3,1)
@@ -208,8 +221,9 @@ void expect_grad_params_independent_of_grad_in(const Layer& layer, const Shape3&
   std::vector<float> full(params.size(), 0.0f);
   std::vector<float> skipped(params.size(), 0.0f);
   Tensor grad_in;
-  layer.backward(in, params, x, grad_out, &grad_in, full);
-  layer.backward(in, params, x, grad_out, nullptr, skipped);
+  Tensor grad_out_copy = grad_out;
+  layer.backward(in, params, x, y, grad_out, &grad_in, full);
+  layer.backward(in, params, x, y, grad_out_copy, nullptr, skipped);
   EXPECT_EQ(grad_in.numel(), batch * in.numel());
   for (std::size_t i = 0; i < full.size(); ++i) {
     ASSERT_EQ(full[i], skipped[i]) << layer.name() << " grad_params at " << i;
@@ -245,7 +259,7 @@ TEST(Network, LossAndGradSkipsFirstLayerInputGradient) {
 
 TEST(Network, ConvPoolGradientMatchesFiniteDifference) {
   Network net({2, 8, 8}, 3);
-  net.add_conv2d(4, 3, 1, 1).add_relu().add_maxpool2().add_flatten().add_dense(3);
+  net.add_conv2d(4, 3, 1, 1).add_relu().add_maxpool2().add_dense(3);
   net.finalize();
   gradient_check(net, /*batch=*/3, /*seed=*/79, /*n_coords=*/40);
 }
