@@ -46,10 +46,6 @@ VECTOR_REG = re.compile(r"%[yz]mm\d+")
 STACK_OPERAND = re.compile(r"\(%r[sb]p[,)]")
 
 
-def is_kernel(symbol):
-    return "kloop_" in symbol
-
-
 def scan_listing(text):
     """Returns {function: [(rule, instruction), ...]} for every kloop_*
     function in an objdump -d listing, clean functions included."""
@@ -58,7 +54,8 @@ def scan_listing(text):
     for raw in text.splitlines():
         header = FUNCTION_HEADER.match(raw.strip())
         if header:
-            current = header.group("name") if is_kernel(header.group("name")) else None
+            name = header.group("name")
+            current = name if "kloop_" in name else None
             if current is not None:
                 findings[current] = []
             continue
