@@ -85,7 +85,7 @@ void Dense::backward(const Shape3& in, std::span<const float> params, const Tens
   // dW[in, out] = x^T(batch, in) * grad_out(batch, out).  m = fan_in here,
   // so the blocked kernel's 2-D tiling (not row-parallelism) is what spreads
   // this tall-skinny shape over the pool.  Beta 0 starts every element from
-  // +0, as beta 1 onto a zeroed slice did.
+  // +0, so the slice needs no zeroing.
   gemm_tn(x.span(), grad_out.span(), grad_w, fan_in, batch, units_);
   if (grad_in == nullptr) return;
   // dx(batch, in) = grad_out(batch, out) * W^T(out, in); W stored [in, out].
