@@ -13,7 +13,10 @@
 
 #include "common/check.hpp"
 #include "common/counters.hpp"
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
+#include "core/trainer.hpp"
+#include "data/dataset.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/dense.hpp"
 #include "nn/models.hpp"
@@ -390,6 +393,40 @@ TEST(Characterization, MlpLossAndGradBytes) {
 TEST(Characterization, CnnLossAndGradBytes) {
   // The paper CNN on a cifar10-shaped batch (3x8x8 inputs, 10 classes).
   EXPECT_EQ(step_digest(make_cnn({3, 8, 8}, 10), 8, 205), 12928038091054846580ull);
+}
+
+/// Characterisation: two epochs of core::train_local on the paper CNN, pinned
+/// to the exact bytes of the final weights.  27 samples at batch 8 end every
+/// epoch on a ragged batch of 3, so the batch, activation and gradient
+/// tensors change shape between steps; the run repeats on pools of 1 and 2
+/// threads, which must agree.
+std::uint64_t cnn_train_digest(std::size_t threads) {
+  const Network net = make_cnn({3, 8, 8}, 10);
+  Rng rng(206);
+  auto weights = net.init_weights(rng);
+  const Problem p = make_problem(net, 27, rng);
+  data::Dataset set;
+  set.x = p.x;
+  set.y = p.y;
+  set.n_classes = net.n_classes();
+  std::vector<std::int64_t> indices(27);
+  for (std::size_t i = 0; i < indices.size(); ++i) {
+    indices[i] = static_cast<std::int64_t>((i * 10) % indices.size());
+  }
+  const data::Shard shard(&set, indices);
+  ParallelExecutor pool(threads);
+  ParallelExecutor::Bind bind(pool);
+  core::TrainScratch scratch;
+  const auto outcome = core::train_local(net, weights, shard, /*epochs=*/2,
+                                         /*batch_size=*/8, /*lr=*/0.05f,
+                                         core::UpdateKind::kSgd, {}, rng, scratch);
+  EXPECT_EQ(outcome.steps, 8);
+  return loss_grad_digest(outcome.mean_loss, weights);
+}
+
+TEST(Characterization, CnnTrainLocalBytes) {
+  EXPECT_EQ(cnn_train_digest(1), 14441510550098328019ull);
+  EXPECT_EQ(cnn_train_digest(2), 14441510550098328019ull);
 }
 
 TEST(Update, SgdStepAlgebra) {
