@@ -8,7 +8,11 @@
 // tiny calls that Table 1 makes millions of, gated so a slow small-shape
 // path cannot come back unnoticed.  mlp0_fwd / mlp0_dw are the first layer
 // of the mnist MLP at batch 50 (forward, dW), where Table 1 spends most of
-// its GEMM time.
+// its GEMM time.  The paper_cnn_* shapes are the per-sample GEMMs of the
+// paper CNN as Table 1 runs it (cifar10 at 3x8x8, 5x5 convs with padding 2,
+// 16 and 32 channels): conv1/conv2 forward (NN), their transposed filter
+// gradients dFt = columns * grad_out^T (NT) and conv2's column gradient
+// (TN).  They are not in the baseline yet, so the gate reports them as new.
 //
 // Shape names are the keys of bench/baselines/BENCH_gemm.json — renaming or
 // removing one requires a baseline refresh (see README "Performance").
@@ -39,6 +43,11 @@ inline constexpr GemmShape kGemmSweepShapes[] = {
     {"cnn_im2col", GemmVariant::kNN, 64, 1152, 1024},
     {"cnn_dfilters", GemmVariant::kNT, 64, 1024, 1152},
     {"cnn_dcols", GemmVariant::kTN, 1152, 64, 1024},
+    {"paper_cnn_conv1_fwd", GemmVariant::kNN, 16, 75, 64},
+    {"paper_cnn_conv2_fwd", GemmVariant::kNN, 32, 400, 16},
+    {"paper_cnn_conv1_dft", GemmVariant::kNT, 75, 64, 16},
+    {"paper_cnn_conv2_dft", GemmVariant::kNT, 400, 16, 32},
+    {"paper_cnn_conv2_dcols", GemmVariant::kTN, 400, 32, 16},
 };
 
 }  // namespace fedhisyn::bench

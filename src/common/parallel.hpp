@@ -49,7 +49,9 @@ class ScratchArena {
     kGemmPackB = 0,       // packed op(B) columns (k x NC, zero-padded; A is never packed)
     kConvColumns = 1,     // im2col column matrix
     kConvGradColumns = 2, // conv backward column-gradient matrix
-    kBufferCount = 3,
+    kConvPadded = 3,      // im2col/col2im zero-bordered [C, H+2p, W+2p] plane
+    kConvFilterGradT = 4, // conv backward filter gradient, transposed [C*K*K, OC]
+    kBufferCount = 5,
   };
 
   /// The calling thread's buffer `which`, grown to hold >= `floats` floats,

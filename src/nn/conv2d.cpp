@@ -1,5 +1,6 @@
 #include "nn/conv2d.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.hpp"
@@ -8,6 +9,30 @@
 #include "tensor/ops.hpp"
 
 namespace fedhisyn::nn {
+
+namespace {
+
+// sums[oc] += sum over pix of planes[oc, pix].  Each channel keeps its own
+// double chain, adding its pixels in ascending order from +0; kLanes
+// channels' chains interleave so their adds overlap instead of each chain
+// waiting out the add latency alone.
+void add_channel_sums(const float* planes, std::int64_t channels, std::int64_t pixels,
+                      std::span<float> sums) {
+  constexpr std::int64_t kLanes = 8;
+  for (std::int64_t c0 = 0; c0 < channels; c0 += kLanes) {
+    const std::int64_t lanes = std::min(kLanes, channels - c0);
+    const float* first = planes + c0 * pixels;
+    double acc[kLanes] = {};
+    for (std::int64_t p = 0; p < pixels; ++p) {
+      for (std::int64_t j = 0; j < lanes; ++j) acc[j] += first[j * pixels + p];
+    }
+    for (std::int64_t j = 0; j < lanes; ++j) {
+      sums[static_cast<std::size_t>(c0 + j)] += static_cast<float>(acc[j]);
+    }
+  }
+}
+
+}  // namespace
 
 Conv2d::Conv2d(std::int64_t out_channels, std::int64_t kernel, std::int64_t stride,
                std::int64_t padding)
@@ -98,7 +123,8 @@ void Conv2d::backward(const Shape3& in, std::span<const float> params, const Ten
   const std::int64_t batch = x.dim(0);
   const std::int64_t col_rows = g.col_rows();
   const std::int64_t col_cols = g.col_cols();
-  FEDHISYN_CHECK(grad_out.numel() == batch * out_channels_ * col_cols);
+  const std::int64_t plane_size = out_channels_ * col_cols;
+  FEDHISYN_CHECK(grad_out.numel() == batch * plane_size);
   FEDHISYN_CHECK(!relu_ || y.numel() == grad_out.numel());
   FEDHISYN_CHECK(static_cast<std::int64_t>(grad_params.size()) == param_count(in));
 
@@ -107,18 +133,25 @@ void Conv2d::backward(const Shape3& in, std::span<const float> params, const Ten
   auto grad_bias = grad_params.subspan(static_cast<std::size_t>(out_channels_ * col_rows),
                                        static_cast<std::size_t>(out_channels_));
 
-  // The filter gradient accumulates over the batch at beta 1 from +0.  (A
-  // beta-0 first call would not match it: NT stores beta*C + dot, which
-  // turns a -0 dot into +0.)
-  fill(grad_params, 0.0f);
+  // The filter gradient accumulates transposed, dFt[cr, oc], over the batch
+  // at beta 1 from +0, and is transposed into grad_filters once at the end.
+  // Each element is the same float sum as accumulating dFilters[oc, cr]
+  // directly: IEEE products commute, every sample's pixel terms add in
+  // ascending order from +0 (so an all -0 dot is +0), and each sample adds
+  // 1*C + dot in batch order.  The transposed form makes NT pack grad_out
+  // (oc x pix) as its B operand instead of the far larger column matrix.
+  auto dft = ScratchArena::buffer(ScratchArena::kConvFilterGradT,
+                                  static_cast<std::size_t>(col_rows * out_channels_));
+  fill(dft, 0.0f);
+  fill(grad_bias, 0.0f);
   if (grad_in != nullptr) {
     grad_in->resize({batch, in.c, in.h, in.w});
     grad_in->fill(0.0f);
   }
 
-  // Serial over the batch: grad_filters accumulation must stay deterministic
-  // (fixed order) and race-free; batch sizes here are small.  The nested
-  // GEMMs still fan out over the pool (they are top-level here).
+  // Serial over the batch: the filter-gradient accumulation must stay
+  // deterministic (fixed order) and race-free; batch sizes here are small.
+  // The nested GEMMs still fan out over the pool (they are top-level here).
   auto columns = ScratchArena::buffer(
       ScratchArena::kConvColumns, static_cast<std::size_t>(col_rows * col_cols));
   const auto grad_columns =
@@ -128,30 +161,24 @@ void Conv2d::backward(const Shape3& in, std::span<const float> params, const Ten
   for (std::int64_t b = 0; b < batch; ++b) {
     im2col(x.row(b), g, columns);
     const auto go_row = grad_out.row(b);
-    // Mask grad_out by the folded ReLU (y > 0) and, in the same sweep,
-    // dBias[oc] += sum_pix grad_out[oc, pix].
-    for (std::int64_t oc = 0; oc < out_channels_; ++oc) {
-      float* plane = go_row.data() + oc * col_cols;
-      double acc = 0.0;
-      if (relu_) {
-        const float* out = y.row(b).data() + oc * col_cols;
-        for (std::int64_t p = 0; p < col_cols; ++p) {
-          const float gv = out[p] > 0.0f ? plane[p] : 0.0f;
-          plane[p] = gv;
-          acc += gv;
-        }
-      } else {
-        for (std::int64_t p = 0; p < col_cols; ++p) acc += plane[p];
-      }
-      grad_bias[static_cast<std::size_t>(oc)] += static_cast<float>(acc);
+    if (relu_) {
+      // Mask grad_out by the folded ReLU (y > 0).
+      const float* out = y.row(b).data();
+      float* go = go_row.data();
+      for (std::int64_t i = 0; i < plane_size; ++i) go[i] = out[i] > 0.0f ? go[i] : 0.0f;
     }
-    // dFilters[oc, cr] += grad_out[oc, pix] * columns[cr, pix]^T
-    gemm_nt(go_row, std::span<const float>(columns), grad_filters, out_channels_, col_cols,
-            col_rows, /*beta=*/1.0f);
+    add_channel_sums(go_row.data(), out_channels_, col_cols, grad_bias);
+    // dFt[cr, oc] += columns[cr, pix] * grad_out[oc, pix]^T
+    gemm_nt(std::span<const float>(columns), go_row, dft, col_rows, col_cols, out_channels_,
+            /*beta=*/1.0f);
     if (grad_in == nullptr) continue;
     // dColumns[cr, pix] = filters^T[cr, oc] * grad_out[oc, pix]
     gemm_tn(filters, go_row, grad_columns, col_rows, out_channels_, col_cols);
     col2im(grad_columns, g, grad_in->row(b));
+  }
+  for (std::int64_t oc = 0; oc < out_channels_; ++oc) {
+    float* dst = grad_filters.data() + oc * col_rows;
+    for (std::int64_t cr = 0; cr < col_rows; ++cr) dst[cr] = dft[cr * out_channels_ + oc];
   }
 }
 

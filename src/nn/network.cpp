@@ -150,6 +150,7 @@ float Network::accuracy(std::span<const float> weights, const Tensor& x,
   FEDHISYN_CHECK(static_cast<std::int64_t>(labels.size()) == n);
   FEDHISYN_CHECK(batch > 0);
   const std::int64_t sample_size = input_shape_.numel();
+  FEDHISYN_CHECK(x.numel() == n * sample_size);
   // Shard the evaluation over the pool, one chunk of `batch` rows per index.
   // Chunk boundaries are fixed by `batch` alone (never by the thread count)
   // and per-chunk correct counts are integers summed in index order, so the
@@ -159,9 +160,9 @@ float Network::accuracy(std::span<const float> weights, const Tensor& x,
     const std::int64_t start = static_cast<std::int64_t>(ci) * batch;
     const std::int64_t rows = std::min(batch, n - start);
     chunk.resize({rows, sample_size});
-    for (std::int64_t r = 0; r < rows; ++r) {
-      copy(x.row(start + r), chunk.row(r));
-    }
+    copy(x.span().subspan(static_cast<std::size_t>(start * sample_size),
+                          static_cast<std::size_t>(rows * sample_size)),
+         chunk.span());
     forward(weights, chunk, w);
     const Tensor& logits = w.activations.back();
     std::int64_t correct = 0;

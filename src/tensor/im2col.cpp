@@ -1,58 +1,72 @@
 #include "tensor/im2col.hpp"
 
 #include <algorithm>
-#include <cstring>
+#include <type_traits>
 
 #include "common/check.hpp"
+#include "common/parallel.hpp"
 
 namespace fedhisyn {
+
+namespace {
+
+std::int64_t padded_height(const ConvGeometry& g) { return g.height + 2 * g.padding; }
+std::int64_t padded_width(const ConvGeometry& g) { return g.width + 2 * g.padding; }
+
+// Copy one sample's [C,H,W] into the calling thread's [C,H+2p,W+2p] plane
+// (ScratchArena::kConvPadded) with a zero border.
+float* padded_plane(const float* image, const ConvGeometry& g) {
+  const std::int64_t ph = padded_height(g);
+  const std::int64_t pw = padded_width(g);
+  auto plane = ScratchArena::buffer(ScratchArena::kConvPadded,
+                                    static_cast<std::size_t>(g.channels * ph * pw));
+  std::fill(plane.begin(), plane.end(), 0.0f);
+  for (std::int64_t c = 0; c < g.channels; ++c) {
+    for (std::int64_t y = 0; y < g.height; ++y) {
+      const float* src = image + (c * g.height + y) * g.width;
+      std::copy(src, src + g.width, plane.data() + (c * ph + y + g.padding) * pw + g.padding);
+    }
+  }
+  return plane.data();
+}
+
+// Run body(stride) with the stride as a compile-time constant when it is 1,
+// as in every model here, so the row loops below compile to contiguous
+// vector copies; other strides run the same loops with a runtime stride.
+template <class Body>
+void with_stride(std::int64_t stride, const Body& body) {
+  if (stride == 1) {
+    body(std::integral_constant<std::int64_t, 1>{});
+  } else {
+    body(stride);
+  }
+}
+
+}  // namespace
 
 void im2col(std::span<const float> image, const ConvGeometry& g, std::span<float> columns) {
   FEDHISYN_CHECK(static_cast<std::int64_t>(image.size()) >= g.channels * g.height * g.width);
   FEDHISYN_CHECK(static_cast<std::int64_t>(columns.size()) >= g.col_rows() * g.col_cols());
   const std::int64_t oh = g.out_height();
   const std::int64_t ow = g.out_width();
-  std::int64_t row = 0;
-  for (std::int64_t c = 0; c < g.channels; ++c) {
-    for (std::int64_t ky = 0; ky < g.kernel; ++ky) {
-      for (std::int64_t kx = 0; kx < g.kernel; ++kx, ++row) {
-        float* out_row = columns.data() + row * (oh * ow);
-        if (g.stride == 1) {
-          // Stride 1: for a fixed (ky, kx) the source pixels of one output
-          // row are contiguous, so the interior is a memcpy and only the
-          // padding border needs element work.  x maps to sx = x + kx - pad;
-          // the in-bounds x range is [x_lo, x_hi).
-          const std::int64_t x_lo = std::max<std::int64_t>(0, g.padding - kx);
-          const std::int64_t x_hi =
-              std::min<std::int64_t>(ow, g.width + g.padding - kx);
-          for (std::int64_t y = 0; y < oh; ++y) {
-            float* out = out_row + y * ow;
-            const std::int64_t sy = y + ky - g.padding;
-            if (sy < 0 || sy >= g.height || x_lo >= x_hi) {
-              std::fill(out, out + ow, 0.0f);
-              continue;
-            }
-            std::fill(out, out + x_lo, 0.0f);
-            const float* src =
-                image.data() + (c * g.height + sy) * g.width + (x_lo + kx - g.padding);
-            std::memcpy(out + x_lo, src,
-                        static_cast<std::size_t>(x_hi - x_lo) * sizeof(float));
-            std::fill(out + x_hi, out + ow, 0.0f);
-          }
-          continue;
-        }
-        for (std::int64_t y = 0; y < oh; ++y) {
-          const std::int64_t sy = y * g.stride + ky - g.padding;
-          for (std::int64_t x = 0; x < ow; ++x) {
-            const std::int64_t sx = x * g.stride + kx - g.padding;
-            const bool inside = sy >= 0 && sy < g.height && sx >= 0 && sx < g.width;
-            out_row[y * ow + x] =
-                inside ? image[(c * g.height + sy) * g.width + sx] : 0.0f;
+  const std::int64_t ph = padded_height(g);
+  const std::int64_t pw = padded_width(g);
+  const float* plane = padded_plane(image.data(), g);
+  with_stride(g.stride, [&](auto stride) {
+    float* out = columns.data();
+    for (std::int64_t c = 0; c < g.channels; ++c) {
+      for (std::int64_t ky = 0; ky < g.kernel; ++ky) {
+        for (std::int64_t kx = 0; kx < g.kernel; ++kx) {
+          // Column row (c, ky, kx): out[y, x] = plane[c, y*s + ky, x*s + kx].
+          const float* src = plane + (c * ph + ky) * pw + kx;
+          for (std::int64_t y = 0; y < oh; ++y, out += ow) {
+            const float* in = src + y * stride * pw;
+            for (std::int64_t x = 0; x < ow; ++x) out[x] = in[x * stride];
           }
         }
       }
     }
-  }
+  });
 }
 
 void col2im(std::span<const float> columns, const ConvGeometry& g, std::span<float> image_grad) {
@@ -60,21 +74,31 @@ void col2im(std::span<const float> columns, const ConvGeometry& g, std::span<flo
   FEDHISYN_CHECK(static_cast<std::int64_t>(columns.size()) >= g.col_rows() * g.col_cols());
   const std::int64_t oh = g.out_height();
   const std::int64_t ow = g.out_width();
-  std::int64_t row = 0;
-  for (std::int64_t c = 0; c < g.channels; ++c) {
-    for (std::int64_t ky = 0; ky < g.kernel; ++ky) {
-      for (std::int64_t kx = 0; kx < g.kernel; ++kx, ++row) {
-        const float* in_row = columns.data() + row * (oh * ow);
-        for (std::int64_t y = 0; y < oh; ++y) {
-          const std::int64_t sy = y * g.stride + ky - g.padding;
-          if (sy < 0 || sy >= g.height) continue;
-          for (std::int64_t x = 0; x < ow; ++x) {
-            const std::int64_t sx = x * g.stride + kx - g.padding;
-            if (sx < 0 || sx >= g.width) continue;
-            image_grad[(c * g.height + sy) * g.width + sx] += in_row[y * ow + x];
+  const std::int64_t ph = padded_height(g);
+  const std::int64_t pw = padded_width(g);
+  // The plane starts as image_grad (zero border), so each interior element
+  // adds its (ky, kx) terms onto image_grad's value in ascending order —
+  // the same sums as adding straight into image_grad.  Border sums are
+  // dropped.
+  float* plane = padded_plane(image_grad.data(), g);
+  with_stride(g.stride, [&](auto stride) {
+    const float* in = columns.data();
+    for (std::int64_t c = 0; c < g.channels; ++c) {
+      for (std::int64_t ky = 0; ky < g.kernel; ++ky) {
+        for (std::int64_t kx = 0; kx < g.kernel; ++kx) {
+          float* dst = plane + (c * ph + ky) * pw + kx;
+          for (std::int64_t y = 0; y < oh; ++y, in += ow) {
+            float* out = dst + y * stride * pw;
+            for (std::int64_t x = 0; x < ow; ++x) out[x * stride] += in[x];
           }
         }
       }
+    }
+  });
+  for (std::int64_t c = 0; c < g.channels; ++c) {
+    for (std::int64_t y = 0; y < g.height; ++y) {
+      const float* src = plane + (c * ph + y + g.padding) * pw + g.padding;
+      std::copy(src, src + g.width, image_grad.data() + (c * g.height + y) * g.width);
     }
   }
 }

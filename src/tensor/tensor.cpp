@@ -62,7 +62,7 @@ void Tensor::resize(std::span<const std::int64_t> shape) {
   FEDHISYN_CHECK(shape.size() <= 4);
   shape_.assign(shape.begin(), shape.end());
   numel_ = shape_numel(shape_);
-  data_.assign(static_cast<std::size_t>(numel_), 0.0f);
+  data_.resize(static_cast<std::size_t>(numel_));
 }
 
 std::string Tensor::shape_str() const {

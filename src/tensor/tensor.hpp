@@ -41,9 +41,11 @@ class Tensor {
   void reshape(std::vector<std::int64_t> shape);
   /// Set every element to `value`.
   void fill(float value);
-  /// Resize a reused workspace buffer.  A new shape zero-fills; an unchanged
-  /// shape is a no-op that neither allocates nor zeroes, so the contents are
-  /// whatever the buffer held before.
+  /// Resize a reused workspace buffer with std::vector::resize semantics:
+  /// the first min(old, new) elements keep their values, only elements past
+  /// the old size are zeroed, and shrinking keeps the capacity, so a shrink
+  /// followed by a grow back within it neither allocates nor moves data().
+  /// An unchanged shape is a no-op.  Callers overwrite what they read.
   void resize(std::initializer_list<std::int64_t> shape) {
     resize(std::span<const std::int64_t>(shape.begin(), shape.size()));
   }

@@ -242,6 +242,34 @@ TEST(Network, ConvBackwardWithoutGradInKeepsParamGradient) {
                                             103);
 }
 
+TEST(Network, ConvFilterGradientOfNegativeZeroDotsIsPositiveZero) {
+  // A zero input makes every column +0, so with grad_out all -1 each
+  // per-sample dot sums only -0 products.  The sum starts from +0 and each
+  // sample adds 1*C + dot, so every filter gradient is +0, never -0.
+  const Conv2d conv(4, 3, 1, 1);
+  const Shape3 in{2, 5, 4};
+  const std::int64_t batch = 3;
+  Rng rng(109);
+  std::vector<float> params(static_cast<std::size_t>(conv.param_count(in)));
+  conv.init_params(in, params, rng);
+  Tensor x({batch, in.c, in.h, in.w});
+  Tensor y;
+  conv.forward(in, params, x, y);
+  Tensor grad_out(y.shape());
+  grad_out.fill(-1.0f);
+  std::vector<float> grad(params.size(), -0.0f);
+  conv.backward(in, params, x, y, grad_out, nullptr, grad);
+  const std::int64_t n_filters = 4 * in.c * 3 * 3;
+  for (std::int64_t i = 0; i < n_filters; ++i) {
+    const float g = grad[static_cast<std::size_t>(i)];
+    ASSERT_TRUE(g == 0.0f && !std::signbit(g)) << "filter gradient " << i << " is " << g;
+  }
+  // Bias: batch * 20 pixels of -1 per channel.
+  for (std::int64_t i = n_filters; i < conv.param_count(in); ++i) {
+    EXPECT_EQ(grad[static_cast<std::size_t>(i)], -60.0f);
+  }
+}
+
 TEST(Network, LossAndGradSkipsFirstLayerInputGradient) {
   // The laptop MLP: three forward GEMMs, three dW GEMMs, and a dx GEMM for
   // every Dense layer but the first, whose input gradient nobody reads.

@@ -13,6 +13,7 @@
 #include <cstring>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -67,12 +68,29 @@ TEST(Tensor, RowViewIsContiguousSlice) {
 }
 
 TEST(Tensor, FillAndResize) {
-  Tensor t({2, 2});
+  Tensor t({2, 3});
   t.fill(3.5f);
-  EXPECT_FLOAT_EQ(t.at(3), 3.5f);
-  t.resize({5});
-  EXPECT_EQ(t.numel(), 5);
-  EXPECT_FLOAT_EQ(t.at(0), 0.0f);  // resize zeroes
+  EXPECT_FLOAT_EQ(t.at(5), 3.5f);
+  const float* storage = t.data();
+  // Shrinking keeps the prefix and the storage.
+  t.resize({2, 2});
+  EXPECT_EQ(t.numel(), 4);
+  EXPECT_EQ(t.span().size(), 4u);
+  EXPECT_EQ(t.data(), storage);
+  for (std::int64_t i = 0; i < 4; ++i) EXPECT_EQ(t.at(i), 3.5f);
+  // Growing back within the capacity keeps the prefix and the storage and
+  // zeroes only the grown tail.
+  t.at(0) = -1.0f;
+  t.resize({6});
+  EXPECT_EQ(t.numel(), 6);
+  EXPECT_EQ(t.data(), storage);
+  EXPECT_EQ(t.at(0), -1.0f);
+  for (std::int64_t i = 1; i < 4; ++i) EXPECT_EQ(t.at(i), 3.5f);
+  EXPECT_EQ(t.at(4), 0.0f);
+  EXPECT_EQ(t.at(5), 0.0f);
+  // An unchanged shape is a no-op.
+  t.resize({6});
+  EXPECT_EQ(t.at(0), -1.0f);
 }
 
 class GemmShapes : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
@@ -558,6 +576,94 @@ TEST(Im2col, Col2imIsAdjoint) {
   const double rhs = dot(x, xt);
   EXPECT_NEAR(lhs, rhs, 1e-3 * (std::abs(lhs) + 1.0));
 }
+
+/// Scalar im2col reference: every element bounds-tested, padding reads +0.
+std::vector<float> im2col_reference(const std::vector<float>& image, const ConvGeometry& g) {
+  std::vector<float> columns(static_cast<std::size_t>(g.col_rows() * g.col_cols()));
+  std::size_t i = 0;
+  for (std::int64_t c = 0; c < g.channels; ++c) {
+    for (std::int64_t ky = 0; ky < g.kernel; ++ky) {
+      for (std::int64_t kx = 0; kx < g.kernel; ++kx) {
+        for (std::int64_t y = 0; y < g.out_height(); ++y) {
+          for (std::int64_t x = 0; x < g.out_width(); ++x, ++i) {
+            const std::int64_t sy = y * g.stride + ky - g.padding;
+            const std::int64_t sx = x * g.stride + kx - g.padding;
+            const bool inside = sy >= 0 && sy < g.height && sx >= 0 && sx < g.width;
+            columns[i] =
+                inside ? image[static_cast<std::size_t>((c * g.height + sy) * g.width + sx)]
+                       : 0.0f;
+          }
+        }
+      }
+    }
+  }
+  return columns;
+}
+
+/// Scalar col2im reference: adds each column element straight onto
+/// image_grad, column rows in (c, ky, kx) order; padding terms are dropped.
+void col2im_reference(const std::vector<float>& columns, const ConvGeometry& g,
+                      std::vector<float>& image_grad) {
+  std::size_t i = 0;
+  for (std::int64_t c = 0; c < g.channels; ++c) {
+    for (std::int64_t ky = 0; ky < g.kernel; ++ky) {
+      for (std::int64_t kx = 0; kx < g.kernel; ++kx) {
+        for (std::int64_t y = 0; y < g.out_height(); ++y) {
+          for (std::int64_t x = 0; x < g.out_width(); ++x, ++i) {
+            const std::int64_t sy = y * g.stride + ky - g.padding;
+            const std::int64_t sx = x * g.stride + kx - g.padding;
+            if (sy < 0 || sy >= g.height || sx < 0 || sx >= g.width) continue;
+            image_grad[static_cast<std::size_t>((c * g.height + sy) * g.width + sx)] +=
+                columns[i];
+          }
+        }
+      }
+    }
+  }
+}
+
+// (kernel, padding, stride, channels); every case runs on two non-square
+// inputs, 5x7 and 8x6.
+class Im2colGeometry
+    : public ::testing::TestWithParam<std::tuple<int, int, int, int>> {};
+
+TEST_P(Im2colGeometry, MatchesScalarReferenceExactly) {
+  const auto [kernel, padding, stride, channels] = GetParam();
+  for (const auto& [height, width] : {std::pair{5, 7}, std::pair{8, 6}}) {
+    ConvGeometry g;
+    g.channels = channels;
+    g.height = height;
+    g.width = width;
+    g.kernel = kernel;
+    g.stride = stride;
+    g.padding = padding;
+    SCOPED_TRACE(testing::Message() << "input " << height << "x" << width);
+    Rng rng(static_cast<std::uint64_t>(1000 + kernel * 100 + padding * 10 + stride + channels));
+    const auto image =
+        random_vec(static_cast<std::size_t>(g.channels * g.height * g.width), rng);
+    // Junk in the output buffer: every element must be written.
+    std::vector<float> columns(static_cast<std::size_t>(g.col_rows() * g.col_cols()), 7.0f);
+    im2col(image, g, columns);
+    const auto expected_columns = im2col_reference(image, g);
+    ASSERT_EQ(0, std::memcmp(columns.data(), expected_columns.data(),
+                             columns.size() * sizeof(float)));
+
+    // col2im accumulates onto a nonzero image gradient.
+    const auto grad_columns = random_vec(columns.size(), rng);
+    auto image_grad = random_vec(image.size(), rng);
+    auto expected_grad = image_grad;
+    col2im(grad_columns, g, image_grad);
+    col2im_reference(grad_columns, g, expected_grad);
+    ASSERT_EQ(0, std::memcmp(image_grad.data(), expected_grad.data(),
+                             image_grad.size() * sizeof(float)));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(KernelPaddingStrideChannels, Im2colGeometry,
+                         ::testing::Combine(::testing::Values(1, 3, 5),
+                                            ::testing::Values(0, 1, 2),
+                                            ::testing::Values(1, 2),
+                                            ::testing::Values(1, 3)));
 
 }  // namespace
 }  // namespace fedhisyn
