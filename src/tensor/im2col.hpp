@@ -1,8 +1,10 @@
 // im2col / col2im for the convolution layer.  Layout: input [C,H,W] row-major
 // per sample; column matrix is [C*KH*KW, OH*OW] so conv becomes a GEMM with
 // the [OC, C*KH*KW] filter matrix (the wide-N shape the blocked kernel in
-// tensor/gemm.hpp tiles over column panels).  Stride-1 geometries take a
-// memcpy fast path for the interior; values are identical either way.
+// tensor/gemm.hpp tiles over column panels).  Both directions go through a
+// per-thread zero-bordered [C, H+2p, W+2p] copy of the sample
+// (ScratchArena::kConvPadded), so every column row is a plain strided read
+// or add of that plane and no element is bounds-tested.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +30,9 @@ struct ConvGeometry {
 void im2col(std::span<const float> image, const ConvGeometry& g, std::span<float> columns);
 
 /// Scatter-add the column matrix back into an image gradient (C*H*W floats).
-/// `image_grad` is accumulated into (caller zeroes it first).
+/// `image_grad` is accumulated into: each element adds its (ky, kx) terms
+/// onto its current value in ascending order (the conv backward zeroes it
+/// first).
 void col2im(std::span<const float> columns, const ConvGeometry& g, std::span<float> image_grad);
 
 }  // namespace fedhisyn
