@@ -13,7 +13,7 @@
 // are informational (pool size = --threads / FEDHISYN_THREADS).
 //
 //   ./bench_gemm_sweep --out BENCH_gemm.json [--min-time-ms 200] [--threads N]
-//                      [--shapes name,...] [--kernel VARIANT[:MRxNR]]
+//                      [--shapes name,...] [--kernel VARIANT]
 //                      [--list-kernels]
 //
 // Kernel modes: by default every shape is timed under the auto-selected
@@ -22,8 +22,9 @@
 // the @generic rows join the main baseline, the @avx2 rows are gated by
 // bench/baselines/BENCH_gemm_isa.json on hosts that have AVX2).  --kernel
 // forces one variant for the plain entries instead and skips the per-variant
-// sweep; an unsupported variant exits with status 3 so CI can skip
-// gracefully.  --list-kernels prints the supported variant names and exits.
+// sweep; an unknown or unsupported variant exits with status 3 so CI can
+// skip gracefully.  --list-kernels prints the supported variant names and
+// exits.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -171,13 +172,6 @@ const char* variant_name(Variant v) {
   return "?";
 }
 
-bool variant_supported(const std::string& name) {
-  for (const std::string& supported : gemm_supported_variants()) {
-    if (supported == name) return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -211,7 +205,7 @@ int main(int argc, char** argv) {
     } else {
       std::cerr << "usage: bench_gemm_sweep [--out FILE] [--min-time-ms MS] "
                    "[--threads N] [--shapes name,...] "
-                   "[--kernel VARIANT[:MRxNR]] [--list-kernels]\n";
+                   "[--kernel VARIANT] [--list-kernels]\n";
       return arg == "--help" ? 0 : 2;
     }
   }
@@ -253,16 +247,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --kernel: force one variant for the whole sweep.  Unsupported variants
-  // exit 3 (distinct from usage errors) so CI matrix steps can skip; a bad
-  // kernel label inside a supported variant is the same kind of miss.
+  // --kernel: force one variant for the whole sweep.  Unknown and
+  // unsupported variants exit 3 (distinct from usage errors) so CI matrix
+  // steps can skip.
   if (!kernel_spec.empty()) {
-    const std::string variant = kernel_spec.substr(0, kernel_spec.find(':'));
-    if (variant != "auto" && !variant_supported(variant)) {
-      std::cerr << "bench_gemm_sweep: kernel variant '" << variant
-                << "' is not supported on this CPU — skipping\n";
-      return 3;
-    }
     try {
       gemm_runtime_select(kernel_spec);
     } catch (const CheckError& err) {
@@ -287,7 +275,7 @@ int main(int argc, char** argv) {
   }
   // The plain entries run the selection the sweep started with: --kernel,
   // else FEDHISYN_GEMM_KERNEL, else auto.
-  const std::string default_spec = gemm_runtime_info().spec();
+  const std::string default_spec = gemm_runtime_info().variant;
 
   ParallelExecutor pool_st(1);
   ParallelExecutor pool_mt(threads);
@@ -311,7 +299,7 @@ int main(int argc, char** argv) {
 
     for (const Mode& mode : modes) {
       gemm_runtime_select(mode.spec.empty() ? default_spec : mode.spec);
-      const std::string kernel = gemm_runtime_info().spec();
+      const std::string kernel = gemm_runtime_info().variant;
 
       double blk_st_ms = 0.0;
       {

@@ -31,13 +31,12 @@
 //                            exp::handle_grid_flags (exp/driver.cpp) reads
 //                            them, once, and it check-fails on a malformed
 //                            value.
-//   FEDHISYN_GEMM_KERNEL=auto|generic|avx2|avx512|neon[:MRxNR]
+//   FEDHISYN_GEMM_KERNEL=auto|generic|avx2|avx512
 //                            GEMM micro-kernel variant (tensor/gemm_tune.hpp).
 //                            "auto" (the default) picks the best ISA the CPU
 //                            reports; a named variant forces it (failing
-//                            loudly when unsupported) and an optional :MRxNR
-//                            suffix pins the register-tile shape.  Every
-//                            variant produces bit-identical results.
+//                            loudly when unsupported).  Every variant
+//                            produces bit-identical results.
 //   FEDHISYN_BUILD_CACHE_MB=M
 //                            byte budget (MiB, fractional allowed) of the
 //                            BuiltExperiment cache every execution backend

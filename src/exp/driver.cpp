@@ -197,7 +197,7 @@ GridDriverOptions handle_grid_flags(const Flags& flags,
   const WorkerConfig worker = resolve_worker_config(flags);
   gemm_runtime_select(flag_env_or(flags, "gemm-kernel", "FEDHISYN_GEMM_KERNEL", "auto"));
   if (!worker.quiet) {
-    std::fprintf(stderr, "fedhisyn: gemm variant=%s\n", gemm_runtime_info().spec().c_str());
+    std::fprintf(stderr, "fedhisyn: gemm variant=%s\n", gemm_runtime_info().variant.c_str());
   }
   if (flags.has("serve")) {
     // Dispatch-worker mode: serve the exp/dispatch.hpp protocol over TCP,

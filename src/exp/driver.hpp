@@ -38,15 +38,15 @@
 //                     fallback).
 //                     Never changes result bytes
 //   --gemm-kernel K   GEMM micro-kernel variant: auto (CPUID dispatch, the
-//                     default) | generic | avx2 | avx512 | neon, optionally
-//                     variant:MRxNR (FEDHISYN_GEMM_KERNEL fallback).
+//                     default) | generic | avx2 | avx512
+//                     (FEDHISYN_GEMM_KERNEL fallback).
 //                     Bit-identical results either way; an unsupported
 //                     forced variant fails at startup
 //   --list-methods    print the registered algorithms (one description line
 //                     each) and exit
 //   --gemm-info       print the resolved GEMM dispatch state (selected
-//                     variant, forced kernel, the one tile and tile-grid
-//                     sizes every call runs) and exit
+//                     variant, its one tile and the tile-grid sizes every
+//                     call runs) and exit
 //   --serve [BIND:]PORT
 //                     become a resident dispatch worker: listen on PORT
 //                     (default bind 0.0.0.0; port 0 = ephemeral, announced

@@ -27,7 +27,7 @@ std::vector<std::string> spawn_env(const WorkerConfig& worker, std::size_t threa
   return {"FEDHISYN_THREADS=" + std::to_string(threads),
           std::string("FEDHISYN_BUILD_CACHE_MB=") + budget_mb,
           std::string("FEDHISYN_QUIET=") + (worker.quiet ? "1" : "0"),
-          "FEDHISYN_GEMM_KERNEL=" + gemm_runtime_info().spec()};
+          "FEDHISYN_GEMM_KERNEL=" + gemm_runtime_info().variant};
 }
 
 }  // namespace

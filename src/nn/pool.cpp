@@ -1,5 +1,7 @@
 #include "nn/pool.hpp"
 
+#include <algorithm>
+
 #include "common/check.hpp"
 
 namespace fedhisyn::nn {
@@ -43,7 +45,6 @@ void MaxPool2::backward(const Shape3& in, std::span<const float>, const Tensor& 
   FEDHISYN_CHECK(grad_out.numel() == batch * out.numel());
   if (grad_in == nullptr) return;
   grad_in->resize({batch, in.c, in.h, in.w});
-  grad_in->fill(0.0f);
   for (std::int64_t b = 0; b < batch; ++b) {
     const float* src = x.row(b).data();
     const float* go = grad_out.row(b).data();
@@ -53,26 +54,37 @@ void MaxPool2::backward(const Shape3& in, std::span<const float>, const Tensor& 
       const float* goplane = go + c * out.h * out.w;
       float* giplane = gi + c * in.h * in.w;
       for (std::int64_t oy = 0; oy < out.h; ++oy) {
+        const float* x0 = plane + oy * 2 * in.w;
+        const float* x1 = x0 + in.w;
+        float* g0 = giplane + oy * 2 * in.w;
+        float* g1 = g0 + in.w;
         for (std::int64_t ox = 0; ox < out.w; ++ox) {
-          const std::int64_t sy = oy * 2;
           const std::int64_t sx = ox * 2;
-          // Route the gradient to the (first) argmax of the 2x2 window,
-          // matching forward's tie-breaking (first max wins).
-          std::int64_t best_y = sy;
-          std::int64_t best_x = sx;
-          float best = plane[sy * in.w + sx];
-          const std::int64_t cand[3][2] = {{sy, sx + 1}, {sy + 1, sx}, {sy + 1, sx + 1}};
-          for (const auto& yx : cand) {
-            const float v = plane[yx[0] * in.w + yx[1]];
-            if (v > best) {
-              best = v;
-              best_y = yx[0];
-              best_x = yx[1];
-            }
-          }
-          giplane[best_y * in.w + best_x] += goplane[oy * out.w + ox];
+          // The (first) argmax of the 2x2 window, matching forward's
+          // tie-breaking: the same `v > best` tests in the same order as a
+          // scan, as selects rather than branches.
+          float best = x0[sx];
+          int arg = 0;
+          const float v1 = x0[sx + 1];
+          arg = v1 > best ? 1 : arg;
+          best = v1 > best ? v1 : best;
+          const float v2 = x1[sx];
+          arg = v2 > best ? 2 : arg;
+          best = v2 > best ? v2 : best;
+          arg = x1[sx + 1] > best ? 3 : arg;
+          // Every cell starts from +0 and the argmax adds the gradient, so a
+          // -0 gradient lands as +0.
+          const float g = goplane[oy * out.w + ox];
+          g0[sx] = 0.0f + (arg == 0 ? g : 0.0f);
+          g0[sx + 1] = 0.0f + (arg == 1 ? g : 0.0f);
+          g1[sx] = 0.0f + (arg == 2 ? g : 0.0f);
+          g1[sx + 1] = 0.0f + (arg == 3 ? g : 0.0f);
         }
+        // An odd width's last column lies in no window.
+        if (in.w % 2 != 0) g0[in.w - 1] = g1[in.w - 1] = 0.0f;
       }
+      // So does an odd height's last row.
+      if (in.h % 2 != 0) std::fill_n(giplane + (in.h - 1) * in.w, in.w, 0.0f);
     }
   }
 }

@@ -6,10 +6,10 @@
 // inside a parallel region), and an MRxNR register micro-kernel does the
 // arithmetic.  A is read in place; B is read in place on NN/TN shapes with
 // n < 128 and packed into per-thread aligned scratch otherwise.
-// The micro-kernel is multiversioned per ISA (generic / AVX2 / AVX-512 /
-// NEON, see gemm_kernel.hpp) and selected once per process by runtime CPUID
-// dispatch, overridable via FEDHISYN_GEMM_KERNEL; the selection layer is
-// tensor/gemm_tune.hpp.  The tile-grid sizes follow from the selected
+// The micro-kernel is multiversioned per ISA with one tile each (generic,
+// AVX2, AVX-512; see gemm_kernel.hpp) and selected once per process by
+// runtime CPUID dispatch, overridable via FEDHISYN_GEMM_KERNEL; the
+// selection layer is tensor/gemm_tune.hpp.  The tile-grid sizes follow from the selected
 // register tile, so a process runs one schedule for every shape.
 //
 // Determinism: i/j are blocked but k never is — every C element accumulates

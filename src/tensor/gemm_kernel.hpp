@@ -6,8 +6,8 @@
 // or as a packed NR-wide sub-panel, and a C tile to initialise and store —
 // C itself for full tiles, a 64-byte-aligned MR x NR staging tile for edge
 // tiles and for betas the kernel cannot apply.  Only the k-loop is
-// ISA-specific, so a kernel variant is a function pointer plus its
-// register-tile shape.
+// ISA-specific, so a variant is one function pointer plus its register-tile
+// shape, one tile per ISA: generic 4x8, avx2 8x8 and avx512 8x16.
 //
 // The k-loop contract is the repo's byte-identity contract in miniature:
 //
@@ -23,7 +23,7 @@
 // sizes and whether an operand is packed are pure scheduling knobs: every
 // variant produces identical bits.
 //
-// Every x86 and generic kernel keeps its C tile in registers for the whole
+// Every kernel keeps its C tile in registers for the whole
 // call: the loops that initialise and store the accumulators carry
 // `#pragma GCC unroll <MR>`.  Without it GCC keeps the accumulator array in
 // memory, clears it with `rep stos` and moves every accumulator through the
@@ -36,7 +36,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 
 namespace fedhisyn::gemmk {
 
@@ -46,9 +45,10 @@ namespace fedhisyn::gemmk {
 enum class GemmOp { kNN, kNT, kTN };
 
 /// Largest register tile any variant declares; the driver's staging tile
-/// and row-pointer array are sized to this (stack arrays).
-inline constexpr std::int64_t kMaxMR = 16;
-inline constexpr std::int64_t kMaxNR = 32;
+/// and row-pointer array are sized to this (stack arrays).  Each kernel TU
+/// static_asserts that its tile fits.
+inline constexpr std::int64_t kMaxMR = 8;
+inline constexpr std::int64_t kMaxNR = 16;
 
 /// Micro-kernel k-loop: compute one full mr x nr register tile over the
 /// whole k extent, per the contract above.
@@ -66,29 +66,21 @@ using KloopFn = void (*)(const float* const* a, std::int64_t a_step,
                          const float* b, std::int64_t ldb, std::int64_t k,
                          float* c, std::int64_t ldc, bool load_c);
 
-/// One register-tile shape of one ISA variant.
+/// One ISA variant: a runtime support predicate and its one register tile.
 struct GemmKernel {
-  const char* label;  // "4x8", "8x8", ... == "<mr>x<nr>"
+  const char* name;     // "generic", "avx2", "avx512"
+  bool (*supported)();  // runtime CPUID on x86; generic is always true
   std::int64_t mr;
   std::int64_t nr;
-  KloopFn kloop;
+  KloopFn kloop;  // nullptr where the ISA cannot be compiled
 };
 
-/// One ISA variant: a runtime support predicate plus its kernel shapes,
-/// preferred shape first (the default unless FEDHISYN_GEMM_KERNEL pins one).
-struct GemmVariant {
-  const char* name;    // "generic", "avx2", "avx512", "neon"
-  bool (*supported)();  // runtime CPUID on x86, compile-time on aarch64
-  std::span<const GemmKernel> kernels;
-};
-
-/// The four variants.  Every accessor exists on every platform; a variant
-/// that cannot run here reports supported() == false with an empty kernel
-/// list (so FEDHISYN_GEMM_KERNEL=neon on x86 fails loudly, not mysteriously).
-const GemmVariant& gemm_variant_generic();  // always supported
-const GemmVariant& gemm_variant_avx2();
-const GemmVariant& gemm_variant_avx512();
-const GemmVariant& gemm_variant_neon();
+/// The three variants.  Every accessor exists on every platform; off x86
+/// the avx2/avx512 entries report supported() == false (so forcing them
+/// fails loudly, not mysteriously).
+const GemmKernel& gemm_variant_generic();  // always supported
+const GemmKernel& gemm_variant_avx2();
+const GemmKernel& gemm_variant_avx512();
 
 /// The tile-grid sizes the driver derives from a kernel's register tile:
 /// column panels of 512 columns rounded up to a multiple of nr, and row

@@ -1,8 +1,8 @@
-// AVX2 GEMM micro-kernels: 8x8 (one ymm column of accumulators) and 6x16
-// (two ymm columns).  Function-level `target("avx2")` attributes keep the
-// rest of the TU baseline-ISA — no per-file -mavx2, so no AVX2 code can leak
-// into functions a non-AVX2 host might execute via comdat folding — and the
-// runtime predicate is __builtin_cpu_supports.
+// AVX2 GEMM micro-kernel: 8x8, one ymm column of accumulators.  A
+// function-level `target("avx2")` attribute keeps the rest of the TU
+// baseline-ISA — no per-file -mavx2, so no AVX2 code can leak into functions
+// a non-AVX2 host might execute via comdat folding — and the runtime
+// predicate is __builtin_cpu_supports.
 //
 // Deliberately NO FMA, by construction and not just by flag: the target
 // attribute enables avx2 only (not fma), so the compiler *cannot* emit
@@ -48,41 +48,8 @@ __attribute__((target("avx2"))) void kloop_8x8(
   for (int ii = 0; ii < 8; ++ii) _mm256_storeu_ps(c + ii * ldc, vacc[ii]);
 }
 
-// 6x16: 12 accumulators + 2 b loads + 1 broadcast = 15 of 16 ymm regs.  The
-// wider tile reads each B element once per 6 rows instead of once per 8,
-// which favours the wide-n conv shapes.
-__attribute__((target("avx2"))) void kloop_6x16(
-    const float* const* a, std::int64_t a_step, const float* b, std::int64_t ldb,
-    std::int64_t k, float* c, std::int64_t ldc, bool load_c) {
-  __m256 vacc[6][2];
-  const float* ar[6];
-#pragma GCC unroll 6
-  for (int ii = 0; ii < 6; ++ii) {
-    vacc[ii][0] = load_c ? _mm256_loadu_ps(c + ii * ldc) : _mm256_setzero_ps();
-    vacc[ii][1] = load_c ? _mm256_loadu_ps(c + ii * ldc + 8) : _mm256_setzero_ps();
-    ar[ii] = a[ii];
-  }
-  for (std::int64_t p = 0; p < k; ++p) {
-    const __m256 b0 = _mm256_loadu_ps(b + p * ldb);
-    const __m256 b1 = _mm256_loadu_ps(b + p * ldb + 8);
-    const std::int64_t off = p * a_step;
-    for (int ii = 0; ii < 6; ++ii) {
-      const __m256 ai = _mm256_set1_ps(ar[ii][off]);
-      vacc[ii][0] = _mm256_add_ps(vacc[ii][0], _mm256_mul_ps(ai, b0));
-      vacc[ii][1] = _mm256_add_ps(vacc[ii][1], _mm256_mul_ps(ai, b1));
-    }
-  }
-#pragma GCC unroll 6
-  for (int ii = 0; ii < 6; ++ii) {
-    _mm256_storeu_ps(c + ii * ldc, vacc[ii][0]);
-    _mm256_storeu_ps(c + ii * ldc + 8, vacc[ii][1]);
-  }
-}
-
-constexpr GemmKernel kKernels[] = {
-    {"8x8", 8, 8, kloop_8x8},
-    {"6x16", 6, 16, kloop_6x16},
-};
+// The staging accumulator must fit this tile.
+static_assert(8 <= kMaxMR && 8 <= kMaxNR);
 
 #else  // non-x86: the variant exists but reports unsupported.
 
@@ -92,15 +59,13 @@ bool avx2_supported() { return false; }
 
 }  // namespace
 
-const GemmVariant& gemm_variant_avx2() {
+const GemmKernel& gemm_variant_avx2() {
 #if defined(__x86_64__) || defined(__i386__)
-  static const GemmVariant variant{"avx2", avx2_supported,
-                                   std::span<const GemmKernel>(kKernels)};
+  static const GemmKernel kernel{"avx2", avx2_supported, 8, 8, kloop_8x8};
 #else
-  static const GemmVariant variant{"avx2", avx2_supported,
-                                   std::span<const GemmKernel>()};
+  static const GemmKernel kernel{"avx2", avx2_supported, 8, 8, nullptr};
 #endif
-  return variant;
+  return kernel;
 }
 
 }  // namespace fedhisyn::gemmk

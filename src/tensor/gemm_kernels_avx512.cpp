@@ -1,5 +1,4 @@
-// AVX-512F GEMM micro-kernels: 8x16 (one zmm column) and 14x32 (two zmm
-// columns, 28 accumulators + 2 b loads + 1 broadcast = 31 of 32 zmm regs).
+// AVX-512F GEMM micro-kernel: 8x16, one zmm column of accumulators.
 // Same construction as the AVX2 TU: function-level `target("avx512f")`
 // attributes (no per-file -mavx512f), runtime __builtin_cpu_supports
 // dispatch, and strictly mul-then-add arithmetic — the target attribute
@@ -41,39 +40,8 @@ __attribute__((target("avx512f"))) void kloop_8x16(
   for (int ii = 0; ii < 8; ++ii) _mm512_storeu_ps(c + ii * ldc, vacc[ii]);
 }
 
-__attribute__((target("avx512f"))) void kloop_14x32(
-    const float* const* a, std::int64_t a_step, const float* b, std::int64_t ldb,
-    std::int64_t k, float* c, std::int64_t ldc, bool load_c) {
-  __m512 vacc[14][2];
-#pragma GCC unroll 14
-  for (int ii = 0; ii < 14; ++ii) {
-    vacc[ii][0] = load_c ? _mm512_loadu_ps(c + ii * ldc) : _mm512_setzero_ps();
-    vacc[ii][1] = load_c ? _mm512_loadu_ps(c + ii * ldc + 16) : _mm512_setzero_ps();
-  }
-  for (std::int64_t p = 0; p < k; ++p) {
-    const __m512 b0 = _mm512_loadu_ps(b + p * ldb);
-    const __m512 b1 = _mm512_loadu_ps(b + p * ldb + 16);
-    const std::int64_t off = p * a_step;
-    for (int ii = 0; ii < 14; ++ii) {
-      const __m512 ai = _mm512_set1_ps(a[ii][off]);
-      vacc[ii][0] = _mm512_add_ps(vacc[ii][0], _mm512_mul_ps(ai, b0));
-      vacc[ii][1] = _mm512_add_ps(vacc[ii][1], _mm512_mul_ps(ai, b1));
-    }
-  }
-#pragma GCC unroll 14
-  for (int ii = 0; ii < 14; ++ii) {
-    _mm512_storeu_ps(c + ii * ldc, vacc[ii][0]);
-    _mm512_storeu_ps(c + ii * ldc + 16, vacc[ii][1]);
-  }
-}
-
-constexpr GemmKernel kKernels[] = {
-    {"8x16", 8, 16, kloop_8x16},
-    {"14x32", 14, 32, kloop_14x32},
-};
-
-// The staging accumulator must fit the largest tile declared anywhere.
-static_assert(14 <= kMaxMR && 32 <= kMaxNR);
+// The staging accumulator must fit this tile.
+static_assert(8 <= kMaxMR && 16 <= kMaxNR);
 
 #else  // non-x86: the variant exists but reports unsupported.
 
@@ -83,15 +51,13 @@ bool avx512_supported() { return false; }
 
 }  // namespace
 
-const GemmVariant& gemm_variant_avx512() {
+const GemmKernel& gemm_variant_avx512() {
 #if defined(__x86_64__) || defined(__i386__)
-  static const GemmVariant variant{"avx512", avx512_supported,
-                                   std::span<const GemmKernel>(kKernels)};
+  static const GemmKernel kernel{"avx512", avx512_supported, 8, 16, kloop_8x16};
 #else
-  static const GemmVariant variant{"avx512", avx512_supported,
-                                   std::span<const GemmKernel>()};
+  static const GemmKernel kernel{"avx512", avx512_supported, 8, 16, nullptr};
 #endif
-  return variant;
+  return kernel;
 }
 
 }  // namespace fedhisyn::gemmk

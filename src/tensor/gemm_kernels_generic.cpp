@@ -102,16 +102,14 @@ void kloop_4x8(const float* const* a, std::int64_t a_step, const float* b,
 
 bool always_supported() { return true; }
 
-constexpr GemmKernel kKernels[] = {
-    {"4x8", kMR, kNR, kloop_4x8},
-};
+// The staging accumulator must fit this tile.
+static_assert(kMR <= kMaxMR && kNR <= kMaxNR);
 
 }  // namespace
 
-const GemmVariant& gemm_variant_generic() {
-  static const GemmVariant variant{"generic", always_supported,
-                                   std::span<const GemmKernel>(kKernels)};
-  return variant;
+const GemmKernel& gemm_variant_generic() {
+  static const GemmKernel kernel{"generic", always_supported, kMR, kNR, kloop_4x8};
+  return kernel;
 }
 
 }  // namespace fedhisyn::gemmk

@@ -2,17 +2,16 @@
 //
 // The micro-kernel variants (gemm_kernel.hpp) all produce identical bits, so
 // which one runs is a pure performance decision.  This layer holds it as
-// process-wide state, resolved from a spec to one kernel: a forced variant
-// ("generic" | "avx2" | "avx512" | "neon", optionally "variant:MRxNR" to
-// pin the register tile), or "auto" for the best ISA the CPU supports
-// (avx512 > avx2 > neon > generic, probed via __builtin_cpu_supports on
-// x86) with its preferred tile.  The spec comes from gemm_runtime_select,
-// else FEDHISYN_GEMM_KERNEL at first use.  The driver derives the tile-grid
-// sizes from that tile (gemmk::panel_width, gemmk::task_rows), so every
-// call in the process runs one schedule.
+// process-wide state, resolved from a spec to one variant: a forced one
+// ("generic" | "avx2" | "avx512"), or "auto" for the best ISA the CPU
+// supports (avx512 > avx2 > generic, probed via __builtin_cpu_supports).
+// Each variant has exactly one register tile.  The spec comes from
+// gemm_runtime_select, else FEDHISYN_GEMM_KERNEL at first use.  The driver
+// derives the tile-grid sizes from that tile (gemmk::panel_width,
+// gemmk::task_rows), so every call in the process runs one schedule.
 //
 // None of this can change result bytes — only scheduling.  The equivalence
-// suite in tests/tensor_test.cpp forces every catalog entry and demands
+// suite in tests/tensor_test.cpp forces every supported variant and demands
 // exact float equality.
 //
 // Shape classes.  Trace spans name each call by operand layout and output
@@ -37,13 +36,7 @@ std::string gemm_shape_class(gemmk::GemmOp op, std::int64_t n);
 /// What the runtime selection resolved to (for startup logging and the
 /// --gemm-info diagnostic).
 struct GemmRuntimeInfo {
-  std::string variant;        // selected variant name
-  std::string forced_kernel;  // non-empty when the spec pinned a tile label
-
-  /// The spec selecting exactly this kernel: "avx512" or "avx2:6x16".
-  std::string spec() const {
-    return forced_kernel.empty() ? variant : variant + ":" + forced_kernel;
-  }
+  std::string variant;  // selected variant name, also the spec selecting it
 };
 const GemmRuntimeInfo& gemm_runtime_info();
 
@@ -53,23 +46,16 @@ const gemmk::GemmKernel& gemm_runtime_config();
 /// Replace the selection with the one `spec` names (grid drivers at
 /// startup; tests and benches flipping kernels).  Not thread-safe against
 /// concurrent gemm calls.  Throws CheckError, keeping the previous
-/// selection, on an unknown or unsupported variant or kernel label.
+/// selection, on an unknown or unsupported variant.
 void gemm_runtime_select(const std::string& spec);
 
-/// Names of the variants this CPU can run, auto-preference order first.
+/// Names of the variants this CPU can run, auto-preference order first —
+/// what the equivalence tests iterate.
 std::vector<std::string> gemm_supported_variants();
 
-/// Every (variant, kernel-label) pair runnable on this CPU — what the
-/// equivalence tests iterate.
-struct GemmKernelId {
-  std::string variant;
-  std::string kernel;
-};
-std::vector<GemmKernelId> gemm_kernel_catalog();
-
 /// Multi-line human-readable dispatch report (the --gemm-info flag):
-/// selected variant, forced kernel, supported variants with their kernel
-/// shapes, and the one resolved tile and tile-grid sizes the driver runs.
+/// selected variant, supported variants with their tiles, and the one
+/// resolved tile and tile-grid sizes the driver runs.
 std::string gemm_info_string();
 
 }  // namespace fedhisyn

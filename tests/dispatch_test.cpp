@@ -881,9 +881,9 @@ TEST(GridFlags, ResolveFlagThenEnvThenDefault) {
       {"kernel from env", {}, {{"FEDHISYN_GEMM_KERNEL", "generic"}}, false, fallback,
        "generic"},
       {"kernel flag beats env",
-       {"--gemm-kernel", "generic:4x8"},
+       {"--gemm-kernel", "generic"},
        {{"FEDHISYN_GEMM_KERNEL", "bogus"}},
-       false, fallback, "generic:4x8"},
+       false, fallback, "generic"},
       {"kernel back to auto", {}, {}, false, fallback, automatic},
   };
   for (const Worker& c : workers) {
@@ -891,7 +891,7 @@ TEST(GridFlags, ResolveFlagThenEnvThenDefault) {
     const WorkerConfig worker = resolve_grid_flags(c.args, c.env).scheduler.worker;
     EXPECT_EQ(worker.quiet, c.quiet);
     EXPECT_EQ(worker.build_cache_bytes, c.cache_bytes);
-    EXPECT_EQ(gemm_runtime_info().spec(), c.gemm);
+    EXPECT_EQ(gemm_runtime_info().variant, c.gemm);
   }
 
   struct Rejected {
@@ -927,7 +927,8 @@ TEST(GridFlags, ResolveFlagThenEnvThenDefault) {
       {"NaN budget env", {}, {{"FEDHISYN_BUILD_CACHE_MB", "nan"}}},
       {"unknown kernel", {"--gemm-kernel", "bogus"}, {}},
       {"unknown kernel env", {}, {{"FEDHISYN_GEMM_KERNEL", "bogus"}}},
-      {"unknown kernel tile", {"--gemm-kernel", "generic:9x9"}, {}},
+      {"kernel tile pin", {"--gemm-kernel", "generic:4x8"}, {}},
+      {"kernel tile pin env", {}, {{"FEDHISYN_GEMM_KERNEL", "avx2:6x16"}}},
       {"--gemm-kernel with tcp",
        {"--dispatch", "tcp", "--workers", "hostA:7800", "--gemm-kernel", "generic"},
        {}},

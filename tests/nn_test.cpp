@@ -205,6 +205,38 @@ TEST(Network, MaxPoolForwardBackwardHandComputed) {
   EXPECT_DOUBLE_EQ(total, 10.0);
 }
 
+TEST(Network, MaxPoolBackwardTiesNegativeZeroAndOddEdges) {
+  // A 3x5 plane: two windows, plus a last row and column that lie in none.
+  // The first window ties three ways and routes to its first max; the second
+  // gets a -0 upstream gradient, which must land as +0.  grad_in starts
+  // full of junk, so every cell backward leaves untouched would show.
+  MaxPool2 pool;
+  const Shape3 in{1, 3, 5};
+  Tensor x({1, 1, 3, 5});
+  const float values[15] = {5, 1, 0, 3, 9,  //
+                            5, 5, 1, 2, 9,  //
+                            9, 9, 9, 9, 9};
+  for (int i = 0; i < 15; ++i) x.at(i) = values[i];
+  Tensor y;
+  pool.forward(in, {}, x, y);
+  ASSERT_EQ(y.numel(), 2);
+  EXPECT_EQ(y.at(0), 5.0f);
+  EXPECT_EQ(y.at(1), 3.0f);
+
+  Tensor grad_out({1, 1, 1, 2});
+  grad_out.at(0) = 1.5f;
+  grad_out.at(1) = -0.0f;
+  Tensor grad_in({1, 1, 3, 5});
+  grad_in.fill(7.0f);
+  pool.backward(in, {}, x, y, grad_out, &grad_in, {});
+  ASSERT_EQ(grad_in.numel(), 15);
+  for (int i = 0; i < 15; ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(grad_in.at(i), i == 0 ? 1.5f : 0.0f);
+    EXPECT_FALSE(std::signbit(grad_in.at(i)));
+  }
+}
+
 /// Backward through one layer with and without the input gradient: the
 /// parameter gradient must come out bit-identical either way.
 void expect_grad_params_independent_of_grad_in(const Layer& layer, const Shape3& in,

@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <cstdio>
 #include <cstring>
 #include <string>
 #include <tuple>
@@ -255,7 +254,8 @@ void expect_all_variants_exact(std::int64_t m, std::int64_t k, std::int64_t n,
 }
 
 // Adversarial shapes for the blocked kernel: degenerate m/n/k of 1, sizes
-// straddling register tiles (up to 14x32), the row-strip, and the column
+// straddling every register tile (m around MR 4 and 8, n around NR 8 and
+// 16), the two-tile row strip (m around 8 and 16), and the column
 // panel (512, via n = 520), a flop count large enough to dispatch the pool,
 // and the batch-50 shapes of the paper MLPs' forward, dW and dx GEMMs, where
 // Table 1 spends its time.  The second block targets the in-place operand
@@ -298,7 +298,7 @@ INSTANTIATE_TEST_SUITE_P(EdgeShapes, GemmExactShapes,
 class ScopedGemmKernel {
  public:
   explicit ScopedGemmKernel(const std::string& spec)
-      : previous_(gemm_runtime_info().spec()) {
+      : previous_(gemm_runtime_info().variant) {
     gemm_runtime_select(spec);
   }
   ~ScopedGemmKernel() { gemm_runtime_select(previous_); }
@@ -309,19 +309,18 @@ class ScopedGemmKernel {
   std::string previous_;
 };
 
-// Every runnable (variant, kernel) catalog entry, forced via the selection,
-// must reproduce the order-exact reference bits on every edge shape, every
-// beta, all three ops.  The references are the same anchor the default-kernel
-// suite uses, so this is transitively exact equality across all variants.
-TEST(GemmKernelMatrix, AllCatalogEntriesBitIdenticalToOrderExactReference) {
-  const auto catalog = gemm_kernel_catalog();
-  ASSERT_FALSE(catalog.empty());
-  for (const GemmKernelId& id : catalog) {
-    const std::string spec = id.variant + ":" + id.kernel;
-    SCOPED_TRACE(spec);
-    ScopedGemmKernel forced(spec);
-    EXPECT_EQ(gemm_runtime_info().variant, id.variant);
-    EXPECT_EQ(gemm_runtime_info().forced_kernel, id.kernel);
+// Every variant this CPU runs, forced via the selection, must reproduce
+// the order-exact reference bits on every edge shape, every beta, all three
+// ops.  The references are the same anchor the default-kernel suite uses,
+// so this is transitively exact equality across all variants.
+TEST(GemmKernelMatrix, AllVariantsBitIdenticalToOrderExactReference) {
+  const auto variants = gemm_supported_variants();
+  ASSERT_FALSE(variants.empty());
+  for (const std::string& variant : variants) {
+    SCOPED_TRACE(variant);
+    ScopedGemmKernel forced(variant);
+    EXPECT_EQ(gemm_runtime_info().variant, variant);
+    EXPECT_EQ(gemm_runtime_config().name, variant);
     for (const auto& shape : kGemmEdgeShapes) {
       const auto [m, k, n] = shape;
       Rng rng(4000 + m * 131 + k * 17 + n);
@@ -333,26 +332,26 @@ TEST(GemmKernelMatrix, AllCatalogEntriesBitIdenticalToOrderExactReference) {
 }
 
 TEST(GemmKernelMatrix, ForcedBadOrUnsupportedVariantFailsLoudly) {
-  const std::string before = gemm_runtime_info().spec();
+  const std::string before = gemm_runtime_info().variant;
 
-  // Unknown variant name.
-  EXPECT_THROW(gemm_runtime_select("bogus"), CheckError);
-  // Known variant, unknown register-tile label.
-  EXPECT_THROW(gemm_runtime_select("generic:9x9"), CheckError);
-  // A real variant this CPU cannot run (neon on x86, avx2 on aarch64 — one
-  // of the three always qualifies).
+  // Unknown variant names: neon and variant:MRxNR tile pins are not part
+  // of the grammar.
+  for (const char* spec : {"bogus", "neon", "generic:4x8", "avx2:6x16", "avx512:8x16"}) {
+    SCOPED_TRACE(spec);
+    EXPECT_THROW(gemm_runtime_select(spec), CheckError);
+  }
+  // A real variant this CPU cannot run.  Only hosts lacking avx512 or avx2
+  // reach it; an AVX-512 host runs every variant.
   const auto supported = gemm_supported_variants();
-  for (const std::string candidate : {"avx2", "avx512", "neon"}) {
-    if (std::find(supported.begin(), supported.end(), candidate) !=
+  for (const std::string candidate : {"avx2", "avx512"}) {
+    if (std::find(supported.begin(), supported.end(), candidate) ==
         supported.end()) {
-      continue;
+      EXPECT_THROW(gemm_runtime_select(candidate), CheckError);
     }
-    EXPECT_THROW(gemm_runtime_select(candidate), CheckError);
-    break;
   }
 
   // A failed select leaves the previous (valid) selection intact.
-  EXPECT_EQ(gemm_runtime_info().spec(), before);
+  EXPECT_EQ(gemm_runtime_info().variant, before);
   Rng rng(11);
   const auto a = random_vec(4 * 6, rng);
   const auto b = random_vec(6 * 5, rng);
@@ -368,27 +367,25 @@ TEST(GemmRuntime, ShapeClassMapping) {
 }
 
 // --gemm-info reports exactly the one schedule the driver runs: the forced
-// variant and tile, and a single resolved line whose panel width is 512
+// variant, its one tile, and a single resolved line whose panel width is 512
 // rounded up to a multiple of NR and whose task height is two MR tiles.
 TEST(GemmRuntime, InfoStringReportsTheOneResolvedSchedule) {
-  for (const GemmKernelId& id : gemm_kernel_catalog()) {
-    const std::string spec = id.variant + ":" + id.kernel;
-    SCOPED_TRACE(spec);
-    ScopedGemmKernel forced(spec);
-    long long mr = 0;
-    long long nr = 0;
-    ASSERT_EQ(std::sscanf(id.kernel.c_str(), "%lldx%lld", &mr, &nr), 2);
+  for (const std::string& variant : gemm_supported_variants()) {
+    SCOPED_TRACE(variant);
+    ScopedGemmKernel forced(variant);
     const gemmk::GemmKernel& kernel = gemm_runtime_config();
-    EXPECT_EQ(kernel.mr, mr);
-    EXPECT_EQ(kernel.nr, nr);
+    const std::int64_t mr = kernel.mr;
+    const std::int64_t nr = kernel.nr;
+    ASSERT_LE(mr, gemmk::kMaxMR);
+    ASSERT_LE(nr, gemmk::kMaxNR);
+    const std::string tile = std::to_string(mr) + "x" + std::to_string(nr);
 
     const std::string info = gemm_info_string();
-    EXPECT_NE(info.find("  variant:        " + id.variant + "\n"),
-              std::string::npos);
-    EXPECT_NE(info.find("  forced kernel:  " + id.kernel + "\n"),
-              std::string::npos);
+    EXPECT_NE(info.find("  variant:        " + variant + "\n"), std::string::npos);
+    EXPECT_NE(info.find("    " + variant + ": " + tile + "\n"), std::string::npos)
+        << info;
     const std::string resolved =
-        "  resolved config: " + id.kernel +
+        "  resolved config: " + tile +
         " nc=" + std::to_string((512 + nr - 1) / nr * nr) +
         " rows=" + std::to_string(2 * mr) + "\n";
     EXPECT_NE(info.find(resolved), std::string::npos) << info;
@@ -397,7 +394,8 @@ TEST(GemmRuntime, InfoStringReportsTheOneResolvedSchedule) {
     EXPECT_EQ(info.find(" nc=", first + 1), std::string::npos) << info;
   }
   ScopedGemmKernel automatic("auto");
-  EXPECT_NE(gemm_info_string().find("  forced kernel:  (none)\n"),
+  EXPECT_NE(gemm_info_string().find("  variant:        " +
+                                    gemm_supported_variants().front() + "\n"),
             std::string::npos);
 }
 

@@ -136,7 +136,7 @@ SELF_TEST_LISTING = """
   30:\tmov    0x8(%rsp),%rax
   35:\tvmovups %zmm1,(%r9,%r10,4)
   3c:\tret
-0000000000000440 <_ZN8fedhisyn5gemmk12_GLOBAL__N_111kloop_14x32EPKPKflS3_llPflb>:
+0000000000000440 <_ZN8fedhisyn5gemmk12_GLOBAL__N_19kloop_8x8EPKPKflS3_llPflb>:
  440:\trep stos %rax,%es:(%rdi)
  444:\tvmovaps %zmm3,0x80(%rsp)
  44c:\tvmovups -0x40(%rbp),%ymm4
@@ -146,7 +146,7 @@ SELF_TEST_LISTING = """
 
 SELF_TEST_EXPECTED = {
     "_ZN8fedhisyn5gemmk12_GLOBAL__N_110kloop_8x16EPKPKflS3_llPflb": [],
-    "_ZN8fedhisyn5gemmk12_GLOBAL__N_111kloop_14x32EPKPKflS3_llPflb": [
+    "_ZN8fedhisyn5gemmk12_GLOBAL__N_19kloop_8x8EPKPKflS3_llPflb": [
         "rep-stos",
         "vec-stack",
         "vec-stack",
