@@ -17,7 +17,7 @@
 #include "exp/scheduler.hpp"
 #include "exp/sinks.hpp"
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   using namespace fedhisyn;
   const auto flags = Flags::parse(argc - 1, argv + 1);
   const auto grid_options = exp::handle_grid_flags(flags, {"dataset", "partition"});
@@ -50,3 +50,5 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+int main(int argc, char** argv) { return fedhisyn::exp::driver_main(argc, argv, run); }

@@ -104,7 +104,7 @@ class ServeWorker {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   using namespace fedhisyn;
   const auto flags = Flags::parse(argc - 1, argv + 1);
   // --serve / --threads / --list-methods, plus this bench's own flags.
@@ -249,3 +249,5 @@ int main(int argc, char** argv) {
   std::printf("wrote %s\n", out_path.c_str());
   return 0;
 }
+
+int main(int argc, char** argv) { return fedhisyn::exp::driver_main(argc, argv, run); }

@@ -13,6 +13,10 @@
 // 16 and 32 channels): conv1/conv2 forward (NN), their transposed filter
 // gradients dFt = columns * grad_out^T (NT) and conv2's column gradient
 // (TN).  They are not in the baseline yet, so the gate reports them as new.
+// The mlp_in_* / mlp_out_* shapes are the laptop-scale mnist MLP
+// (64-32-16-10) at batch 50: its first layer forward (NN 50x64x32) and its
+// 10-wide output layer forward and dW (NN 50x16x10, TN 16x50x10), whose
+// ragged last column sub-panel is read in place and stored under a mask.
 //
 // Shape names are the keys of bench/baselines/BENCH_gemm.json — renaming or
 // removing one requires a baseline refresh (see README "Performance").
@@ -48,6 +52,9 @@ inline constexpr GemmShape kGemmSweepShapes[] = {
     {"paper_cnn_conv1_dft", GemmVariant::kNT, 75, 64, 16},
     {"paper_cnn_conv2_dft", GemmVariant::kNT, 400, 16, 32},
     {"paper_cnn_conv2_dcols", GemmVariant::kTN, 400, 32, 16},
+    {"mlp_in_fwd", GemmVariant::kNN, 50, 64, 32},
+    {"mlp_out_fwd", GemmVariant::kNN, 50, 16, 10},
+    {"mlp_out_dw", GemmVariant::kTN, 16, 50, 10},
 };
 
 }  // namespace fedhisyn::bench

@@ -182,6 +182,17 @@ WorkerConfig resolve_worker_config(const Flags& flags) {
   return config;
 }
 
+int driver_main(int argc, char** argv, int (*body)(int argc, char** argv)) {
+  try {
+    return body(argc, argv);
+  } catch (const CheckError& error) {
+    std::string program = argc > 0 ? argv[0] : "fedhisyn";
+    program.erase(0, program.find_last_of('/') + 1);
+    std::fprintf(stderr, "%s: %s\n", program.c_str(), error.what());
+    return 2;
+  }
+}
+
 GridDriverOptions handle_grid_flags(const Flags& flags,
                                     const std::vector<std::string>& own_flags) {
   std::vector<std::string> known = {

@@ -100,6 +100,13 @@ struct GridDriverOptions {
 /// MiB count >= 0 whose byte count fits size_t.
 WorkerConfig resolve_worker_config(const Flags& flags);
 
+/// The `main` of every grid driver: `return exp::driver_main(argc, argv,
+/// run);`.  A CheckError escaping `body` (a malformed flag or env var, an
+/// unsupported --gemm-kernel, --dispatch tcp without workers) prints
+/// "<program>: <message>" on stderr and exits with status 2, instead of
+/// aborting through std::terminate.
+int driver_main(int argc, char** argv, int (*body)(int argc, char** argv));
+
 /// Apply the flags shared by every grid driver: reject flags outside that
 /// set and `own_flags`, resolve the worker knobs and select the GEMM kernel
 /// (logging it unless quiet), enter --serve mode when requested, handle

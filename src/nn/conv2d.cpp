@@ -134,11 +134,11 @@ void Conv2d::backward(const Shape3& in, std::span<const float> params, const Ten
                                        static_cast<std::size_t>(out_channels_));
 
   // The filter gradient accumulates transposed, dFt[cr, oc], over the batch
-  // at beta 1 from +0, and is transposed into grad_filters once at the end.
-  // Each element is the same float sum as accumulating dFilters[oc, cr]
-  // directly: IEEE products commute, every sample's pixel terms add in
-  // ascending order from +0 (so an all -0 dot is +0), and each sample adds
-  // 1*C + dot in batch order.  The transposed form makes NT pack grad_out
+  // from +0 with an accumulating NT, and is transposed into grad_filters
+  // once at the end.  Each element is the same float sum as accumulating
+  // dFilters[oc, cr] directly: IEEE products commute, every sample's pixel
+  // terms add in ascending order from +0 (so an all -0 dot is +0), and each
+  // sample adds C + dot in batch order.  The transposed form makes NT pack grad_out
   // (oc x pix) as its B operand instead of the far larger column matrix.
   auto dft = ScratchArena::buffer(ScratchArena::kConvFilterGradT,
                                   static_cast<std::size_t>(col_rows * out_channels_));
@@ -170,7 +170,7 @@ void Conv2d::backward(const Shape3& in, std::span<const float> params, const Ten
     add_channel_sums(go_row.data(), out_channels_, col_cols, grad_bias);
     // dFt[cr, oc] += columns[cr, pix] * grad_out[oc, pix]^T
     gemm_nt(std::span<const float>(columns), go_row, dft, col_rows, col_cols, out_channels_,
-            /*beta=*/1.0f);
+            /*accumulate=*/true);
     if (grad_in == nullptr) continue;
     // dColumns[cr, pix] = filters^T[cr, oc] * grad_out[oc, pix]
     gemm_tn(filters, go_row, grad_columns, col_rows, out_channels_, col_cols);

@@ -1,10 +1,19 @@
 #include "nn/pool.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 
 #include "common/check.hpp"
 
 namespace fedhisyn::nn {
+
+namespace {
+
+// All ones when `holds`, else zero: a comparison kept as a bit mask.
+std::uint32_t mask_if(bool holds) { return 0u - static_cast<std::uint32_t>(holds); }
+
+}  // namespace
 
 Shape3 MaxPool2::output_shape(const Shape3& in) const {
   FEDHISYN_CHECK_MSG(in.h >= 2 && in.w >= 2, "maxpool2 needs at least 2x2 input");
@@ -62,23 +71,26 @@ void MaxPool2::backward(const Shape3& in, std::span<const float>, const Tensor& 
           const std::int64_t sx = ox * 2;
           // The (first) argmax of the 2x2 window, matching forward's
           // tie-breaking: the same `v > best` tests in the same order as a
-          // scan, as selects rather than branches.
-          float best = x0[sx];
-          int arg = 0;
+          // scan, each kept as an all-ones or all-zero comparison mask so
+          // no branch depends on the data.  A later win overrides an
+          // earlier one, so cell i is the argmax when its own test held and
+          // no later one did.
+          const float v0 = x0[sx];
           const float v1 = x0[sx + 1];
-          arg = v1 > best ? 1 : arg;
-          best = v1 > best ? v1 : best;
           const float v2 = x1[sx];
-          arg = v2 > best ? 2 : arg;
-          best = v2 > best ? v2 : best;
-          arg = x1[sx + 1] > best ? 3 : arg;
+          const float v3 = x1[sx + 1];
+          const std::uint32_t m1 = mask_if(v1 > v0);
+          const float best1 = v1 > v0 ? v1 : v0;
+          const std::uint32_t m2 = mask_if(v2 > best1);
+          const float best2 = v2 > best1 ? v2 : best1;
+          const std::uint32_t m3 = mask_if(v3 > best2);
           // Every cell starts from +0 and the argmax adds the gradient, so a
           // -0 gradient lands as +0.
-          const float g = goplane[oy * out.w + ox];
-          g0[sx] = 0.0f + (arg == 0 ? g : 0.0f);
-          g0[sx + 1] = 0.0f + (arg == 1 ? g : 0.0f);
-          g1[sx] = 0.0f + (arg == 2 ? g : 0.0f);
-          g1[sx + 1] = 0.0f + (arg == 3 ? g : 0.0f);
+          const auto g = std::bit_cast<std::uint32_t>(goplane[oy * out.w + ox]);
+          g0[sx] = 0.0f + std::bit_cast<float>(g & ~(m1 | m2 | m3));
+          g0[sx + 1] = 0.0f + std::bit_cast<float>(g & m1 & ~(m2 | m3));
+          g1[sx] = 0.0f + std::bit_cast<float>(g & m2 & ~m3);
+          g1[sx + 1] = 0.0f + std::bit_cast<float>(g & m3);
         }
         // An odd width's last column lies in no window.
         if (in.w % 2 != 0) g0[in.w - 1] = g1[in.w - 1] = 0.0f;

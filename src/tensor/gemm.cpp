@@ -11,22 +11,20 @@
 //     row pointers and a k step (1 for NN/NT, m for TN).  Rows past a
 //     strip's end point at its last valid row and are never stored.
 //   * B is read in place for NN/TN shapes whose B rows are under 512 bytes
-//     (n < 128) on every full NR sub-panel: op(B) is B, row stride n.  B is
-//     packed once per (thread, panel) into a zero-padded, 64-byte-aligned
-//     ScratchArena buffer of NR-wide sub-panels for NT (op(B) = B^T strides
-//     k per column), for a ragged last sub-panel, and for wider rows.  The
-//     bound is the measured crossover (bench_gemm_sweep, 1 thread, best of
-//     6 runs on a 4-vCPU AVX-512 Xeon, avx512 and forced avx2): in place
-//     wins on 50x784xn NN and 784x50xn TN for n <= 100 (up to 19% on avx2),
-//     splits at n = 128 (NN +10%/-1%, TN -6%/-8%), and loses from n = 200
-//     (NN -4%/-9%, TN -3%/-7%; 784x50x256 TN -21% on avx512).  On the
-//     64x1152x1024 conv shape (B rows 4 KiB apart) in place ran over 2x
-//     slower than packing.
-//   * A full register tile whose beta the kernel applies itself (NN/TN with
-//     beta 0 or 1, NT with beta 0) initialises from and stores straight to
-//     C.  Edge tiles and other betas stage through a 64-byte-aligned MR x NR
-//     tile: the driver beta-initialises it (per-op semantics below), the
-//     k-loop accumulates, and the valid corner is stored back.
+//     (n < 128): op(B) is B, row stride n, and a ragged last sub-panel is
+//     read under the kernel's column mask.  B is packed once per (thread,
+//     panel) into a 64-byte-aligned ScratchArena buffer of NR-wide
+//     sub-panels for NT (op(B) = B^T strides k per column) and for
+//     wider rows.  The bound is the measured crossover (bench_gemm_sweep,
+//     1 thread, best of 6 runs on a 4-vCPU AVX-512 Xeon, avx512 and forced
+//     avx2): in place wins on 50x784xn NN and 784x50xn TN for n <= 100 (up
+//     to 19% on avx2), splits at n = 128 (NN +10%/-1%, TN -6%/-8%), and
+//     loses from n = 200 (NN -4%/-9%, TN -3%/-7%; 784x50x256 TN -21% on
+//     avx512).  On the 64x1152x1024 conv shape (B rows 4 KiB apart) in
+//     place ran over 2x slower than packing.
+//   * Every tile, full or edge, of every op stores straight to C: the
+//     kernel moves only the tile's valid corner and applies the store mode
+//     itself (gemm_kernel.hpp), so there is no staging tile.
 //   * The k-loop always covers the *full* k extent: k is never split and
 //     every C element sees its k terms in ascending order, so results are
 //     bit-identical for any thread count, any tiling, any kernel variant
@@ -35,12 +33,12 @@
 //   * Every shape takes this driver, down to the 50x16x10 layers of the
 //     paper MLPs.
 //
-// Historical bit-compatibility: gemm/gemm_tn beta-initialise the accumulator
-// and add the k terms on top (the old memory-accumulation order); gemm_nt
-// accumulates the dot product from zero and adds beta*C at store (the old
-// register order).  The old `a == 0` skip is gone: it made timing
-// data-dependent (ReLU activations are full of exact zeros) and broke FP
-// contraction uniformity between the skip and non-skip paths.
+// Historical bit-compatibility: an accumulating gemm/gemm_tn starts each
+// sum from C and adds the k terms on top (the old memory-accumulation
+// order); an accumulating gemm_nt sums the dot product from +0 and adds it
+// to C at store (the old register order).  The old `a == 0` skip is gone:
+// it made timing data-dependent (ReLU activations are full of exact zeros)
+// and broke FP contraction uniformity between the skip and non-skip paths.
 #include "tensor/gemm.hpp"
 
 #include <algorithm>
@@ -69,7 +67,9 @@ constexpr std::int64_t kParallelFlopThreshold = std::int64_t{1} << 17;
 constexpr std::int64_t kInPlaceBRowBytes = 512;
 
 // Pack the column panel [jc, jc+nc) of op(B) into bp as nr-wide sub-panels:
-// bp[(jr/nr)*(k*nr) + p*nr + jj] = op(B)(p, jc+jr+jj), zero-padded past n.
+// bp[(jr/nr)*(k*nr) + p*nr + jj] = op(B)(p, jc+jr+jj).  A ragged last
+// sub-panel leaves its lanes past n unwritten: the kernel reads only its
+// nr_valid columns.
 template <GemmOp V>
 void pack_b_panel(const float* b, std::int64_t k, std::int64_t n, std::int64_t jc,
                   std::int64_t nc, std::int64_t nr, float* bp) {
@@ -84,70 +84,29 @@ void pack_b_panel(const float* b, std::int64_t k, std::int64_t n, std::int64_t j
         const float* src = b + (j0 + jj) * k;
         for (std::int64_t p = 0; p < k; ++p) panel[p * nr + jj] = src[p];
       }
-      for (std::int64_t jj = width; jj < nr; ++jj) {
-        for (std::int64_t p = 0; p < k; ++p) panel[p * nr + jj] = 0.0f;
-      }
     } else {
       for (std::int64_t p = 0; p < k; ++p) {
         const float* src = b + p * n + j0;
         float* out = panel + p * nr;
         for (std::int64_t jj = 0; jj < width; ++jj) out[jj] = src[jj];
-        for (std::int64_t jj = width; jj < nr; ++jj) out[jj] = 0.0f;
       }
     }
   }
 }
 
-// One register tile at (i0, j0) with an mr_valid x nr_valid valid corner.
-// `a` addresses op(A) as a + i*a_pitch + p*a_step; `b`/`ldb` is the tile's
-// op(B) sub-panel, in place or packed.  Per element this is the exact
-// init/accumulate/store arithmetic of the reference, so the bits are
-// unchanged — and identical for every kernel variant and every path here.
-template <GemmOp V>
+// One register tile at (i0, j0) with an mr_valid x nr_valid valid corner,
+// stored straight to C.  `a` addresses op(A) as a + i*a_pitch + p*a_step;
+// `b`/`ldb` is the tile's op(B) sub-panel, in place or packed.
 void run_micro_tile(const float* a, std::int64_t a_pitch, std::int64_t a_step,
                     const float* b, std::int64_t ldb, float* c, std::int64_t n,
                     std::int64_t k, std::int64_t i0, std::int64_t j0,
-                    std::int64_t mr_valid, std::int64_t nr_valid, float beta,
-                    const GemmKernel& kernel) {
-  const std::int64_t mr = kernel.mr;
-  const std::int64_t nr = kernel.nr;
+                    std::int64_t mr_valid, std::int64_t nr_valid,
+                    gemmk::StoreMode mode, const GemmKernel& kernel) {
   const float* rows[gemmk::kMaxMR];
-  for (std::int64_t ii = 0; ii < mr; ++ii) {
+  for (std::int64_t ii = 0; ii < kernel.mr; ++ii) {
     rows[ii] = a + (i0 + std::min(ii, mr_valid - 1)) * a_pitch;
   }
-  float* ct = c + i0 * n + j0;
-  if (mr_valid == mr && nr_valid == nr &&
-      (beta == 0.0f || (V != GemmOp::kNT && beta == 1.0f))) {
-    kernel.kloop(rows, a_step, b, ldb, k, ct, n, beta != 0.0f);
-    return;
-  }
-  alignas(64) float acc[gemmk::kMaxMR * gemmk::kMaxNR];
-  const bool load = V != GemmOp::kNT && beta != 0.0f;
-  if (load) {
-    // Padded rows and columns start at zero; they are never stored.
-    for (std::int64_t ii = 0; ii < mr; ++ii) {
-      for (std::int64_t jj = 0; jj < nr; ++jj) {
-        const bool valid = ii < mr_valid && jj < nr_valid;
-        const float cij = valid ? ct[ii * n + jj] : 0.0f;
-        acc[ii * nr + jj] = beta * cij;
-      }
-    }
-  }
-  kernel.kloop(rows, a_step, b, ldb, k, acc, nr, load);
-  if (V == GemmOp::kNT && beta != 0.0f) {
-    // beta == 1 multiplies by exactly 1.0f, so one path covers both.
-    for (std::int64_t ii = 0; ii < mr_valid; ++ii) {
-      float* ci = ct + ii * n;
-      for (std::int64_t jj = 0; jj < nr_valid; ++jj) {
-        ci[jj] = beta * ci[jj] + acc[ii * nr + jj];
-      }
-    }
-  } else {
-    for (std::int64_t ii = 0; ii < mr_valid; ++ii) {
-      float* ci = ct + ii * n;
-      for (std::int64_t jj = 0; jj < nr_valid; ++jj) ci[jj] = acc[ii * nr + jj];
-    }
-  }
+  kernel.kloop(rows, a_step, b, ldb, k, c + i0 * n + j0, n, mr_valid, nr_valid, mode);
 }
 
 // B-panel pack memo: within one public gemm call (identified by a global
@@ -186,7 +145,7 @@ const float* ensure_b_panel(const float* b, std::int64_t k, std::int64_t n,
 
 template <GemmOp V>
 void blocked_gemm(const float* a, const float* b, float* c, std::int64_t m,
-                  std::int64_t k, std::int64_t n, float beta,
+                  std::int64_t k, std::int64_t n, bool accumulate,
                   const GemmKernel& kernel) {
   const std::int64_t mr = kernel.mr;
   const std::int64_t nr = kernel.nr;
@@ -202,6 +161,9 @@ void blocked_gemm(const float* a, const float* b, float* c, std::int64_t m,
   const std::int64_t a_step = V == GemmOp::kTN ? m : 1;
   const bool b_in_place =
       V != GemmOp::kNT && n * std::int64_t{sizeof(float)} < kInPlaceBRowBytes;
+  const gemmk::StoreMode mode = !accumulate       ? gemmk::StoreMode::kOverwrite
+                                : V == GemmOp::kNT ? gemmk::StoreMode::kAddAtStore
+                                                   : gemmk::StoreMode::kInitFromC;
 
   const auto task_body = [&](std::int64_t task) {
     // Pack-vs-kernel attribution: timed only while tracing is on (the off
@@ -215,28 +177,23 @@ void blocked_gemm(const float* a, const float* b, float* c, std::int64_t m,
     const std::int64_t strip_index = task % row_strips;
     const std::int64_t jc = panel_index * panel_width;
     const std::int64_t nc = std::min(panel_width, n - jc);
-    // Columns [jc, jc+nc_in_place) are read from B itself, the rest packed.
-    const std::int64_t nc_in_place = b_in_place ? nc / nr * nr : 0;
     const float* bp =
-        nc_in_place < nc ? ensure_b_panel<V>(b, k, n, jc + nc_in_place, nc - nc_in_place,
-                                             nr, call_id, panel_index)
-                         : nullptr;
+        b_in_place ? nullptr : ensure_b_panel<V>(b, k, n, jc, nc, nr, call_id, panel_index);
     const std::int64_t t_packed = traced ? trace::now_us() : 0;
     const std::int64_t i_begin = strip_index * task_rows;
     const std::int64_t i_end = std::min(m, i_begin + task_rows);
     // B sub-panels in the outer loop: each (k x nr) sub-panel is touched once
     // per task and stays L1-hot across the task's strips.
     for (std::int64_t jr = 0; jr < nc; jr += nr) {
-      const bool in_place = jr < nc_in_place;
-      const float* panel = in_place ? b + jc + jr : bp + (jr - nc_in_place) * k;
-      const std::int64_t ldb = in_place ? n : nr;
+      const float* panel = b_in_place ? b + jc + jr : bp + jr * k;
+      const std::int64_t ldb = b_in_place ? n : nr;
       const std::int64_t nr_valid = std::min(nr, nc - jr);
       for (std::int64_t i0 = i_begin; i0 < i_end; i0 += mr) {
         // Clamp to the task boundary, not just m: tasks own disjoint row
         // ranges, so a strip must never write into the next task's rows.
         const std::int64_t mr_valid = std::min(mr, i_end - i0);
-        run_micro_tile<V>(a, a_pitch, a_step, panel, ldb, c, n, k, i0, jc + jr,
-                          mr_valid, nr_valid, beta, kernel);
+        run_micro_tile(a, a_pitch, a_step, panel, ldb, c, n, k, i0, jc + jr, mr_valid,
+                       nr_valid, mode, kernel);
       }
     }
     if (traced) {
@@ -277,7 +234,7 @@ const char* traced_shape_name(GemmOp op, std::int64_t n) {
 // The one entry behind gemm()/gemm_nt()/gemm_tn(): the callers check the
 // operand sizes, the kernel is the process-wide selection.
 void gemm_run(GemmOp op, const float* a, const float* b, float* c,
-              std::int64_t m, std::int64_t k, std::int64_t n, float beta) {
+              std::int64_t m, std::int64_t k, std::int64_t n, bool accumulate) {
   static counters::Counter& calls = counters::counter("gemm.calls");
   calls.add(1);
   // Span name = shape class, so Perfetto's aggregation view groups GEMM
@@ -289,36 +246,36 @@ void gemm_run(GemmOp op, const float* a, const float* b, float* c,
   span.arg("flops", 2 * m * k * n);
   const GemmKernel& kernel = gemm_runtime_config();
   switch (op) {
-    case GemmOp::kNN: blocked_gemm<GemmOp::kNN>(a, b, c, m, k, n, beta, kernel); return;
-    case GemmOp::kNT: blocked_gemm<GemmOp::kNT>(a, b, c, m, k, n, beta, kernel); return;
-    case GemmOp::kTN: blocked_gemm<GemmOp::kTN>(a, b, c, m, k, n, beta, kernel); return;
+    case GemmOp::kNN: blocked_gemm<GemmOp::kNN>(a, b, c, m, k, n, accumulate, kernel); return;
+    case GemmOp::kNT: blocked_gemm<GemmOp::kNT>(a, b, c, m, k, n, accumulate, kernel); return;
+    case GemmOp::kTN: blocked_gemm<GemmOp::kTN>(a, b, c, m, k, n, accumulate, kernel); return;
   }
 }
 
 }  // namespace
 
 void gemm(std::span<const float> a, std::span<const float> b, std::span<float> c,
-          std::int64_t m, std::int64_t k, std::int64_t n, float beta) {
+          std::int64_t m, std::int64_t k, std::int64_t n, bool accumulate) {
   FEDHISYN_CHECK(static_cast<std::int64_t>(a.size()) >= m * k);
   FEDHISYN_CHECK(static_cast<std::int64_t>(b.size()) >= k * n);
   FEDHISYN_CHECK(static_cast<std::int64_t>(c.size()) >= m * n);
-  gemm_run(GemmOp::kNN, a.data(), b.data(), c.data(), m, k, n, beta);
+  gemm_run(GemmOp::kNN, a.data(), b.data(), c.data(), m, k, n, accumulate);
 }
 
 void gemm_nt(std::span<const float> a, std::span<const float> b, std::span<float> c,
-             std::int64_t m, std::int64_t k, std::int64_t n, float beta) {
+             std::int64_t m, std::int64_t k, std::int64_t n, bool accumulate) {
   FEDHISYN_CHECK(static_cast<std::int64_t>(a.size()) >= m * k);
   FEDHISYN_CHECK(static_cast<std::int64_t>(b.size()) >= n * k);
   FEDHISYN_CHECK(static_cast<std::int64_t>(c.size()) >= m * n);
-  gemm_run(GemmOp::kNT, a.data(), b.data(), c.data(), m, k, n, beta);
+  gemm_run(GemmOp::kNT, a.data(), b.data(), c.data(), m, k, n, accumulate);
 }
 
 void gemm_tn(std::span<const float> a, std::span<const float> b, std::span<float> c,
-             std::int64_t m, std::int64_t k, std::int64_t n, float beta) {
+             std::int64_t m, std::int64_t k, std::int64_t n, bool accumulate) {
   FEDHISYN_CHECK(static_cast<std::int64_t>(a.size()) >= k * m);
   FEDHISYN_CHECK(static_cast<std::int64_t>(b.size()) >= k * n);
   FEDHISYN_CHECK(static_cast<std::int64_t>(c.size()) >= m * n);
-  gemm_run(GemmOp::kTN, a.data(), b.data(), c.data(), m, k, n, beta);
+  gemm_run(GemmOp::kTN, a.data(), b.data(), c.data(), m, k, n, accumulate);
 }
 
 }  // namespace fedhisyn

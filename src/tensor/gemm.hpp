@@ -5,7 +5,8 @@
 // grid that the ParallelExecutor pool fans out over (inline when already
 // inside a parallel region), and an MRxNR register micro-kernel does the
 // arithmetic.  A is read in place; B is read in place on NN/TN shapes with
-// n < 128 and packed into per-thread aligned scratch otherwise.
+// n < 128 and packed into per-thread aligned scratch otherwise.  Every tile,
+// edge tiles included, is stored straight to C (no staging tile).
 // The micro-kernel is multiversioned per ISA with one tile each (generic,
 // AVX2, AVX-512; see gemm_kernel.hpp) and selected once per process by
 // runtime CPUID dispatch, overridable via FEDHISYN_GEMM_KERNEL; the
@@ -28,17 +29,21 @@
 
 namespace fedhisyn {
 
-/// C = A(MxK) * B(KxN) + beta * C.  All matrices row-major, contiguous.
+/// C = A(MxK) * B(KxN), or C += A * B with `accumulate` (each element's sum
+/// starts from C).  All matrices row-major, contiguous.
 void gemm(std::span<const float> a, std::span<const float> b, std::span<float> c,
-          std::int64_t m, std::int64_t k, std::int64_t n, float beta = 0.0f);
+          std::int64_t m, std::int64_t k, std::int64_t n, bool accumulate = false);
 
 /// C = A(MxK) * B^T where B is (NxK) row-major; i.e. C[i,j] = dot(A[i,:], B[j,:]).
+/// With `accumulate`, C[i,j] = C[i,j] + dot: the dot sums from +0 and is
+/// added at the store.
 void gemm_nt(std::span<const float> a, std::span<const float> b, std::span<float> c,
-             std::int64_t m, std::int64_t k, std::int64_t n, float beta = 0.0f);
+             std::int64_t m, std::int64_t k, std::int64_t n, bool accumulate = false);
 
 /// C = A^T(MxK, stored KxM... ) — precisely: A is (KxM) row-major, B is (KxN)
-/// row-major, C(MxN) = A^T * B + beta*C.  Used for weight gradients.
+/// row-major, C(MxN) = A^T * B, or C += A^T * B with `accumulate` (as gemm).
+/// Used for weight gradients.
 void gemm_tn(std::span<const float> a, std::span<const float> b, std::span<float> c,
-             std::int64_t m, std::int64_t k, std::int64_t n, float beta = 0.0f);
+             std::int64_t m, std::int64_t k, std::int64_t n, bool accumulate = false);
 
 }  // namespace fedhisyn

@@ -27,29 +27,66 @@ namespace {
 bool avx2_supported() { return __builtin_cpu_supports("avx2") != 0; }
 
 // 8x8: 8 ymm accumulators + 1 b load + 1 a broadcast = 10 of 16 ymm regs.
+// A full tile moves C with plain loads and stores (vmaskmovps is a
+// multi-uop instruction, a plain move one).  An edge tile moves it with
+// vmaskmovps under a per-row lane mask (all-zero past mr_valid, the first
+// nr_valid lanes otherwise): masked-off lanes are neither read nor written
+// and never fault.
 __attribute__((target("avx2"))) void kloop_8x8(
     const float* const* a, std::int64_t a_step, const float* b, std::int64_t ldb,
-    std::int64_t k, float* c, std::int64_t ldc, bool load_c) {
+    std::int64_t k, float* c, std::int64_t ldc, std::int64_t mr_valid,
+    std::int64_t nr_valid, StoreMode mode) {
+  const bool full = mr_valid == 8 && nr_valid == 8;
+  const __m256i cols = _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(nr_valid)),
+                                          _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  // Row ii's lane mask is `ii < mr_valid ? cols : none`, recomputed where it
+  // is used: eight mask vectors beside the eight accumulators would not fit
+  // the 16 ymm registers.
+  const __m256i none = _mm256_setzero_si256();
   __m256 vacc[8];
   const float* ar[8];
 #pragma GCC unroll 8
   for (int ii = 0; ii < 8; ++ii) {
-    vacc[ii] = load_c ? _mm256_loadu_ps(c + ii * ldc) : _mm256_setzero_ps();
+    vacc[ii] = mode != StoreMode::kInitFromC ? _mm256_setzero_ps()
+               : full ? _mm256_loadu_ps(c + ii * ldc)
+                      : _mm256_maskload_ps(c + ii * ldc, ii < mr_valid ? cols : none);
     ar[ii] = a[ii];
   }
-  for (std::int64_t p = 0; p < k; ++p) {
-    const __m256 bv = _mm256_loadu_ps(b + p * ldb);
-    const std::int64_t off = p * a_step;
-    for (int ii = 0; ii < 8; ++ii) {
-      vacc[ii] = _mm256_add_ps(vacc[ii], _mm256_mul_ps(_mm256_set1_ps(ar[ii][off]), bv));
+  if (nr_valid == 8) {
+    for (std::int64_t p = 0; p < k; ++p) {
+      const __m256 bv = _mm256_loadu_ps(b + p * ldb);
+      const std::int64_t off = p * a_step;
+      for (int ii = 0; ii < 8; ++ii) {
+        vacc[ii] = _mm256_add_ps(vacc[ii], _mm256_mul_ps(_mm256_set1_ps(ar[ii][off]), bv));
+      }
+    }
+  } else {
+    for (std::int64_t p = 0; p < k; ++p) {
+      const __m256 bv = _mm256_maskload_ps(b + p * ldb, cols);
+      const std::int64_t off = p * a_step;
+      for (int ii = 0; ii < 8; ++ii) {
+        vacc[ii] = _mm256_add_ps(vacc[ii], _mm256_mul_ps(_mm256_set1_ps(ar[ii][off]), bv));
+      }
     }
   }
 #pragma GCC unroll 8
-  for (int ii = 0; ii < 8; ++ii) _mm256_storeu_ps(c + ii * ldc, vacc[ii]);
+  for (int ii = 0; ii < 8; ++ii) {
+    float* ci = c + ii * ldc;
+    const __m256i lanes = ii < mr_valid ? cols : none;
+    __m256 v = vacc[ii];
+    if (mode == StoreMode::kAddAtStore) {
+      v = _mm256_add_ps(full ? _mm256_loadu_ps(ci) : _mm256_maskload_ps(ci, lanes), v);
+    }
+    if (full) {
+      _mm256_storeu_ps(ci, v);
+    } else {
+      _mm256_maskstore_ps(ci, lanes, v);
+    }
+  }
 }
 
-// The staging accumulator must fit this tile.
-static_assert(8 <= kMaxMR && 8 <= kMaxNR);
+// The driver's row-pointer array must fit this tile.
+static_assert(8 <= kMaxMR);
 
 #else  // non-x86: the variant exists but reports unsupported.
 

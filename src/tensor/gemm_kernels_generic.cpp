@@ -3,7 +3,7 @@
 // The k-loop initialises 4x2 4-lane vector registers from the C tile (or
 // zero), accumulates the full k extent in ascending order (one rounded mul +
 // one rounded add per term — see the contract in gemm_kernel.hpp), and
-// stores the registers back to the C tile.
+// stores the registers back to the C tile (or adds them onto it).
 #include "tensor/gemm_kernel.hpp"
 
 #include <cstring>
@@ -70,19 +70,41 @@ FEDHISYN_ALWAYS_INLINE void micro_step(const float* const* a, std::int64_t off,
   }
 }
 
+// An edge tile narrower than kNR: one scalar chain per valid element, the
+// same terms in the same order as a vector lane, so the bits match.
+void scalar_tile(const float* const* a, std::int64_t a_step, const float* b,
+                 std::int64_t ldb, std::int64_t k, float* c, std::int64_t ldc,
+                 std::int64_t mr_valid, std::int64_t nr_valid, StoreMode mode) {
+  for (std::int64_t ii = 0; ii < mr_valid; ++ii) {
+    float* ci = c + ii * ldc;
+    for (std::int64_t jj = 0; jj < nr_valid; ++jj) {
+      float acc = mode == StoreMode::kInitFromC ? ci[jj] : 0.0f;
+      for (std::int64_t p = 0; p < k; ++p) acc += a[ii][p * a_step] * b[p * ldb + jj];
+      ci[jj] = mode == StoreMode::kAddAtStore ? ci[jj] + acc : acc;
+    }
+  }
+}
+
 // vacc[ii][jv] += sum_p a[ii][p*a_step] * b[p*ldb + 4*jv..], p ascending.
 // Two k steps per iteration halve loop bookkeeping; each accumulator still
 // sees its terms strictly in ascending p order (sequential adds, never a
-// second accumulator), so the unroll is invisible to the bits.
+// second accumulator), so the unroll is invisible to the bits.  Full-width
+// tiles run the vector loop and move only rows [0, mr_valid) of C; a
+// ragged last column sub-panel takes the scalar tail loops above.
 void kloop_4x8(const float* const* a, std::int64_t a_step, const float* b,
                std::int64_t ldb, std::int64_t k, float* c, std::int64_t ldc,
-               bool load_c) {
+               std::int64_t mr_valid, std::int64_t nr_valid, StoreMode mode) {
+  if (nr_valid < kNR) {
+    scalar_tile(a, a_step, b, ldb, k, c, ldc, mr_valid, nr_valid, mode);
+    return;
+  }
   v4f vacc[kMR][kNV];
   const float* ar[kMR];
 #pragma GCC unroll 4
   for (std::int64_t ii = 0; ii < kMR; ++ii) {
+    const bool load = mode == StoreMode::kInitFromC && ii < mr_valid;
     for (std::int64_t jv = 0; jv < kNV; ++jv) {
-      vacc[ii][jv] = load_c ? v4_loadu(c + ii * ldc + jv * 4) : v4_broadcast(0.0f);
+      vacc[ii][jv] = load ? v4_loadu(c + ii * ldc + jv * 4) : v4_broadcast(0.0f);
     }
     ar[ii] = a[ii];
   }
@@ -94,16 +116,20 @@ void kloop_4x8(const float* const* a, std::int64_t a_step, const float* b,
   for (; p < k; ++p) micro_step(ar, p * a_step, b + p * ldb, vacc);
 #pragma GCC unroll 4
   for (std::int64_t ii = 0; ii < kMR; ++ii) {
+    if (ii >= mr_valid) continue;
     for (std::int64_t jv = 0; jv < kNV; ++jv) {
-      v4_storeu(c + ii * ldc + jv * 4, vacc[ii][jv]);
+      float* cij = c + ii * ldc + jv * 4;
+      const v4f v = mode == StoreMode::kAddAtStore ? v4_loadu(cij) + vacc[ii][jv]
+                                                   : vacc[ii][jv];
+      v4_storeu(cij, v);
     }
   }
 }
 
 bool always_supported() { return true; }
 
-// The staging accumulator must fit this tile.
-static_assert(kMR <= kMaxMR && kNR <= kMaxNR);
+// The driver's row-pointer array must fit this tile.
+static_assert(kMR <= kMaxMR);
 
 }  // namespace
 

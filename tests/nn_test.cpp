@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <map>
 #include <span>
 #include <string>
@@ -234,6 +236,47 @@ TEST(Network, MaxPoolBackwardTiesNegativeZeroAndOddEdges) {
     SCOPED_TRACE(i);
     EXPECT_EQ(grad_in.at(i), i == 0 ? 1.5f : 0.0f);
     EXPECT_FALSE(std::signbit(grad_in.at(i)));
+  }
+}
+
+TEST(Network, MaxPoolBackwardRoutesNaNAndSignedZeroTiesLikeForward) {
+  // One 2x12 plane, six windows: the first four take the vectorised body
+  // of the window loop, the last two its scalar tail.  Each window's
+  // expected argmax is the forward's scan (`v > best`, first wins): a NaN
+  // first wins every comparison-free window, a NaN later never wins, and
+  // +0 / -0 ties go to the first of them.
+  MaxPool2 pool;
+  const Shape3 in{1, 2, 12};
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  // Window w reads top[2w], top[2w+1], bottom[2w], bottom[2w+1].
+  const float top[12] = {nan, 1, 1, nan, -0.0f, 0.0f, -1, 0.0f, nan, 5, 3, 2};
+  const float bottom[12] = {2, 3, 2, 0, -0.0f, 0.0f, -0.0f, 0.0f, 6, 7, nan, 4};
+  const int argmax[6] = {0, 2, 0, 1, 0, 3};
+  Tensor x({1, 1, 2, 12});
+  for (int i = 0; i < 12; ++i) {
+    x.at(i) = top[i];
+    x.at(12 + i) = bottom[i];
+  }
+  Tensor y;
+  pool.forward(in, {}, x, y);
+  ASSERT_EQ(y.numel(), 6);
+
+  Tensor grad_out({1, 1, 1, 6});
+  for (int w = 0; w < 6; ++w) grad_out.at(w) = 1.5f + static_cast<float>(w);
+  Tensor grad_in({1, 1, 2, 12});
+  grad_in.fill(7.0f);
+  pool.backward(in, {}, x, y, grad_out, &grad_in, {});
+  for (int w = 0; w < 6; ++w) {
+    SCOPED_TRACE(w);
+    const int cells[4] = {2 * w, 2 * w + 1, 12 + 2 * w, 12 + 2 * w + 1};
+    // The forward picked the same cell: its output has that cell's bits.
+    const float picked = x.at(cells[argmax[w]]);
+    EXPECT_EQ(0, std::memcmp(&picked, &y.at(w), sizeof(float)));
+    for (int i = 0; i < 4; ++i) {
+      const float got = grad_in.at(cells[i]);
+      EXPECT_EQ(got, i == argmax[w] ? grad_out.at(w) : 0.0f) << "cell " << i;
+      EXPECT_FALSE(std::signbit(got)) << "cell " << i;
+    }
   }
 }
 

@@ -39,7 +39,6 @@
 #include <cstdio>
 #include <fstream>
 
-#include "common/check.hpp"
 #include "common/counters.hpp"
 #include "common/env.hpp"
 #include "common/flags.hpp"
@@ -73,20 +72,9 @@ fedhisyn::core::AggregationRule parse_aggregation(const std::string& name) {
 
 }  // namespace
 
-int run_experiment(const fedhisyn::Flags& flags);
-
-int main(int argc, char** argv) {
-  const auto flags = fedhisyn::Flags::parse(argc - 1, argv + 1);
-  try {
-    return run_experiment(flags);
-  } catch (const fedhisyn::CheckError& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
-}
-
-int run_experiment(const fedhisyn::Flags& flags) {
+static int run(int argc, char** argv) {
   using namespace fedhisyn;
+  const auto flags = Flags::parse(argc - 1, argv + 1);
   // Shared grid-driver flags (--threads, --list-methods, --out, ...) plus
   // this tool's experiment-definition flags; anything else is rejected.
   const auto grid_options = exp::handle_grid_flags(
@@ -175,3 +163,5 @@ int run_experiment(const fedhisyn::Flags& flags) {
   }
   return 0;
 }
+
+int main(int argc, char** argv) { return fedhisyn::exp::driver_main(argc, argv, run); }
