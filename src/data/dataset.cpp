@@ -1,7 +1,8 @@
 #include "data/dataset.hpp"
 
+#include <cstring>
+
 #include "common/check.hpp"
-#include "tensor/ops.hpp"
 
 namespace fedhisyn::data {
 
@@ -46,7 +47,10 @@ void Shard::gather(std::span<const std::int64_t> order, std::int64_t start,
     const std::int64_t local = order[static_cast<std::size_t>(start + r)];
     FEDHISYN_CHECK(local >= 0 && local < size());
     const std::int64_t global = indices_[static_cast<std::size_t>(local)];
-    copy(dataset_->x.row(global), batch_x.row(r));
+    // One row-sized memcpy: the row index was just checked, and glibc picks
+    // the copy by ISA.
+    std::memcpy(batch_x.data() + r * dim, dataset_->x.data() + global * dim,
+                static_cast<std::size_t>(dim) * sizeof(float));
     batch_y[static_cast<std::size_t>(r)] = dataset_->y[static_cast<std::size_t>(global)];
   }
 }

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/check.hpp"
+#include "tensor/gemm_tune.hpp"
 
 namespace fedhisyn::data {
 
@@ -91,23 +92,14 @@ class Mixer {
   }
 
   /// Each output keeps its own double sum x[i] + R[i][0]*x[0] + R[i][1]*x[1]
-  /// + ... in ascending j, so the bytes match a row-by-row dot product; the
-  /// column sweep only turns one latency-bound add chain into dim
-  /// independent ones.
+  /// + ... in ascending j, each product rounded to float before it widens,
+  /// so the bytes match a row-by-row dot product; the vector plane's mix
+  /// (tensor/gemm_kernel.hpp) sweeps rt_ a column at a time with blocks of
+  /// outputs held in registers.
   void apply(std::span<float> x, std::span<double> acc) const {
     FEDHISYN_CHECK(static_cast<std::int64_t>(x.size()) == dim_);
     FEDHISYN_CHECK(static_cast<std::int64_t>(acc.size()) == dim_);
-    for (std::int64_t i = 0; i < dim_; ++i) {
-      acc[static_cast<std::size_t>(i)] = x[static_cast<std::size_t>(i)];
-    }
-    for (std::int64_t j = 0; j < dim_; ++j) {
-      const float xj = x[static_cast<std::size_t>(j)];
-      const float* col = rt_.data() + j * dim_;
-      for (std::int64_t i = 0; i < dim_; ++i) acc[static_cast<std::size_t>(i)] += col[i] * xj;
-    }
-    for (std::int64_t i = 0; i < dim_; ++i) {
-      x[static_cast<std::size_t>(i)] = static_cast<float>(acc[static_cast<std::size_t>(i)]);
-    }
+    gemm_runtime_config().plane.mix(rt_.data(), dim_, x.data(), acc.data());
   }
 
  private:

@@ -1,38 +1,14 @@
 #include "nn/conv2d.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/check.hpp"
 #include "common/parallel.hpp"
 #include "tensor/gemm.hpp"
+#include "tensor/gemm_tune.hpp"
 #include "tensor/ops.hpp"
 
 namespace fedhisyn::nn {
-
-namespace {
-
-// sums[oc] += sum over pix of planes[oc, pix].  Each channel keeps its own
-// double chain, adding its pixels in ascending order from +0; kLanes
-// channels' chains interleave so their adds overlap instead of each chain
-// waiting out the add latency alone.
-void add_channel_sums(const float* planes, std::int64_t channels, std::int64_t pixels,
-                      std::span<float> sums) {
-  constexpr std::int64_t kLanes = 8;
-  for (std::int64_t c0 = 0; c0 < channels; c0 += kLanes) {
-    const std::int64_t lanes = std::min(kLanes, channels - c0);
-    const float* first = planes + c0 * pixels;
-    double acc[kLanes] = {};
-    for (std::int64_t p = 0; p < pixels; ++p) {
-      for (std::int64_t j = 0; j < lanes; ++j) acc[j] += first[j * pixels + p];
-    }
-    for (std::int64_t j = 0; j < lanes; ++j) {
-      sums[static_cast<std::size_t>(c0 + j)] += static_cast<float>(acc[j]);
-    }
-  }
-}
-
-}  // namespace
 
 Conv2d::Conv2d(std::int64_t out_channels, std::int64_t kernel, std::int64_t stride,
                std::int64_t padding)
@@ -89,6 +65,7 @@ void Conv2d::forward(const Shape3& in, std::span<const float> params, const Tens
   const auto bias = params.subspan(static_cast<std::size_t>(out_channels_ * col_rows),
                                    static_cast<std::size_t>(out_channels_));
 
+  const gemmk::VecPlane& vec = gemm_runtime_config().plane;
   auto& pool = ParallelExecutor::current();
   pool.parallel_for(static_cast<std::size_t>(batch), [&](std::size_t bi, std::size_t) {
     const auto b = static_cast<std::int64_t>(bi);
@@ -101,18 +78,7 @@ void Conv2d::forward(const Shape3& in, std::span<const float> params, const Tens
     // out[oc, pix] = filters[oc, :] * columns[:, pix]
     gemm(filters, std::span<const float>(my_columns), out_row, out_channels_, col_rows,
          col_cols);
-    for (std::int64_t oc = 0; oc < out_channels_; ++oc) {
-      float* plane = out_row.data() + oc * col_cols;
-      const float bv = bias[static_cast<std::size_t>(oc)];
-      if (relu_) {
-        for (std::int64_t p = 0; p < col_cols; ++p) {
-          const float t = plane[p] + bv;
-          plane[p] = t > 0.0f ? t : 0.0f;
-        }
-      } else {
-        for (std::int64_t p = 0; p < col_cols; ++p) plane[p] += bv;
-      }
-    }
+    vec.bias_planes(out_row.data(), bias.data(), out_channels_, col_cols, relu_);
   });
 }
 
@@ -149,6 +115,7 @@ void Conv2d::backward(const Shape3& in, std::span<const float> params, const Ten
     grad_in->fill(0.0f);
   }
 
+  const gemmk::VecPlane& vec = gemm_runtime_config().plane;
   // Serial over the batch: the filter-gradient accumulation must stay
   // deterministic (fixed order) and race-free; batch sizes here are small.
   // The nested GEMMs still fan out over the pool (they are top-level here).
@@ -161,13 +128,9 @@ void Conv2d::backward(const Shape3& in, std::span<const float> params, const Ten
   for (std::int64_t b = 0; b < batch; ++b) {
     im2col(x.row(b), g, columns);
     const auto go_row = grad_out.row(b);
-    if (relu_) {
-      // Mask grad_out by the folded ReLU (y > 0).
-      const float* out = y.row(b).data();
-      float* go = go_row.data();
-      for (std::int64_t i = 0; i < plane_size; ++i) go[i] = out[i] > 0.0f ? go[i] : 0.0f;
-    }
-    add_channel_sums(go_row.data(), out_channels_, col_cols, grad_bias);
+    // Mask grad_out by the folded ReLU (y > 0).
+    if (relu_) vec.relu_mask(go_row.data(), y.row(b).data(), plane_size);
+    vec.channel_sums(go_row.data(), out_channels_, col_cols, grad_bias.data());
     // dFt[cr, oc] += columns[cr, pix] * grad_out[oc, pix]^T
     gemm_nt(std::span<const float>(columns), go_row, dft, col_rows, col_cols, out_channels_,
             /*accumulate=*/true);

@@ -4,6 +4,7 @@
 
 #include "common/check.hpp"
 #include "tensor/gemm.hpp"
+#include "tensor/gemm_tune.hpp"
 
 namespace fedhisyn::nn {
 
@@ -38,17 +39,7 @@ void Dense::forward(const Shape3& in, std::span<const float> params, const Tenso
   const auto bias = params.subspan(static_cast<std::size_t>(fan_in * units_),
                                    static_cast<std::size_t>(units_));
   gemm(x.span(), weights, y.span(), batch, fan_in, units_);
-  for (std::int64_t b = 0; b < batch; ++b) {
-    float* row = y.data() + b * units_;
-    if (relu_) {
-      for (std::int64_t j = 0; j < units_; ++j) {
-        const float t = row[j] + bias[static_cast<std::size_t>(j)];
-        row[j] = t > 0.0f ? t : 0.0f;
-      }
-    } else {
-      for (std::int64_t j = 0; j < units_; ++j) row[j] += bias[static_cast<std::size_t>(j)];
-    }
-  }
+  gemm_runtime_config().plane.bias_cols(y.data(), bias.data(), batch, units_, relu_);
 }
 
 void Dense::backward(const Shape3& in, std::span<const float> params, const Tensor& x,
@@ -68,20 +59,8 @@ void Dense::backward(const Shape3& in, std::span<const float> params, const Tens
   // One sweep masks grad_out by the folded ReLU (y > 0 exactly when the
   // pre-activation is, NaN included) and sums db = column sums of the
   // masked grad_out from +0 in batch order.
-  for (std::int64_t j = 0; j < units_; ++j) grad_b[static_cast<std::size_t>(j)] = 0.0f;
-  for (std::int64_t b = 0; b < batch; ++b) {
-    float* row = grad_out.data() + b * units_;
-    if (relu_) {
-      const float* out = y.data() + b * units_;
-      for (std::int64_t j = 0; j < units_; ++j) {
-        const float g = out[j] > 0.0f ? row[j] : 0.0f;
-        row[j] = g;
-        grad_b[static_cast<std::size_t>(j)] += g;
-      }
-    } else {
-      for (std::int64_t j = 0; j < units_; ++j) grad_b[static_cast<std::size_t>(j)] += row[j];
-    }
-  }
+  gemm_runtime_config().plane.mask_col_sums(grad_out.data(), relu_ ? y.data() : nullptr,
+                                            grad_b.data(), batch, units_);
   // dW[in, out] = x^T(batch, in) * grad_out(batch, out).  m = fan_in here,
   // so the blocked kernel's 2-D tiling (not row-parallelism) is what spreads
   // this tall-skinny shape over the pool.  Beta 0 starts every element from

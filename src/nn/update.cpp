@@ -4,6 +4,7 @@
 
 #include "common/check.hpp"
 #include "common/parallel.hpp"
+#include "tensor/gemm_tune.hpp"
 
 namespace fedhisyn::nn {
 
@@ -30,10 +31,13 @@ void for_each_chunk(std::size_t n, const Body& body) {
 }
 }  // namespace
 
+// Each step reads the vector plane once per chunk (tensor/gemm_kernel.hpp
+// VecPlane spells out its per-element arithmetic).
 void sgd_step(std::span<float> weights, std::span<const float> grad, float lr) {
   FEDHISYN_CHECK(weights.size() == grad.size());
+  const auto step = gemm_runtime_config().plane.sgd;
   for_each_chunk(weights.size(), [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) weights[i] -= lr * grad[i];
+    step(weights.data() + begin, grad.data() + begin, lr, static_cast<std::int64_t>(end - begin));
   });
 }
 
@@ -41,10 +45,10 @@ void prox_sgd_step(std::span<float> weights, std::span<const float> grad,
                    std::span<const float> anchor, float lr, float mu) {
   FEDHISYN_CHECK(weights.size() == grad.size());
   FEDHISYN_CHECK(weights.size() == anchor.size());
+  const auto step = gemm_runtime_config().plane.prox_sgd;
   for_each_chunk(weights.size(), [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      weights[i] -= lr * (grad[i] + mu * (weights[i] - anchor[i]));
-    }
+    step(weights.data() + begin, grad.data() + begin, anchor.data() + begin, lr, mu,
+         static_cast<std::int64_t>(end - begin));
   });
 }
 
@@ -52,11 +56,10 @@ void momentum_sgd_step(std::span<float> weights, std::span<const float> grad,
                        std::span<float> velocity, float lr, float momentum) {
   FEDHISYN_CHECK(weights.size() == grad.size());
   FEDHISYN_CHECK(weights.size() == velocity.size());
+  const auto step = gemm_runtime_config().plane.momentum_sgd;
   for_each_chunk(weights.size(), [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      velocity[i] = momentum * velocity[i] + grad[i];
-      weights[i] -= lr * velocity[i];
-    }
+    step(weights.data() + begin, grad.data() + begin, velocity.data() + begin, lr, momentum,
+         static_cast<std::int64_t>(end - begin));
   });
 }
 
@@ -66,10 +69,10 @@ void scaffold_step(std::span<float> weights, std::span<const float> grad,
   FEDHISYN_CHECK(weights.size() == grad.size());
   FEDHISYN_CHECK(weights.size() == c_local.size());
   FEDHISYN_CHECK(weights.size() == c_global.size());
+  const auto step = gemm_runtime_config().plane.scaffold;
   for_each_chunk(weights.size(), [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      weights[i] -= lr * (grad[i] - c_local[i] + c_global[i]);
-    }
+    step(weights.data() + begin, grad.data() + begin, c_local.data() + begin,
+         c_global.data() + begin, lr, static_cast<std::int64_t>(end - begin));
   });
 }
 

@@ -5,9 +5,10 @@
 //   scaffold_step  — SCAFFOLD: corrects the gradient with control variates
 //                    (g - c_local + c_global)
 //
-// Paper-scale models chunk the elementwise loops over the ParallelExecutor
-// pool (inline inside an outer parallel region); every index is independent,
-// so results are bit-identical for any thread count.
+// Each loop runs in the selected variant's vector plane
+// (tensor/gemm_kernel.hpp VecPlane).  Paper-scale models chunk it over the
+// ParallelExecutor pool (inline inside an outer parallel region); every
+// index is independent, so results are bit-identical for any thread count.
 #pragma once
 
 #include <span>

@@ -9,7 +9,8 @@
 // avx512 and avx2, scalar tail loops on generic), so there is no staging
 // tile.  Only the k-loop is ISA-specific, so a variant is one function
 // pointer plus its register-tile shape, one tile per ISA: generic 4x8,
-// avx2 8x8 and avx512 8x16.
+// avx2 8x8 and avx512 8x16, together with the variant's vector plane
+// (VecPlane below) for the step's elementwise loops.
 //
 // The k-loop contract is the repo's byte-identity contract in miniature.
 // For every valid element, with dot = +0.0f + sum over p ascending of
@@ -23,7 +24,7 @@
 // with exactly one IEEE-rounded multiply and one IEEE-rounded add per term
 // (NO fused multiply-add: contraction skips the product rounding and would
 // make an FMA variant's bytes diverge from the generic kernel's — the
-// kernel TUs compile with -ffp-contract=off, see CMakeLists.txt, and
+// library compiles with -ffp-contract=off, see CMakeLists.txt, and
 // tests/tensor_test.cpp demands exact float equality across every variant).
 // Under that contract the register-tile shape, the ISA, the tile-grid
 // sizes, whether an operand is packed and whether a tile is masked are
@@ -45,6 +46,10 @@
 #pragma once
 
 #include <cstdint>
+
+namespace fedhisyn {
+struct ConvGeometry;  // tensor/im2col.hpp
+}  // namespace fedhisyn
 
 namespace fedhisyn::gemmk {
 
@@ -81,13 +86,78 @@ using KloopFn = void (*)(const float* const* a, std::int64_t a_step,
                          float* c, std::int64_t ldc, std::int64_t mr_valid,
                          std::int64_t nr_valid, StoreMode mode);
 
-/// One ISA variant: a runtime support predicate and its one register tile.
+/// The vector plane: the local-SGD step's elementwise and reduction loops
+/// and the synthetic-data Mixer, built per ISA beside the variant's k-loop
+/// (tensor/gemm_plane.inc).  Each entry runs one whole loop, so a caller
+/// reads the table once per call, never per element.  Every entry keeps the
+/// per-element operation sequence of the scalar loop it replaces: a float
+/// product, a widening only where the scalar code widens, then the add; it
+/// is vectorised across independent outputs only, never along a sum, with
+/// no fused multiply-add.  So, like the k-loop, the ISA is a pure schedule
+/// and every variant's plane produces identical bits.
+struct VecPlane {
+  /// The synthetic-data Mixer: x[i] = float(double(x[i]) + sum over j
+  /// ascending of double(rt[j*dim + i] * x[j])), each output its own double
+  /// chain; `acc` is dim doubles of scratch.
+  void (*mix)(const float* rt, std::int64_t dim, float* x, double* acc);
+  /// Dense forward: y[r*cols + j] += bias[j], then max-with-+0 when `relu`
+  /// (t > 0 ? t : +0, so NaN and -0 land as +0).
+  void (*bias_cols)(float* y, const float* bias, std::int64_t rows, std::int64_t cols,
+                    bool relu);
+  /// Dense backward: when `y` is non-null, grad[r*cols + j] = y[..] > 0 ?
+  /// grad[..] : +0 (the folded ReLU's mask); then db[j] = +0 + the column's
+  /// (masked) grads in row order.
+  void (*mask_col_sums)(float* grad, const float* y, float* db, std::int64_t rows,
+                        std::int64_t cols);
+  /// Conv2d forward: plane p of `planes` planes of `size` floats adds
+  /// bias[p], then max-with-+0 when `relu`.
+  void (*bias_planes)(float* y, const float* bias, std::int64_t planes, std::int64_t size,
+                      bool relu);
+  /// The folded ReLU's mask: g[i] = y[i] > 0 ? g[i] : +0.
+  void (*relu_mask)(float* g, const float* y, std::int64_t n);
+  /// sums[c] += float(+0 + double(planes[c*pixels + p]) over p ascending),
+  /// one double chain per channel.
+  void (*channel_sums)(const float* planes, std::int64_t channels, std::int64_t pixels,
+                       float* sums);
+  /// w -= lr * g
+  void (*sgd)(float* w, const float* g, float lr, std::int64_t n);
+  /// w -= lr * (g + mu * (w - anchor))
+  void (*prox_sgd)(float* w, const float* g, const float* anchor, float lr, float mu,
+                   std::int64_t n);
+  /// v = momentum * v + g; w -= lr * v
+  void (*momentum_sgd)(float* w, const float* g, float* v, float lr, float momentum,
+                       std::int64_t n);
+  /// w -= lr * (g - c_local + c_global)
+  void (*scaffold)(float* w, const float* g, const float* c_local, const float* c_global,
+                   float lr, std::int64_t n);
+  /// acc[j] += weight * double(in[j])
+  void (*scaled_add)(double* acc, const float* in, double weight, std::int64_t n);
+  /// 2x2 max-pool of `planes` h x w planes into (h/2) x (w/2) planes:
+  /// m = max(max(max(v00, v01), v10), v11) with std::max's first-wins ties.
+  void (*maxpool2_forward)(const float* x, float* y, std::int64_t planes, std::int64_t h,
+                           std::int64_t w);
+  /// Routes each window's gradient to its first argmax (forward's
+  /// tie-breaking, NaN included) as +0 + g; every other input cell, and an
+  /// odd width's last column and an odd height's last row, gets +0.
+  void (*maxpool2_backward)(const float* x, const float* grad_out, float* grad_in,
+                            std::int64_t planes, std::int64_t h, std::int64_t w);
+  /// im2col's column rows read from the zero-bordered padded plane
+  /// (tensor/im2col.hpp): columns[(c,ky,kx), (y,x)] = padded[c, y*s+ky, x*s+kx].
+  void (*im2col_rows)(const float* padded, const ConvGeometry& g, float* columns);
+  /// col2im's scatter-add into the padded plane, (c,ky,kx) ascending:
+  /// padded[c, y*s+ky, x*s+kx] += columns[(c,ky,kx), (y,x)].
+  void (*col2im_rows)(const float* columns, const ConvGeometry& g, float* padded);
+};
+
+/// One ISA variant: a runtime support predicate, its one register tile and
+/// its vector plane.
 struct GemmKernel {
   const char* name;     // "generic", "avx2", "avx512"
   bool (*supported)();  // runtime CPUID on x86; generic is always true
   std::int64_t mr;
   std::int64_t nr;
-  KloopFn kloop;  // nullptr where the ISA cannot be compiled
+  KloopFn kloop;   // nullptr where the ISA cannot be compiled
+  VecPlane plane;  // all entries nullptr where the ISA cannot be compiled
 };
 
 /// The three variants.  Every accessor exists on every platform; off x86

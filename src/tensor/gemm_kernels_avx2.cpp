@@ -1,4 +1,5 @@
-// AVX2 GEMM micro-kernel: 8x8, one ymm column of accumulators.  A
+// AVX2 GEMM micro-kernel: 8x8, one ymm column of accumulators, and the
+// 8-lane vector plane (tensor/gemm_plane.inc).  A
 // function-level `target("avx2")` attribute keeps the rest of the TU
 // baseline-ISA — no per-file -mavx2, so no AVX2 code can leak into functions
 // a non-AVX2 host might execute via comdat folding — and the runtime
@@ -96,11 +97,21 @@ bool avx2_supported() { return false; }
 
 }  // namespace
 
+}  // namespace fedhisyn::gemmk
+
+#if defined(__x86_64__) || defined(__i386__)
+#define FEDHISYN_PLANE_TARGET __attribute__((target("avx2")))
+#define FEDHISYN_PLANE_LANES 8
+#include "tensor/gemm_plane.inc"
+#endif
+
+namespace fedhisyn::gemmk {
+
 const GemmKernel& gemm_variant_avx2() {
 #if defined(__x86_64__) || defined(__i386__)
-  static const GemmKernel kernel{"avx2", avx2_supported, 8, 8, kloop_8x8};
+  static const GemmKernel kernel{"avx2", avx2_supported, 8, 8, kloop_8x8, kVecPlane};
 #else
-  static const GemmKernel kernel{"avx2", avx2_supported, 8, 8, nullptr};
+  static const GemmKernel kernel{"avx2", avx2_supported, 8, 8, nullptr, {}};
 #endif
   return kernel;
 }

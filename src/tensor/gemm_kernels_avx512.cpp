@@ -1,4 +1,5 @@
-// AVX-512F GEMM micro-kernel: 8x16, one zmm column of accumulators.
+// AVX-512F GEMM micro-kernel: 8x16, one zmm column of accumulators, and the
+// 16-lane vector plane (tensor/gemm_plane.inc).
 // Same construction as the AVX2 TU: function-level `target("avx512f")`
 // attributes (no per-file -mavx512f), runtime __builtin_cpu_supports
 // dispatch, and strictly mul-then-add arithmetic — the target attribute
@@ -84,11 +85,21 @@ bool avx512_supported() { return false; }
 
 }  // namespace
 
+}  // namespace fedhisyn::gemmk
+
+#if defined(__x86_64__) || defined(__i386__)
+#define FEDHISYN_PLANE_TARGET __attribute__((target("avx512f")))
+#define FEDHISYN_PLANE_LANES 16
+#include "tensor/gemm_plane.inc"
+#endif
+
+namespace fedhisyn::gemmk {
+
 const GemmKernel& gemm_variant_avx512() {
 #if defined(__x86_64__) || defined(__i386__)
-  static const GemmKernel kernel{"avx512", avx512_supported, 8, 16, kloop_8x16};
+  static const GemmKernel kernel{"avx512", avx512_supported, 8, 16, kloop_8x16, kVecPlane};
 #else
-  static const GemmKernel kernel{"avx512", avx512_supported, 8, 16, nullptr};
+  static const GemmKernel kernel{"avx512", avx512_supported, 8, 16, nullptr, {}};
 #endif
   return kernel;
 }

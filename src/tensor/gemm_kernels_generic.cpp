@@ -3,7 +3,9 @@
 // The k-loop initialises 4x2 4-lane vector registers from the C tile (or
 // zero), accumulates the full k extent in ascending order (one rounded mul +
 // one rounded add per term — see the contract in gemm_kernel.hpp), and
-// stores the registers back to the C tile (or adds them onto it).
+// stores the registers back to the C tile (or adds them onto it).  The
+// generic vector plane (tensor/gemm_plane.inc) is built here for the
+// baseline ISA, on 4-lane vectors.
 #include "tensor/gemm_kernel.hpp"
 
 #include <cstring>
@@ -133,8 +135,16 @@ static_assert(kMR <= kMaxMR);
 
 }  // namespace
 
+}  // namespace fedhisyn::gemmk
+
+#define FEDHISYN_PLANE_TARGET
+#define FEDHISYN_PLANE_LANES 4
+#include "tensor/gemm_plane.inc"
+
+namespace fedhisyn::gemmk {
+
 const GemmKernel& gemm_variant_generic() {
-  static const GemmKernel kernel{"generic", always_supported, kMR, kNR, kloop_4x8};
+  static const GemmKernel kernel{"generic", always_supported, kMR, kNR, kloop_4x8, kVecPlane};
   return kernel;
 }
 

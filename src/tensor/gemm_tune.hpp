@@ -1,5 +1,7 @@
-// Runtime kernel selection for the blocked GEMM family.
+// Runtime kernel selection for the blocked GEMM family and the vector plane.
 //
+// A variant is the whole kernel plane: its GEMM micro-kernel and its
+// VecPlane (gemm_kernel.hpp), so selecting one selects both.
 // The micro-kernel variants (gemm_kernel.hpp) all produce identical bits, so
 // which one runs is a pure performance decision.  This layer holds it as
 // process-wide state, resolved from a spec to one variant: a forced one
@@ -40,7 +42,8 @@ struct GemmRuntimeInfo {
 };
 const GemmRuntimeInfo& gemm_runtime_info();
 
-/// The kernel the public gemm entry points execute.
+/// The kernel the public gemm entry points execute; its `plane` is the
+/// vector plane every elementwise caller runs.
 const gemmk::GemmKernel& gemm_runtime_config();
 
 /// Replace the selection with the one `spec` names (grid drivers at

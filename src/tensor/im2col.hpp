@@ -4,7 +4,8 @@
 // tensor/gemm.hpp tiles over column panels).  Both directions go through a
 // per-thread zero-bordered [C, H+2p, W+2p] copy of the sample
 // (ScratchArena::kConvPadded), so every column row is a plain strided read
-// or add of that plane and no element is bounds-tested.
+// or add of that plane and no element is bounds-tested; the row loops run
+// in the vector plane (tensor/gemm_kernel.hpp VecPlane).
 #pragma once
 
 #include <cstdint>

@@ -3,17 +3,9 @@
 #include <cmath>
 
 #include "common/check.hpp"
+#include "tensor/gemm_tune.hpp"
 
 namespace fedhisyn {
-
-void axpy(float alpha, std::span<const float> x, std::span<float> y) {
-  FEDHISYN_CHECK(x.size() == y.size());
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] += alpha * x[i];
-}
-
-void scale(float alpha, std::span<float> x) {
-  for (auto& v : x) v *= alpha;
-}
 
 void copy(std::span<const float> src, std::span<float> dst) {
   FEDHISYN_CHECK(src.size() == dst.size());
@@ -24,17 +16,6 @@ void fill(std::span<float> x, float value) {
   for (auto& v : x) v = value;
 }
 
-double dot(std::span<const float> x, std::span<const float> y) {
-  FEDHISYN_CHECK(x.size() == y.size());
-  double acc = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) acc += static_cast<double>(x[i]) * y[i];
-  return acc;
-}
-
-double squared_norm(std::span<const float> x) { return dot(x, x); }
-
-double norm(std::span<const float> x) { return std::sqrt(squared_norm(x)); }
-
 std::int64_t argmax(std::span<const float> x) {
   FEDHISYN_CHECK(!x.empty());
   std::size_t best = 0;
@@ -42,22 +23,6 @@ std::int64_t argmax(std::span<const float> x) {
     if (x[i] > x[best]) best = i;
   }
   return static_cast<std::int64_t>(best);
-}
-
-void softmax_rows(std::span<float> logits, std::int64_t rows, std::int64_t cols) {
-  FEDHISYN_CHECK(static_cast<std::int64_t>(logits.size()) >= rows * cols);
-  for (std::int64_t r = 0; r < rows; ++r) {
-    float* row = logits.data() + r * cols;
-    float max_v = row[0];
-    for (std::int64_t c = 1; c < cols; ++c) max_v = std::max(max_v, row[c]);
-    double sum = 0.0;
-    for (std::int64_t c = 0; c < cols; ++c) {
-      row[c] = std::exp(row[c] - max_v);
-      sum += row[c];
-    }
-    const float inv = static_cast<float>(1.0 / sum);
-    for (std::int64_t c = 0; c < cols; ++c) row[c] *= inv;
-  }
 }
 
 float softmax_xent_rows(std::span<const float> logits, std::span<const std::int32_t> labels,
@@ -104,10 +69,9 @@ void weighted_sum(std::span<const std::span<const float>> inputs,
   for (const auto& in : inputs) FEDHISYN_CHECK(in.size() == out.size());
   // Accumulate in double for determinism-insensitive precision, fixed order.
   std::vector<double> acc(out.size(), 0.0);
+  const auto scaled_add = gemm_runtime_config().plane.scaled_add;
   for (std::size_t i = 0; i < inputs.size(); ++i) {
-    const double w = weights[i];
-    const auto in = inputs[i];
-    for (std::size_t j = 0; j < out.size(); ++j) acc[j] += w * in[j];
+    scaled_add(acc.data(), inputs[i].data(), weights[i], static_cast<std::int64_t>(out.size()));
   }
   for (std::size_t j = 0; j < out.size(); ++j) out[j] = static_cast<float>(acc[j]);
 }

@@ -9,25 +9,12 @@
 
 namespace fedhisyn {
 
-/// y += alpha * x  (sizes must match).
-void axpy(float alpha, std::span<const float> x, std::span<float> y);
-/// x *= alpha.
-void scale(float alpha, std::span<float> x);
 /// dst = src (sizes must match).
 void copy(std::span<const float> src, std::span<float> dst);
 /// Set all elements to value.
 void fill(std::span<float> x, float value);
-/// dot(x, y).
-double dot(std::span<const float> x, std::span<const float> y);
-/// Squared L2 norm.
-double squared_norm(std::span<const float> x);
-/// L2 norm.
-double norm(std::span<const float> x);
 /// Index of the maximum element (first on ties). Requires non-empty input.
 std::int64_t argmax(std::span<const float> x);
-
-/// Numerically stable in-place softmax over each row of a (rows x cols) matrix.
-void softmax_rows(std::span<float> logits, std::int64_t rows, std::int64_t cols);
 
 /// Mean cross-entropy of row-softmax(logits) against integer labels, and the
 /// gradient w.r.t. logits written into grad (same layout), scaled by 1/rows.
@@ -36,7 +23,8 @@ float softmax_xent_rows(std::span<const float> logits, std::span<const std::int3
                         std::int64_t rows, std::int64_t cols, std::span<float> grad);
 
 /// Weighted sum: out = sum_i weights[i] * inputs[i]; all spans equal length,
-/// deterministic accumulation order (i ascending).
+/// deterministic accumulation order (i ascending), each input added through
+/// the vector plane's scaled_add (tensor/gemm_kernel.hpp).
 void weighted_sum(std::span<const std::span<const float>> inputs,
                   std::span<const double> weights, std::span<float> out);
 

@@ -2,14 +2,17 @@
 // order-exact reference (exact float equality — the blocked kernel must
 // preserve the per-element reduction order), the kernel-variant equivalence
 // matrix (every ISA micro-kernel forced via gemm_runtime_select must
-// reproduce the same bits), the runtime selection, softmax/xent
-// numerics, im2col/col2im adjointness, elementwise ops.
+// reproduce the same bits), the same matrix for every vector-plane entry,
+// the runtime selection, softmax/xent numerics, im2col/col2im adjointness,
+// elementwise ops.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -365,6 +368,195 @@ TEST(GemmKernelMatrix, ForcedBadOrUnsupportedVariantFailsLoudly) {
   gemm(a, b, c, 4, 6, 5);  // must not throw
 }
 
+// --- VecPlaneMatrix: every vector-plane entry under every variant ----------
+
+/// Normal draws with a special value at every fifth slot: NaN, +-0, a
+/// denormal and +-inf in turn.
+std::vector<float> plane_input(std::size_t n, Rng& rng) {
+  const float specials[] = {std::numeric_limits<float>::quiet_NaN(),
+                            0.0f,
+                            -0.0f,
+                            std::numeric_limits<float>::denorm_min() * 3.0f,
+                            -std::numeric_limits<float>::denorm_min() * 5.0f,
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity()};
+  auto v = random_vec(n, rng);
+  for (std::size_t i = 2; i < n; i += 5) v[i] = specials[(i / 5) % std::size(specials)];
+  return v;
+}
+
+/// Values from a small set, so 2x2 windows tie, hold NaN first or later,
+/// and mix +0 with -0.
+std::vector<float> pool_input(std::size_t n, Rng& rng) {
+  const float values[] = {std::numeric_limits<float>::quiet_NaN(), 0.0f, -0.0f, 1.0f, -1.0f,
+                          2.0f};
+  std::vector<float> v(n);
+  for (auto& x : v) x = values[rng.uniform_index(std::size(values))];
+  return v;
+}
+
+template <class T>
+void expect_same_bits(const std::vector<T>& expected, const std::vector<T>& got,
+                      const char* what) {
+  ASSERT_EQ(expected.size(), got.size()) << what;
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_EQ(0, std::memcmp(&expected[i], &got[i], sizeof(T)))
+        << what << " differs at " << i << ": " << expected[i] << " vs " << got[i];
+  }
+}
+
+/// Lengths 1-33 cover every 16-, 8- and 4-lane step with every tail; 141
+/// runs the Mixer's 8-register blocks past a full AVX-512 block and a tail.
+std::vector<std::int64_t> plane_lengths() {
+  std::vector<std::int64_t> lengths;
+  for (std::int64_t n = 1; n <= 33; ++n) lengths.push_back(n);
+  lengths.push_back(141);
+  return lengths;
+}
+
+/// Runs `outputs(plane)` with the generic plane and with every supported
+/// variant's, from the same inputs, and demands identical bits.
+template <class Outputs>
+void expect_plane_matches_generic(const Outputs& outputs) {
+  const auto expected = outputs(gemmk::gemm_variant_generic().plane);
+  for (const std::string& variant : gemm_supported_variants()) {
+    SCOPED_TRACE(variant);
+    ScopedGemmKernel forced(variant);
+    const auto got = outputs(gemm_runtime_config().plane);
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      SCOPED_TRACE(i);
+      expect_same_bits(expected[i], got[i], "output");
+    }
+  }
+}
+
+TEST(VecPlaneMatrix, OptimizerStepsAndScaledAdd) {
+  for (const std::int64_t n : plane_lengths()) {
+    SCOPED_TRACE(n);
+    Rng rng(900 + n);
+    const auto size = static_cast<std::size_t>(n);
+    const auto w = plane_input(size, rng);
+    const auto g = plane_input(size, rng);
+    const auto a = plane_input(size, rng);
+    const auto b = plane_input(size, rng);
+    std::vector<double> acc0(size);
+    for (auto& v : acc0) v = rng.normal();
+    expect_plane_matches_generic([&](const gemmk::VecPlane& plane) {
+      std::vector<std::vector<float>> out(6, w);
+      plane.sgd(out[0].data(), g.data(), 0.05f, n);
+      plane.prox_sgd(out[1].data(), g.data(), a.data(), 0.05f, 0.01f, n);
+      out[3] = b;  // the velocity
+      plane.momentum_sgd(out[2].data(), g.data(), out[3].data(), 0.05f, 0.9f, n);
+      plane.scaffold(out[4].data(), g.data(), a.data(), b.data(), 0.05f, n);
+      auto acc = acc0;
+      plane.scaled_add(acc.data(), g.data(), 0.375, n);
+      out[5].resize(size * 2);
+      std::memcpy(out[5].data(), acc.data(), size * sizeof(double));
+      return out;
+    });
+  }
+}
+
+TEST(VecPlaneMatrix, BiasReluMaskAndSums) {
+  constexpr std::int64_t kRows = 5;
+  for (const std::int64_t n : plane_lengths()) {
+    SCOPED_TRACE(n);
+    Rng rng(1900 + n);
+    const auto size = static_cast<std::size_t>(n);
+    const auto y = plane_input(size * kRows, rng);
+    const auto grad = plane_input(size * kRows, rng);
+    const auto bias = plane_input(size, rng);
+    const auto plane_bias = plane_input(kRows, rng);
+    const auto sums = plane_input(size, rng);
+    expect_plane_matches_generic([&](const gemmk::VecPlane& plane) {
+      std::vector<std::vector<float>> out;
+      for (const bool relu : {false, true}) {
+        out.push_back(y);
+        plane.bias_cols(out.back().data(), bias.data(), kRows, n, relu);
+        out.push_back(y);
+        plane.bias_planes(out.back().data(), plane_bias.data(), kRows, n, relu);
+        out.push_back(grad);
+        out.push_back(std::vector<float>(size));
+        plane.mask_col_sums(out[out.size() - 2].data(), relu ? y.data() : nullptr,
+                            out.back().data(), kRows, n);
+      }
+      out.push_back(grad);
+      plane.relu_mask(out.back().data(), y.data(), n * kRows);
+      out.push_back(sums);
+      plane.channel_sums(grad.data(), n, kRows, out.back().data());
+      return out;
+    });
+  }
+}
+
+TEST(VecPlaneMatrix, Mixer) {
+  for (const std::int64_t dim : plane_lengths()) {
+    SCOPED_TRACE(dim);
+    Rng rng(2900 + dim);
+    const auto size = static_cast<std::size_t>(dim);
+    const auto rt = plane_input(size * size, rng);
+    const auto x = plane_input(size, rng);
+    expect_plane_matches_generic([&](const gemmk::VecPlane& plane) {
+      std::vector<std::vector<float>> out{x};
+      std::vector<double> acc(size);
+      plane.mix(rt.data(), dim, out[0].data(), acc.data());
+      return out;
+    });
+  }
+}
+
+TEST(VecPlaneMatrix, MaxPoolTiesNaNAndOddEdges) {
+  constexpr std::int64_t kPlanes = 2;
+  for (const std::int64_t ow : plane_lengths()) {
+    for (const std::int64_t w : {2 * ow, 2 * ow + 1}) {
+      for (const std::int64_t h : {2, 3, 4}) {
+        SCOPED_TRACE(testing::Message() << h << "x" << w);
+        Rng rng(3900 + w * 7 + h);
+        const auto in_size = static_cast<std::size_t>(kPlanes * h * w);
+        const auto out_size = static_cast<std::size_t>(kPlanes * (h / 2) * ow);
+        const auto x = pool_input(in_size, rng);
+        const auto grad_out = plane_input(out_size, rng);
+        expect_plane_matches_generic([&](const gemmk::VecPlane& plane) {
+          std::vector<std::vector<float>> out{std::vector<float>(out_size),
+                                              std::vector<float>(in_size, 7.0f)};
+          plane.maxpool2_forward(x.data(), out[0].data(), kPlanes, h, w);
+          plane.maxpool2_backward(x.data(), grad_out.data(), out[1].data(), kPlanes, h, w);
+          return out;
+        });
+      }
+    }
+  }
+}
+
+TEST(VecPlaneMatrix, Im2colAndCol2imRows) {
+  for (const std::int64_t width : {4, 5, 8, 9, 12, 33}) {
+    for (const std::int64_t stride : {1, 2}) {
+      for (const std::int64_t padding : {0, 2}) {
+        ConvGeometry g;
+        g.channels = 2;
+        g.height = 5;
+        g.width = width;
+        g.kernel = 3;
+        g.stride = stride;
+        g.padding = padding;
+        SCOPED_TRACE(testing::Message() << width << " s" << stride << " p" << padding);
+        Rng rng(4900 + width * 11 + stride * 3 + padding);
+        const auto padded_size = static_cast<std::size_t>(
+            g.channels * (g.height + 2 * padding) * (g.width + 2 * padding));
+        const auto padded = plane_input(padded_size, rng);
+        const auto columns =
+            plane_input(static_cast<std::size_t>(g.col_rows() * g.col_cols()), rng);
+        expect_plane_matches_generic([&](const gemmk::VecPlane& plane) {
+          std::vector<std::vector<float>> out{std::vector<float>(columns.size()), padded};
+          plane.im2col_rows(padded.data(), g, out[0].data());
+          plane.col2im_rows(columns.data(), g, out[1].data());
+          return out;
+        });
+      }
+    }
+  }
+}
+
 TEST(GemmRuntime, ShapeClassMapping) {
   EXPECT_EQ(gemm_shape_class(gemmk::GemmOp::kNN, kGemmWideN), "nn/narrow");
   EXPECT_EQ(gemm_shape_class(gemmk::GemmOp::kNN, kGemmWideN + 1), "nn/wide");
@@ -450,31 +642,16 @@ TEST(GemmExact, BitIdenticalAcrossThreadCounts) {
                            serial.size() * sizeof(float)));
 }
 
-TEST(Ops, AxpyScaleCopyDot) {
+TEST(Ops, Copy) {
   std::vector<float> x = {1.0f, 2.0f, 3.0f};
-  std::vector<float> y = {10.0f, 20.0f, 30.0f};
-  axpy(2.0f, x, y);
-  EXPECT_FLOAT_EQ(y[2], 36.0f);
-  scale(0.5f, y);
-  EXPECT_FLOAT_EQ(y[0], 6.0f);
   std::vector<float> z(3);
   copy(x, z);
-  EXPECT_FLOAT_EQ(z[1], 2.0f);
-  EXPECT_DOUBLE_EQ(dot(x, x), 14.0);
-  EXPECT_NEAR(norm(x), std::sqrt(14.0), 1e-9);
+  EXPECT_EQ(z, x);
 }
 
 TEST(Ops, ArgmaxFirstOnTies) {
   std::vector<float> v = {1.0f, 5.0f, 5.0f, 2.0f};
   EXPECT_EQ(argmax(v), 1);
-}
-
-TEST(Ops, SoftmaxRowsNormalises) {
-  std::vector<float> logits = {1.0f, 2.0f, 3.0f, 1000.0f, 1000.0f, 1000.0f};
-  softmax_rows(logits, 2, 3);
-  EXPECT_NEAR(logits[0] + logits[1] + logits[2], 1.0f, 1e-5f);
-  // Huge logits must not overflow (stability).
-  EXPECT_NEAR(logits[3], 1.0f / 3.0f, 1e-5f);
 }
 
 TEST(Ops, XentLossMatchesHandComputation) {
@@ -556,6 +733,12 @@ TEST(Im2col, PaddingProducesZeroBorder) {
   for (int i = 0; i < 4; ++i) {
     EXPECT_FLOAT_EQ(columns[static_cast<std::size_t>(centre_row + i)], image[static_cast<std::size_t>(i)]);
   }
+}
+
+double dot(const std::vector<float>& x, const std::vector<float>& y) {
+  double acc = 0.0;
+  for (std::size_t i = 0; i < x.size(); ++i) acc += static_cast<double>(x[i]) * y[i];
+  return acc;
 }
 
 TEST(Im2col, Col2imIsAdjoint) {

@@ -59,7 +59,7 @@ import re
 import sys
 import tempfile
 
-SOURCE_SUFFIXES = (".cpp", ".hpp", ".h", ".cc", ".cxx")
+SOURCE_SUFFIXES = (".cpp", ".hpp", ".h", ".cc", ".cxx", ".inc")
 
 # (rule id, compiled pattern matched against comment-stripped code text).
 PATTERN_RULES = [
