@@ -345,6 +345,59 @@ TEST(Network, ConvFilterGradientOfNegativeZeroDotsIsPositiveZero) {
   }
 }
 
+/// Characterisation: Conv2d::backward writes every element of grad_in, so a
+/// grad_in full of NaN and one full of zeros come out with the same bytes
+/// (and the same parameter gradient).
+void expect_grad_in_overwritten(Conv2d conv, bool relu, const Shape3& in,
+                                std::int64_t batch, std::uint64_t seed, Tensor* out) {
+  if (relu) conv.fuse_relu();
+  Rng rng(seed);
+  std::vector<float> params(static_cast<std::size_t>(conv.param_count(in)));
+  conv.init_params(in, params, rng);
+  Tensor x({batch, in.c, in.h, in.w});
+  for (std::int64_t i = 0; i < x.numel(); ++i) x.at(i) = static_cast<float>(rng.normal());
+  Tensor y;
+  conv.forward(in, params, x, y);
+  Tensor grad_out(y.shape());
+  for (std::int64_t i = 0; i < grad_out.numel(); ++i) {
+    grad_out.at(i) = static_cast<float>(rng.normal());
+  }
+  Tensor grad_out_copy = grad_out;  // the folded ReLU masks grad_out in place
+  Tensor from_nan({batch, in.c, in.h, in.w});
+  from_nan.fill(std::numeric_limits<float>::quiet_NaN());
+  Tensor from_zero({batch, in.c, in.h, in.w});
+  from_zero.fill(0.0f);
+  std::vector<float> params_nan(params.size(), 0.0f);
+  std::vector<float> params_zero(params.size(), 0.0f);
+  conv.backward(in, params, x, y, grad_out, &from_nan, params_nan);
+  conv.backward(in, params, x, y, grad_out_copy, &from_zero, params_zero);
+  ASSERT_EQ(from_nan.numel(), from_zero.numel());
+  ASSERT_EQ(0, std::memcmp(from_nan.data(), from_zero.data(),
+                           static_cast<std::size_t>(from_zero.numel()) * sizeof(float)));
+  ASSERT_EQ(0, std::memcmp(params_nan.data(), params_zero.data(),
+                           params_zero.size() * sizeof(float)));
+  *out = from_zero;
+}
+
+TEST(Characterization, ConvBackwardOverwritesGradIn) {
+  // A 1x1 stride-2 conv on 5x5 inputs: cells on an odd row or column get
+  // no term and must read +0.
+  Tensor grad_in;
+  expect_grad_in_overwritten(Conv2d(4, 1, 2, 0), /*relu=*/false, {3, 5, 5}, /*batch=*/2,
+                             301, &grad_in);
+  for (std::int64_t i = 0; i < grad_in.numel(); ++i) {
+    const std::int64_t row = (i / 5) % 5;
+    const std::int64_t col = i % 5;
+    if (row % 2 == 0 && col % 2 == 0) continue;
+    const float g = grad_in.at(i);
+    ASSERT_TRUE(g == 0.0f && !std::signbit(g)) << "uncovered cell " << i << " is " << g;
+  }
+  // The paper CNN's conv2 at laptop scale: 16x4x4 in, 32 5x5 filters,
+  // padding 2, folded ReLU.
+  expect_grad_in_overwritten(Conv2d(32, 5, 1, 2), /*relu=*/true, {16, 4, 4}, /*batch=*/3,
+                             302, &grad_in);
+}
+
 TEST(Network, LossAndGradSkipsFirstLayerInputGradient) {
   // The laptop MLP: three forward GEMMs, three dW GEMMs, and a dx GEMM for
   // every Dense layer but the first, whose input gradient nobody reads.
