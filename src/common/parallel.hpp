@@ -46,7 +46,7 @@ namespace fedhisyn {
 class ScratchArena {
  public:
   enum Buf : std::size_t {
-    kGemmPackB = 0,       // packed op(B) columns (k x NC, zero-padded; A is never packed)
+    kGemmPackB = 0,       // packed op(B) NR-wide sub-panels (k x NC; A is never packed)
     kConvColumns = 1,     // im2col column matrix
     kConvGradColumns = 2, // conv backward column-gradient matrix
     kConvPadded = 3,      // im2col/col2im zero-bordered [C, H+2p, W+2p] plane

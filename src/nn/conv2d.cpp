@@ -110,10 +110,8 @@ void Conv2d::backward(const Shape3& in, std::span<const float> params, const Ten
                                   static_cast<std::size_t>(col_rows * out_channels_));
   fill(dft, 0.0f);
   fill(grad_bias, 0.0f);
-  if (grad_in != nullptr) {
-    grad_in->resize({batch, in.c, in.h, in.w});
-    grad_in->fill(0.0f);
-  }
+  // col2im overwrites each sample's row of grad_in.
+  if (grad_in != nullptr) grad_in->resize({batch, in.c, in.h, in.w});
 
   const gemmk::VecPlane& vec = gemm_runtime_config().plane;
   // Serial over the batch: the filter-gradient accumulation must stay

@@ -33,12 +33,12 @@
 //   * Every shape takes this driver, down to the 50x16x10 layers of the
 //     paper MLPs.
 //
-// Historical bit-compatibility: an accumulating gemm/gemm_tn starts each
-// sum from C and adds the k terms on top (the old memory-accumulation
-// order); an accumulating gemm_nt sums the dot product from +0 and adds it
-// to C at store (the old register order).  The old `a == 0` skip is gone:
-// it made timing data-dependent (ReLU activations are full of exact zeros)
-// and broke FP contraction uniformity between the skip and non-skip paths.
+// One accumulate semantic: every element's dot product sums its k terms from
+// +0, and only gemm_nt can add it to C, once, at the store (the conv filter
+// gradient's sum over the batch); gemm and gemm_tn always overwrite C.  The
+// old `a == 0` skip is gone: it made timing data-dependent (ReLU activations
+// are full of exact zeros) and broke FP contraction uniformity between the
+// skip and non-skip paths.
 #include "tensor/gemm.hpp"
 
 #include <algorithm>
@@ -161,9 +161,9 @@ void blocked_gemm(const float* a, const float* b, float* c, std::int64_t m,
   const std::int64_t a_step = V == GemmOp::kTN ? m : 1;
   const bool b_in_place =
       V != GemmOp::kNT && n * std::int64_t{sizeof(float)} < kInPlaceBRowBytes;
-  const gemmk::StoreMode mode = !accumulate       ? gemmk::StoreMode::kOverwrite
-                                : V == GemmOp::kNT ? gemmk::StoreMode::kAddAtStore
-                                                   : gemmk::StoreMode::kInitFromC;
+  const gemmk::StoreMode mode = V == GemmOp::kNT && accumulate
+                                    ? gemmk::StoreMode::kAddAtStore
+                                    : gemmk::StoreMode::kOverwrite;
 
   const auto task_body = [&](std::int64_t task) {
     // Pack-vs-kernel attribution: timed only while tracing is on (the off
@@ -255,11 +255,11 @@ void gemm_run(GemmOp op, const float* a, const float* b, float* c,
 }  // namespace
 
 void gemm(std::span<const float> a, std::span<const float> b, std::span<float> c,
-          std::int64_t m, std::int64_t k, std::int64_t n, bool accumulate) {
+          std::int64_t m, std::int64_t k, std::int64_t n) {
   FEDHISYN_CHECK(static_cast<std::int64_t>(a.size()) >= m * k);
   FEDHISYN_CHECK(static_cast<std::int64_t>(b.size()) >= k * n);
   FEDHISYN_CHECK(static_cast<std::int64_t>(c.size()) >= m * n);
-  gemm_run(GemmOp::kNN, a.data(), b.data(), c.data(), m, k, n, accumulate);
+  gemm_run(GemmOp::kNN, a.data(), b.data(), c.data(), m, k, n, /*accumulate=*/false);
 }
 
 void gemm_nt(std::span<const float> a, std::span<const float> b, std::span<float> c,
@@ -271,11 +271,11 @@ void gemm_nt(std::span<const float> a, std::span<const float> b, std::span<float
 }
 
 void gemm_tn(std::span<const float> a, std::span<const float> b, std::span<float> c,
-             std::int64_t m, std::int64_t k, std::int64_t n, bool accumulate) {
+             std::int64_t m, std::int64_t k, std::int64_t n) {
   FEDHISYN_CHECK(static_cast<std::int64_t>(a.size()) >= k * m);
   FEDHISYN_CHECK(static_cast<std::int64_t>(b.size()) >= k * n);
   FEDHISYN_CHECK(static_cast<std::int64_t>(c.size()) >= m * n);
-  gemm_run(GemmOp::kTN, a.data(), b.data(), c.data(), m, k, n, accumulate);
+  gemm_run(GemmOp::kTN, a.data(), b.data(), c.data(), m, k, n, /*accumulate=*/false);
 }
 
 }  // namespace fedhisyn

@@ -1,9 +1,10 @@
 // Single-precision GEMM kernels used by the dense and convolution layers.
 //
-// C (MxN) += / = op(A) * op(B).  Row-major.  Every shape runs one blocked
-// kernel (see gemm.cpp): C is tiled over a 2-D (row strip x column panel)
-// grid that the ParallelExecutor pool fans out over (inline when already
-// inside a parallel region), and an MRxNR register micro-kernel does the
+// C (MxN) = op(A) * op(B), or C += A * B^T with gemm_nt's `accumulate`.
+// Row-major.  Every shape runs one blocked kernel (see gemm.cpp): C is
+// tiled over a 2-D (row strip x column panel) grid that the
+// ParallelExecutor pool fans out over (inline when already inside a
+// parallel region), and an MRxNR register micro-kernel does the
 // arithmetic.  A is read in place; B is read in place on NN/TN shapes with
 // n < 128 and packed into per-thread aligned scratch otherwise.  Every tile,
 // edge tiles included, is stored straight to C (no staging tile).
@@ -29,21 +30,19 @@
 
 namespace fedhisyn {
 
-/// C = A(MxK) * B(KxN), or C += A * B with `accumulate` (each element's sum
-/// starts from C).  All matrices row-major, contiguous.
+/// C = A(MxK) * B(KxN).  All matrices row-major, contiguous.
 void gemm(std::span<const float> a, std::span<const float> b, std::span<float> c,
-          std::int64_t m, std::int64_t k, std::int64_t n, bool accumulate = false);
+          std::int64_t m, std::int64_t k, std::int64_t n);
 
 /// C = A(MxK) * B^T where B is (NxK) row-major; i.e. C[i,j] = dot(A[i,:], B[j,:]).
 /// With `accumulate`, C[i,j] = C[i,j] + dot: the dot sums from +0 and is
-/// added at the store.
+/// added at the store.  This is the one accumulating GEMM.
 void gemm_nt(std::span<const float> a, std::span<const float> b, std::span<float> c,
              std::int64_t m, std::int64_t k, std::int64_t n, bool accumulate = false);
 
 /// C = A^T(MxK, stored KxM... ) — precisely: A is (KxM) row-major, B is (KxN)
-/// row-major, C(MxN) = A^T * B, or C += A^T * B with `accumulate` (as gemm).
-/// Used for weight gradients.
+/// row-major, C(MxN) = A^T * B.  Used for weight gradients.
 void gemm_tn(std::span<const float> a, std::span<const float> b, std::span<float> c,
-             std::int64_t m, std::int64_t k, std::int64_t n, bool accumulate = false);
+             std::int64_t m, std::int64_t k, std::int64_t n);
 
 }  // namespace fedhisyn

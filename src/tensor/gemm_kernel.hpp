@@ -13,14 +13,9 @@
 // (VecPlane below) for the step's elementwise loops.
 //
 // The k-loop contract is the repo's byte-identity contract in miniature.
-// For every valid element, with dot = +0.0f + sum over p ascending of
-// a[ii][p*a_step] * b[p*ldb + jj]:
-//
-//   kOverwrite   c[ii*ldc + jj] = dot
-//   kInitFromC   c[ii*ldc + jj] = c[ii*ldc + jj] + terms   (the sum starts
-//                                 from C instead of +0; NN/TN accumulate)
-//   kAddAtStore  c[ii*ldc + jj] = c[ii*ldc + jj] + dot     (NT accumulate)
-//
+// Every valid element gets dot = +0.0f + sum over p ascending of
+// a[ii][p*a_step] * b[p*ldb + jj], stored as c[ii*ldc + jj] = dot
+// (kOverwrite) or c[ii*ldc + jj] = c[ii*ldc + jj] + dot (kAddAtStore),
 // with exactly one IEEE-rounded multiply and one IEEE-rounded add per term
 // (NO fused multiply-add: contraction skips the product rounding and would
 // make an FMA variant's bytes diverge from the generic kernel's — the
@@ -54,14 +49,13 @@ struct ConvGeometry;  // tensor/im2col.hpp
 namespace fedhisyn::gemmk {
 
 /// The three public entry points' operand layouts (gemm / gemm_nt / gemm_tn).
-/// Only the operand addressing and the accumulate semantics differ per op;
-/// the k-loop is op-agnostic.
+/// Only the operand addressing differs per op; the k-loop is op-agnostic.
 enum class GemmOp { kNN, kNT, kTN };
 
-/// How a tile's accumulators start and land in C (the contract above).
-/// The driver picks kOverwrite for every op without `accumulate`, and with
-/// it kInitFromC for NN/TN and kAddAtStore for NT.
-enum class StoreMode { kOverwrite, kInitFromC, kAddAtStore };
+/// How a tile's dot lands in C (the contract above).  The driver picks
+/// kAddAtStore for an accumulating gemm_nt and kOverwrite for every other
+/// call.
+enum class StoreMode { kOverwrite, kAddAtStore };
 
 /// Tallest register tile any variant declares; the driver's row-pointer
 /// array is sized to this.  Each kernel TU static_asserts that its tile

@@ -48,9 +48,7 @@ __attribute__((target("avx2"))) void kloop_8x8(
   const float* ar[8];
 #pragma GCC unroll 8
   for (int ii = 0; ii < 8; ++ii) {
-    vacc[ii] = mode != StoreMode::kInitFromC ? _mm256_setzero_ps()
-               : full ? _mm256_loadu_ps(c + ii * ldc)
-                      : _mm256_maskload_ps(c + ii * ldc, ii < mr_valid ? cols : none);
+    vacc[ii] = _mm256_setzero_ps();
     ar[ii] = a[ii];
   }
   if (nr_valid == 8) {

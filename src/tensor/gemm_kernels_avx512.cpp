@@ -32,9 +32,7 @@ __attribute__((target("avx512f"))) void kloop_8x16(
   const float* ar[8];
 #pragma GCC unroll 8
   for (int ii = 0; ii < 8; ++ii) {
-    vacc[ii] = mode == StoreMode::kInitFromC && ii < mr_valid
-                   ? _mm512_maskz_loadu_ps(cols, c + ii * ldc)
-                   : _mm512_setzero_ps();
+    vacc[ii] = _mm512_setzero_ps();
     ar[ii] = a[ii];
   }
   if (nr_valid == 16) {

@@ -1,9 +1,9 @@
 // Generic (portable) GEMM micro-kernel: the 4x8 register tile in GCC vector
 // extensions that every arch-specialised variant must reproduce bit-for-bit.
-// The k-loop initialises 4x2 4-lane vector registers from the C tile (or
-// zero), accumulates the full k extent in ascending order (one rounded mul +
-// one rounded add per term — see the contract in gemm_kernel.hpp), and
-// stores the registers back to the C tile (or adds them onto it).  The
+// The k-loop starts 4x2 4-lane vector registers from +0, accumulates the
+// full k extent in ascending order (one rounded mul + one rounded add per
+// term — see the contract in gemm_kernel.hpp), and stores the registers to
+// the C tile, or adds them onto it (kAddAtStore).  The
 // generic vector plane (tensor/gemm_plane.inc) is built here for the
 // baseline ISA, on 4-lane vectors.
 #include "tensor/gemm_kernel.hpp"
@@ -80,7 +80,7 @@ void scalar_tile(const float* const* a, std::int64_t a_step, const float* b,
   for (std::int64_t ii = 0; ii < mr_valid; ++ii) {
     float* ci = c + ii * ldc;
     for (std::int64_t jj = 0; jj < nr_valid; ++jj) {
-      float acc = mode == StoreMode::kInitFromC ? ci[jj] : 0.0f;
+      float acc = 0.0f;
       for (std::int64_t p = 0; p < k; ++p) acc += a[ii][p * a_step] * b[p * ldb + jj];
       ci[jj] = mode == StoreMode::kAddAtStore ? ci[jj] + acc : acc;
     }
@@ -104,10 +104,7 @@ void kloop_4x8(const float* const* a, std::int64_t a_step, const float* b,
   const float* ar[kMR];
 #pragma GCC unroll 4
   for (std::int64_t ii = 0; ii < kMR; ++ii) {
-    const bool load = mode == StoreMode::kInitFromC && ii < mr_valid;
-    for (std::int64_t jv = 0; jv < kNV; ++jv) {
-      vacc[ii][jv] = load ? v4_loadu(c + ii * ldc + jv * 4) : v4_broadcast(0.0f);
-    }
+    for (std::int64_t jv = 0; jv < kNV; ++jv) vacc[ii][jv] = v4_broadcast(0.0f);
     ar[ii] = a[ii];
   }
   std::int64_t p = 0;

@@ -13,21 +13,28 @@ namespace {
 std::int64_t padded_height(const ConvGeometry& g) { return g.height + 2 * g.padding; }
 std::int64_t padded_width(const ConvGeometry& g) { return g.width + 2 * g.padding; }
 
-// Copy one sample's [C,H,W] into the calling thread's [C,H+2p,W+2p] plane
-// (ScratchArena::kConvPadded) with a zero border.
+// The calling thread's [C,H+2p,W+2p] plane (ScratchArena::kConvPadded),
+// filled with +0.
+float* zeroed_plane(const ConvGeometry& g) {
+  auto plane = ScratchArena::buffer(
+      ScratchArena::kConvPadded,
+      static_cast<std::size_t>(g.channels * padded_height(g) * padded_width(g)));
+  std::fill(plane.begin(), plane.end(), 0.0f);
+  return plane.data();
+}
+
+// zeroed_plane with one sample's [C,H,W] copied into its interior.
 float* padded_plane(const float* image, const ConvGeometry& g) {
   const std::int64_t ph = padded_height(g);
   const std::int64_t pw = padded_width(g);
-  auto plane = ScratchArena::buffer(ScratchArena::kConvPadded,
-                                    static_cast<std::size_t>(g.channels * ph * pw));
-  std::fill(plane.begin(), plane.end(), 0.0f);
+  float* plane = zeroed_plane(g);
   for (std::int64_t c = 0; c < g.channels; ++c) {
     for (std::int64_t y = 0; y < g.height; ++y) {
       const float* src = image + (c * g.height + y) * g.width;
-      std::copy(src, src + g.width, plane.data() + (c * ph + y + g.padding) * pw + g.padding);
+      std::copy(src, src + g.width, plane + (c * ph + y + g.padding) * pw + g.padding);
     }
   }
-  return plane.data();
+  return plane;
 }
 
 }  // namespace
@@ -44,11 +51,9 @@ void col2im(std::span<const float> columns, const ConvGeometry& g, std::span<flo
   FEDHISYN_CHECK(static_cast<std::int64_t>(columns.size()) >= g.col_rows() * g.col_cols());
   const std::int64_t ph = padded_height(g);
   const std::int64_t pw = padded_width(g);
-  // The plane starts as image_grad (zero border), so each interior element
-  // adds its (ky, kx) terms onto image_grad's value in ascending order —
-  // the same sums as adding straight into image_grad.  Border sums are
-  // dropped.
-  float* plane = padded_plane(image_grad.data(), g);
+  // Each interior element sums its (ky, kx) terms from +0 in ascending
+  // order; border sums are dropped.
+  float* plane = zeroed_plane(g);
   gemm_runtime_config().plane.col2im_rows(columns.data(), g, plane);
   for (std::int64_t c = 0; c < g.channels; ++c) {
     for (std::int64_t y = 0; y < g.height; ++y) {

@@ -2,10 +2,11 @@
 // per sample; column matrix is [C*KH*KW, OH*OW] so conv becomes a GEMM with
 // the [OC, C*KH*KW] filter matrix (the wide-N shape the blocked kernel in
 // tensor/gemm.hpp tiles over column panels).  Both directions go through a
-// per-thread zero-bordered [C, H+2p, W+2p] copy of the sample
-// (ScratchArena::kConvPadded), so every column row is a plain strided read
-// or add of that plane and no element is bounds-tested; the row loops run
-// in the vector plane (tensor/gemm_kernel.hpp VecPlane).
+// per-thread zero-bordered [C, H+2p, W+2p] plane (ScratchArena::kConvPadded):
+// im2col copies the sample into it, col2im scatter-adds into it from +0 and
+// copies its interior out, so every column row is a plain strided read or
+// add of that plane and no element is bounds-tested; the row loops run in
+// the vector plane (tensor/gemm_kernel.hpp VecPlane).
 #pragma once
 
 #include <cstdint>
@@ -31,9 +32,8 @@ struct ConvGeometry {
 void im2col(std::span<const float> image, const ConvGeometry& g, std::span<float> columns);
 
 /// Scatter-add the column matrix back into an image gradient (C*H*W floats).
-/// `image_grad` is accumulated into: each element adds its (ky, kx) terms
-/// onto its current value in ascending order (the conv backward zeroes it
-/// first).
+/// `image_grad` is overwritten, never read: each element is +0 plus its
+/// (ky, kx) terms in ascending order, and an element no column covers is +0.
 void col2im(std::span<const float> columns, const ConvGeometry& g, std::span<float> image_grad);
 
 }  // namespace fedhisyn

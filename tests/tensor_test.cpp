@@ -120,11 +120,16 @@ INSTANTIATE_TEST_SUITE_P(Shapes, GemmShapes,
                                            std::make_tuple(2, 100, 2)));
 
 TEST(Gemm, AccumulateAddsOntoC) {
+  // gemm_nt is the one accumulating op: C += A * B^T with B stored (n x k).
   Rng rng(3);
   const auto a = random_vec(6, rng);
-  const auto b = random_vec(6, rng);
+  const auto b_t = random_vec(6, rng);
   std::vector<float> c(4, 1.0f);
-  gemm(a, b, c, 2, 3, 2, /*accumulate=*/true);
+  gemm_nt(a, b_t, c, 2, 3, 2, /*accumulate=*/true);
+  std::vector<float> b(6);
+  for (int j = 0; j < 2; ++j) {
+    for (int p = 0; p < 3; ++p) b[p * 2 + j] = b_t[j * 3 + p];
+  }
   std::vector<float> ref(4, 0.0f);
   naive_gemm(a, b, ref, 2, 3, 2);
   for (int i = 0; i < 4; ++i) EXPECT_NEAR(c[i], ref[i] + 1.0f, 1e-4f);
@@ -164,16 +169,16 @@ TEST(Gemm, TransposedVariantsAgreeWithExplicitTranspose) {
 
 // --- order-exact references --------------------------------------------------
 // Same per-element float arithmetic as the kernels, spelled naively: k terms
-// in ascending order; an accumulating gemm/gemm_tn starts from the C value,
-// an accumulating gemm_nt sums from zero and adds C at the store.  Every
-// kernel variant, inline or pooled, must reproduce these bits exactly.
+// in ascending order from +0; an accumulating gemm_nt adds the sum to C at
+// the store.  Every kernel variant, inline or pooled, must reproduce these
+// bits exactly.
 
 void exact_gemm(const std::vector<float>& a, const std::vector<float>& b,
                 std::vector<float>& c, std::int64_t m, std::int64_t k,
-                std::int64_t n, bool accumulate) {
+                std::int64_t n) {
   for (std::int64_t i = 0; i < m; ++i) {
     for (std::int64_t j = 0; j < n; ++j) {
-      float acc = accumulate ? c[static_cast<std::size_t>(i * n + j)] : 0.0f;
+      float acc = 0.0f;
       for (std::int64_t p = 0; p < k; ++p) {
         acc += a[static_cast<std::size_t>(i * k + p)] *
                b[static_cast<std::size_t>(p * n + j)];
@@ -201,10 +206,10 @@ void exact_gemm_nt(const std::vector<float>& a, const std::vector<float>& b,
 
 void exact_gemm_tn(const std::vector<float>& a, const std::vector<float>& b,
                    std::vector<float>& c, std::int64_t m, std::int64_t k,
-                   std::int64_t n, bool accumulate) {
+                   std::int64_t n) {
   for (std::int64_t i = 0; i < m; ++i) {
     for (std::int64_t j = 0; j < n; ++j) {
-      float acc = accumulate ? c[static_cast<std::size_t>(i * n + j)] : 0.0f;
+      float acc = 0.0f;
       for (std::int64_t p = 0; p < k; ++p) {
         acc += a[static_cast<std::size_t>(p * m + i)] *
                b[static_cast<std::size_t>(p * n + j)];
@@ -215,14 +220,14 @@ void exact_gemm_tn(const std::vector<float>& a, const std::vector<float>& b,
 }
 
 // Run the selected kernel variant on one shape, all three ops, and demand
-// exact float equality with the order-exact references.  C starts from the
-// same random contents on both sides so accumulation is exercised for real.
-// Operands are sized exactly, so a sanitizer build catches any read or
-// write past an edge tile's valid corner.
-void expect_all_variants_exact(std::int64_t m, std::int64_t k, std::int64_t n,
-                               bool accumulate, Rng& rng) {
-  SCOPED_TRACE(::testing::Message() << "m=" << m << " k=" << k << " n=" << n
-                                    << " accumulate=" << accumulate);
+// exact float equality with the order-exact references: NN and TN
+// overwrite, NT runs both without and with `accumulate`.  C starts from the
+// same random contents on both sides, so an overwrite that reads C, or an
+// accumulation that skips it, moves the bits.  Operands are sized exactly,
+// so a sanitizer build catches any read or write past an edge tile's valid
+// corner.
+void expect_all_variants_exact(std::int64_t m, std::int64_t k, std::int64_t n, Rng& rng) {
+  SCOPED_TRACE(::testing::Message() << "m=" << m << " k=" << k << " n=" << n);
   const auto a = random_vec(static_cast<std::size_t>(m * k), rng);
   const auto b = random_vec(static_cast<std::size_t>(k * n), rng);
   const auto c0 = random_vec(static_cast<std::size_t>(m * n), rng);
@@ -231,24 +236,26 @@ void expect_all_variants_exact(std::int64_t m, std::int64_t k, std::int64_t n,
 
   auto c = c0;
   auto ref = c0;
-  gemm(a, b, c, m, k, n, accumulate);
-  exact_gemm(a, b, ref, m, k, n, accumulate);
+  gemm(a, b, c, m, k, n);
+  exact_gemm(a, b, ref, m, k, n);
   for (std::size_t i = 0; i < ref.size(); ++i) {
     ASSERT_EQ(c[i], ref[i]) << "gemm at " << i;
   }
 
-  c = c0;
-  ref = c0;
-  gemm_nt(a, b_t, c, m, k, n, accumulate);
-  exact_gemm_nt(a, b_t, ref, m, k, n, accumulate);
-  for (std::size_t i = 0; i < ref.size(); ++i) {
-    ASSERT_EQ(c[i], ref[i]) << "gemm_nt at " << i;
+  for (const bool accumulate : {false, true}) {
+    c = c0;
+    ref = c0;
+    gemm_nt(a, b_t, c, m, k, n, accumulate);
+    exact_gemm_nt(a, b_t, ref, m, k, n, accumulate);
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+      ASSERT_EQ(c[i], ref[i]) << "gemm_nt accumulate=" << accumulate << " at " << i;
+    }
   }
 
   c = c0;
   ref = c0;
-  gemm_tn(a_t, b, c, m, k, n, accumulate);
-  exact_gemm_tn(a_t, b, ref, m, k, n, accumulate);
+  gemm_tn(a_t, b, c, m, k, n);
+  exact_gemm_tn(a_t, b, ref, m, k, n);
   for (std::size_t i = 0; i < ref.size(); ++i) {
     ASSERT_EQ(c[i], ref[i]) << "gemm_tn at " << i;
   }
@@ -291,9 +298,7 @@ class GemmExactShapes
 TEST_P(GemmExactShapes, WithAndWithoutAccumulateMatchOrderExactReference) {
   const auto [m, k, n] = GetParam();
   Rng rng(4000 + m * 131 + k * 17 + n);
-  for (const bool accumulate : {false, true}) {
-    expect_all_variants_exact(m, k, n, accumulate, rng);
-  }
+  expect_all_variants_exact(m, k, n, rng);
 }
 
 INSTANTIATE_TEST_SUITE_P(EdgeShapes, GemmExactShapes,
@@ -319,8 +324,8 @@ class ScopedGemmKernel {
 };
 
 // Every variant this CPU runs, forced via the selection, must reproduce
-// the order-exact reference bits on every edge shape, with and without
-// accumulate, all three ops.  The references are the same anchor the default-kernel suite uses,
+// the order-exact reference bits on every edge shape, all three ops, NT
+// with and without accumulate.  The references are the same anchor the default-kernel suite uses,
 // so this is transitively exact equality across all variants.
 TEST(GemmKernelMatrix, AllVariantsBitIdenticalToOrderExactReference) {
   const auto variants = gemm_supported_variants();
@@ -333,9 +338,7 @@ TEST(GemmKernelMatrix, AllVariantsBitIdenticalToOrderExactReference) {
     for (const auto& shape : kGemmEdgeShapes) {
       const auto [m, k, n] = shape;
       Rng rng(4000 + m * 131 + k * 17 + n);
-      for (const bool accumulate : {false, true}) {
-        expect_all_variants_exact(m, k, n, accumulate, rng);
-      }
+      expect_all_variants_exact(m, k, n, rng);
     }
   }
 }
@@ -610,7 +613,7 @@ TEST(GemmExact, ExactZeroOperandsTakeNoShortcut) {
   std::vector<float> c(static_cast<std::size_t>(m * n));
   std::vector<float> ref(static_cast<std::size_t>(m * n));
   gemm(a, b, c, m, k, n);
-  exact_gemm(a, b, ref, m, k, n, /*accumulate=*/false);
+  exact_gemm(a, b, ref, m, k, n);
   for (std::size_t i = 0; i < ref.size(); ++i) ASSERT_EQ(c[i], ref[i]) << i;
 }
 
@@ -625,16 +628,20 @@ TEST(GemmExact, BitIdenticalAcrossThreadCounts) {
   const auto b = random_vec(static_cast<std::size_t>(k * n), rng);
   const auto b_t = random_vec(static_cast<std::size_t>(n * k), rng);
   const auto a_t = random_vec(static_cast<std::size_t>(k * m), rng);
-  std::vector<float> serial(static_cast<std::size_t>(m * n));
-  std::vector<float> pooled(static_cast<std::size_t>(m * n));
+  const auto mn = static_cast<std::size_t>(m * n);
+  std::vector<float> serial(2 * mn);
+  std::vector<float> pooled(2 * mn);
 
   ParallelExecutor pool1(1);
   ParallelExecutor pool8(8);
-  const auto run_all = [&](ParallelExecutor& pool, std::vector<float>& c) {
+  // NN, then the accumulating NT on top of it, into the first half; TN
+  // overwrites the second half.
+  const auto run_all = [&](ParallelExecutor& pool, std::vector<float>& out) {
     ParallelExecutor::Bind bind(pool);
+    const std::span<float> c(out.data(), mn);
     gemm(a, b, c, m, k, n);
     gemm_nt(a, b_t, c, m, k, n, /*accumulate=*/true);
-    gemm_tn(a_t, b, c, m, k, n, /*accumulate=*/true);
+    gemm_tn(a_t, b, std::span<float>(out).subspan(mn), m, k, n);
   };
   run_all(pool1, serial);
   run_all(pool8, pooled);
@@ -787,7 +794,8 @@ std::vector<float> im2col_reference(const std::vector<float>& image, const ConvG
 }
 
 /// Scalar col2im reference: adds each column element straight onto
-/// image_grad, column rows in (c, ky, kx) order; padding terms are dropped.
+/// image_grad (started from +0 by the caller), column rows in (c, ky, kx)
+/// order; padding terms are dropped.
 void col2im_reference(const std::vector<float>& columns, const ConvGeometry& g,
                       std::vector<float>& image_grad) {
   std::size_t i = 0;
@@ -841,10 +849,10 @@ TEST_P(Im2colGeometry, MatchesScalarReferenceExactly) {
     ASSERT_EQ(0, std::memcmp(columns.data(), expected_columns.data(),
                              columns.size() * sizeof(float)));
 
-    // col2im accumulates onto a nonzero image gradient.
+    // col2im overwrites a junk image gradient: the reference starts from +0.
     const auto grad_columns = random_vec(columns.size(), rng);
-    auto image_grad = random_vec(image.size(), rng);
-    auto expected_grad = image_grad;
+    std::vector<float> image_grad(image.size(), std::numeric_limits<float>::quiet_NaN());
+    std::vector<float> expected_grad(image.size(), 0.0f);
     col2im(grad_columns, g, image_grad);
     col2im_reference(grad_columns, g, expected_grad);
     ASSERT_EQ(0, std::memcmp(image_grad.data(), expected_grad.data(),
