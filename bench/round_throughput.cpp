@@ -1,4 +1,4 @@
-// Async round throughput: wavefront-parallel RoundGraph execution of the
+// Async round throughput: ready-count RoundGraph execution of the
 // event-driven methods (TAFedAvg, FedAsync) across fleet sizes, against the
 // same rounds on a 1-thread pool, and emits machine-readable
 // BENCH_rounds.json.
@@ -7,9 +7,10 @@
 // consumes the JSON and fails the bench-regression job when an entry
 // regresses against bench/baselines/BENCH_rounds.json.
 //
-// The gate metric is `speedup_model` = trained jobs / parallel dispatch
-// slots of the wavefront schedule (RoundGraphStats::dispatch_slots): the
-// overlap factor the scheduler achieves at the configured thread count.  It
+// The gate metric is `speedup_model` = trained jobs / dispatch slots
+// (RoundGraphStats::dispatch_slots): the makespan of the executor's
+// ready-order policy replayed with unit job costs on the configured thread
+// count, so the ratio is the overlap factor that policy achieves.  It
 // is a deterministic property of (fleet build, thread count) — byte-stable
 // across machines and immune to runner noise — so it gates the *scheduler*,
 // not the host.  Wall-clock ms/round on the configured pool and on a

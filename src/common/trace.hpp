@@ -61,8 +61,10 @@ inline bool enabled() {
 /// timestamps are microseconds since the first enable).  Idempotent.
 void set_enabled(bool on);
 
-/// Microseconds since the trace epoch.  Only meaningful while enabled();
-/// callers must guard with enabled() so the off path never reads a clock.
+/// Microseconds since the trace epoch (pinned by the first enable or the
+/// first call).  Spans and instants read it only while enabled(); untraced
+/// callers use differences of it for timing counters (round_graph.busy_us
+/// and wait_us), which never reach result bytes.
 std::int64_t now_us();
 
 /// Monotonic seconds for timing *metadata* (per-cell seconds, the progress

@@ -126,19 +126,16 @@ RoundGraphStats FlAlgorithm::run_async_round(
     }
   }
 
-  // ---- Phase 2: execute.  Training jobs fan out on the pool wave by wave;
-  // the cheap server mixes run as the graph's commit chain, strictly in
-  // event order on this thread.
-  auto& pool = ParallelExecutor::current();
-  if (job_scratch_.size() < pool.thread_count()) {
-    job_scratch_.resize(pool.thread_count());
-  }
+  // ---- Phase 2: execute.  Training jobs start on the pool as soon as their
+  // input exists; the cheap server mixes run as the graph's commit chain,
+  // strictly in event order.
+  const auto scratch = slot_scratch();
   const RoundGraphExecutor executor;
   last_round_stats_ = executor.run(
       graph,
       [&](const RoundJob& job, std::vector<float>& model, std::size_t slot) {
         run_async_job(job.device, epochs, Rng(job.stream),
-                      std::span<float>(model), job_scratch_[slot]);
+                      std::span<float>(model), scratch[slot]);
       },
       [&](std::size_t index, const std::vector<float>& output,
           std::vector<float>* publish_into) {
@@ -150,6 +147,12 @@ RoundGraphStats FlAlgorithm::run_async_round(
       });
   ++rounds_completed_;
   return last_round_stats_;
+}
+
+std::span<TrainScratch> FlAlgorithm::slot_scratch() {
+  const std::size_t slots = ParallelExecutor::current().thread_count();
+  if (job_scratch_.size() < slots) job_scratch_.resize(slots);
+  return job_scratch_;
 }
 
 void FlAlgorithm::run_async_job(std::size_t device, int epochs, Rng rng,

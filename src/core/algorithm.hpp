@@ -81,13 +81,18 @@ class FlAlgorithm {
   /// the moment it arrives.  The round's event timeline is replayed
   /// symbolically (durations depend only on the fleet profile), compiled
   /// into a RoundGraph whose serial commit chain carries the server mixes,
-  /// and executed wavefront-parallel — byte-identical at any thread count.
+  /// and executed by ready counts — byte-identical at any thread count.
   /// `mix_alpha(staleness)` is the server mixing rate for an upload whose
   /// download happened `staleness` server versions ago.  Advances
   /// rounds_completed_; the number of uploads is the returned stats.jobs.
   RoundGraphStats run_async_round(
       std::uint64_t round_mult, std::uint64_t device_mult,
       const std::function<float(std::int64_t)>& mix_alpha);
+
+  /// One TrainScratch per slot of the current pool, owned across rounds.
+  /// Reuse never leaks into results: train_local resets everything a job
+  /// reads.
+  std::span<TrainScratch> slot_scratch();
 
  private:
   /// The one local-training invocation every async job goes through, so no
@@ -96,9 +101,7 @@ class FlAlgorithm {
   void run_async_job(std::size_t device, int epochs, Rng rng, std::span<float> model,
                      TrainScratch& scratch);
 
-  /// Per-slot scratch reused across rounds by the async helpers (scratch
-  /// contents never leak into results — train_local resets per job).
-  std::vector<TrainScratch> job_scratch_;
+  std::vector<TrainScratch> job_scratch_;  // behind slot_scratch()
 
  protected:
 

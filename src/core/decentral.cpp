@@ -69,7 +69,7 @@ std::string DecentralHomogeneous::name() const {
 void DecentralHomogeneous::run_round() {
   const std::size_t n = ctx_.device_count();
   auto& pool = ParallelExecutor::current();
-  std::vector<TrainScratch> scratch(pool.thread_count());
+  const auto scratch = slot_scratch();
 
   // (1) Everyone trains one job on its current model.
   pool.parallel_for(n, [&](std::size_t d, std::size_t slot) {
@@ -166,7 +166,7 @@ void DecentralRing::run_round() {
   if (!topology_built_) build_topology();
   const double interval = round_duration();
   auto result = engine_.run_interval(rings_, all_devices_, std::move(device_models_),
-                                     interval, rng_);
+                                     interval, rng_, slot_scratch());
   device_models_ = std::move(result.device_models);
   for (std::int64_t h = 0; h < result.hops; ++h) comm_.record_device_to_device();
   ++rounds_completed_;

@@ -52,7 +52,7 @@ void FedATAlgo::run_round() {
   if (!tiers_built_) build_tiers();
   const double interval = round_duration();
   auto& pool = ParallelExecutor::current();
-  std::vector<TrainScratch> scratch(pool.thread_count());
+  const auto scratch = slot_scratch();
 
   // Each tier independently completes floor(interval / tier_round_time)
   // synchronous tier-rounds within the common interval.  Tier rounds are

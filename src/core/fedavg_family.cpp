@@ -38,7 +38,7 @@ void FedAvgFamily::run_round() {
   // (seed, round, device id), independent of thread schedule.
   std::vector<std::vector<float>> locals(participants.size());
   auto& pool = ParallelExecutor::current();
-  std::vector<TrainScratch> scratch(pool.thread_count());
+  const auto scratch = slot_scratch();
   std::vector<std::int64_t> cost(participants.size());
   for (std::size_t i = 0; i < participants.size(); ++i) {
     cost[i] = local_steps(participants[i], epochs_for_device(participants[i], interval));

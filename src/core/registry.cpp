@@ -60,12 +60,12 @@ FEDHISYN_REGISTER_ALGORITHM(
 FEDHISYN_REGISTER_ALGORITHM(
     "TAFedAvg",
     "fully asynchronous: the server mixes every upload on arrival at a fixed "
-    "rate (wavefront-parallel RoundGraph rounds)",
+    "rate (task-graph rounds run by ready counts)",
     [](const FlContext& ctx) { return std::make_unique<TAFedAvgAlgo>(ctx); });
 FEDHISYN_REGISTER_ALGORITHM(
     "FedAsync",
     "asynchronous with polynomial staleness damping of each upload "
-    "(wavefront-parallel RoundGraph rounds)",
+    "(task-graph rounds run by ready counts)",
     [](const FlContext& ctx) { return std::make_unique<FedAsyncAlgo>(ctx); });
 FEDHISYN_REGISTER_ALGORITHM(
     "FedAT", "tiered asynchronism: synchronous within speed tiers, "

@@ -13,7 +13,8 @@ RingEngine::RingEngine(const FlContext& ctx) : ctx_(ctx) {}
 RingEngineResult RingEngine::run_interval(const std::vector<sim::RingTopology>& rings,
                                           const std::vector<std::size_t>& participants,
                                           std::vector<std::vector<float>> initial_models,
-                                          double interval, Rng& rng) {
+                                          double interval, Rng& rng,
+                                          std::span<TrainScratch> scratch) {
   FEDHISYN_CHECK(interval > 0.0);
   const std::size_t n = ctx_.device_count();
   FEDHISYN_CHECK(initial_models.size() == n);
@@ -150,12 +151,10 @@ RingEngineResult RingEngine::run_interval(const std::vector<sim::RingTopology>& 
   }
 
   // ---- Phase 2: execute on the shared round engine. ----------------------
-  // Wavefront-parallel, bit-identical for any thread count: each job draws
-  // from its own stream (derived from the caller's rng and the job's event
-  // order), never from thread identity.  No commit chain — ring circulation
-  // has no server.
-  auto& pool = ParallelExecutor::current();
-  std::vector<TrainScratch> scratch(pool.thread_count());
+  // Bit-identical for any thread count: each job draws from its own stream
+  // (derived from the caller's rng and the job's event order), never from
+  // thread identity.  No commit chain — ring circulation has no server.
+  FEDHISYN_CHECK(scratch.size() >= ParallelExecutor::current().thread_count());
   const RoundGraphExecutor executor;
   executor.run(
       graph,

@@ -12,8 +12,8 @@
 // replays the event timeline symbolically — producing a RoundGraph of
 // training jobs whose edges are "device continues its own model" and "model
 // forwarded along the ring" — and then hands the graph to the shared
-// RoundGraphExecutor (core/round_graph.hpp), which runs it wavefront-parallel
-// on the ParallelExecutor pool.  Each job draws from its own seeded Rng
+// RoundGraphExecutor (core/round_graph.hpp), which starts each job on the
+// ParallelExecutor pool as soon as its input model exists.  Each job draws from its own seeded Rng
 // stream (derived from the caller's rng and the job's event order), so
 // results are bit-identical for any thread count.
 //
@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -53,11 +54,13 @@ class RingEngine {
   /// When `direct_use` is false, a received model is first averaged with the
   /// device's own latest model before training (the Observation-1 ablation).
   /// Consumes exactly one draw from `rng` (the base of the per-job streams),
-  /// regardless of how many jobs run.
+  /// regardless of how many jobs run.  `scratch` holds one TrainScratch per
+  /// slot of the current pool.
   RingEngineResult run_interval(const std::vector<sim::RingTopology>& rings,
                                 const std::vector<std::size_t>& participants,
                                 std::vector<std::vector<float>> initial_models,
-                                double interval, Rng& rng);
+                                double interval, Rng& rng,
+                                std::span<TrainScratch> scratch);
 
  private:
   const FlContext& ctx_;

@@ -11,14 +11,17 @@
 // stream.  RoundGraphExecutor then runs that DAG on the ParallelExecutor
 // pool.
 //
-// Execution: jobs run wavefront-parallel.  A job is scheduled one wave after
-// its last input is produced, and the commit chain (cheap server mixes)
-// advances in job order between waves.
+// Execution: jobs run by ready counts.  Each live job counts the inputs it
+// still waits for; it becomes ready when the last one is produced (a job
+// output when its job finishes, a version when its commit runs).  One worker
+// loop per pool slot pops the lowest-index ready job, trains it and, under
+// the executor lock, advances the commit chain (cheap server mixes) strictly
+// in job order over every finished prefix.
 //
 // Determinism contract: for a fixed graph (same replay), every thread count
 // produces bit-identical node values and commit sequences.  Jobs draw from
 // per-job streams stored in the graph, never from thread identity; commits
-// run in job order on the caller thread.
+// run in job order, one at a time.
 #pragma once
 
 #include <cstddef>
@@ -94,16 +97,18 @@ class RoundGraph {
   std::vector<std::int64_t> publishes_;
 };
 
-/// Execution statistics of one run (informational: stats may vary with the
-/// thread count even though the committed bytes never do).
+/// Execution statistics of one run.  Every field is deterministic for a fixed
+/// (graph, thread count); none depends on the machine running it.
 struct RoundGraphStats {
   std::size_t jobs = 0;    // jobs executed (after pruning unobservable ones)
   std::size_t pruned = 0;  // jobs dropped because nothing observes them
-  std::size_t waves = 0;   // parallel waves dispatched
-  /// Modeled parallel makespan in job units: sum over waves of
-  /// ceil(batch / threads).  jobs / dispatch_slots is the schedule's
-  /// overlap factor — deterministic for a fixed (graph, thread count),
-  /// independent of the machine actually running it.
+  /// DAG level count: a job sits one level past its deepest input, a version
+  /// at the deepest level of the jobs up to its commit.  jobs / waves
+  /// fingerprints the replayed graph.
+  std::size_t waves = 0;
+  /// Modeled parallel makespan in job units: the executor's ready-order
+  /// policy replayed with unit job costs on the pool's thread count.
+  /// jobs / dispatch_slots is the schedule's overlap factor.
   std::size_t dispatch_slots = 0;
 };
 
@@ -116,8 +121,9 @@ class RoundGraphExecutor {
       std::function<void(const RoundJob& job, std::vector<float>& model,
                          std::size_t slot)>;
 
-  /// Serial commit chain, invoked in job order on the caller thread with the
-  /// job's final output.  `publish_into`, when non-null, is the storage of
+  /// Serial commit chain, invoked in job order with the job's final output,
+  /// one commit at a time under the executor lock, possibly on a pool
+  /// thread.  `publish_into`, when non-null, is the storage of
   /// the version node this commit publishes — fill it before returning.
   /// Pass nullptr as the CommitFn for graphs with no server (ring rounds);
   /// jobs whose output nothing observes are then pruned.
@@ -127,9 +133,14 @@ class RoundGraphExecutor {
 
   /// Execute the graph: train every (live) job and run the commit chain.
   /// Values of pinned nodes survive for RoundGraph::take(); everything else
-  /// is freed as soon as its last reader has run.
+  /// is freed as soon as its last reader has finished.  The first exception
+  /// a job or commit throws stops dispatch; run() rethrows it once the jobs
+  /// already running have finished, and no dependent of the failed job runs.
   RoundGraphStats run(RoundGraph& graph, const TrainFn& train,
                       const CommitFn& commit) const;
+
+ private:
+  class Run;
 };
 
 }  // namespace fedhisyn::core

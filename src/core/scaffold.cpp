@@ -23,7 +23,7 @@ void ScaffoldAlgo::run_round() {
   std::vector<std::vector<float>> locals(participants.size());
   std::vector<std::vector<float>> c_deltas(participants.size());
   auto& pool = ParallelExecutor::current();
-  std::vector<TrainScratch> scratch(pool.thread_count());
+  const auto scratch = slot_scratch();
   // SCAFFOLD uses the maximum achievable epochs, like FedAvg in the paper.
   std::vector<int> epochs(participants.size());
   std::vector<std::int64_t> cost(participants.size());

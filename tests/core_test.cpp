@@ -6,6 +6,7 @@
 #include <numeric>
 
 #include "common/check.hpp"
+#include "common/parallel.hpp"
 #include "core/aggregate.hpp"
 #include "core/metrics.hpp"
 #include "core/presets.hpp"
@@ -268,6 +269,11 @@ TEST(Metrics, RingCirculationReducesUploadDispersion) {
   EXPECT_GT(independent.mean_pairwise_distance, 0.0);
 }
 
+/// One TrainScratch per slot of the current pool, as run_interval expects.
+std::vector<TrainScratch> pool_scratch() {
+  return std::vector<TrainScratch>(ParallelExecutor::current().thread_count());
+}
+
 TEST(RingEngine, HomogeneousRingCompletesExpectedJobs) {
   // 6 devices, epoch_time 1, 5-epoch jobs, interval exactly 3 jobs long.
   const TinyWorld world;
@@ -283,7 +289,9 @@ TEST(RingEngine, HomogeneousRingCompletesExpectedJobs) {
   std::vector<std::vector<float>> seeds(6);
   Rng init(41);
   for (auto& seed : seeds) seed = world.network.init_weights(init);
-  const auto result = engine.run_interval({ring}, members, std::move(seeds), 15.0, rng);
+  auto scratch = pool_scratch();
+  const auto result = engine.run_interval({ring}, members, std::move(seeds), 15.0,
+                                          rng, scratch);
   for (std::size_t d = 0; d < 6; ++d) {
     EXPECT_EQ(result.jobs_completed[d], 3) << "device " << d;
   }
@@ -306,7 +314,9 @@ TEST(RingEngine, FastDevicesCompleteMoreJobs) {
   std::vector<std::vector<float>> seeds(6);
   Rng init(47);
   for (auto& seed : seeds) seed = world.network.init_weights(init);
-  const auto result = engine.run_interval({ring}, members, std::move(seeds), 20.0, rng);
+  auto scratch = pool_scratch();
+  const auto result = engine.run_interval({ring}, members, std::move(seeds), 20.0,
+                                          rng, scratch);
   EXPECT_EQ(result.jobs_completed[0], 4);
   EXPECT_EQ(result.jobs_completed[2], 2);
   EXPECT_EQ(result.jobs_completed[4], 1);
@@ -326,7 +336,9 @@ TEST(RingEngine, TooShortIntervalMeansNoJobs) {
   std::vector<std::vector<float>> seeds(6);
   Rng init(59);
   for (auto& seed : seeds) seed = world.network.init_weights(init);
-  const auto result = engine.run_interval({ring}, members, std::move(seeds), 3.0, rng);
+  auto scratch = pool_scratch();
+  const auto result = engine.run_interval({ring}, members, std::move(seeds), 3.0,
+                                          rng, scratch);
   EXPECT_EQ(result.jobs_completed[0], 0);
   EXPECT_EQ(result.hops, 0);
 }
@@ -342,8 +354,9 @@ TEST(RingEngine, RejectsDeviceInTwoRings) {
   const auto r2 =
       sim::RingTopology::build({1, 2}, times, sim::RingOrder::kSmallToLarge, rng);
   std::vector<std::vector<float>> seeds(6);
+  auto scratch = pool_scratch();
   EXPECT_THROW(
-      engine.run_interval({r1, r2}, {0, 1, 2}, std::move(seeds), 10.0, rng),
+      engine.run_interval({r1, r2}, {0, 1, 2}, std::move(seeds), 10.0, rng, scratch),
       CheckError);
 }
 

@@ -6,7 +6,11 @@
 // equal-time event ties.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <map>
+#include <mutex>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -175,6 +179,156 @@ TEST(RoundGraphExecutor, TwoInputJobsAverageBeforeTraining) {
                nullptr);
   const std::vector<float> expected = {5.0f, 7.0f};  // mean + 1
   EXPECT_EQ(graph.take(graph.output_of(job)), expected);
+}
+
+/// Ring-shaped graph with no commit chain, built the way the ring engine's
+/// replay builds one: devices train on staggered schedules, some jobs
+/// average in their predecessor's latest model (input_b), and device 4's
+/// odd-step outputs are overwritten before anyone reads them, so nothing
+/// observes those jobs.  Every device's final model and one seed are
+/// pinned.
+struct RingWorld {
+  static constexpr std::size_t kDevices = 5;
+  static constexpr std::size_t kSteps = 6;
+  RoundGraph graph;
+  std::vector<std::int64_t> pinned;
+  std::vector<std::vector<float>> seed_value;  // by node id; seeds come first
+
+  std::int64_t add_seed(std::vector<float> value) {
+    seed_value.push_back(value);
+    return graph.add_seed(std::move(value));
+  }
+
+  RingWorld() {
+    std::vector<std::int64_t> latest(kDevices);
+    for (std::size_t d = 0; d < kDevices; ++d) {
+      std::vector<float> seed(9);
+      for (std::size_t i = 0; i < seed.size(); ++i) {
+        seed[i] = static_cast<float>(d * 10 + i) * 0.25f;
+      }
+      latest[d] = add_seed(std::move(seed));
+    }
+    const std::int64_t untouched = add_seed({7.0f, 8.0f});
+    for (std::size_t step = 0; step < kSteps; ++step) {
+      for (std::size_t d = 0; d < kDevices; ++d) {
+        if ((step + d) % 3 == 0) continue;  // busy elsewhere this step
+        RoundJob job;
+        job.device = d;
+        job.input_a = latest[d];
+        if ((step + d) % 2 == 0) job.input_b = latest[(d + kDevices - 1) % kDevices];
+        job.stream = 0xD1B54A32D192ED03ull * (step * kDevices + d + 1);
+        const std::size_t index = graph.add_job(job);
+        if (d == 4 && step % 2 == 1) continue;  // orphaned output
+        latest[d] = graph.output_of(index);
+      }
+    }
+    pinned = latest;
+    pinned.push_back(untouched);
+    for (const auto node : pinned) graph.pin(node);
+  }
+};
+
+/// RingWorld walked without the executor: every job in append order, each
+/// node's value kept forever.
+std::vector<std::vector<float>> sequential_ring_world() {
+  RingWorld world;
+  std::vector<std::vector<float>> value = world.seed_value;
+  value.resize(world.graph.node_count());
+  const auto train = fake_train();
+  for (std::size_t j = 0; j < world.graph.job_count(); ++j) {
+    const RoundJob& job = world.graph.job(j);
+    std::vector<float> model = value[static_cast<std::size_t>(job.input_a)];
+    if (job.input_b != core::kNoRoundNode) {
+      const auto& b = value[static_cast<std::size_t>(job.input_b)];
+      for (std::size_t i = 0; i < model.size(); ++i) model[i] = 0.5f * (model[i] + b[i]);
+    }
+    train(job, model, 0);
+    value[static_cast<std::size_t>(world.graph.output_of(j))] = std::move(model);
+  }
+  std::vector<std::vector<float>> result;
+  for (const auto node : world.pinned) result.push_back(value[static_cast<std::size_t>(node)]);
+  return result;
+}
+
+TEST(RoundGraphExecutor, RingGraphMatchesSequentialReference) {
+  const auto reference = sequential_ring_world();
+  for (const std::size_t threads : {1u, 2u, 3u, 8u}) {
+    ParallelExecutor pool(threads);
+    ParallelExecutor::Bind bind(pool);
+    RingWorld world;
+    const RoundGraphExecutor executor;
+    const auto stats = executor.run(world.graph, fake_train(), nullptr);
+    EXPECT_EQ(stats.pruned, 2u) << "threads=" << threads;  // device 4, steps 1 and 3
+    EXPECT_EQ(stats.jobs + stats.pruned, world.graph.job_count());
+    std::vector<std::vector<float>> got;
+    for (const auto node : world.pinned) got.push_back(world.graph.take(node));
+    EXPECT_EQ(reference, got) << "threads=" << threads;
+  }
+}
+
+TEST(RoundGraphExecutor, FailingJobIsRethrownAndItsDependentsNeverRun) {
+  // MixWorld(3, 4): job 3*step + d is device d's step-th upload.  Job 4
+  // (device 1, step 1) throws; its commit never runs, so neither do the
+  // commits after it nor the jobs reading versions they would publish.
+  for (const std::size_t threads : {1u, 4u}) {
+    ParallelExecutor pool(threads);
+    ParallelExecutor::Bind bind(pool);
+    MixWorld world(3, 4, 16);
+    std::mutex mutex;
+    std::vector<std::size_t> trained;
+    const auto train = fake_train();
+    const RoundGraphExecutor executor;
+    std::map<std::uint64_t, std::size_t> index_of;  // streams are distinct
+    for (std::size_t j = 0; j < world.graph.job_count(); ++j) {
+      index_of[world.graph.job(j).stream] = j;
+    }
+    const auto run = [&] {
+      executor.run(
+          world.graph,
+          [&](const RoundJob& job, std::vector<float>& model, std::size_t slot) {
+            const std::size_t index = index_of.at(job.stream);
+            if (index == 4) throw std::runtime_error("job 4 failed");
+            train(job, model, slot);
+            std::lock_guard<std::mutex> lock(mutex);
+            trained.push_back(index);
+          },
+          world.commit_fn(0.3f));
+    };
+    EXPECT_THROW(run(), std::runtime_error) << "threads=" << threads;
+    EXPECT_LE(world.committed.size(), 4u) << "threads=" << threads;
+    for (const std::size_t dependent : {7u, 10u}) {
+      EXPECT_EQ(std::count(trained.begin(), trained.end(), dependent), 0)
+          << "job " << dependent << " ran after its input failed, threads=" << threads;
+    }
+  }
+}
+
+TEST(RoundGraphExecutor, ReadyCountsBeatWavesOnStaggeredGraphs) {
+  // One chain c0 -> c1 -> c2 -> c3 beside four independent jobs i0..i3,
+  // appended c0 i0 c1 i1 c2 i2 c3 i3.  Level by level the waves are
+  // {c0,i0..i3}, {c1}, {c2}, {c3}: on 2 threads sum(ceil(wave / 2)) =
+  // 3 + 1 + 1 + 1 = 6 slots.  By ready counts the chain pairs with one
+  // independent job per slot: 4 slots.
+  constexpr std::size_t kWaveSlots = 6;
+  RoundGraph graph;
+  const auto seed = graph.add_seed({1.0f, 2.0f, 3.0f});
+  std::int64_t chain = seed;
+  std::vector<std::int64_t> outputs;
+  for (std::size_t k = 0; k < 4; ++k) {
+    chain = graph.output_of(graph.add_job({0, chain, core::kNoRoundNode, 2 * k + 1}));
+    outputs.push_back(graph.output_of(graph.add_job({1, seed, core::kNoRoundNode, 2 * k + 2})));
+  }
+  outputs.push_back(chain);
+  for (const auto node : outputs) graph.pin(node);
+
+  ParallelExecutor pool(2);
+  ParallelExecutor::Bind bind(pool);
+  const RoundGraphExecutor executor;
+  const auto stats = executor.run(graph, fake_train(), nullptr);
+  EXPECT_EQ(stats.jobs, 8u);
+  EXPECT_EQ(stats.waves, 4u);
+  EXPECT_EQ(stats.dispatch_slots, 4u);
+  EXPECT_LT(stats.dispatch_slots, kWaveSlots);
 }
 
 // ------------------------------------------------- EventQueue tie-breaks --

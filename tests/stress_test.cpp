@@ -7,6 +7,7 @@
 #include <deque>
 
 #include "common/check.hpp"
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "core/ring_engine.hpp"
 #include "data/partition.hpp"
@@ -94,7 +95,8 @@ TEST(RingDelayStress, CirculationProgressesUnderMixedDelays) {
     Rng init(7);
     for (auto& seed : seeds) seed = network.init_weights(init);
     Rng run_rng(9);
-    return engine.run_interval({ring}, members, std::move(seeds), 5.0, run_rng);
+    std::vector<core::TrainScratch> scratch(ParallelExecutor::current().thread_count());
+    return engine.run_interval({ring}, members, std::move(seeds), 5.0, run_rng, scratch);
   };
   const auto r1 = run_once();
   const auto r2 = run_once();
