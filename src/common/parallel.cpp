@@ -1,8 +1,10 @@
 #include "common/parallel.hpp"
 
+#include <algorithm>
 #include <new>
 #include <stdexcept>
 
+#include "common/check.hpp"
 #include "common/env.hpp"
 #include "common/trace.hpp"
 
@@ -10,7 +12,6 @@ namespace fedhisyn {
 
 namespace {
 thread_local bool tl_in_parallel = false;
-thread_local std::size_t tl_slot = 0;
 thread_local ParallelExecutor* tl_current = nullptr;
 
 struct AlignedScratch {
@@ -43,8 +44,19 @@ std::span<float> ScratchArena::buffer(Buf which, std::size_t floats) {
   return {tl_scratch[which].grow_to(floats), floats};
 }
 
+namespace {
+/// Check-fails on a pool size above the cap before any worker is touched.
+void check_thread_count(std::size_t threads) {
+  FEDHISYN_CHECK_MSG(threads <= ParallelExecutor::kMaxThreads,
+                     "a pool of " << threads << " threads exceeds the cap of "
+                                  << ParallelExecutor::kMaxThreads);
+}
+}  // namespace
+
 ParallelExecutor::ParallelExecutor(std::size_t threads) {
-  start_workers(threads == 0 ? threads_from_env() : threads);
+  if (threads == 0) threads = threads_from_env();
+  check_thread_count(threads);
+  start_workers(threads);
 }
 
 ParallelExecutor::~ParallelExecutor() { stop_workers(); }
@@ -58,8 +70,8 @@ void ParallelExecutor::start_workers(std::size_t threads) {
     generation_ = 0;
   }
   workers_.reserve(threads - 1);
-  for (std::size_t slot = 1; slot < threads; ++slot) {
-    workers_.emplace_back([this, slot] { worker_loop(slot); });
+  for (std::size_t w = 1; w < threads; ++w) {
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -78,11 +90,12 @@ void ParallelExecutor::stop_workers() {
 }
 
 void ParallelExecutor::set_thread_count(std::size_t threads) {
+  check_thread_count(threads);
   stop_workers();
   start_workers(threads);
 }
 
-void ParallelExecutor::worker_loop(std::size_t slot) {
+void ParallelExecutor::worker_loop() {
   std::uint64_t seen = 0;
   for (;;) {
     const Body* body = nullptr;
@@ -97,7 +110,7 @@ void ParallelExecutor::worker_loop(std::size_t slot) {
       body = body_;
       n = job_n_;
     }
-    run_span(*body, n, slot);
+    run_span(*body, n);
     {
       MutexLock lock(mutex_);
       if (--active_workers_ == 0) cv_done_.notify_all();
@@ -105,23 +118,20 @@ void ParallelExecutor::worker_loop(std::size_t slot) {
   }
 }
 
-void ParallelExecutor::run_span(const Body& body, std::size_t n, std::size_t slot) {
+void ParallelExecutor::run_span(const Body& body, std::size_t n) {
   const bool was_in_parallel = tl_in_parallel;
-  const std::size_t previous_slot = tl_slot;
   tl_in_parallel = true;
-  tl_slot = slot;
   for (;;) {
     const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
     if (i >= n) break;
     try {
-      body(i, slot);
+      body(i);
     } catch (...) {
       MutexLock lock(mutex_);
       if (!error_) error_ = std::current_exception();
     }
   }
   tl_in_parallel = was_in_parallel;
-  tl_slot = previous_slot;
 }
 
 void ParallelExecutor::parallel_for(std::size_t n, const Body& body) {
@@ -129,29 +139,28 @@ void ParallelExecutor::parallel_for(std::size_t n, const Body& body) {
   // Inline execution matches the pooled contract: drain every index, then
   // rethrow the first exception — so exceptional runs see the same side
   // effects for any thread count.
-  const auto run_inline = [&](std::size_t slot) {
+  const auto run_inline = [&] {
     std::exception_ptr first;
     for (std::size_t i = 0; i < n; ++i) {
       try {
-        body(i, slot);
+        body(i);
       } catch (...) {
         if (!first) first = std::current_exception();
       }
     }
     if (first) std::rethrow_exception(first);
   };
-  // Nested loops run inline: the current slot keeps its scratch, and a body
-  // that itself calls parallel_for can never deadlock on the pool it is
-  // running on.
+  // Nested loops run inline on the current thread, so a body that itself
+  // calls parallel_for can never deadlock on the pool it is running on.
   if (tl_in_parallel) {
-    run_inline(tl_slot);
+    run_inline();
     return;
   }
   // Top-level but effectively serial: run on the caller, leaving the region
   // flag clear so kernels inside the single body (gemm rows, conv batches)
   // can still fan out over the idle pool.
   if (workers_.empty() || n == 1) {
-    run_inline(0);
+    run_inline();
     return;
   }
   // Only pooled top-level batches get a span: nested and serial calls run
@@ -175,7 +184,7 @@ void ParallelExecutor::parallel_for(std::size_t n, const Body& body) {
     ++generation_;
   }
   cv_work_.notify_all();
-  run_span(body, n, /*slot=*/0);
+  run_span(body, n);
   std::exception_ptr error;
   {
     MutexLock lock(mutex_);
@@ -192,9 +201,14 @@ bool ParallelExecutor::in_parallel_region() { return tl_in_parallel; }
 
 std::size_t ParallelExecutor::threads_from_env() {
   const long from_env = env_long("FEDHISYN_THREADS", 0);
-  if (from_env > 0) return static_cast<std::size_t>(from_env);
+  if (from_env > 0) {
+    FEDHISYN_CHECK_MSG(static_cast<std::size_t>(from_env) <= kMaxThreads,
+                       "FEDHISYN_THREADS=" << from_env << " exceeds the cap of "
+                                           << kMaxThreads << " threads");
+    return static_cast<std::size_t>(from_env);
+  }
   const unsigned hardware = std::thread::hardware_concurrency();
-  return hardware > 0 ? hardware : 1;
+  return hardware > 0 ? std::min<std::size_t>(hardware, kMaxThreads) : 1;
 }
 
 ParallelExecutor& ParallelExecutor::global() {

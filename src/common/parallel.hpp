@@ -6,9 +6,10 @@
 //     depend only on i (plus per-index seeded Rng streams), never on which
 //     thread runs it or in which order indices complete.  Under that contract
 //     a 1-thread run and an N-thread run are bit-identical.
-//   * The caller thread participates as slot 0; pool workers are slots
-//     1..thread_count()-1.  `slot` is stable for the duration of one body
-//     invocation and is the index for per-thread scratch arrays.
+//   * The caller thread runs indices alongside the pool workers.  Per-thread
+//     scratch is thread_local, owned by the module that uses it (ScratchArena
+//     here, the trainer's and the evaluator's buffers in core/ and nn/), so a
+//     body receives only its index and callers pass no scratch around.
 //   * Nested parallel_for calls (e.g. a parallel GEMM inside a parallel
 //     device loop) execute inline on the calling thread — no deadlock, no
 //     oversubscription.
@@ -17,6 +18,7 @@
 // integer, otherwise std::thread::hardware_concurrency().  Programs can
 // override at runtime with set_thread_count() (the --threads flag of the CLI
 // and benches); tests drop to 1 thread to compare against parallel runs.
+// Every size is check-failed above kMaxThreads before a thread starts.
 #pragma once
 
 #include <atomic>
@@ -35,7 +37,10 @@ namespace fedhisyn {
 
 /// Thread-local aligned scratch buffers for the hot kernels (GEMM B-panel
 /// packing, conv im2col columns).  Buffers live for the thread's lifetime and
-/// grow monotonically, so steady-state kernel calls never allocate.
+/// grow monotonically, so steady-state kernel calls never allocate.  This is
+/// the one per-thread scratch policy of the library: the trainer's step
+/// buffers (core/trainer.cpp) and the evaluator's workspace (nn/network.cpp)
+/// are thread_local in the same way, and outlive a cell and a network.
 ///
 /// Each named buffer is independent: a kernel may hold several live at once
 /// (conv holds its column buffers while the nested GEMM packs panels).  A
@@ -61,22 +66,28 @@ class ScratchArena {
 
 class ParallelExecutor {
  public:
-  using Body = std::function<void(std::size_t index, std::size_t slot)>;
+  using Body = std::function<void(std::size_t index)>;
 
-  /// threads == 0 resolves via threads_from_env().
+  /// Largest pool a constructor or set_thread_count() accepts: a typo in
+  /// --threads or FEDHISYN_THREADS must not start millions of OS threads.
+  static constexpr std::size_t kMaxThreads = 1024;
+
+  /// threads == 0 resolves via threads_from_env().  Check-fails above
+  /// kMaxThreads.
   explicit ParallelExecutor(std::size_t threads = 0);
   ~ParallelExecutor();
   ParallelExecutor(const ParallelExecutor&) = delete;
   ParallelExecutor& operator=(const ParallelExecutor&) = delete;
 
-  /// Total execution slots (pool workers + the participating caller).
+  /// Threads that run a pooled loop (pool workers + the participating caller).
   std::size_t thread_count() const { return workers_.size() + 1; }
 
   /// Resize the pool (clamped to >= 1).  Must not be called while a
-  /// parallel_for on this executor is in flight.
+  /// parallel_for on this executor is in flight.  Check-fails above
+  /// kMaxThreads, leaving the pool as it was.
   void set_thread_count(std::size_t threads);
 
-  /// Invoke body(i, slot) once for every i in [0, n).  Blocks until all
+  /// Invoke body(i) once for every i in [0, n).  Blocks until all
   /// indices complete; the first exception thrown by a body is rethrown on
   /// the caller after the loop drains.  Safe to call with n == 0.
   ///
@@ -91,7 +102,8 @@ class ParallelExecutor {
   static bool in_parallel_region();
 
   /// FEDHISYN_THREADS if set to a positive integer, else hardware
-  /// concurrency, else 1.
+  /// concurrency, else 1.  Check-fails when FEDHISYN_THREADS exceeds
+  /// kMaxThreads.
   static std::size_t threads_from_env();
 
   /// The process-wide pool used by the library's kernels and algorithms.
@@ -120,8 +132,8 @@ class ParallelExecutor {
   };
 
  private:
-  void worker_loop(std::size_t slot);
-  void run_span(const Body& body, std::size_t n, std::size_t slot);
+  void worker_loop();
+  void run_span(const Body& body, std::size_t n);
   void start_workers(std::size_t threads) FEDHISYN_EXCLUDES(mutex_);
   void stop_workers() FEDHISYN_EXCLUDES(mutex_);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/check.hpp"
-#include "common/parallel.hpp"
 #include "core/trainer.hpp"
 #include "sim/participation.hpp"
 
@@ -21,8 +20,7 @@ FlAlgorithm::FlAlgorithm(const FlContext& ctx) : ctx_(ctx), rng_(ctx.opts.seed) 
 
 float FlAlgorithm::evaluate_test_accuracy() {
   const auto& test = ctx_.fed->test;
-  return ctx_.network->accuracy(global_, test.x,
-                                std::span<const std::int32_t>(test.y), eval_ws_);
+  return ctx_.network->accuracy(global_, test.x, std::span<const std::int32_t>(test.y));
 }
 
 std::vector<std::size_t> longest_job_first(std::span<const std::int64_t> costs) {
@@ -129,13 +127,11 @@ RoundGraphStats FlAlgorithm::run_async_round(
   // ---- Phase 2: execute.  Training jobs start on the pool as soon as their
   // input exists; the cheap server mixes run as the graph's commit chain,
   // strictly in event order.
-  const auto scratch = slot_scratch();
   const RoundGraphExecutor executor;
   last_round_stats_ = executor.run(
       graph,
-      [&](const RoundJob& job, std::vector<float>& model, std::size_t slot) {
-        run_async_job(job.device, epochs, Rng(job.stream),
-                      std::span<float>(model), scratch[slot]);
+      [&](const RoundJob& job, std::vector<float>& model) {
+        run_async_job(job.device, epochs, Rng(job.stream), std::span<float>(model));
       },
       [&](std::size_t index, const std::vector<float>& output,
           std::vector<float>* publish_into) {
@@ -149,19 +145,12 @@ RoundGraphStats FlAlgorithm::run_async_round(
   return last_round_stats_;
 }
 
-std::span<TrainScratch> FlAlgorithm::slot_scratch() {
-  const std::size_t slots = ParallelExecutor::current().thread_count();
-  if (job_scratch_.size() < slots) job_scratch_.resize(slots);
-  return job_scratch_;
-}
-
 void FlAlgorithm::run_async_job(std::size_t device, int epochs, Rng rng,
-                                std::span<float> model, TrainScratch& scratch) {
+                                std::span<float> model) {
   UpdateExtras extras;
   extras.momentum = ctx_.opts.momentum;
   train_local(*ctx_.network, model, ctx_.fed->shards[device], epochs,
-              ctx_.opts.batch_size, ctx_.opts.lr, UpdateKind::kSgd, extras, rng,
-              scratch);
+              ctx_.opts.batch_size, ctx_.opts.lr, UpdateKind::kSgd, extras, rng);
 }
 
 }  // namespace fedhisyn::core

@@ -89,29 +89,18 @@ class FlAlgorithm {
       std::uint64_t round_mult, std::uint64_t device_mult,
       const std::function<float(std::int64_t)>& mix_alpha);
 
-  /// One TrainScratch per slot of the current pool, owned across rounds.
-  /// Reuse never leaks into results: train_local resets everything a job
-  /// reads.
-  std::span<TrainScratch> slot_scratch();
+  FlContext ctx_;
+  std::vector<float> global_;
+  sim::CommTracker comm_;
+  Rng rng_;
+  int rounds_completed_ = 0;
+  RoundGraphStats last_round_stats_;
 
  private:
   /// The one local-training invocation every async job goes through, so no
   /// job can diverge from another on hyper-parameters (the byte-identity
   /// contract depends on it).
-  void run_async_job(std::size_t device, int epochs, Rng rng, std::span<float> model,
-                     TrainScratch& scratch);
-
-  std::vector<TrainScratch> job_scratch_;  // behind slot_scratch()
-
- protected:
-
-  FlContext ctx_;
-  std::vector<float> global_;
-  sim::CommTracker comm_;
-  Rng rng_;
-  nn::Workspace eval_ws_;
-  int rounds_completed_ = 0;
-  RoundGraphStats last_round_stats_;
+  void run_async_job(std::size_t device, int epochs, Rng rng, std::span<float> model);
 };
 
 }  // namespace fedhisyn::core

@@ -38,17 +38,15 @@ void FedAvgFamily::run_round() {
   // (seed, round, device id), independent of thread schedule.
   std::vector<std::vector<float>> locals(participants.size());
   auto& pool = ParallelExecutor::current();
-  const auto scratch = slot_scratch();
   std::vector<std::int64_t> cost(participants.size());
   for (std::size_t i = 0; i < participants.size(); ++i) {
     cost[i] = local_steps(participants[i], epochs_for_device(participants[i], interval));
   }
   const auto order = longest_job_first(cost);
 
-  pool.parallel_for(participants.size(), [&](std::size_t k, std::size_t slot) {
+  pool.parallel_for(participants.size(), [&](std::size_t k) {
     const std::size_t i = order[k];
     const std::size_t device = participants[i];
-    auto& my_scratch = scratch[slot];
     Rng device_rng = job_stream(0x517CC1B7ull, 0x2545F491ull, device, 0);
     locals[i] = global_;
     UpdateExtras extras;
@@ -61,7 +59,7 @@ void FedAvgFamily::run_round() {
     }
     train_local(*ctx_.network, locals[i], ctx_.fed->shards[device],
                 epochs_for_device(device, interval), ctx_.opts.batch_size, ctx_.opts.lr,
-                kind, extras, device_rng, my_scratch);
+                kind, extras, device_rng);
   });
 
   for (std::size_t i = 0; i < participants.size(); ++i) {

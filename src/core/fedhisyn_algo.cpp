@@ -56,9 +56,7 @@ void FedHiSynAlgo::run_round() {
     seeds[p] = global_;
     comm_.record_server_download();
   }
-  auto result =
-      engine_.run_interval(rings, participants, std::move(seeds), interval, rng_,
-                           slot_scratch());
+  auto result = engine_.run_interval(rings, participants, std::move(seeds), interval, rng_);
   last_hops_ = result.hops;
   last_jobs_ = result.jobs_completed;
   comm_.record_device_to_device(static_cast<double>(result.hops));

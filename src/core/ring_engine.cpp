@@ -3,7 +3,6 @@
 #include <deque>
 
 #include "common/check.hpp"
-#include "common/parallel.hpp"
 #include "core/round_graph.hpp"
 
 namespace fedhisyn::core {
@@ -13,8 +12,7 @@ RingEngine::RingEngine(const FlContext& ctx) : ctx_(ctx) {}
 RingEngineResult RingEngine::run_interval(const std::vector<sim::RingTopology>& rings,
                                           const std::vector<std::size_t>& participants,
                                           std::vector<std::vector<float>> initial_models,
-                                          double interval, Rng& rng,
-                                          std::span<TrainScratch> scratch) {
+                                          double interval, Rng& rng) {
   FEDHISYN_CHECK(interval > 0.0);
   const std::size_t n = ctx_.device_count();
   FEDHISYN_CHECK(initial_models.size() == n);
@@ -154,17 +152,16 @@ RingEngineResult RingEngine::run_interval(const std::vector<sim::RingTopology>& 
   // Bit-identical for any thread count: each job draws from its own stream
   // (derived from the caller's rng and the job's event order), never from
   // thread identity.  No commit chain — ring circulation has no server.
-  FEDHISYN_CHECK(scratch.size() >= ParallelExecutor::current().thread_count());
   const RoundGraphExecutor executor;
   executor.run(
       graph,
-      [&](const RoundJob& job, std::vector<float>& model, std::size_t slot) {
+      [&](const RoundJob& job, std::vector<float>& model) {
         Rng job_rng(job.stream);
         UpdateExtras extras;
         extras.momentum = ctx_.opts.momentum;
         train_local(*ctx_.network, std::span<float>(model),
                     ctx_.fed->shards[job.device], epochs, ctx_.opts.batch_size,
-                    ctx_.opts.lr, UpdateKind::kSgd, extras, job_rng, scratch[slot]);
+                    ctx_.opts.lr, UpdateKind::kSgd, extras, job_rng);
       },
       nullptr);
 

@@ -54,13 +54,12 @@ class RingEngine {
   /// When `direct_use` is false, a received model is first averaged with the
   /// device's own latest model before training (the Observation-1 ablation).
   /// Consumes exactly one draw from `rng` (the base of the per-job streams),
-  /// regardless of how many jobs run.  `scratch` holds one TrainScratch per
-  /// slot of the current pool.
+  /// regardless of how many jobs run.  Jobs train on the current pool, each
+  /// thread in the trainer's thread_local buffers.
   RingEngineResult run_interval(const std::vector<sim::RingTopology>& rings,
                                 const std::vector<std::size_t>& participants,
                                 std::vector<std::vector<float>> initial_models,
-                                double interval, Rng& rng,
-                                std::span<TrainScratch> scratch);
+                                double interval, Rng& rng);
 
  private:
   const FlContext& ctx_;

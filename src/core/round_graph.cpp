@@ -153,7 +153,7 @@ std::size_t unit_makespan(ReadyCounts counts, const std::vector<std::int64_t>& o
 }  // namespace
 
 // One execution of a graph: the ready-count scheduler's shared state and the
-// worker loop every pool slot runs.
+// worker loop every pool thread runs.
 //
 // Concurrency discipline: the counts, reader refs, commit chain and failure
 // live under mutex_.  Node values are handed over, not locked: a job writes
@@ -173,7 +173,7 @@ class RoundGraphExecutor::Run {
   RoundGraphStats stats;
 
  private:
-  void worker(std::size_t slot) FEDHISYN_EXCLUDES(mutex_);
+  void worker() FEDHISYN_EXCLUDES(mutex_);
   std::vector<float> make_model(std::size_t j, bool move_a);
   void finish(std::size_t j) FEDHISYN_REQUIRES(mutex_);
   void run_commit(std::size_t c) FEDHISYN_REQUIRES(mutex_);
@@ -318,12 +318,12 @@ RoundGraphExecutor::Run::Run(RoundGraph& graph, const TrainFn& train,
 }
 
 void RoundGraphExecutor::Run::execute(ParallelExecutor& pool) {
-  // One worker loop per slot (never more than there are jobs).  Inside the
-  // pooled loop nested kernels run inline; a single worker runs on the
-  // caller outside the region, so its kernels may still fan out.
+  // One worker loop per pool thread (never more than there are jobs).
+  // Inside the pooled loop nested kernels run inline; a single worker runs
+  // on the caller outside the region, so its kernels may still fan out.
   const std::size_t workers = std::min(pool.thread_count(), stats.jobs);
   if (workers > 0) {
-    pool.parallel_for(workers, [this](std::size_t, std::size_t slot) { worker(slot); });
+    pool.parallel_for(workers, [this](std::size_t) { worker(); });
   }
   std::exception_ptr error;
   {
@@ -335,7 +335,7 @@ void RoundGraphExecutor::Run::execute(ParallelExecutor& pool) {
   if (error) std::rethrow_exception(error);
 }
 
-void RoundGraphExecutor::Run::worker(std::size_t slot) {
+void RoundGraphExecutor::Run::worker() {
   // Idle accounting without tracing: one clock read per job start, job end
   // and wait edge, flushed to the registry once per worker.
   static counters::Counter& busy_counter = counters::counter("round_graph.busy_us");
@@ -365,7 +365,7 @@ void RoundGraphExecutor::Run::worker(std::size_t slot) {
       trace::TraceSpan job_span("train_job", "round_graph");
       job_span.arg("job", static_cast<std::int64_t>(j));
       auto model = make_model(j, move_a);
-      train_(graph_.jobs_[j], model, slot);
+      train_(graph_.jobs_[j], model);
       auto& out = graph_.nodes_[static_cast<std::size_t>(graph_.outputs_[j])];
       out.value = std::move(model);
       out.has_value = true;

@@ -14,7 +14,7 @@
 // Execution: jobs run by ready counts.  Each live job counts the inputs it
 // still waits for; it becomes ready when the last one is produced (a job
 // output when its job finishes, a version when its commit runs).  One worker
-// loop per pool slot pops the lowest-index ready job, trains it and, under
+// loop per pool thread pops the lowest-index ready job, trains it and, under
 // the executor lock, advances the commit chain (cheap server mixes) strictly
 // in job order over every finished prefix.
 //
@@ -114,12 +114,11 @@ struct RoundGraphStats {
 
 class RoundGraphExecutor {
  public:
-  /// Train the model in place.  Must be a pure deterministic function of
-  /// (job.device, job.stream, model bytes); `slot` indexes the caller's
-  /// per-thread scratch (< ParallelExecutor::current().thread_count()).
-  using TrainFn =
-      std::function<void(const RoundJob& job, std::vector<float>& model,
-                         std::size_t slot)>;
+  /// Train the model in place, on whichever pool thread popped the job.
+  /// Must be a pure deterministic function of (job.device, job.stream, model
+  /// bytes); scratch it needs is thread_local (core/trainer.cpp), never
+  /// indexed by the thread.
+  using TrainFn = std::function<void(const RoundJob& job, std::vector<float>& model)>;
 
   /// Serial commit chain, invoked in job order with the job's final output,
   /// one commit at a time under the executor lock, possibly on a pool

@@ -1,28 +1,19 @@
 // Local (on-device) training: mini-batch SGD with the plain, proximal
-// (FedProx) and control-variate (SCAFFOLD) update rules.  One TrainScratch
-// per concurrent caller; algorithms running devices in parallel allocate one
-// scratch per ParallelExecutor slot.
+// (FedProx) and control-variate (SCAFFOLD) update rules.  The step buffers
+// (workspace, batch, gradient, momentum, shuffle order) are thread_local in
+// trainer.cpp: callers pass none, and any thread may run train_local.  The
+// buffers outlive a job, a cell and a network; train_local resets everything
+// a job reads, so a result never depends on what the thread trained before.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "common/rng.hpp"
 #include "data/dataset.hpp"
 #include "nn/network.hpp"
 
 namespace fedhisyn::core {
-
-/// Reusable buffers for one trainer thread.
-struct TrainScratch {
-  nn::Workspace ws;
-  Tensor batch_x;
-  std::vector<std::int32_t> batch_y;
-  std::vector<float> grad;
-  std::vector<float> velocity;  // momentum buffer, reset every job
-  std::vector<std::int64_t> order;
-};
 
 enum class UpdateKind { kSgd, kProx, kScaffold };
 
@@ -47,7 +38,6 @@ struct TrainOutcome {
 /// place.  Batches are reshuffled every epoch from `rng`.
 TrainOutcome train_local(const nn::Network& network, std::span<float> weights,
                          const data::Shard& shard, int epochs, int batch_size, float lr,
-                         UpdateKind kind, const UpdateExtras& extras, Rng& rng,
-                         TrainScratch& scratch);
+                         UpdateKind kind, const UpdateExtras& extras, Rng& rng);
 
 }  // namespace fedhisyn::core

@@ -67,7 +67,7 @@ void Conv2d::forward(const Shape3& in, std::span<const float> params, const Tens
 
   const gemmk::VecPlane& vec = gemm_runtime_config().plane;
   auto& pool = ParallelExecutor::current();
-  pool.parallel_for(static_cast<std::size_t>(batch), [&](std::size_t bi, std::size_t) {
+  pool.parallel_for(static_cast<std::size_t>(batch), [&](std::size_t bi) {
     const auto b = static_cast<std::int64_t>(bi);
     // Thread-local arena scratch: reused across batches, layers and calls
     // (the nested GEMM's B-panel pack buffer is a separate arena slot).

@@ -142,9 +142,19 @@ float Network::loss_and_grad(std::span<const float> weights, const Tensor& x,
   return loss_value;
 }
 
+namespace {
+/// The calling thread's evaluation buffers.  They outlive the call, the cell
+/// and the network: every layer overwrites the activation it writes, and the
+/// chunk is refilled before each forward.
+struct EvalScratch {
+  Workspace ws;
+  Tensor chunk;
+};
+thread_local EvalScratch tl_eval;
+}  // namespace
+
 float Network::accuracy(std::span<const float> weights, const Tensor& x,
-                        std::span<const std::int32_t> labels, Workspace& ws,
-                        std::int64_t batch) const {
+                        std::span<const std::int32_t> labels, std::int64_t batch) const {
   check_finalized();
   const std::int64_t n = x.dim(0);
   FEDHISYN_CHECK(static_cast<std::int64_t>(labels.size()) == n);
@@ -154,43 +164,26 @@ float Network::accuracy(std::span<const float> weights, const Tensor& x,
   // Shard the evaluation over the pool, one chunk of `batch` rows per index.
   // Chunk boundaries are fixed by `batch` alone (never by the thread count)
   // and per-chunk correct counts are integers summed in index order, so the
-  // result is bit-identical for any pool size.
+  // result is bit-identical for any pool size.  Nested calls (the per-device
+  // evaluation loops that already fan out over devices) run inline.
   const std::size_t n_chunks = static_cast<std::size_t>((n + batch - 1) / batch);
-  const auto eval_chunk = [&](std::size_t ci, Workspace& w, Tensor& chunk) {
+  std::vector<std::int64_t> correct(n_chunks, 0);
+  ParallelExecutor::current().parallel_for(n_chunks, [&](std::size_t ci) {
+    EvalScratch& scratch = tl_eval;
     const std::int64_t start = static_cast<std::int64_t>(ci) * batch;
     const std::int64_t rows = std::min(batch, n - start);
-    chunk.resize({rows, sample_size});
+    scratch.chunk.resize({rows, sample_size});
     copy(x.span().subspan(static_cast<std::size_t>(start * sample_size),
                           static_cast<std::size_t>(rows * sample_size)),
-         chunk.span());
-    forward(weights, chunk, w);
-    const Tensor& logits = w.activations.back();
-    std::int64_t correct = 0;
+         scratch.chunk.span());
+    forward(weights, scratch.chunk, scratch.ws);
+    const Tensor& logits = scratch.ws.activations.back();
+    std::int64_t hits = 0;
     for (std::int64_t r = 0; r < rows; ++r) {
       const std::int64_t pred = argmax(logits.row(r));
-      if (pred == labels[static_cast<std::size_t>(start + r)]) ++correct;
+      if (pred == labels[static_cast<std::size_t>(start + r)]) ++hits;
     }
-    return correct;
-  };
-  // Nested or single-chunk calls (e.g. the per-device evaluation loops that
-  // already fan out over devices) stay serial and keep reusing the caller's
-  // workspace.
-  auto& pool = ParallelExecutor::current();
-  if (n_chunks < 2 || pool.thread_count() == 1 ||
-      ParallelExecutor::in_parallel_region()) {
-    Tensor chunk;
-    std::int64_t total = 0;
-    for (std::size_t ci = 0; ci < n_chunks; ++ci) total += eval_chunk(ci, ws, chunk);
-    return static_cast<float>(total) / static_cast<float>(n);
-  }
-  std::vector<std::int64_t> correct(n_chunks, 0);
-  // Slot 0 reuses the caller's workspace; other slots get call-local scratch
-  // (top-level evaluation is rare enough that the allocation doesn't matter).
-  std::vector<Workspace> slot_ws(pool.thread_count() - 1);
-  std::vector<Tensor> slot_chunk(pool.thread_count());
-  pool.parallel_for(n_chunks, [&](std::size_t ci, std::size_t slot) {
-    Workspace& w = slot == 0 ? ws : slot_ws[slot - 1];
-    correct[ci] = eval_chunk(ci, w, slot_chunk[slot]);
+    correct[ci] = hits;
   });
   std::int64_t total = 0;
   for (const std::int64_t c : correct) total += c;

@@ -68,10 +68,10 @@ class Network {
                       Workspace& ws) const;
 
   /// Fraction of rows of X (shape [N, ...]) whose argmax logit matches labels.
-  /// Evaluates in chunks of `batch` to bound workspace size.
+  /// Evaluates in chunks of `batch` over the current pool to bound workspace
+  /// size; each thread runs its chunks in its own thread_local workspace.
   float accuracy(std::span<const float> weights, const Tensor& x,
-                 std::span<const std::int32_t> labels, Workspace& ws,
-                 std::int64_t batch = 256) const;
+                 std::span<const std::int32_t> labels, std::int64_t batch = 256) const;
 
  private:
   void check_finalized() const;

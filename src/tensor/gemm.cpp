@@ -207,7 +207,7 @@ void blocked_gemm(const float* a, const float* b, float* c, std::int64_t m,
   if (tasks >= 2 && m * k * n >= kParallelFlopThreshold &&
       !ParallelExecutor::in_parallel_region()) {
     ParallelExecutor::current().parallel_for(
-        static_cast<std::size_t>(tasks), [&](std::size_t task, std::size_t) {
+        static_cast<std::size_t>(tasks), [&](std::size_t task) {
           task_body(static_cast<std::int64_t>(task));
         });
   } else {

@@ -69,7 +69,6 @@ TEST(Trainer, ReducesLossOnShard) {
   const TinyWorld world;
   Rng rng(11);
   auto weights = world.network.init_weights(rng);
-  TrainScratch scratch;
   nn::Workspace ws;
 
   // Loss on the shard before and after 5 epochs.
@@ -80,7 +79,7 @@ TEST(Trainer, ReducesLossOnShard) {
   shard.gather(order, 0, shard.size(), bx, by);
   const float before = world.network.loss(weights, bx, by, ws);
   const auto outcome = train_local(world.network, weights, shard, 5, 10, 0.1f,
-                                   UpdateKind::kSgd, {}, rng, scratch);
+                                   UpdateKind::kSgd, {}, rng);
   const float after = world.network.loss(weights, bx, by, ws);
   EXPECT_LT(after, before);
   EXPECT_GT(outcome.steps, 0);
@@ -92,12 +91,11 @@ TEST(Trainer, ProxStaysCloserToAnchorThanPlainSgd) {
   const TinyWorld world;
   Rng rng(13);
   const auto anchor = world.network.init_weights(rng);
-  TrainScratch scratch;
 
   auto w_sgd = anchor;
   Rng r1(17);
   train_local(world.network, w_sgd, world.fed.shards[1], 8, 10, 0.1f, UpdateKind::kSgd,
-              {}, r1, scratch);
+              {}, r1);
 
   auto w_prox = anchor;
   UpdateExtras extras;
@@ -105,7 +103,7 @@ TEST(Trainer, ProxStaysCloserToAnchorThanPlainSgd) {
   extras.prox_mu = 1.0f;
   Rng r2(17);
   train_local(world.network, w_prox, world.fed.shards[1], 8, 10, 0.1f, UpdateKind::kProx,
-              extras, r2, scratch);
+              extras, r2);
 
   double d_sgd = 0.0;
   double d_prox = 0.0;
@@ -120,20 +118,19 @@ TEST(Trainer, ScaffoldZeroVariatesEqualsSgd) {
   const TinyWorld world;
   Rng rng(19);
   const auto init = world.network.init_weights(rng);
-  TrainScratch scratch;
   const std::vector<float> zeros(init.size(), 0.0f);
 
   auto w1 = init;
   Rng r1(23);
   train_local(world.network, w1, world.fed.shards[2], 3, 10, 0.1f, UpdateKind::kSgd, {},
-              r1, scratch);
+              r1);
   auto w2 = init;
   UpdateExtras extras;
   extras.c_local = zeros;
   extras.c_global = zeros;
   Rng r2(23);
   train_local(world.network, w2, world.fed.shards[2], 3, 10, 0.1f,
-              UpdateKind::kScaffold, extras, r2, scratch);
+              UpdateKind::kScaffold, extras, r2);
   for (std::size_t i = 0; i < w1.size(); ++i) ASSERT_FLOAT_EQ(w1[i], w2[i]);
 }
 
@@ -141,16 +138,14 @@ TEST(Trainer, DeterministicGivenRng) {
   const TinyWorld world;
   Rng rng(29);
   const auto init = world.network.init_weights(rng);
-  TrainScratch s1;
-  TrainScratch s2;
   auto w1 = init;
   auto w2 = init;
   Rng r1(31);
   Rng r2(31);
   train_local(world.network, w1, world.fed.shards[0], 4, 7, 0.05f, UpdateKind::kSgd, {},
-              r1, s1);
+              r1);
   train_local(world.network, w2, world.fed.shards[0], 4, 7, 0.05f, UpdateKind::kSgd, {},
-              r2, s2);
+              r2);
   EXPECT_EQ(w1, w2);
 }
 
@@ -253,7 +248,6 @@ TEST(Metrics, RingCirculationReducesUploadDispersion) {
   // Independent local training from the same initialisation (FedAvg's round
   // without aggregation).
   Rng init(0x5A5A ^ opts.seed);
-  TrainScratch scratch;
   std::vector<std::vector<float>> locals(6);
   Rng init_rng(opts.seed ^ 0xA5A5A5A5ull);
   const auto start = world.network.init_weights(init_rng);
@@ -261,17 +255,12 @@ TEST(Metrics, RingCirculationReducesUploadDispersion) {
     locals[d] = start;
     Rng r(100 + d);
     train_local(world.network, locals[d], world.fed.shards[d], 8, 20, 0.1f,
-                UpdateKind::kSgd, {}, r, scratch);
+                UpdateKind::kSgd, {}, r);
   }
   std::vector<std::span<const float>> local_views;
   for (const auto& w : locals) local_views.emplace_back(w);
   const auto independent = model_dispersion(local_views);
   EXPECT_GT(independent.mean_pairwise_distance, 0.0);
-}
-
-/// One TrainScratch per slot of the current pool, as run_interval expects.
-std::vector<TrainScratch> pool_scratch() {
-  return std::vector<TrainScratch>(ParallelExecutor::current().thread_count());
 }
 
 TEST(RingEngine, HomogeneousRingCompletesExpectedJobs) {
@@ -289,9 +278,7 @@ TEST(RingEngine, HomogeneousRingCompletesExpectedJobs) {
   std::vector<std::vector<float>> seeds(6);
   Rng init(41);
   for (auto& seed : seeds) seed = world.network.init_weights(init);
-  auto scratch = pool_scratch();
-  const auto result = engine.run_interval({ring}, members, std::move(seeds), 15.0,
-                                          rng, scratch);
+  const auto result = engine.run_interval({ring}, members, std::move(seeds), 15.0, rng);
   for (std::size_t d = 0; d < 6; ++d) {
     EXPECT_EQ(result.jobs_completed[d], 3) << "device " << d;
   }
@@ -314,9 +301,7 @@ TEST(RingEngine, FastDevicesCompleteMoreJobs) {
   std::vector<std::vector<float>> seeds(6);
   Rng init(47);
   for (auto& seed : seeds) seed = world.network.init_weights(init);
-  auto scratch = pool_scratch();
-  const auto result = engine.run_interval({ring}, members, std::move(seeds), 20.0,
-                                          rng, scratch);
+  const auto result = engine.run_interval({ring}, members, std::move(seeds), 20.0, rng);
   EXPECT_EQ(result.jobs_completed[0], 4);
   EXPECT_EQ(result.jobs_completed[2], 2);
   EXPECT_EQ(result.jobs_completed[4], 1);
@@ -336,9 +321,7 @@ TEST(RingEngine, TooShortIntervalMeansNoJobs) {
   std::vector<std::vector<float>> seeds(6);
   Rng init(59);
   for (auto& seed : seeds) seed = world.network.init_weights(init);
-  auto scratch = pool_scratch();
-  const auto result = engine.run_interval({ring}, members, std::move(seeds), 3.0,
-                                          rng, scratch);
+  const auto result = engine.run_interval({ring}, members, std::move(seeds), 3.0, rng);
   EXPECT_EQ(result.jobs_completed[0], 0);
   EXPECT_EQ(result.hops, 0);
 }
@@ -354,10 +337,8 @@ TEST(RingEngine, RejectsDeviceInTwoRings) {
   const auto r2 =
       sim::RingTopology::build({1, 2}, times, sim::RingOrder::kSmallToLarge, rng);
   std::vector<std::vector<float>> seeds(6);
-  auto scratch = pool_scratch();
-  EXPECT_THROW(
-      engine.run_interval({r1, r2}, {0, 1, 2}, std::move(seeds), 10.0, rng, scratch),
-      CheckError);
+  EXPECT_THROW(engine.run_interval({r1, r2}, {0, 1, 2}, std::move(seeds), 10.0, rng),
+               CheckError);
 }
 
 TEST(Runner, RecordsHistoryAndTarget) {

@@ -35,6 +35,7 @@
 #include "common/counters.hpp"
 #include "common/json.hpp"
 #include "common/net.hpp"
+#include "common/parallel.hpp"
 #include "common/subprocess.hpp"
 #include "exp/dispatch.hpp"
 #include "exp/driver.hpp"
@@ -938,10 +939,16 @@ TEST(GridFlags, ResolveFlagThenEnvThenDefault) {
       {"non-numeric --threads", {"--threads", "abc"}, {}},
       {"zero --threads", {"--threads", "0"}, {}},
       {"negative --threads", {"--threads", "-3"}, {}},
+      {"--threads past the pool cap",
+       {"--threads", std::to_string(ParallelExecutor::kMaxThreads + 1)},
+       {}},
   };
+  // No row may resize the pool: the cap fires before a worker is touched.
+  const std::size_t pool_before = ParallelExecutor::global().thread_count();
   for (const Rejected& c : rejected) {
     SCOPED_TRACE(c.name);
     EXPECT_THROW(resolve_grid_flags(c.args, c.env), CheckError);
+    EXPECT_EQ(ParallelExecutor::global().thread_count(), pool_before);
   }
   // The tcp row selected "generic" before its backend check failed; leave
   // the process on the default kernel for the tests after this one.

@@ -147,16 +147,14 @@ TEST(Momentum, ZeroMomentumMatchesPlainSgdInTrainer) {
   Rng wr(5);
   const auto init = net.init_weights(wr);
 
-  core::TrainScratch s1;
-  core::TrainScratch s2;
   auto w1 = init;
   auto w2 = init;
   Rng r1(7);
   Rng r2(7);
-  core::train_local(net, w1, shard, 3, 5, 0.1f, core::UpdateKind::kSgd, {}, r1, s1);
+  core::train_local(net, w1, shard, 3, 5, 0.1f, core::UpdateKind::kSgd, {}, r1);
   core::UpdateExtras extras;
   extras.momentum = 0.0f;
-  core::train_local(net, w2, shard, 3, 5, 0.1f, core::UpdateKind::kSgd, extras, r2, s2);
+  core::train_local(net, w2, shard, 3, 5, 0.1f, core::UpdateKind::kSgd, extras, r2);
   EXPECT_EQ(w1, w2);
 }
 
@@ -178,13 +176,12 @@ TEST(Momentum, AcceleratesDescentOnQuadraticBowl) {
   const auto init = net.init_weights(wr);
 
   auto run = [&](float momentum) {
-    core::TrainScratch scratch;
     auto weights = init;
     Rng r(13);
     core::UpdateExtras extras;
     extras.momentum = momentum;
     const auto outcome = core::train_local(net, weights, shard, 4, 25, 0.02f,
-                                           core::UpdateKind::kSgd, extras, r, scratch);
+                                           core::UpdateKind::kSgd, extras, r);
     return outcome.mean_loss;
   };
   EXPECT_LT(run(0.9f), run(0.0f));

@@ -4,13 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <exception>
 #include <limits>
 #include <map>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/check.hpp"
@@ -474,7 +477,7 @@ TEST(Network, AccuracyPerfectOnMemorisedData) {
     net.loss_and_grad(weights, x, y, grad, ws);
     sgd_step(weights, grad, 0.2f);
   }
-  EXPECT_GT(net.accuracy(weights, x, y, ws, /*batch=*/5), 0.95f);
+  EXPECT_GT(net.accuracy(weights, x, y, /*batch=*/5), 0.95f);
 }
 
 TEST(Network, LossMatchesLossAndGradValue) {
@@ -497,11 +500,10 @@ TEST(Network, AccuracyChunkingInvariant) {
   Rng rng(97);
   const auto weights = net.init_weights(rng);
   const Problem p = make_problem(net, 23, rng);
-  Workspace ws;
-  const float a1 = net.accuracy(weights, p.x, p.y, ws, 1);
-  const float a7 = net.accuracy(weights, p.x, p.y, ws, 7);
-  const float a23 = net.accuracy(weights, p.x, p.y, ws, 23);
-  const float a100 = net.accuracy(weights, p.x, p.y, ws, 100);
+  const float a1 = net.accuracy(weights, p.x, p.y, 1);
+  const float a7 = net.accuracy(weights, p.x, p.y, 7);
+  const float a23 = net.accuracy(weights, p.x, p.y, 23);
+  const float a100 = net.accuracy(weights, p.x, p.y, 100);
   EXPECT_FLOAT_EQ(a1, a7);
   EXPECT_FLOAT_EQ(a7, a23);
   EXPECT_FLOAT_EQ(a23, a100);
@@ -572,10 +574,9 @@ std::uint64_t cnn_train_digest(std::size_t threads) {
   const data::Shard shard(&set, indices);
   ParallelExecutor pool(threads);
   ParallelExecutor::Bind bind(pool);
-  core::TrainScratch scratch;
   const auto outcome = core::train_local(net, weights, shard, /*epochs=*/2,
                                          /*batch_size=*/8, /*lr=*/0.05f,
-                                         core::UpdateKind::kSgd, {}, rng, scratch);
+                                         core::UpdateKind::kSgd, {}, rng);
   EXPECT_EQ(outcome.steps, 8);
   return loss_grad_digest(outcome.mean_loss, weights);
 }
@@ -583,6 +584,93 @@ std::uint64_t cnn_train_digest(std::size_t threads) {
 TEST(Characterization, CnnTrainLocalBytes) {
   EXPECT_EQ(cnn_train_digest(1), 14441510550098328019ull);
   EXPECT_EQ(cnn_train_digest(2), 14441510550098328019ull);
+}
+
+/// A labelled set of `rows` random samples shaped for `net`.
+data::Dataset random_set(const Network& net, std::int64_t rows, Rng& rng) {
+  const Problem p = make_problem(net, rows, rng);
+  data::Dataset set;
+  set.x = p.x;
+  set.y = p.y;
+  set.n_classes = net.n_classes();
+  return set;
+}
+
+/// Shard over all of `set`, visited in a scrambled (non-identity) order.
+data::Shard scrambled_shard(const data::Dataset& set) {
+  std::vector<std::int64_t> indices(set.y.size());
+  for (std::size_t i = 0; i < indices.size(); ++i) {
+    indices[i] = static_cast<std::int64_t>((i * 7) % indices.size());
+  }
+  return data::Shard(&set, indices);
+}
+
+struct MlpJobResult {
+  std::vector<float> weights;
+  float mean_loss = 0.0f;
+  float accuracy = 0.0f;
+};
+
+/// One laptop-MLP train_local job and its Network::accuracy, both on a
+/// 3-thread pool bound on a new std::thread.  With `cnn_first`, that thread
+/// and pool first train the paper CNN for an epoch and evaluate it, so every
+/// thread_local buffer (step scratch, evaluation workspace, GEMM and conv
+/// arena) holds CNN-shaped state when the MLP job starts.
+MlpJobResult mlp_job_on_new_thread(bool cnn_first) {
+  MlpJobResult result;
+  std::exception_ptr error;
+  std::thread([&] {
+    try {
+      ParallelExecutor pool(3);
+      ParallelExecutor::Bind bind(pool);
+      core::UpdateExtras extras;
+      extras.momentum = 0.9f;
+      if (cnn_first) {
+        const Network cnn = make_cnn({3, 8, 8}, 10);
+        Rng rng(301);
+        auto weights = cnn.init_weights(rng);
+        // As many samples as the MLP shard, so a stale permutation of the
+        // right length would be trained as-is if train_local stopped
+        // resetting it.
+        const data::Dataset train = random_set(cnn, 30, rng);
+        const data::Dataset test = random_set(cnn, 50, rng);
+        core::train_local(cnn, weights, scrambled_shard(train), /*epochs=*/1,
+                          /*batch_size=*/16, /*lr=*/0.05f, core::UpdateKind::kSgd,
+                          extras, rng);
+        cnn.accuracy(weights, test.x, test.y, /*batch=*/8);
+      }
+      const Network mlp = make_mlp(64, 10, {32, 16});
+      Rng rng(302);
+      result.weights = mlp.init_weights(rng);
+      const data::Dataset train = random_set(mlp, 30, rng);
+      const data::Dataset test = random_set(mlp, 90, rng);
+      result.mean_loss =
+          core::train_local(mlp, result.weights, scrambled_shard(train), /*epochs=*/2,
+                            /*batch_size=*/8, /*lr=*/0.1f, core::UpdateKind::kSgd, extras,
+                            rng)
+              .mean_loss;
+      result.accuracy = mlp.accuracy(result.weights, test.x, test.y, /*batch=*/16);
+    } catch (...) {
+      error = std::current_exception();
+    }
+  }).join();
+  if (error) std::rethrow_exception(error);
+  return result;
+}
+
+TEST(ThreadScratch, CarriesNothingFromOneNetworkToTheNext) {
+  // Per-thread scratch outlives a job, a cell and a network: a thread that
+  // trained and evaluated the CNN must produce the same MLP bytes as fresh
+  // threads.
+  const MlpJobResult fresh = mlp_job_on_new_thread(false);
+  const MlpJobResult reused = mlp_job_on_new_thread(true);
+  EXPECT_EQ(reused.weights, fresh.weights);
+  EXPECT_EQ(std::bit_cast<std::uint32_t>(reused.mean_loss),
+            std::bit_cast<std::uint32_t>(fresh.mean_loss));
+  EXPECT_EQ(std::bit_cast<std::uint32_t>(reused.accuracy),
+            std::bit_cast<std::uint32_t>(fresh.accuracy));
+  // Pinned, so a fault that shifts fresh and reused threads alike shows too.
+  EXPECT_EQ(loss_grad_digest(fresh.mean_loss, fresh.weights), 2350153639023298750ull);
 }
 
 TEST(Update, SgdStepAlgebra) {

@@ -36,7 +36,7 @@ using core::RoundJob;
 // Cheap deterministic stand-in for local training: a pure function of
 // (device, stream, model bytes), like the real train_local.
 RoundGraphExecutor::TrainFn fake_train() {
-  return [](const RoundJob& job, std::vector<float>& model, std::size_t) {
+  return [](const RoundJob& job, std::vector<float>& model) {
     for (std::size_t i = 0; i < model.size(); ++i) {
       const auto salt = static_cast<float>((job.stream >> (i % 24)) & 0xFu);
       model[i] = 0.5f * model[i] + salt + static_cast<float>(job.device + 1);
@@ -119,7 +119,7 @@ std::vector<std::vector<float>> sequential_mix_world(std::size_t chains,
     const std::int64_t source = world.input_job[j];
     std::vector<float> model =
         source < 0 ? snapshot : published[static_cast<std::size_t>(source)];
-    train(world.graph.job(j), model, 0);
+    train(world.graph.job(j), model);
     commit(j, model, &published[j]);
   }
   return world.committed;
@@ -173,7 +173,7 @@ TEST(RoundGraphExecutor, TwoInputJobsAverageBeforeTraining) {
   ParallelExecutor::Bind bind(pool);
   const RoundGraphExecutor executor;
   executor.run(graph,
-               [](const RoundJob&, std::vector<float>& model, std::size_t) {
+               [](const RoundJob&, std::vector<float>& model) {
                  for (auto& x : model) x += 1.0f;
                },
                nullptr);
@@ -242,7 +242,7 @@ std::vector<std::vector<float>> sequential_ring_world() {
       const auto& b = value[static_cast<std::size_t>(job.input_b)];
       for (std::size_t i = 0; i < model.size(); ++i) model[i] = 0.5f * (model[i] + b[i]);
     }
-    train(job, model, 0);
+    train(job, model);
     value[static_cast<std::size_t>(world.graph.output_of(j))] = std::move(model);
   }
   std::vector<std::vector<float>> result;
@@ -285,10 +285,10 @@ TEST(RoundGraphExecutor, FailingJobIsRethrownAndItsDependentsNeverRun) {
     const auto run = [&] {
       executor.run(
           world.graph,
-          [&](const RoundJob& job, std::vector<float>& model, std::size_t slot) {
+          [&](const RoundJob& job, std::vector<float>& model) {
             const std::size_t index = index_of.at(job.stream);
             if (index == 4) throw std::runtime_error("job 4 failed");
-            train(job, model, slot);
+            train(job, model);
             std::lock_guard<std::mutex> lock(mutex);
             trained.push_back(index);
           },

@@ -95,8 +95,7 @@ TEST(RingDelayStress, CirculationProgressesUnderMixedDelays) {
     Rng init(7);
     for (auto& seed : seeds) seed = network.init_weights(init);
     Rng run_rng(9);
-    std::vector<core::TrainScratch> scratch(ParallelExecutor::current().thread_count());
-    return engine.run_interval({ring}, members, std::move(seeds), 5.0, run_rng, scratch);
+    return engine.run_interval({ring}, members, std::move(seeds), 5.0, run_rng);
   };
   const auto r1 = run_once();
   const auto r2 = run_once();

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <iterator>
 #include <limits>
 #include <string>
@@ -398,11 +399,18 @@ std::vector<float> pool_input(std::size_t n, Rng& rng) {
   return v;
 }
 
+/// Demands identical bits.  With `any_nan`, a NaN where a NaN is expected
+/// matches whatever its sign and payload (see VecPlaneMatrix.Mixer).
 template <class T>
 void expect_same_bits(const std::vector<T>& expected, const std::vector<T>& got,
-                      const char* what) {
+                      const char* what, bool any_nan = false) {
   ASSERT_EQ(expected.size(), got.size()) << what;
   for (std::size_t i = 0; i < expected.size(); ++i) {
+    if (any_nan && std::isnan(expected[i])) {
+      ASSERT_TRUE(std::isnan(got[i])) << what << " differs at " << i << ": "
+                                      << expected[i] << " vs " << got[i];
+      continue;
+    }
     ASSERT_EQ(0, std::memcmp(&expected[i], &got[i], sizeof(T)))
         << what << " differs at " << i << ": " << expected[i] << " vs " << got[i];
   }
@@ -418,9 +426,11 @@ std::vector<std::int64_t> plane_lengths() {
 }
 
 /// Runs `outputs(plane)` with the generic plane and with every supported
-/// variant's, from the same inputs, and demands identical bits.
+/// variant's, from the same inputs, and demands identical bits.  Outputs
+/// listed in `any_nan_in` are compared as expect_same_bits' `any_nan`.
 template <class Outputs>
-void expect_plane_matches_generic(const Outputs& outputs) {
+void expect_plane_matches_generic(const Outputs& outputs,
+                                  std::initializer_list<std::size_t> any_nan_in = {}) {
   const auto expected = outputs(gemmk::gemm_variant_generic().plane);
   for (const std::string& variant : gemm_supported_variants()) {
     SCOPED_TRACE(variant);
@@ -428,7 +438,9 @@ void expect_plane_matches_generic(const Outputs& outputs) {
     const auto got = outputs(gemm_runtime_config().plane);
     for (std::size_t i = 0; i < expected.size(); ++i) {
       SCOPED_TRACE(i);
-      expect_same_bits(expected[i], got[i], "output");
+      const bool any_nan =
+          std::find(any_nan_in.begin(), any_nan_in.end(), i) != any_nan_in.end();
+      expect_same_bits(expected[i], got[i], "output", any_nan);
     }
   }
 }
@@ -493,18 +505,27 @@ TEST(VecPlaneMatrix, BiasReluMaskAndSums) {
 }
 
 TEST(VecPlaneMatrix, Mixer) {
+  // Each output's double chain can add a +NaN carried from the inputs and
+  // the -NaN that inf * 0 makes.  x86 keeps the first operand's NaN, and
+  // the compiler may commute `sum + product`, so which NaN survives is a
+  // codegen choice (the -O1 TSan build and -O2 Release choose
+  // differently).  A NaN's sign and payload are outside the byte-identity
+  // contract (docs/ARCHITECTURE.md), so a NaN output only has to be a NaN;
+  // every other output stays bit-exact.
   for (const std::int64_t dim : plane_lengths()) {
     SCOPED_TRACE(dim);
     Rng rng(2900 + dim);
     const auto size = static_cast<std::size_t>(dim);
     const auto rt = plane_input(size * size, rng);
     const auto x = plane_input(size, rng);
-    expect_plane_matches_generic([&](const gemmk::VecPlane& plane) {
-      std::vector<std::vector<float>> out{x};
-      std::vector<double> acc(size);
-      plane.mix(rt.data(), dim, out[0].data(), acc.data());
-      return out;
-    });
+    expect_plane_matches_generic(
+        [&](const gemmk::VecPlane& plane) {
+          std::vector<std::vector<float>> out{x};
+          std::vector<double> acc(size);
+          plane.mix(rt.data(), dim, out[0].data(), acc.data());
+          return out;
+        },
+        /*any_nan_in=*/{0});
   }
 }
 
@@ -549,12 +570,20 @@ TEST(VecPlaneMatrix, Im2colAndCol2imRows) {
         const auto padded = plane_input(padded_size, rng);
         const auto columns =
             plane_input(static_cast<std::size_t>(g.col_rows() * g.col_cols()), rng);
-        expect_plane_matches_generic([&](const gemmk::VecPlane& plane) {
-          std::vector<std::vector<float>> out{std::vector<float>(columns.size()), padded};
-          plane.im2col_rows(padded.data(), g, out[0].data());
-          plane.col2im_rows(columns.data(), g, out[1].data());
-          return out;
-        });
+        // col2im adds column terms onto a plane that may already hold a
+        // +NaN; inf + -inf makes a -NaN, and which of the two an add keeps
+        // is the compiler's operand order (the -O0 Debug ASan build differs
+        // from Release), as in VecPlaneMatrix.Mixer.  The im2col copy stays
+        // bit-exact.
+        expect_plane_matches_generic(
+            [&](const gemmk::VecPlane& plane) {
+              std::vector<std::vector<float>> out{std::vector<float>(columns.size()),
+                                                  padded};
+              plane.im2col_rows(padded.data(), g, out[0].data());
+              plane.col2im_rows(columns.data(), g, out[1].data());
+              return out;
+            },
+            /*any_nan_in=*/{1});
       }
     }
   }

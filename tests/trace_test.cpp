@@ -107,7 +107,7 @@ TEST(Trace, SpansNestAcrossPoolThreads) {
     ParallelExecutor pool(4);
     ParallelExecutor::Bind bind(pool);
     trace::TraceSpan outer("outer", "test");
-    pool.parallel_for(32, [](std::size_t i, std::size_t) {
+    pool.parallel_for(32, [](std::size_t i) {
       trace::TraceSpan inner("inner", "test");
       inner.arg("i", static_cast<std::int64_t>(i));
       // Long enough that the pool workers wake and claim indices: the test
