@@ -45,17 +45,20 @@ std::span<float> ScratchArena::buffer(Buf which, std::size_t floats) {
 }
 
 namespace {
-/// Check-fails on a pool size above the cap before any worker is touched.
-void check_thread_count(std::size_t threads) {
+/// Check-fails on a pool size above the cap before any worker is touched;
+/// `source` names where the size came from.
+void check_thread_count(std::size_t threads, const char* source) {
   FEDHISYN_CHECK_MSG(threads <= ParallelExecutor::kMaxThreads,
-                     "a pool of " << threads << " threads exceeds the cap of "
+                     "a pool of " << threads << " threads" << source
+                                  << " exceeds the cap of "
                                   << ParallelExecutor::kMaxThreads);
 }
 }  // namespace
 
 ParallelExecutor::ParallelExecutor(std::size_t threads) {
-  if (threads == 0) threads = threads_from_env();
-  check_thread_count(threads);
+  const bool from_env = threads == 0;
+  if (from_env) threads = threads_from_env();
+  check_thread_count(threads, from_env ? " (FEDHISYN_THREADS)" : "");
   start_workers(threads);
 }
 
@@ -90,7 +93,7 @@ void ParallelExecutor::stop_workers() {
 }
 
 void ParallelExecutor::set_thread_count(std::size_t threads) {
-  check_thread_count(threads);
+  check_thread_count(threads, "");
   stop_workers();
   start_workers(threads);
 }
@@ -201,12 +204,7 @@ bool ParallelExecutor::in_parallel_region() { return tl_in_parallel; }
 
 std::size_t ParallelExecutor::threads_from_env() {
   const long from_env = env_long("FEDHISYN_THREADS", 0);
-  if (from_env > 0) {
-    FEDHISYN_CHECK_MSG(static_cast<std::size_t>(from_env) <= kMaxThreads,
-                       "FEDHISYN_THREADS=" << from_env << " exceeds the cap of "
-                                           << kMaxThreads << " threads");
-    return static_cast<std::size_t>(from_env);
-  }
+  if (from_env > 0) return static_cast<std::size_t>(from_env);
   const unsigned hardware = std::thread::hardware_concurrency();
   return hardware > 0 ? std::min<std::size_t>(hardware, kMaxThreads) : 1;
 }

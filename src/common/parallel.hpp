@@ -102,8 +102,8 @@ class ParallelExecutor {
   static bool in_parallel_region();
 
   /// FEDHISYN_THREADS if set to a positive integer, else hardware
-  /// concurrency, else 1.  Check-fails when FEDHISYN_THREADS exceeds
-  /// kMaxThreads.
+  /// concurrency (at most kMaxThreads), else 1.  A FEDHISYN_THREADS above
+  /// kMaxThreads is returned as is and rejected by the pool it would size.
   static std::size_t threads_from_env();
 
   /// The process-wide pool used by the library's kernels and algorithms.

@@ -11,7 +11,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
-#include <initializer_list>
 #include <iterator>
 #include <limits>
 #include <string>
@@ -426,11 +425,10 @@ std::vector<std::int64_t> plane_lengths() {
 }
 
 /// Runs `outputs(plane)` with the generic plane and with every supported
-/// variant's, from the same inputs, and demands identical bits.  Outputs
-/// listed in `any_nan_in` are compared as expect_same_bits' `any_nan`.
+/// variant's, from the same inputs, and demands identical bits (with
+/// `any_nan`, as expect_same_bits').
 template <class Outputs>
-void expect_plane_matches_generic(const Outputs& outputs,
-                                  std::initializer_list<std::size_t> any_nan_in = {}) {
+void expect_plane_matches_generic(const Outputs& outputs, bool any_nan = false) {
   const auto expected = outputs(gemmk::gemm_variant_generic().plane);
   for (const std::string& variant : gemm_supported_variants()) {
     SCOPED_TRACE(variant);
@@ -438,8 +436,6 @@ void expect_plane_matches_generic(const Outputs& outputs,
     const auto got = outputs(gemm_runtime_config().plane);
     for (std::size_t i = 0; i < expected.size(); ++i) {
       SCOPED_TRACE(i);
-      const bool any_nan =
-          std::find(any_nan_in.begin(), any_nan_in.end(), i) != any_nan_in.end();
       expect_same_bits(expected[i], got[i], "output", any_nan);
     }
   }
@@ -525,7 +521,7 @@ TEST(VecPlaneMatrix, Mixer) {
           plane.mix(rt.data(), dim, out[0].data(), acc.data());
           return out;
         },
-        /*any_nan_in=*/{0});
+        /*any_nan=*/true);
   }
 }
 
@@ -570,20 +566,12 @@ TEST(VecPlaneMatrix, Im2colAndCol2imRows) {
         const auto padded = plane_input(padded_size, rng);
         const auto columns =
             plane_input(static_cast<std::size_t>(g.col_rows() * g.col_cols()), rng);
-        // col2im adds column terms onto a plane that may already hold a
-        // +NaN; inf + -inf makes a -NaN, and which of the two an add keeps
-        // is the compiler's operand order (the -O0 Debug ASan build differs
-        // from Release), as in VecPlaneMatrix.Mixer.  The im2col copy stays
-        // bit-exact.
-        expect_plane_matches_generic(
-            [&](const gemmk::VecPlane& plane) {
-              std::vector<std::vector<float>> out{std::vector<float>(columns.size()),
-                                                  padded};
-              plane.im2col_rows(padded.data(), g, out[0].data());
-              plane.col2im_rows(columns.data(), g, out[1].data());
-              return out;
-            },
-            /*any_nan_in=*/{1});
+        expect_plane_matches_generic([&](const gemmk::VecPlane& plane) {
+          std::vector<std::vector<float>> out{std::vector<float>(columns.size()), padded};
+          plane.im2col_rows(padded.data(), g, out[0].data());
+          plane.col2im_rows(columns.data(), g, out[1].data());
+          return out;
+        });
       }
     }
   }
