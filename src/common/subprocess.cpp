@@ -47,6 +47,15 @@ Subprocess::Subprocess(const std::vector<std::string>& argv,
   int out_pipe[2];  // child stdout -> parent reads
   FEDHISYN_CHECK_MSG(::pipe2(out_pipe, O_CLOEXEC) == 0,
                      "pipe2() failed: " << std::strerror(errno));
+  // The child's stdin: an empty pipe whose write end the parent closes
+  // right after the fork, so the child reads EOF at once whatever the
+  // host's /dev/null is.
+  int in_pipe[2];
+  if (::pipe2(in_pipe, O_CLOEXEC) != 0) {
+    const int err = errno;
+    for (const int fd : out_pipe) ::close(fd);
+    FEDHISYN_CHECK_MSG(false, "pipe2() failed: " << std::strerror(err));
+  }
 
   // Materialise argv/envp before fork: no allocation between fork and exec.
   std::vector<char*> argv_ptrs;
@@ -76,6 +85,7 @@ Subprocess::Subprocess(const std::vector<std::string>& argv,
   const pid_t pid = ::fork();
   if (pid < 0) {
     for (const int fd : out_pipe) ::close(fd);
+    for (const int fd : in_pipe) ::close(fd);
     FEDHISYN_CHECK_MSG(false, "fork() failed: " << std::strerror(errno));
   }
 
@@ -86,20 +96,26 @@ Subprocess::Subprocess(const std::vector<std::string>& argv,
     // prctl ran.
     ::prctl(PR_SET_PDEATHSIG, SIGKILL);
     if (::getppid() != parent) ::_exit(127);
-    // stdin from /dev/null, stdout onto the pipe, stderr inherited.
-    const int null_fd = ::open("/dev/null", O_RDONLY);
-    if (null_fd > STDIN_FILENO) {
-      ::dup2(null_fd, STDIN_FILENO);
-      ::close(null_fd);
-    }
-    ::dup2(out_pipe[1], STDOUT_FILENO);
-    for (const int fd : out_pipe) ::close(fd);
+    // stdin from the empty pipe, stdout onto the pipe, stderr inherited.
+    // dup2 drops O_CLOEXEC on the copies and the originals close at exec;
+    // a pipe end that already is fd 0 or 1 (the parent had closed it) only
+    // drops the flag.
+    const auto keep_as = [](int fd, int target) {
+      if (fd == target) {
+        ::fcntl(fd, F_SETFD, 0);
+      } else {
+        ::dup2(fd, target);
+      }
+    };
+    keep_as(in_pipe[0], STDIN_FILENO);
+    keep_as(out_pipe[1], STDOUT_FILENO);
     ::execve(argv_ptrs[0], argv_ptrs.data(), envp.data());
     // exec failed: 127 is the shell's convention for "command not found".
     ::_exit(127);
   }
 
   pid_ = pid;
+  for (const int fd : in_pipe) ::close(fd);
   ::close(out_pipe[1]);
   stdout_fd_ = out_pipe[0];
 }

@@ -5,8 +5,10 @@
 // The child inherits the parent's environment plus explicit "KEY=VALUE"
 // overrides, and inherits stderr directly — worker diagnostics interleave
 // with the parent's progress output instead of vanishing.  Its stdin is
-// /dev/null.  The child is SIGKILLed when the spawning *thread* exits
-// (PR_SET_PDEATHSIG), so a killed parent leaves no orphan behind.
+// an empty pipe whose write end is closed, so it reads EOF at once,
+// whatever the host's /dev/null is.  The child is SIGKILLed when the
+// spawning *thread* exits (PR_SET_PDEATHSIG), so a killed parent leaves no
+// orphan behind.
 #pragma once
 
 #include <string>

@@ -141,6 +141,15 @@ struct VecPlane {
   /// col2im's scatter-add into the padded plane, (c,ky,kx) ascending:
   /// padded[c, y*s+ky, x*s+kx] += columns[(c,ky,kx), (y,x)].
   void (*col2im_rows)(const float* columns, const ConvGeometry& g, float* padded);
+  /// y[i] = expf(x[i]) with the bits of glibc 2.36's non-FMA expf, computed
+  /// in-tree (no libm call).
+  void (*expf)(const float* x, float* y, std::int64_t n);
+  /// Softmax cross-entropy (softmax_xent_rows, tensor/ops.hpp) of `rows`
+  /// rows of `cols` logits whose labels all lie in [0, cols): returns the
+  /// sum in row order of log(sum_c expf(x_c - max)) + max - x_label, and
+  /// when `grad` is non-null writes the gradient scaled by 1/rows there.
+  double (*softmax_xent)(const float* logits, const std::int32_t* labels, std::int64_t rows,
+                         std::int64_t cols, float* grad);
 };
 
 /// One ISA variant: a runtime support predicate, its one register tile and

@@ -1,7 +1,5 @@
 #include "tensor/ops.hpp"
 
-#include <cmath>
-
 #include "common/check.hpp"
 #include "tensor/gemm_tune.hpp"
 
@@ -29,36 +27,14 @@ float softmax_xent_rows(std::span<const float> logits, std::span<const std::int3
                         std::int64_t rows, std::int64_t cols, std::span<float> grad) {
   FEDHISYN_CHECK(static_cast<std::int64_t>(logits.size()) >= rows * cols);
   FEDHISYN_CHECK(static_cast<std::int64_t>(labels.size()) >= rows);
-  const bool want_grad = !grad.empty();
-  if (want_grad) FEDHISYN_CHECK(grad.size() >= logits.size());
-  double total_loss = 0.0;
-  const float inv_rows = 1.0f / static_cast<float>(rows);
+  if (!grad.empty()) FEDHISYN_CHECK(grad.size() >= logits.size());
+  // Every label is checked before any output is written.
   for (std::int64_t r = 0; r < rows; ++r) {
-    const float* row = logits.data() + r * cols;
     const std::int32_t y = labels[static_cast<std::size_t>(r)];
     FEDHISYN_CHECK_MSG(y >= 0 && y < cols, "label " << y << " out of range [0," << cols << ")");
-    float max_v = row[0];
-    for (std::int64_t c = 1; c < cols; ++c) max_v = std::max(max_v, row[c]);
-    // The gradient path keeps each exp in grad and scales it in place:
-    // std::exp(float) is deterministic, so one call gives the bytes two did.
-    float* grow = want_grad ? grad.data() + r * cols : nullptr;
-    double sum = 0.0;
-    for (std::int64_t c = 0; c < cols; ++c) {
-      const float e = std::exp(row[c] - max_v);
-      if (want_grad) grow[c] = e;
-      sum += e;
-    }
-    const double log_sum = std::log(sum) + max_v;
-    total_loss += log_sum - row[y];
-    if (want_grad) {
-      const double inv_sum = 1.0 / sum;
-      for (std::int64_t c = 0; c < cols; ++c) {
-        const double p = grow[c] * inv_sum;
-        grow[c] = static_cast<float>(p) * inv_rows;
-      }
-      grow[y] -= inv_rows;
-    }
   }
+  const double total_loss = gemm_runtime_config().plane.softmax_xent(
+      logits.data(), labels.data(), rows, cols, grad.empty() ? nullptr : grad.data());
   return static_cast<float>(total_loss / static_cast<double>(rows));
 }
 
@@ -67,8 +43,11 @@ void weighted_sum(std::span<const std::span<const float>> inputs,
   FEDHISYN_CHECK(inputs.size() == weights.size());
   FEDHISYN_CHECK(!inputs.empty());
   for (const auto& in : inputs) FEDHISYN_CHECK(in.size() == out.size());
-  // Accumulate in double for determinism-insensitive precision, fixed order.
-  std::vector<double> acc(out.size(), 0.0);
+  // Accumulate in double for determinism-insensitive precision, fixed order,
+  // in this thread's accumulator (reused across calls, so no allocation once
+  // it has grown to the model size).
+  thread_local std::vector<double> acc;
+  acc.assign(out.size(), 0.0);
   const auto scaled_add = gemm_runtime_config().plane.scaled_add;
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     scaled_add(acc.data(), inputs[i].data(), weights[i], static_cast<std::int64_t>(out.size()));

@@ -1141,8 +1141,9 @@ TEST(Sinks, AppendedLinesAccumulate) {
 // ------------------------------------------------------------ subprocess --
 
 TEST(Subprocess, CapturesStdoutWithStdinAtEofAndReportsExit) {
-  // stdin is /dev/null: the cat returns at once instead of waiting on
-  // whatever the parent's stdin is.
+  // stdin is an empty pipe whose write end is closed: the cat returns at
+  // once instead of waiting on whatever the parent's stdin is, and reads
+  // nothing whatever the host's /dev/null holds.
   Subprocess child({"/bin/sh", "-c", "cat; printf hello"}, {});
   std::string out;
   char buf[64];

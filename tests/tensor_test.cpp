@@ -577,6 +577,159 @@ TEST(VecPlaneMatrix, Im2colAndCol2imRows) {
   }
 }
 
+/// FNV-1a over the bits of `v`.
+std::uint64_t bits_digest(const std::vector<float>& v) {
+  std::uint64_t digest = 14695981039346656037ull;
+  for (const float x : v) {
+    std::uint32_t b;
+    std::memcpy(&b, &x, sizeof(b));
+    for (int k = 0; k < 4; ++k) {
+      digest ^= (b >> (8 * k)) & 0xff;
+      digest *= 1099511628211ull;
+    }
+  }
+  return digest;
+}
+
+float float_from_bits(std::uint32_t b) {
+  float v;
+  std::memcpy(&v, &b, sizeof(v));
+  return v;
+}
+
+TEST(VecPlaneMatrix, ExpfSampledGridDigest) {
+  // Every 997th of the 2^32 bit patterns, then +-inf and NaNs.  The
+  // in-tree expf does not depend on the host's libm, so the digest is
+  // pinned; tools/check_expf.cpp compares every float of its range with
+  // glibc's expf itself.
+  std::vector<float> x;
+  for (std::uint64_t b = 0; b < (1ull << 32); b += 997) {
+    x.push_back(float_from_bits(static_cast<std::uint32_t>(b)));
+  }
+  for (const std::uint32_t b : {0x7f800000u, 0xff800000u, 0x7fc00000u, 0xffc00000u, 0x7f800001u}) {
+    x.push_back(float_from_bits(b));
+  }
+  const auto n = static_cast<std::int64_t>(x.size());
+  for (const std::string& variant : gemm_supported_variants()) {
+    SCOPED_TRACE(variant);
+    ScopedGemmKernel forced(variant);
+    const auto expf = gemm_runtime_config().plane.expf;
+    std::vector<float> y(x.size());
+    expf(x.data(), y.data(), n);
+    EXPECT_EQ(bits_digest(y), 13683225398729868871ull);
+
+    // glibc's special cases: -inf and below log(2^-150) give +0, above
+    // log(2^128) +inf, a NaN stays a NaN.
+    const float inf = std::numeric_limits<float>::infinity();
+    const std::vector<float> in = {-inf, -104.0f, 89.0f, inf, std::nanf(""), 0.0f, -0.0f, 1.0f};
+    std::vector<float> out(in.size());
+    expf(in.data(), out.data(), static_cast<std::int64_t>(in.size()));
+    const std::vector<float> want = {0.0f, 0.0f, inf, inf, out[4], 1.0f, 1.0f, 0x1.5bf0a8p+1f};
+    expect_same_bits(want, out, "expf");
+    EXPECT_TRUE(std::isnan(out[4]));
+  }
+}
+
+/// Rows of logits: normal draws spread over about +-8, with about one slot
+/// in 4 * cols + 3 a NaN, +-inf or +-100 (so x - max reaches expf's
+/// underflow).  A NaN or +inf makes its row's loss and gradient NaN, so
+/// most rows keep none.
+std::vector<float> logit_input(std::size_t n, std::int64_t cols, Rng& rng) {
+  const float specials[] = {std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(), 100.0f, -100.0f};
+  std::vector<float> v(n);
+  for (auto& x : v) {
+    x = rng.uniform_index(static_cast<std::uint64_t>(4 * cols + 3)) == 0
+            ? specials[rng.uniform_index(std::size(specials))]
+            : 4.0f * static_cast<float>(rng.normal());
+  }
+  return v;
+}
+
+/// softmax_xent_rows' scalar loop, one row and one column at a time, with
+/// the generic plane's in-tree expf called on single elements for the exp:
+/// returns the loss sum and writes the gradient when `grad` is non-null.
+double scalar_softmax_xent(const std::vector<float>& logits,
+                           const std::vector<std::int32_t>& labels, std::int64_t rows,
+                           std::int64_t cols, float* grad) {
+  const auto expf = gemmk::gemm_variant_generic().plane.expf;
+  const float inv_rows = 1.0f / static_cast<float>(rows);
+  std::vector<float> e(static_cast<std::size_t>(cols));
+  double total = 0.0;
+  for (std::int64_t r = 0; r < rows; ++r) {
+    const float* row = logits.data() + r * cols;
+    const std::int32_t y = labels[static_cast<std::size_t>(r)];
+    float max_v = row[0];
+    for (std::int64_t c = 1; c < cols; ++c) max_v = std::max(max_v, row[c]);
+    double sum = 0.0;
+    for (std::int64_t c = 0; c < cols; ++c) {
+      const float d = row[c] - max_v;
+      expf(&d, &e[static_cast<std::size_t>(c)], 1);
+      sum += e[static_cast<std::size_t>(c)];
+    }
+    total += std::log(sum) + max_v - row[y];
+    if (grad != nullptr) {
+      float* g = grad + r * cols;
+      const double inv_sum = 1.0 / sum;
+      for (std::int64_t c = 0; c < cols; ++c) {
+        g[c] = static_cast<float>(e[static_cast<std::size_t>(c)] * inv_sum) * inv_rows;
+      }
+      g[y] -= inv_rows;
+    }
+  }
+  return total;
+}
+
+TEST(VecPlaneMatrix, SoftmaxXentMatchesScalarReference) {
+  // Rows 1-33 run every block of 2, 4 or 8 rows with every short last
+  // block; 100 columns is cifar100, 200 more than any data set.  Every
+  // output that is not a NaN is bit-exact.  A NaN only has to be a NaN: a
+  // NaN logit or inf - inf meets another NaN in the commutative adds of the
+  // sum and the loss total and in the gradient's product, and x86 keeps the
+  // first operand's NaN, whose place each build picks for itself (as in
+  // VecPlaneMatrix.Mixer; docs/ARCHITECTURE.md).
+  for (const std::int64_t cols : {1, 2, 10, 26, 100, 200}) {
+    for (std::int64_t rows = 1; rows <= 33; ++rows) {
+      SCOPED_TRACE(testing::Message() << rows << "x" << cols);
+      Rng rng(5900 + rows * 211 + cols);
+      const auto size = static_cast<std::size_t>(rows * cols);
+      const auto logits = logit_input(size, cols, rng);
+      std::vector<std::int32_t> labels(static_cast<std::size_t>(rows));
+      for (auto& y : labels) y = static_cast<std::int32_t>(rng.uniform_index(cols));
+      std::vector<float> want_grad(size);
+      const double want = scalar_softmax_xent(logits, labels, rows, cols, want_grad.data());
+      for (const std::string& variant : gemm_supported_variants()) {
+        SCOPED_TRACE(variant);
+        ScopedGemmKernel forced(variant);
+        const auto softmax_xent = gemm_runtime_config().plane.softmax_xent;
+        std::vector<float> grad(size, 7.0f);
+        const double total = softmax_xent(logits.data(), labels.data(), rows, cols, grad.data());
+        const double loss_only = softmax_xent(logits.data(), labels.data(), rows, cols, nullptr);
+        expect_same_bits(std::vector<double>{want, want}, std::vector<double>{total, loss_only},
+                         "loss", /*any_nan=*/true);
+        expect_same_bits(want_grad, grad, "grad", /*any_nan=*/true);
+
+        // The checked wrapper returns the mean and writes the same gradient.
+        std::vector<float> wrapped(size);
+        const float mean = softmax_xent_rows(logits, labels, rows, cols, wrapped);
+        expect_same_bits(std::vector<float>{static_cast<float>(want / static_cast<double>(rows))},
+                         std::vector<float>{mean}, "mean", /*any_nan=*/true);
+        expect_same_bits(want_grad, wrapped, "wrapped grad", /*any_nan=*/true);
+
+        // A bad label in the last row throws before any output is written.
+        for (const std::int32_t bad : {static_cast<std::int32_t>(cols), -1}) {
+          auto bad_labels = labels;
+          bad_labels.back() = bad;
+          std::vector<float> untouched(size, 7.0f);
+          EXPECT_THROW(softmax_xent_rows(logits, bad_labels, rows, cols, untouched), CheckError);
+          expect_same_bits(std::vector<float>(size, 7.0f), untouched, "grad after a bad label");
+        }
+      }
+    }
+  }
+}
+
 TEST(GemmRuntime, ShapeClassMapping) {
   EXPECT_EQ(gemm_shape_class(gemmk::GemmOp::kNN, kGemmWideN), "nn/narrow");
   EXPECT_EQ(gemm_shape_class(gemmk::GemmOp::kNN, kGemmWideN + 1), "nn/wide");
