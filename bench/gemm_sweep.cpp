@@ -7,12 +7,11 @@
 // tools/bench_gate.py consumes the JSON and fails the bench-regression job
 // when a shape regresses against bench/baselines/.
 //
-// The gate metric is `speedup_st` = reference-serial time / blocked time on
-// a 1-thread pool: a same-machine ratio, so it transfers across runner
-// hardware where raw GFLOP/s would not.  `blk_mt_ms` / `parallel_scaling`
-// are informational (pool size = --threads / FEDHISYN_THREADS).
+// The gate metric is `speedup_st` = reference time / blocked time, both on
+// the calling thread (a GEMM never reaches the pool): a same-machine ratio,
+// so it transfers across runner hardware where raw GFLOP/s would not.
 //
-//   ./bench_gemm_sweep --out BENCH_gemm.json [--min-time-ms 200] [--threads N]
+//   ./bench_gemm_sweep --out BENCH_gemm.json [--min-time-ms 200]
 //                      [--shapes name,...] [--kernel VARIANT]
 //                      [--list-kernels]
 //
@@ -38,7 +37,6 @@
 
 #include "common/check.hpp"
 #include "common/hostinfo.hpp"
-#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "gemm_shapes.hpp"
 #include "tensor/gemm.hpp"
@@ -177,7 +175,6 @@ const char* variant_name(Variant v) {
 int main(int argc, char** argv) {
   std::string out_path = "BENCH_gemm.json";
   double min_time_ms = 200.0;
-  std::size_t threads = ParallelExecutor::threads_from_env();
   std::string shapes_filter;
   std::string kernel_spec;
   bool list_kernels = false;
@@ -194,8 +191,6 @@ int main(int argc, char** argv) {
       out_path = next();
     } else if (arg == "--min-time-ms") {
       min_time_ms = std::atof(next());
-    } else if (arg == "--threads") {
-      threads = static_cast<std::size_t>(std::atol(next()));
     } else if (arg == "--shapes") {
       shapes_filter = next();
     } else if (arg == "--kernel") {
@@ -204,12 +199,11 @@ int main(int argc, char** argv) {
       list_kernels = true;
     } else {
       std::cerr << "usage: bench_gemm_sweep [--out FILE] [--min-time-ms MS] "
-                   "[--threads N] [--shapes name,...] "
+                   "[--shapes name,...] "
                    "[--kernel VARIANT] [--list-kernels]\n";
       return arg == "--help" ? 0 : 2;
     }
   }
-  if (threads < 1) threads = 1;
 
   if (list_kernels) {
     for (const std::string& name : gemm_supported_variants()) {
@@ -261,7 +255,7 @@ int main(int argc, char** argv) {
 
   // Timing modes per shape: the current selection (plain entry, gated), and
   // — unless --kernel pinned one — every supported variant as "@variant"
-  // entries (single-thread only; the ref timing is shared).
+  // entries (the ref timing is shared).
   struct Mode {
     std::string suffix;       // "" or "@avx2"
     std::string spec;         // "" = the sweep's default selection
@@ -277,13 +271,9 @@ int main(int argc, char** argv) {
   // else FEDHISYN_GEMM_KERNEL, else auto.
   const std::string default_spec = gemm_runtime_info().variant;
 
-  ParallelExecutor pool_st(1);
-  ParallelExecutor pool_mt(threads);
-
   std::string json;
   json += "{\n  \"schema\": \"fedhisyn-gemm-sweep/1\",\n";
   json += "  " + host_json_field(gemm_runtime_info().variant) + ",\n";
-  json += "  \"threads\": " + std::to_string(threads) + ",\n";
   json += "  \"min_time_ms\": " + std::to_string(min_time_ms) + ",\n";
   json += "  \"shapes\": [\n";
 
@@ -301,58 +291,25 @@ int main(int argc, char** argv) {
       gemm_runtime_select(mode.spec.empty() ? default_spec : mode.spec);
       const std::string kernel = gemm_runtime_info().variant;
 
-      double blk_st_ms = 0.0;
-      {
-        ParallelExecutor::Bind bind(pool_st);
-        blk_st_ms = time_best_ms(min_time_ms, [&] { run_blocked(s, ops); });
-      }
+      const double blk_st_ms = time_best_ms(min_time_ms, [&] { run_blocked(s, ops); });
       const double speedup_st = ref_st_ms / blk_st_ms;
       char line[512];
-      if (mode.suffix.empty()) {
-        double blk_mt_ms = 0.0;
-        {
-          ParallelExecutor::Bind bind(pool_mt);
-          blk_mt_ms = time_best_ms(min_time_ms, [&] { run_blocked(s, ops); });
-        }
-        const double scaling = blk_st_ms / blk_mt_ms;
-        std::snprintf(
-            line, sizeof(line),
-            "    {\"name\": \"%s\", \"variant\": \"%s\", \"m\": %lld, "
-            "\"k\": %lld, \"n\": %lld, \"kernel\": \"%s\", "
-            "\"ref_st_ms\": %.4f, \"blk_st_ms\": %.4f, \"blk_mt_ms\": %.4f, "
-            "\"blk_st_gflops\": %.2f, \"blk_mt_gflops\": %.2f, "
-            "\"speedup_st\": %.3f, \"parallel_scaling\": %.3f}",
-            s.name, variant_name(s.variant), static_cast<long long>(s.m),
-            static_cast<long long>(s.k), static_cast<long long>(s.n),
-            kernel.c_str(), ref_st_ms, blk_st_ms, blk_mt_ms,
-            flops / (blk_st_ms * 1e6), flops / (blk_mt_ms * 1e6), speedup_st,
-            scaling);
-        std::fprintf(stderr,
-                     "%-14s %4lldx%4lldx%4lld  %-8s ref %8.3f ms  blocked "
-                     "%8.3f ms  speedup %5.2fx  mt(%zu) %8.3f ms\n",
-                     s.name, static_cast<long long>(s.m),
-                     static_cast<long long>(s.k), static_cast<long long>(s.n),
-                     kernel.c_str(), ref_st_ms, blk_st_ms, speedup_st, threads,
-                     blk_mt_ms);
-      } else {
-        std::snprintf(
-            line, sizeof(line),
-            "    {\"name\": \"%s%s\", \"variant\": \"%s\", \"m\": %lld, "
-            "\"k\": %lld, \"n\": %lld, \"kernel\": \"%s\", "
-            "\"ref_st_ms\": %.4f, \"blk_st_ms\": %.4f, "
-            "\"blk_st_gflops\": %.2f, \"speedup_st\": %.3f}",
-            s.name, mode.suffix.c_str(), variant_name(s.variant),
-            static_cast<long long>(s.m), static_cast<long long>(s.k),
-            static_cast<long long>(s.n), kernel.c_str(), ref_st_ms, blk_st_ms,
-            flops / (blk_st_ms * 1e6), speedup_st);
-        std::fprintf(stderr,
-                     "%-14s %4lldx%4lldx%4lld  %-8s ref %8.3f ms  blocked "
-                     "%8.3f ms  speedup %5.2fx\n",
-                     (s.name + mode.suffix).c_str(),
-                     static_cast<long long>(s.m), static_cast<long long>(s.k),
-                     static_cast<long long>(s.n), kernel.c_str(), ref_st_ms,
-                     blk_st_ms, speedup_st);
-      }
+      std::snprintf(
+          line, sizeof(line),
+          "    {\"name\": \"%s%s\", \"variant\": \"%s\", \"m\": %lld, "
+          "\"k\": %lld, \"n\": %lld, \"kernel\": \"%s\", "
+          "\"ref_st_ms\": %.4f, \"blk_st_ms\": %.4f, "
+          "\"blk_st_gflops\": %.2f, \"speedup_st\": %.3f}",
+          s.name, mode.suffix.c_str(), variant_name(s.variant),
+          static_cast<long long>(s.m), static_cast<long long>(s.k),
+          static_cast<long long>(s.n), kernel.c_str(), ref_st_ms, blk_st_ms,
+          flops / (blk_st_ms * 1e6), speedup_st);
+      std::fprintf(stderr,
+                   "%-14s %4lldx%4lldx%4lld  %-8s ref %8.3f ms  blocked "
+                   "%8.3f ms  speedup %5.2fx\n",
+                   (s.name + mode.suffix).c_str(), static_cast<long long>(s.m),
+                   static_cast<long long>(s.k), static_cast<long long>(s.n),
+                   kernel.c_str(), ref_st_ms, blk_st_ms, speedup_st);
       if (!first) json += ",\n";
       first = false;
       json += line;

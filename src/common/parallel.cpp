@@ -159,9 +159,9 @@ void ParallelExecutor::parallel_for(std::size_t n, const Body& body) {
     run_inline();
     return;
   }
-  // Top-level but effectively serial: run on the caller, leaving the region
-  // flag clear so kernels inside the single body (gemm rows, conv batches)
-  // can still fan out over the idle pool.
+  // Top-level but effectively serial: run on the caller.  The region flag
+  // stays clear, so a parallel_for inside the single body may still use the
+  // pool.
   if (workers_.empty() || n == 1) {
     run_inline();
     return;
@@ -199,8 +199,6 @@ void ParallelExecutor::parallel_for(std::size_t n, const Body& body) {
   }
   if (error) std::rethrow_exception(error);
 }
-
-bool ParallelExecutor::in_parallel_region() { return tl_in_parallel; }
 
 std::size_t ParallelExecutor::threads_from_env() {
   const long from_env = env_long("FEDHISYN_THREADS", 0);

@@ -1,7 +1,11 @@
 // ParallelExecutor: the library-wide worker pool behind every parallel loop
-// (per-device local training, GEMM rows, conv batches, fleet evaluation).
+// (per-device local training, round-DAG workers, fleet evaluation).
 //
 // Design rules that every caller relies on:
+//   * One level of parallelism: the pool runs training jobs (and evaluation
+//     chunks), never a kernel's tiles.  GEMM, conv, the optimizer steps and
+//     the vector plane run serially on the calling thread; the loop over
+//     jobs already keeps every thread busy.
 //   * Determinism is the caller's contract: a body invoked for index i must
 //     depend only on i (plus per-index seeded Rng streams), never on which
 //     thread runs it or in which order indices complete.  Under that contract
@@ -10,7 +14,7 @@
 //     scratch is thread_local, owned by the module that uses it (ScratchArena
 //     here, the trainer's and the evaluator's buffers in core/ and nn/), so a
 //     body receives only its index and callers pass no scratch around.
-//   * Nested parallel_for calls (e.g. a parallel GEMM inside a parallel
+//   * Nested parallel_for calls (e.g. a fleet evaluation inside a parallel
 //     device loop) execute inline on the calling thread — no deadlock, no
 //     oversubscription.
 //
@@ -97,21 +101,17 @@ class ParallelExecutor {
   /// fine (they run inline); fan out over items, not over callers.
   void parallel_for(std::size_t n, const Body& body);
 
-  /// True when the current thread is already inside a parallel_for body (used
-  /// by kernels to decide against re-dispatching).
-  static bool in_parallel_region();
-
   /// FEDHISYN_THREADS if set to a positive integer, else hardware
   /// concurrency (at most kMaxThreads), else 1.  A FEDHISYN_THREADS above
   /// kMaxThreads is returned as is and rejected by the pool it would size.
   static std::size_t threads_from_env();
 
-  /// The process-wide pool used by the library's kernels and algorithms.
+  /// The process-wide pool used by the library's algorithms.
   static ParallelExecutor& global();
 
   /// The executor the calling thread should dispatch on: the innermost
-  /// Bind on this thread, or global() when none is bound.  Kernels and
-  /// algorithms fan out on current() so a scheduler can give concurrent
+  /// Bind on this thread, or global() when none is bound.  Algorithms fan
+  /// out on current() so a scheduler can give concurrent
   /// experiment cells private pools (each cell thread binds its own executor
   /// and the cells never contend for global()'s single job slot).
   static ParallelExecutor& current();

@@ -318,9 +318,9 @@ RoundGraphExecutor::Run::Run(RoundGraph& graph, const TrainFn& train,
 }
 
 void RoundGraphExecutor::Run::execute(ParallelExecutor& pool) {
-  // One worker loop per pool thread (never more than there are jobs).
-  // Inside the pooled loop nested kernels run inline; a single worker runs
-  // on the caller outside the region, so its kernels may still fan out.
+  // One worker loop per pool thread (never more than there are jobs).  A
+  // single worker runs on the caller; either way a job's kernels run
+  // serially on its worker's thread.
   const std::size_t workers = std::min(pool.thread_count(), stats.jobs);
   if (workers > 0) {
     pool.parallel_for(workers, [this](std::size_t) { worker(); });

@@ -1,6 +1,8 @@
 // RoundGraph: the shared task-graph round engine behind every event-driven
 // training round (FedHiSyn's ring circulation, the FedAsync/TAFedAvg
-// asynchronous baselines, the decentralised figure modes).
+// asynchronous baselines, and DecentralRing, the server-free rings of
+// Figs. 3-4).  Fig. 2's round-synchronous DecentralHomogeneous is not
+// event-driven: it trains its devices in one parallel_for per round.
 //
 // The pattern all of them share: virtual-time job durations depend only on
 // the fleet profile, never on training output, so a round's entire event
@@ -14,7 +16,8 @@
 // Execution: jobs run by ready counts.  Each live job counts the inputs it
 // still waits for; it becomes ready when the last one is produced (a job
 // output when its job finishes, a version when its commit runs).  One worker
-// loop per pool thread pops the lowest-index ready job, trains it and, under
+// loop per pool thread pops the lowest-index ready job, trains it (the job's
+// kernels run serially on that thread) and, under
 // the executor lock, advances the commit chain (cheap server mixes) strictly
 // in job order over every finished prefix.
 //

@@ -45,7 +45,7 @@
 //   --list-methods    print the registered algorithms (one description line
 //                     each) and exit
 //   --gemm-info       print the resolved GEMM dispatch state (selected
-//                     variant, its one tile and the tile-grid sizes every
+//                     variant, its one tile and the blocking sizes every
 //                     call runs) and exit
 //   --serve [BIND:]PORT
 //                     become a resident dispatch worker: listen on PORT

@@ -66,20 +66,20 @@ void Conv2d::forward(const Shape3& in, std::span<const float> params, const Tens
                                    static_cast<std::size_t>(out_channels_));
 
   const gemmk::VecPlane& vec = gemm_runtime_config().plane;
-  auto& pool = ParallelExecutor::current();
-  pool.parallel_for(static_cast<std::size_t>(batch), [&](std::size_t bi) {
-    const auto b = static_cast<std::int64_t>(bi);
-    // Thread-local arena scratch: reused across batches, layers and calls
-    // (the nested GEMM's B-panel pack buffer is a separate arena slot).
-    auto my_columns = ScratchArena::buffer(
-        ScratchArena::kConvColumns, static_cast<std::size_t>(col_rows * col_cols));
-    im2col(x.row(b), g, my_columns);
+  // Serial over the batch, like the backward: the caller's loop over
+  // training jobs is what runs in parallel.  Thread-local arena scratch is
+  // reused across samples, layers and calls (the GEMM's B-panel pack
+  // buffer is a separate arena slot).
+  auto columns = ScratchArena::buffer(
+      ScratchArena::kConvColumns, static_cast<std::size_t>(col_rows * col_cols));
+  for (std::int64_t b = 0; b < batch; ++b) {
+    im2col(x.row(b), g, columns);
     auto out_row = y.row(b);
     // out[oc, pix] = filters[oc, :] * columns[:, pix]
-    gemm(filters, std::span<const float>(my_columns), out_row, out_channels_, col_rows,
+    gemm(filters, std::span<const float>(columns), out_row, out_channels_, col_rows,
          col_cols);
     vec.bias_planes(out_row.data(), bias.data(), out_channels_, col_cols, relu_);
-  });
+  }
 }
 
 void Conv2d::backward(const Shape3& in, std::span<const float> params, const Tensor& x,
@@ -114,9 +114,7 @@ void Conv2d::backward(const Shape3& in, std::span<const float> params, const Ten
   if (grad_in != nullptr) grad_in->resize({batch, in.c, in.h, in.w});
 
   const gemmk::VecPlane& vec = gemm_runtime_config().plane;
-  // Serial over the batch: the filter-gradient accumulation must stay
-  // deterministic (fixed order) and race-free; batch sizes here are small.
-  // The nested GEMMs still fan out over the pool (they are top-level here).
+  // Serial over the batch: the filter gradient accumulates in batch order.
   auto columns = ScratchArena::buffer(
       ScratchArena::kConvColumns, static_cast<std::size_t>(col_rows * col_cols));
   const auto grad_columns =

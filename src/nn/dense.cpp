@@ -61,10 +61,9 @@ void Dense::backward(const Shape3& in, std::span<const float> params, const Tens
   // masked grad_out from +0 in batch order.
   gemm_runtime_config().plane.mask_col_sums(grad_out.data(), relu_ ? y.data() : nullptr,
                                             grad_b.data(), batch, units_);
-  // dW[in, out] = x^T(batch, in) * grad_out(batch, out).  m = fan_in here,
-  // so the blocked kernel's 2-D tiling (not row-parallelism) is what spreads
-  // this tall-skinny shape over the pool.  Beta 0 starts every element from
-  // +0, so the slice needs no zeroing.
+  // dW[in, out] = x^T(batch, in) * grad_out(batch, out), a tall-skinny
+  // shape (m = fan_in).  Beta 0 starts every element from +0, so the slice
+  // needs no zeroing.
   gemm_tn(x.span(), grad_out.span(), grad_w, fan_in, batch, units_);
   if (grad_in == nullptr) return;
   // dx(batch, in) = grad_out(batch, out) * W^T(out, in); W stored [in, out].

@@ -6,9 +6,7 @@
 //                    (g - c_local + c_global)
 //
 // Each loop runs in the selected variant's vector plane
-// (tensor/gemm_kernel.hpp VecPlane).  Paper-scale models chunk it over the
-// ParallelExecutor pool (inline inside an outer parallel region); every
-// index is independent, so results are bit-identical for any thread count.
+// (tensor/gemm_kernel.hpp VecPlane), serially on the calling thread.
 #pragma once
 
 #include <span>

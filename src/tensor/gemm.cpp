@@ -2,18 +2,20 @@
 // driver serves all three operand layouts and every micro-kernel variant
 // (gemm_kernels_*.cpp, selected once per process by tensor/gemm_tune.cpp):
 //
-//   * C is tiled over (task_rows x NC) tasks: row strips crossed with column
-//     panels, both sized from the selected kernel's register tile
-//     (gemmk::task_rows / gemmk::panel_width).  The 2-D grid is what the
-//     pool parallelises over, so wide-N conv (im2col) shapes scale past `m`
-//     threads.
+//   * Runs serially on the calling thread.  Parallelism lives one level up,
+//     in the loops over training jobs (docs/ARCHITECTURE.md, "One level of
+//     parallelism"); no GEMM reaches the pool.
+//   * Three loops, sized from the selected kernel's register tile
+//     (gemmk::panel_width / gemmk::strip_rows): column panels of NC
+//     columns, each packed once; row strips of two MR tiles; NR-wide
+//     sub-panels, whose register tiles run down the strip.
 //   * A is never packed: the micro-kernel reads op(A) in place through MR
 //     row pointers and a k step (1 for NN/NT, m for TN).  Rows past a
 //     strip's end point at its last valid row and are never stored.
 //   * B is read in place for NN/TN shapes whose B rows are under 512 bytes
 //     (n < 128): op(B) is B, row stride n, and a ragged last sub-panel is
-//     read under the kernel's column mask.  B is packed once per (thread,
-//     panel) into a 64-byte-aligned ScratchArena buffer of NR-wide
+//     read under the kernel's column mask.  B is packed once per panel
+//     into a 64-byte-aligned ScratchArena buffer of NR-wide
 //     sub-panels for NT (op(B) = B^T strides k per column) and for
 //     wider rows.  The bound is the measured crossover (bench_gemm_sweep,
 //     1 thread, best of 6 runs on a 4-vCPU AVX-512 Xeon, avx512 and forced
@@ -27,9 +29,9 @@
 //     itself (gemm_kernel.hpp), so there is no staging tile.
 //   * The k-loop always covers the *full* k extent: k is never split and
 //     every C element sees its k terms in ascending order, so results are
-//     bit-identical for any thread count, any tiling, any kernel variant
-//     (FEDHISYN_GEMM_KERNEL), packed or in place, inline or pooled — the
-//     determinism contract of common/parallel.hpp and gemm_kernel.hpp.
+//     bit-identical for any tiling, any kernel variant
+//     (FEDHISYN_GEMM_KERNEL), packed or in place — the determinism
+//     contract of gemm_kernel.hpp.
 //   * Every shape takes this driver, down to the 50x16x10 layers of the
 //     paper MLPs.
 //
@@ -42,7 +44,6 @@
 #include "tensor/gemm.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 
 #include "common/check.hpp"
@@ -58,10 +59,6 @@ namespace {
 
 using gemmk::GemmKernel;
 using gemmk::GemmOp;
-
-// Below this many multiply-accumulates a call runs inline: a pool wakeup
-// would cost more than the work it spreads.
-constexpr std::int64_t kParallelFlopThreshold = std::int64_t{1} << 17;
 
 // NN/TN read B in place while a B row is shorter than this (see the header).
 constexpr std::int64_t kInPlaceBRowBytes = 512;
@@ -109,53 +106,14 @@ void run_micro_tile(const float* a, std::int64_t a_pitch, std::int64_t a_step,
   kernel.kloop(rows, a_step, b, ldb, k, c + i0 * n + j0, n, mr_valid, nr_valid, mode);
 }
 
-// B-panel pack memo: within one public gemm call (identified by a global
-// call id), a thread that processes consecutive tasks of the same column
-// panel reuses its packed copy instead of re-packing.  Tasks are numbered
-// panel-major for exactly this reason.  Keying on the call id (not the B
-// pointer) makes stale hits impossible across calls — including across a
-// gemm_runtime_select() changing the kernel between calls.
-std::atomic<std::uint64_t> g_gemm_call_id{1};
-
-struct BPanelMemo {
-  std::uint64_t call_id = 0;
-  std::int64_t panel_index = -1;
-};
-thread_local BPanelMemo tl_bpanel;
-
-// Pack the columns [j0, j0+cols) of op(B) (cols > 0) for one panel, or
-// reuse this thread's packed copy from the previous task of the same panel.
-template <GemmOp V>
-const float* ensure_b_panel(const float* b, std::int64_t k, std::int64_t n,
-                            std::int64_t j0, std::int64_t cols, std::int64_t nr,
-                            std::uint64_t call_id, std::int64_t panel_index) {
-  // The pool hands out task indices in ascending order, so a thread's tasks
-  // for one panel are contiguous: between packing a panel and a memo hit on
-  // it there is no intervening kGemmPackB request of a different size, and
-  // the buffer is never reallocated out from under a hit.
-  const std::int64_t cols_padded = (cols + nr - 1) / nr * nr;
-  auto bp = ScratchArena::buffer(ScratchArena::kGemmPackB,
-                                 static_cast<std::size_t>(k * cols_padded));
-  if (tl_bpanel.call_id != call_id || tl_bpanel.panel_index != panel_index) {
-    pack_b_panel<V>(b, k, n, j0, cols, nr, bp.data());
-    tl_bpanel = {call_id, panel_index};
-  }
-  return bp.data();
-}
-
 template <GemmOp V>
 void blocked_gemm(const float* a, const float* b, float* c, std::int64_t m,
                   std::int64_t k, std::int64_t n, bool accumulate,
                   const GemmKernel& kernel) {
   const std::int64_t mr = kernel.mr;
   const std::int64_t nr = kernel.nr;
-  const std::int64_t task_rows = gemmk::task_rows(kernel);
+  const std::int64_t strip_rows = gemmk::strip_rows(kernel);
   const std::int64_t panel_width = gemmk::panel_width(kernel);
-  const std::int64_t row_strips = (m + task_rows - 1) / task_rows;
-  const std::int64_t col_panels = (n + panel_width - 1) / panel_width;
-  const std::int64_t tasks = row_strips * col_panels;
-  const std::uint64_t call_id =
-      g_gemm_call_id.fetch_add(1, std::memory_order_relaxed);
   // op(A)(i, p) = a[i*a_pitch + p*a_step].
   const std::int64_t a_pitch = V == GemmOp::kTN ? 1 : k;
   const std::int64_t a_step = V == GemmOp::kTN ? m : 1;
@@ -164,36 +122,35 @@ void blocked_gemm(const float* a, const float* b, float* c, std::int64_t m,
   const gemmk::StoreMode mode = V == GemmOp::kNT && accumulate
                                     ? gemmk::StoreMode::kAddAtStore
                                     : gemmk::StoreMode::kOverwrite;
+  // One pack buffer per call, as wide as the first (widest) panel.
+  std::span<float> packed;
+  if (!b_in_place) {
+    const std::int64_t width = std::min(panel_width, (n + nr - 1) / nr * nr);
+    packed = ScratchArena::buffer(ScratchArena::kGemmPackB,
+                                  static_cast<std::size_t>(k * width));
+  }
+  // Pack-vs-kernel attribution: timed only while tracing is on (the off
+  // path must not read a clock), accumulated as microsecond counters so
+  // --metrics-out splits GEMM time into B packing and the tiles.
+  const bool traced = trace::enabled();
 
-  const auto task_body = [&](std::int64_t task) {
-    // Pack-vs-kernel attribution: timed only while tracing is on (the off
-    // path must not read a clock), accumulated as microsecond counters so
-    // --metrics-out splits GEMM time into B packing and the tiles.
-    const bool traced = trace::enabled();
+  for (std::int64_t jc = 0; jc < n; jc += panel_width) {
     const std::int64_t t_start = traced ? trace::now_us() : 0;
-    // Panel-major numbering: consecutive tasks share a B panel, so the
-    // per-thread pack memo hits when the pool hands a thread a run of them.
-    const std::int64_t panel_index = task / row_strips;
-    const std::int64_t strip_index = task % row_strips;
-    const std::int64_t jc = panel_index * panel_width;
     const std::int64_t nc = std::min(panel_width, n - jc);
-    const float* bp =
-        b_in_place ? nullptr : ensure_b_panel<V>(b, k, n, jc, nc, nr, call_id, panel_index);
+    if (!b_in_place) pack_b_panel<V>(b, k, n, jc, nc, nr, packed.data());
     const std::int64_t t_packed = traced ? trace::now_us() : 0;
-    const std::int64_t i_begin = strip_index * task_rows;
-    const std::int64_t i_end = std::min(m, i_begin + task_rows);
-    // B sub-panels in the outer loop: each (k x nr) sub-panel is touched once
-    // per task and stays L1-hot across the task's strips.
-    for (std::int64_t jr = 0; jr < nc; jr += nr) {
-      const float* panel = b_in_place ? b + jc + jr : bp + jr * k;
-      const std::int64_t ldb = b_in_place ? n : nr;
-      const std::int64_t nr_valid = std::min(nr, nc - jr);
-      for (std::int64_t i0 = i_begin; i0 < i_end; i0 += mr) {
-        // Clamp to the task boundary, not just m: tasks own disjoint row
-        // ranges, so a strip must never write into the next task's rows.
-        const std::int64_t mr_valid = std::min(mr, i_end - i0);
-        run_micro_tile(a, a_pitch, a_step, panel, ldb, c, n, k, i0, jc + jr, mr_valid,
-                       nr_valid, mode, kernel);
+    for (std::int64_t i_begin = 0; i_begin < m; i_begin += strip_rows) {
+      const std::int64_t i_end = std::min(m, i_begin + strip_rows);
+      // B sub-panels outside the strip's tiles: each (k x nr) sub-panel
+      // stays L1-hot across the strip's register tiles.
+      for (std::int64_t jr = 0; jr < nc; jr += nr) {
+        const float* panel = b_in_place ? b + jc + jr : packed.data() + jr * k;
+        const std::int64_t ldb = b_in_place ? n : nr;
+        const std::int64_t nr_valid = std::min(nr, nc - jr);
+        for (std::int64_t i0 = i_begin; i0 < i_end; i0 += mr) {
+          run_micro_tile(a, a_pitch, a_step, panel, ldb, c, n, k, i0, jc + jr,
+                         std::min(mr, i_end - i0), nr_valid, mode, kernel);
+        }
       }
     }
     if (traced) {
@@ -202,16 +159,6 @@ void blocked_gemm(const float* a, const float* b, float* c, std::int64_t m,
       pack_us.add(static_cast<std::uint64_t>(t_packed - t_start));
       kernel_us.add(static_cast<std::uint64_t>(trace::now_us() - t_packed));
     }
-  };
-
-  if (tasks >= 2 && m * k * n >= kParallelFlopThreshold &&
-      !ParallelExecutor::in_parallel_region()) {
-    ParallelExecutor::current().parallel_for(
-        static_cast<std::size_t>(tasks), [&](std::size_t task) {
-          task_body(static_cast<std::int64_t>(task));
-        });
-  } else {
-    for (std::int64_t task = 0; task < tasks; ++task) task_body(task);
   }
 }
 
@@ -240,11 +187,11 @@ void gemm_run(GemmOp op, const float* a, const float* b, float* c,
   // Span name = shape class, so Perfetto's aggregation view groups GEMM
   // time by operand layout and output width; the kernel variant is
   // process-constant and rides along as a string arg.
+  const GemmKernel& kernel = gemm_runtime_config();
   trace::TraceSpan span(trace::enabled() ? traced_shape_name(op, n) : "gemm",
                         "gemm");
-  span.sarg("variant", gemm_runtime_info().variant.c_str());
+  span.sarg("variant", kernel.name);
   span.arg("flops", 2 * m * k * n);
-  const GemmKernel& kernel = gemm_runtime_config();
   switch (op) {
     case GemmOp::kNN: blocked_gemm<GemmOp::kNN>(a, b, c, m, k, n, accumulate, kernel); return;
     case GemmOp::kNT: blocked_gemm<GemmOp::kNT>(a, b, c, m, k, n, accumulate, kernel); return;

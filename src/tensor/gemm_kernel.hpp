@@ -21,7 +21,7 @@
 // make an FMA variant's bytes diverge from the generic kernel's — the
 // library compiles with -ffp-contract=off, see CMakeLists.txt, and
 // tests/tensor_test.cpp demands exact float equality across every variant).
-// Under that contract the register-tile shape, the ISA, the tile-grid
+// Under that contract the register-tile shape, the ISA, the blocking
 // sizes, whether an operand is packed and whether a tile is masked are
 // pure scheduling knobs: every variant produces identical bits.
 //
@@ -170,12 +170,12 @@ const GemmKernel& gemm_variant_generic();  // always supported
 const GemmKernel& gemm_variant_avx2();
 const GemmKernel& gemm_variant_avx512();
 
-/// The tile-grid sizes the driver derives from a kernel's register tile:
+/// The blocking sizes the driver derives from a kernel's register tile:
 /// column panels of 512 columns rounded up to a multiple of nr, and row
-/// tasks of two register tiles.  One kernel per process means one schedule.
+/// strips of two register tiles.  One kernel per process means one schedule.
 inline std::int64_t panel_width(const GemmKernel& kernel) {
   return (512 + kernel.nr - 1) / kernel.nr * kernel.nr;
 }
-inline std::int64_t task_rows(const GemmKernel& kernel) { return 2 * kernel.mr; }
+inline std::int64_t strip_rows(const GemmKernel& kernel) { return 2 * kernel.mr; }
 
 }  // namespace fedhisyn::gemmk

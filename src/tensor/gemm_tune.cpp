@@ -102,7 +102,7 @@ std::string gemm_info_string() {
   }
   os << "  resolved config: " << kernel.mr << "x" << kernel.nr
      << " nc=" << gemmk::panel_width(kernel)
-     << " rows=" << gemmk::task_rows(kernel) << "\n";
+     << " rows=" << gemmk::strip_rows(kernel) << "\n";
   return os.str();
 }
 

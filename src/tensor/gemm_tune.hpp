@@ -9,8 +9,8 @@
 // supports (avx512 > avx2 > generic, probed via __builtin_cpu_supports).
 // Each variant has exactly one register tile.  The spec comes from
 // gemm_runtime_select, else FEDHISYN_GEMM_KERNEL at first use.  The driver
-// derives the tile-grid sizes from that tile (gemmk::panel_width,
-// gemmk::task_rows), so every call in the process runs one schedule.
+// derives its blocking sizes from that tile (gemmk::panel_width,
+// gemmk::strip_rows), so every call in the process runs one schedule.
 //
 // None of this can change result bytes — only scheduling.  The equivalence
 // suite in tests/tensor_test.cpp forces every supported variant and demands
@@ -58,7 +58,7 @@ std::vector<std::string> gemm_supported_variants();
 
 /// Multi-line human-readable dispatch report (the --gemm-info flag):
 /// selected variant, supported variants with their tiles, and the one
-/// resolved tile and tile-grid sizes the driver runs.
+/// resolved tile and blocking sizes the driver runs.
 std::string gemm_info_string();
 
 }  // namespace fedhisyn

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "common/check.hpp"
-#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/gemm_tune.hpp"
@@ -263,8 +262,8 @@ void expect_all_variants_exact(std::int64_t m, std::int64_t k, std::int64_t n, R
 
 // Adversarial shapes for the blocked kernel: degenerate m/n/k of 1, sizes
 // straddling every register tile (m around MR 4 and 8, n around NR 8 and
-// 16), the two-tile row strip (m around 8 and 16), and the column
-// panel (512, via n = 520), a flop count large enough to dispatch the pool,
+// 16), the two-tile row strip (m around 8 and 16), the column panel (512,
+// via n = 520, and 45x300x530: two panels with edges in both dimensions),
 // and the batch-50 shapes of the paper MLPs' forward, dW and dx GEMMs, where
 // Table 1 spends its time.  The second block targets the in-place operand
 // path: m < MR on full narrow B sub-panels (A rows clamped), m not a multiple
@@ -289,7 +288,7 @@ const std::tuple<int, int, int> kGemmEdgeShapes[] = {
     {3, 40, 32},  {7, 784, 16},  {50, 784, 32}, {784, 50, 32},
     {13, 20, 64}, {21, 24, 127}, {21, 24, 128}, {21, 24, 256},
     {21, 24, 257}, {3072, 50, 32},
-    {75, 64, 16}, {400, 16, 32},
+    {75, 64, 16}, {400, 16, 32}, {45, 300, 530},
 };
 
 class GemmExactShapes
@@ -785,38 +784,6 @@ TEST(GemmExact, ExactZeroOperandsTakeNoShortcut) {
   gemm(a, b, c, m, k, n);
   exact_gemm(a, b, ref, m, k, n);
   for (std::size_t i = 0; i < ref.size(); ++i) ASSERT_EQ(c[i], ref[i]) << i;
-}
-
-TEST(GemmExact, BitIdenticalAcrossThreadCounts) {
-  // Serial pool vs 8-thread pool on a shape big enough to fan out over 2-D
-  // tiles: the k-reduction order is fixed, so the bytes must match exactly.
-  Rng rng(123);
-  const std::int64_t m = 45;
-  const std::int64_t k = 300;
-  const std::int64_t n = 530;  // two column panels, edge in both dimensions
-  const auto a = random_vec(static_cast<std::size_t>(m * k), rng);
-  const auto b = random_vec(static_cast<std::size_t>(k * n), rng);
-  const auto b_t = random_vec(static_cast<std::size_t>(n * k), rng);
-  const auto a_t = random_vec(static_cast<std::size_t>(k * m), rng);
-  const auto mn = static_cast<std::size_t>(m * n);
-  std::vector<float> serial(2 * mn);
-  std::vector<float> pooled(2 * mn);
-
-  ParallelExecutor pool1(1);
-  ParallelExecutor pool8(8);
-  // NN, then the accumulating NT on top of it, into the first half; TN
-  // overwrites the second half.
-  const auto run_all = [&](ParallelExecutor& pool, std::vector<float>& out) {
-    ParallelExecutor::Bind bind(pool);
-    const std::span<float> c(out.data(), mn);
-    gemm(a, b, c, m, k, n);
-    gemm_nt(a, b_t, c, m, k, n, /*accumulate=*/true);
-    gemm_tn(a_t, b, std::span<float>(out).subspan(mn), m, k, n);
-  };
-  run_all(pool1, serial);
-  run_all(pool8, pooled);
-  ASSERT_EQ(0, std::memcmp(serial.data(), pooled.data(),
-                           serial.size() * sizeof(float)));
 }
 
 TEST(Ops, Copy) {

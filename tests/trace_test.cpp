@@ -1,6 +1,7 @@
 // Tests for the tracing & metrics plane (common/trace.hpp,
 // common/counters.hpp): span nesting across pool threads, Chrome-trace JSON
 // well-formedness (parsed back with common/json), collection-mode draining,
+// kernels that never reach the pool (one level of parallelism),
 // worker telemetry merged from a two-worker TCP sweep (per-host lanes +
 // counter deltas), and the determinism contract — tracing off records
 // nothing and tracing on never changes result bytes.
@@ -15,6 +16,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -26,12 +28,19 @@
 #include "common/json.hpp"
 #include "common/net.hpp"
 #include "common/parallel.hpp"
+#include "common/rng.hpp"
 #include "common/subprocess.hpp"
 #include "common/trace.hpp"
+#include "core/trainer.hpp"
+#include "data/dataset.hpp"
 #include "exp/dispatch.hpp"
 #include "exp/grid.hpp"
 #include "exp/scheduler.hpp"
 #include "exp/sinks.hpp"
+#include "nn/models.hpp"
+#include "nn/update.hpp"
+#include "tensor/gemm.hpp"
+#include "tensor/tensor.hpp"
 
 namespace fedhisyn::exp {
 namespace {
@@ -144,6 +153,72 @@ TEST(Trace, SpansNestAcrossPoolThreads) {
   EXPECT_TRUE(std::any_of(spans.begin(), spans.end(), [](const auto& span) {
     return span.name == "parallel_for" && span.cat == "pool";
   }));
+}
+
+/// The spans `work` records, collected on a traced 4-thread pool bound to
+/// the calling thread, which is outside any parallel region.
+std::vector<trace::CollectedSpan> spans_of(const std::function<void()>& work) {
+  ScopedTrace on;
+  ParallelExecutor pool(4);
+  ParallelExecutor::Bind bind(pool);
+  trace::collect_begin();
+  work();
+  std::uint64_t dropped = 0;
+  auto spans = trace::collect_end(1 << 20, &dropped);
+  EXPECT_EQ(dropped, 0u);
+  return spans;
+}
+
+std::size_t spans_in(const std::vector<trace::CollectedSpan>& spans, const std::string& cat) {
+  return static_cast<std::size_t>(std::count_if(
+      spans.begin(), spans.end(), [&](const auto& span) { return span.cat == cat; }));
+}
+
+TEST(Trace, KernelsNeverTouchThePool) {
+  // One level of parallelism: the pool runs training jobs, never a
+  // kernel's tiles.  With an idle pool bound and no enclosing parallel
+  // loop, a wide GEMM, a paper-CNN training job and a large optimizer step
+  // each run serially on the caller: no pooled dispatch ('pool' span).
+  Rng rng(33);
+  const auto random = [&rng](std::int64_t n) {
+    std::vector<float> v(static_cast<std::size_t>(n));
+    for (float& x : v) x = static_cast<float>(rng.normal());
+    return v;
+  };
+
+  // The paper CNN's conv-forward im2col shape.
+  const std::int64_t m = 64, k = 1152, n = 1024;
+  const auto a = random(m * k);
+  const auto b = random(k * n);
+  std::vector<float> c(static_cast<std::size_t>(m * n));
+  const auto gemm_spans = spans_of([&] { gemm(a, b, c, m, k, n); });
+  EXPECT_EQ(spans_in(gemm_spans, "gemm"), 1u);
+  EXPECT_EQ(spans_in(gemm_spans, "pool"), 0u);
+
+  const nn::Network net = nn::make_cnn({3, 8, 8}, 10);
+  auto weights = net.init_weights(rng);
+  data::Dataset set;
+  set.x = Tensor({16, 3, 8, 8});
+  for (std::int64_t i = 0; i < set.x.numel(); ++i) {
+    set.x.at(i) = static_cast<float>(rng.normal());
+  }
+  for (std::int32_t i = 0; i < 16; ++i) set.y.push_back(i % 10);
+  set.n_classes = 10;
+  std::vector<std::int64_t> indices(16);
+  for (std::size_t i = 0; i < indices.size(); ++i) indices[i] = static_cast<std::int64_t>(i);
+  const data::Shard shard(&set, indices);
+  const auto train_spans = spans_of([&] {
+    core::train_local(net, weights, shard, /*epochs=*/1, /*batch_size=*/8, /*lr=*/0.05f,
+                      core::UpdateKind::kSgd, {}, rng);
+  });
+  EXPECT_GT(spans_in(train_spans, "gemm"), 0u);
+  EXPECT_EQ(spans_in(train_spans, "pool"), 0u);
+
+  auto step_weights = random(40000);
+  const auto step_grad = random(40000);
+  const auto step_spans =
+      spans_of([&] { nn::sgd_step(step_weights, step_grad, /*lr=*/0.1f); });
+  EXPECT_EQ(spans_in(step_spans, "pool"), 0u);
 }
 
 TEST(Trace, CollectEndCapsSpansRebasesTimestampsAndSkipsNonSpans) {
