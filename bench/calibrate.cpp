@@ -6,7 +6,8 @@
 // way the paper picked 96/86/75/33: high enough to be discriminative, low
 // enough that the stronger methods reach them within the round budget.
 //
-// Declared as an ExperimentGrid; --grid-jobs N fans the cells out.
+// Declared as an ExperimentGrid; --grid-jobs N --dispatch process fans the
+// cells out over N worker processes.
 #include <cstdio>
 
 #include "common/env.hpp"

@@ -3,10 +3,12 @@
 //
 // Runs a sweep of deliberately tiny cells (so per-cell compute is small and
 // the dispatch machinery dominates) through GridScheduler three times —
-// thread backend, process backend (its time includes spawning its own
+// the serial thread backend (one cell at a time in this process), the
+// process backend at --jobs workers (its time includes spawning its own
 // loopback --serve children), and the tcp backend against two --serve
 // workers started before the clock runs — and reports wall time, cells/sec
-// and the derived per-cell dispatch overhead.  A fourth sub-bench measures the
+// and the derived per-cell dispatch overhead: each dispatch backend's wall
+// time minus the serial in-process sweep's, per cell.  A fourth sub-bench measures the
 // worker-side multi-build LRU cache (exp/build_cache.hpp): a
 // build-interleaved 2-build sweep of build-heavy cells on one process
 // worker, cold (cache budget 0) vs warm (default budget), where
@@ -20,6 +22,7 @@
 //
 //   ./bench_dispatch_overhead [--out BENCH_dispatch.json] [--cells N]
 //                             [--jobs N] [--repeat N]
+// (--jobs: the process backend's worker count.)
 #include <algorithm>
 #include <chrono>
 #include <csignal>
@@ -133,8 +136,7 @@ static int run(int argc, char** argv) {
   grid.seeds(seeds);
   const auto specs = grid.expand();
 
-  const double thread_wall =
-      run_backend(specs, exp::CellBackend::kThread, jobs, repeat);
+  const double thread_wall = run_backend(specs, exp::CellBackend::kThread, 1, repeat);
   const double process_wall =
       run_backend(specs, exp::CellBackend::kProcess, jobs, repeat);
 
@@ -197,7 +199,7 @@ static int run(int argc, char** argv) {
 
   std::printf("== dispatch overhead (%zu cells, %zu jobs, best of %d) ==\n", cells,
               jobs, repeat);
-  std::printf("thread  backend: %7.3fs wall, %8.1f cells/sec\n", thread_wall,
+  std::printf("thread  backend: %7.3fs wall, %8.1f cells/sec (serial)\n", thread_wall,
               thread_cps);
   std::printf("process backend: %7.3fs wall, %8.1f cells/sec, %+.2f ms/cell dispatch "
               "overhead\n",
@@ -219,9 +221,9 @@ static int run(int argc, char** argv) {
   json += buf;
   json += "  \"entries\": [\n";
   std::snprintf(buf, sizeof(buf),
-                "    {\"name\": \"thread/j%zu\", \"backend\": \"thread\", "
+                "    {\"name\": \"thread/serial\", \"backend\": \"thread\", "
                 "\"wall_s\": %.4f, \"cells_per_sec\": %.2f},\n",
-                jobs, thread_wall, thread_cps);
+                thread_wall, thread_cps);
   json += buf;
   std::snprintf(buf, sizeof(buf),
                 "    {\"name\": \"process/j%zu\", \"backend\": \"process\", "

@@ -3,7 +3,8 @@
 // MNIST-like and CIFAR10-like suites, 50% participation, Dirichlet(0.3);
 // K swept over the paper's {1, 10, 20, 30, 40, 50} (scaled down with the
 // reduced fleet).  Metric: final global-model accuracy.  Declared as an
-// ExperimentGrid over the clusters axis; --grid-jobs N fans the cells out.
+// ExperimentGrid over the clusters axis; --grid-jobs N --dispatch process
+// fans the cells out over N worker processes.
 //
 // Expected shape (paper): accuracy rises from K=1, peaks at a moderate K
 // (10 with 100 devices), then falls as rings become too small.

@@ -2,8 +2,9 @@
 //
 // Fleets with exact heterogeneity ratio H = t_max/t_min ∈ {2, 5, 10, 20},
 // MNIST-like and CIFAR10-like suites, 50% participation, Dirichlet(0.3).
-// Declared as an ExperimentGrid; --grid-jobs N fans the cells out (see
-// exp/driver.hpp for the shared flags).
+// Declared as an ExperimentGrid; --grid-jobs N --dispatch process fans the
+// cells out over N worker processes (see exp/driver.hpp for the shared
+// flags).
 //
 // Expected shape (paper): FedAvg's final accuracy FALLS as H grows (more
 // stale/imbalanced local work), while FedHiSyn's RISES (fast rings complete

@@ -8,9 +8,10 @@
 // accuracy, with the final accuracy in parentheses.  "X(acc)" marks runs
 // that never reach the target — exactly the paper's cell format.
 //
-// The sweep is a declarative ExperimentGrid fanned out by GridScheduler:
-//   --grid-jobs N     run N cells concurrently (FEDHISYN_GRID_JOBS fallback;
-//                     results are byte-identical to a serial run)
+// The sweep is a declarative ExperimentGrid run by GridScheduler:
+//   --grid-jobs N     with --dispatch process: run N cells concurrently in N
+//                     worker processes (FEDHISYN_GRID_JOBS fallback; results
+//                     are byte-identical to a serial run)
 //   --threads N       total worker-thread budget (FEDHISYN_THREADS fallback)
 //   --out PATH        per-cell results as JSONL (or CSV with *.csv)
 //   --part 100,50     restrict participation %
@@ -98,10 +99,14 @@ static int run(int argc, char** argv) {
   }
   table.print();
   table.maybe_write_csv("table1");
-  const exp::GridScheduler budget(grid_options.scheduler);
-  std::printf("grid: %zu cells, %zu jobs x %zu threads, %.1fs wall\n", cells.size(),
-              budget.resolved_jobs(cells.size()),
-              budget.inner_threads(budget.resolved_jobs(cells.size())), elapsed);
+  if (grid_options.scheduler.backend == exp::CellBackend::kProcess) {
+    const exp::GridScheduler budget(grid_options.scheduler);
+    const std::size_t jobs = budget.resolved_jobs(cells.size());
+    std::printf("grid: %zu cells, %zu worker processes x %zu threads, %.1fs wall\n",
+                cells.size(), jobs, budget.inner_threads(jobs), elapsed);
+  } else {
+    std::printf("grid: %zu cells, %.1fs wall\n", cells.size(), elapsed);
+  }
   if (!grid_options.out.empty()) {
     std::printf("results written to %s\n", grid_options.out.c_str());
   }

@@ -4,8 +4,8 @@
 // (normalised models-to-target) plus final accuracy.
 //
 // The seven runs are one ExperimentGrid over the method axis: pass
-// --grid-jobs 4 to race the methods concurrently (the leaderboard is
-// byte-identical to the serial sweep).
+// --grid-jobs 4 --dispatch process to race the methods in four worker
+// processes (the leaderboard is byte-identical to the serial sweep).
 //
 // Run: ./build/example_noniid_showdown   (FEDHISYN_FULL=1 for paper scale)
 #include <algorithm>

@@ -3,8 +3,9 @@
 // accuracy/communication trajectory of both.
 //
 // The two runs are declared as a one-axis ExperimentGrid — pass
-// --grid-jobs 2 to run both methods concurrently (same numbers, less wall
-// clock), and --out quickstart.jsonl for machine-readable results.
+// --grid-jobs 2 --dispatch process to run both methods concurrently in two
+// worker processes (same numbers), and --out quickstart.jsonl for
+// machine-readable results.
 //
 // Build & run:
 //   cmake -B build -G Ninja && cmake --build build
@@ -35,8 +36,8 @@ static int run(int argc, char** argv) {
       .methods({"FedHiSyn", "FedAvg"})
       .auto_scale(full_scale_enabled());
 
-  // 2. Run the grid (serially by default; --grid-jobs 2 fans it out over
-  //    threads, --dispatch=process over crash-isolated worker processes).
+  // 2. Run the grid (one cell at a time by default; --grid-jobs 2
+  //    --dispatch process fans it out over crash-isolated worker processes).
   const auto cells = exp::run_grid(grid.expand(), grid_options);
 
   // 3. The per-round trajectory is recorded in each cell's history.

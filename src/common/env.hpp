@@ -2,12 +2,16 @@
 //
 // Knobs recognised across the library:
 //   FEDHISYN_FULL=1          paper-scale experiment sizes (see presets.hpp)
-//   FEDHISYN_THREADS=N       worker-pool size (see common/parallel.hpp)
-//   FEDHISYN_GRID_JOBS=N     concurrent grid cells (fallback for --grid-jobs)
+//   FEDHISYN_THREADS=N       worker-pool size (see common/parallel.hpp); a
+//                            process-backend coordinator splits it across
+//                            its spawned workers
+//   FEDHISYN_GRID_JOBS=N     spawned --serve workers of the process backend
+//                            (fallback for --grid-jobs; default 1); above 1
+//                            only with --dispatch process
 //   FEDHISYN_DISPATCH=thread|process|tcp
 //                            grid cell backend (fallback for --dispatch):
-//                            in-process worker threads (default), a
-//                            crash-isolated pool of worker processes, or
+//                            one cell at a time in this process (default),
+//                            a crash-isolated pool of worker processes, or
 //                            remote --serve workers over TCP
 //                            (exp/dispatch.hpp).  Output files are
 //                            byte-identical in all three modes.

@@ -1,6 +1,5 @@
 #include "common/log.hpp"
 
-#include <atomic>
 #include <cstdio>
 
 #include "common/thread_annotations.hpp"
@@ -8,7 +7,6 @@
 namespace fedhisyn {
 
 namespace {
-std::atomic<int> g_level{static_cast<int>(LogLevel::kInfo)};
 /// Serialises whole log lines onto stderr: the stream itself is the guarded
 /// resource, so there is no GUARDED_BY field — emitters take the lock for
 /// the duration of one fprintf.
@@ -25,13 +23,9 @@ const char* level_tag(LogLevel level) {
 }
 }  // namespace
 
-void set_log_level(LogLevel level) { g_level.store(static_cast<int>(level)); }
-
-LogLevel log_level() { return static_cast<LogLevel>(g_level.load()); }
-
 namespace detail {
 void log_emit(LogLevel level, const std::string& message) {
-  if (static_cast<int>(level) < g_level.load()) return;
+  if (level < LogLevel::kInfo) return;
   MutexLock lock(g_stderr_mutex);
   std::fprintf(stderr, "[%s] %s\n", level_tag(level), message.c_str());
 }

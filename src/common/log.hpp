@@ -9,11 +9,8 @@ namespace fedhisyn {
 
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
 
-/// Global threshold; messages below it are dropped. Default: kInfo.
-void set_log_level(LogLevel level);
-LogLevel log_level();
-
 namespace detail {
+/// Writes one line to stderr; messages below kInfo are dropped.
 void log_emit(LogLevel level, const std::string& message);
 }
 

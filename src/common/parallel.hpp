@@ -50,8 +50,8 @@ namespace fedhisyn {
 /// (conv holds its column buffers while the nested GEMM packs panels).  A
 /// buffer's contents are invalidated by the next `buffer()` call for the same
 /// name on the same thread — borrow, fill, use, and don't stash the span.
-/// Being thread-local, the arena needs no locking and composes with nested
-/// pools (grid cells binding private executors) for free.
+/// Being thread-local, the arena needs no locking and works unchanged on any
+/// executor a thread serves.
 class ScratchArena {
  public:
   enum Buf : std::size_t {
@@ -111,9 +111,8 @@ class ParallelExecutor {
 
   /// The executor the calling thread should dispatch on: the innermost
   /// Bind on this thread, or global() when none is bound.  Algorithms fan
-  /// out on current() so a scheduler can give concurrent
-  /// experiment cells private pools (each cell thread binds its own executor
-  /// and the cells never contend for global()'s single job slot).
+  /// out on current(), so a caller can size the pool they run on (tests and
+  /// bench_round_throughput bind a private pool of N threads).
   static ParallelExecutor& current();
 
   /// RAII thread-local override of current() for the calling thread.  Bind

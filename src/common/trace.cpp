@@ -63,9 +63,10 @@ ForeignState& foreign_state() {
 }
 
 /// Registry of every thread buffer ever created.  Buffers are
-/// intentionally leaked (never destroyed): a grid-jobs worker thread may
-/// exit long before write_chrome_trace() runs, and its events must survive
-/// it.  Bounded by thread count, not event count.
+/// intentionally leaked (never destroyed): a pool worker thread (of a
+/// private pool, or of the global pool before set_thread_count() replaces
+/// it) may exit long before write_chrome_trace() runs, and its events must
+/// survive it.  Bounded by thread count, not event count.
 struct Registry {
   Mutex mutex;
   std::vector<ThreadBuffer*> buffers FEDHISYN_GUARDED_BY(mutex);

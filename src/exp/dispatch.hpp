@@ -13,8 +13,9 @@
 //
 // One dispatch loop serves both: cells travel as one line of JSON
 // (ExperimentSpec::to_json), results come back as one line of JSON, the
-// parent collects in spec order — so serial, --grid-jobs N, --dispatch
-// process and --dispatch tcp output files are byte-identical.
+// parent collects in spec order — so the serial thread backend, --dispatch
+// process at any --grid-jobs N and --dispatch tcp write byte-identical
+// output files.
 //
 // The dispatcher reads no environment: its caller resolves every knob
 // (exp::handle_grid_flags for the grid drivers) and passes it in Options.

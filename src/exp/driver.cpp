@@ -105,6 +105,12 @@ GridScheduler::Options resolve_scheduler(const Flags& flags) {
   options.backend = mode == "process" ? CellBackend::kProcess
                     : mode == "tcp"   ? CellBackend::kTcp
                                       : CellBackend::kThread;
+  // Only the process backend runs cells concurrently: the thread backend
+  // runs one at a time, and a tcp sweep has one slot per --workers host.
+  FEDHISYN_CHECK_MSG(options.jobs == 1 || options.backend == CellBackend::kProcess,
+                     "--grid-jobs / FEDHISYN_GRID_JOBS = "
+                         << options.jobs << " counts spawned worker processes: "
+                         << "add --dispatch process");
 
   FEDHISYN_CHECK_MSG(!flags.has("workers") || options.backend == CellBackend::kTcp,
                      "--workers only makes sense with --dispatch tcp");
@@ -307,9 +313,9 @@ std::vector<CellResult> run_grid(const std::vector<ExperimentSpec>& specs,
   if (!pending_specs.empty()) {
     const double start = trace::clock_seconds();
     GridScheduler::Options sched = options.scheduler;
-    // Serialised by the scheduler (both backends), so the append-order in
-    // the streaming sink is completion order; the final rewrite below
-    // restores spec order.
+    // Called on this thread by every backend, so the append-order in the
+    // streaming sink is completion order; the final rewrite below restores
+    // spec order.
     sched.on_cell = [&](std::size_t done, std::size_t count, const CellResult& cell) {
       if (streaming) append_result_line(options.out, to_jsonl_line(cell));
       // The latency histogram feeds the progress line's p50/p95 and the

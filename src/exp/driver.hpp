@@ -2,12 +2,15 @@
 // benches, examples, CLI).  Every driver built on the exp API accepts:
 //
 //   --threads N       worker-thread budget (FEDHISYN_THREADS env fallback)
-//   --grid-jobs N     concurrent grid cells (FEDHISYN_GRID_JOBS fallback; 1)
-//   --dispatch MODE   thread | process | tcp: run cells on in-process worker
-//                     threads (default), on a crash-isolated pool of worker
-//                     processes, or on remote --serve workers over TCP
-//                     (FEDHISYN_DISPATCH fallback); output is byte-identical
-//                     in all three modes
+//   --grid-jobs N     worker processes of --dispatch process, each on
+//                     floor(threads / N) threads (FEDHISYN_GRID_JOBS
+//                     fallback; default 1); above 1 only with --dispatch
+//                     process
+//   --dispatch MODE   thread | process | tcp: run cells one at a time in
+//                     this process (default), on a crash-isolated pool of
+//                     worker processes, or on remote --serve workers over
+//                     TCP (FEDHISYN_DISPATCH fallback); output is
+//                     byte-identical in all three modes
 //   --workers H:P,... remote worker endpoints for --dispatch tcp
 //                     (FEDHISYN_WORKERS fallback)
 //   --out PATH        per-cell results, JSONL by default, CSV if *.csv
@@ -120,8 +123,8 @@ GridDriverOptions handle_grid_flags(const Flags& flags,
 /// line to `options.out` as it completes (append-safe, so an interrupted
 /// sweep is resumable), print per-cell progress with an ETA to stderr
 /// (unless --quiet), and finally rewrite `options.out` atomically in spec
-/// order — byte-identical across serial, --grid-jobs N, --dispatch=process
-/// and --dispatch=tcp runs, interrupted or not.
+/// order — byte-identical across serial, --dispatch=process (at any
+/// --grid-jobs N) and --dispatch=tcp runs, interrupted or not.
 ///
 /// Returns one CellResult per spec, in spec order.  Resumed cells carry the
 /// headline metrics parsed back from the file but an empty per-round

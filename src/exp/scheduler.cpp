@@ -1,13 +1,10 @@
 #include "exp/scheduler.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
-#include <mutex>
-#include <thread>
 
+#include "common/check.hpp"
 #include "common/parallel.hpp"
-#include "common/thread_annotations.hpp"
 #include "common/trace.hpp"
 #include "core/registry.hpp"
 #include "exp/build_cache.hpp"
@@ -63,7 +60,12 @@ CellResult run_cell(const ExperimentSpec& spec, const CellHooks& hooks) {
   return run_cell(spec, *built, hooks);
 }
 
-GridScheduler::GridScheduler(Options options) : options_(std::move(options)) {}
+GridScheduler::GridScheduler(Options options) : options_(std::move(options)) {
+  FEDHISYN_CHECK_MSG(options_.backend != CellBackend::kThread || options_.jobs <= 1,
+                     "the thread backend runs one cell at a time; jobs = "
+                         << options_.jobs
+                         << " needs CellBackend::kProcess (--dispatch process)");
+}
 
 std::size_t GridScheduler::resolved_jobs(std::size_t cells) const {
   return std::max<std::size_t>(1, std::min(options_.jobs, cells));
@@ -82,9 +84,9 @@ std::vector<CellResult> GridScheduler::run(
   if (specs.empty()) return results;
 
   if (options_.backend != CellBackend::kThread) {
-    // Process: same two-level budget as the thread backend, but each job
-    // slot is a spawned --serve worker process (crash-isolated, retried).
-    // Tcp: one slot per remote --serve worker, whose thread budget is its own
+    // Process: `jobs` spawned --serve worker processes (crash-isolated,
+    // retried), each on an equal slice of the thread budget.  Tcp: one slot
+    // per remote --serve worker, whose thread budget is its own
     // FEDHISYN_THREADS.  Collection stays in spec order either way, so every
     // backend emits byte-identical results.
     TcpDispatcher::Options dispatch;
@@ -101,66 +103,15 @@ std::vector<CellResult> GridScheduler::run(
     return TcpDispatcher(std::move(dispatch)).run(specs);
   }
 
+  // Thread backend: one cell at a time, in spec order, on the caller's
+  // executor (normally the full global pool) — the reference ordering every
+  // other backend reproduces byte-for-byte.
   BuildCache cache(BuildCache::Config{options_.worker.build_cache_bytes, {}});
-  struct Progress {
-    Mutex mutex;
-    std::size_t done FEDHISYN_GUARDED_BY(mutex) = 0;
-  } progress;
-  const auto run_one = [&](std::size_t i) {
+  for (std::size_t i = 0; i < specs.size(); ++i) {
     const std::shared_ptr<const core::BuiltExperiment> built = cache.get(specs[i]);
     results[i] = run_cell(specs[i], *built);
-    if (options_.on_cell) {
-      MutexLock lock(progress.mutex);
-      options_.on_cell(++progress.done, specs.size(), results[i]);
-    }
-  };
-
-  const std::size_t jobs = resolved_jobs(specs.size());
-  if (jobs == 1) {
-    // Serial sweep on the caller's executor (normally the full global pool):
-    // the reference ordering every parallel run must reproduce byte-for-byte.
-    for (std::size_t i = 0; i < specs.size(); ++i) run_one(i);
-    return results;
+    if (options_.on_cell) options_.on_cell(i + 1, specs.size(), results[i]);
   }
-
-  const std::size_t inner = inner_threads(jobs);
-  std::atomic<std::size_t> next{0};
-  std::atomic<bool> abort{false};
-  struct ErrorSlot {
-    Mutex mutex;
-    std::exception_ptr first FEDHISYN_GUARDED_BY(mutex);
-  } error_slot;
-  std::vector<std::thread> workers;
-  workers.reserve(jobs);
-  for (std::size_t j = 0; j < jobs; ++j) {
-    workers.emplace_back([&] {
-      // One private pool per worker: inner loops of the cell fan out here
-      // instead of on the (busy) global pool.
-      ParallelExecutor pool(inner);
-      ParallelExecutor::Bind bind(pool);
-      for (;;) {
-        // Match the serial path's fail-fast behaviour: after the first cell
-        // error, in-flight cells finish but no new ones start.
-        if (abort.load(std::memory_order_relaxed)) break;
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= specs.size()) break;
-        try {
-          run_one(i);
-        } catch (...) {
-          abort.store(true, std::memory_order_relaxed);
-          MutexLock lock(error_slot.mutex);
-          if (!error_slot.first) error_slot.first = std::current_exception();
-        }
-      }
-    });
-  }
-  for (auto& worker : workers) worker.join();
-  std::exception_ptr first_error;
-  {
-    MutexLock lock(error_slot.mutex);
-    first_error = error_slot.first;
-  }
-  if (first_error) std::rethrow_exception(first_error);
   return results;
 }
 

@@ -1,20 +1,18 @@
-// GridScheduler: runs a vector of ExperimentSpecs (grid cells) concurrently.
+// GridScheduler: runs a vector of ExperimentSpecs (grid cells).
 //
-// Two-level thread budget: `jobs` cells run at once (default 1 = serial;
-// the grid drivers resolve --grid-jobs in exp::handle_grid_flags), each on
-// its own worker thread with a private ParallelExecutor of
-// floor(total_threads / jobs) threads bound as ParallelExecutor::current()
-// — so a cell's inner parallel loops (training waves, GEMM, evaluation) fan
-// out on the cell's pool and concurrent cells never contend for the global
-// pool's single job slot.
-// total_threads defaults to the global pool size (FEDHISYN_THREADS /
-// --threads).
+// The thread backend (the default) runs one cell at a time, in spec order,
+// on the caller's executor (ParallelExecutor::current(), normally the full
+// global pool sized by FEDHISYN_THREADS / --threads), so a cell's training
+// jobs fan out on every thread.  Concurrent cells are the process backend's:
+// `jobs` spawned --serve workers, each on floor(total_threads / jobs)
+// threads (the grid drivers resolve --grid-jobs in exp::handle_grid_flags and
+// accept it above 1 only with --dispatch process).
 //
 // Determinism: a cell's computation depends only on its spec (per-cell
 // seeding comes from spec.build.seed / spec.opts.seed, and every kernel is
 // bit-identical across thread counts), and results are collected by spec
-// index — so a --grid-jobs N run produces byte-identical output to a serial
-// sweep.
+// index — so a process or tcp sweep produces byte-identical output to the
+// serial one.
 //
 // Builds are deduped through the shared exp::BuildCache (build_cache.hpp):
 // cells with equal spec.build_key() share one BuiltExperiment (e.g. Table 1
@@ -104,7 +102,8 @@ struct WorkerConfig {
 };
 
 /// How GridScheduler executes cells:
-///   kThread   worker threads in this process (the default);
+///   kThread   one at a time in this process, on the caller's executor (the
+///             default);
 ///   kProcess  `jobs` crash-isolated `--serve` worker processes this binary
 ///             spawns on loopback (exp/dispatch.hpp) — a crashing worker
 ///             (segfault, OOM kill) cannot take the sweep down, and results
@@ -120,11 +119,13 @@ class GridScheduler {
   /// Every field is explicit: nothing here reads the environment (the grid
   /// drivers resolve flags and env vars in exp::handle_grid_flags).
   struct Options {
-    /// Concurrent cells (>= 1), clamped to the number of cells.  The
-    /// process backend spawns this many workers.
+    /// Process backend: spawned --serve workers (>= 1), clamped to the
+    /// number of cells.  The thread backend check-fails above 1; tcp reads
+    /// its worker count from `worker_hosts`.
     std::size_t jobs = 1;
-    /// Thread budget split across the running cells; 0 = the global pool's
-    /// current size.
+    /// Process backend: thread budget split across the spawned workers (each
+    /// gets FEDHISYN_THREADS = inner_threads); 0 = the global pool's current
+    /// size.
     std::size_t total_threads = 0;
     /// Cell execution backend.
     CellBackend backend = CellBackend::kThread;
@@ -136,8 +137,9 @@ class GridScheduler {
     double cell_timeout_s = 0.0;
     /// Thread/process backends: this process's / the spawned workers' knobs.
     WorkerConfig worker;
-    /// Progress callback, invoked once per finished cell (serialised, in
-    /// completion order): (cells done, cells total, the cell).
+    /// Progress callback, invoked once per finished cell on the caller's
+    /// thread, in completion order (spec order for the thread backend):
+    /// (cells done, cells total, the cell).
     std::function<void(std::size_t, std::size_t, const CellResult&)> on_cell;
   };
 
@@ -145,13 +147,15 @@ class GridScheduler {
   explicit GridScheduler(Options options);
 
   /// Run every spec; results[i] corresponds to specs[i] regardless of
-  /// completion order.  The first cell exception is rethrown after all
+  /// completion order.  The thread backend stops at the first cell
+  /// exception and rethrows it; the dispatch backends rethrow it after their
   /// workers drain.
   std::vector<CellResult> run(const std::vector<ExperimentSpec>& specs) const;
 
-  /// Jobs the scheduler will actually use for a grid of `cells` cells.
+  /// Process backend: workers spawned for a grid of `cells` cells.
   std::size_t resolved_jobs(std::size_t cells) const;
-  /// Inner per-cell threads for the given outer job count.
+  /// Process backend: each of `jobs` workers' thread slice (its
+  /// FEDHISYN_THREADS), at least 1.
   std::size_t inner_threads(std::size_t jobs) const;
 
  private:

@@ -3,8 +3,8 @@
 //
 // Output is byte-stable: fields appear in a fixed order, floats use
 // locale-independent "%g"/"%.6g" formatting, rows follow spec order (not
-// completion order) and wall-clock timings are excluded — a --grid-jobs N
-// run serialises identically to a serial one (CI diffs the two).
+// completion order) and wall-clock timings are excluded — a --dispatch
+// process or tcp run serialises identically to a serial one (CI diffs them).
 #pragma once
 
 #include <optional>

@@ -4,8 +4,9 @@
 //
 // A spec is plain data: copying it is cheap, expanding a grid produces a
 // vector of them, and a cell's entire computation is a deterministic
-// function of its spec — which is what lets GridScheduler run cells
-// concurrently with results bit-identical to a serial sweep.
+// function of its spec — which is what lets the dispatch backends run cells
+// in worker processes, concurrently, with results bit-identical to a serial
+// sweep.
 #pragma once
 
 #include <cstdint>

@@ -10,11 +10,6 @@ void EventQueue::schedule(double time, std::size_t device) {
   heap_.push(Event{time, next_sequence_++, device});
 }
 
-double EventQueue::peek_time() const {
-  FEDHISYN_CHECK(!heap_.empty());
-  return heap_.top().time;
-}
-
 Event EventQueue::pop() {
   FEDHISYN_CHECK(!heap_.empty());
   Event event = heap_.top();

@@ -33,8 +33,6 @@ class EventQueue {
 
   bool empty() const { return heap_.empty(); }
   std::size_t size() const { return heap_.size(); }
-  /// Earliest pending event time (queue must be non-empty).
-  double peek_time() const;
 
   /// Pop the earliest event and advance the clock to it.
   Event pop();

@@ -311,21 +311,14 @@ TEST(Dispatch, ProcessMatchesThreadAndSerialByteIdentical) {
   serial_options.backend = CellBackend::kThread;
   const auto serial = GridScheduler(serial_options).run(specs);
 
-  GridScheduler::Options thread_options;
-  thread_options.jobs = 2;
-  thread_options.backend = CellBackend::kThread;
-  const auto threaded = GridScheduler(thread_options).run(specs);
-
   GridScheduler::Options process_options;
   process_options.jobs = 2;
   process_options.backend = CellBackend::kProcess;
   const auto process = GridScheduler(process_options).run(specs);
 
   ASSERT_EQ(serial.size(), process.size());
-  ASSERT_EQ(serial.size(), threaded.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     // Byte-level: the exact strings the --out sinks would emit.
-    EXPECT_EQ(to_jsonl_line(serial[i]), to_jsonl_line(threaded[i])) << i;
     EXPECT_EQ(to_jsonl_line(serial[i]), to_jsonl_line(process[i])) << i;
     EXPECT_EQ(to_csv_row(serial[i]), to_csv_row(process[i])) << i;
     // The wire codec ships the full trajectory bit-exactly.
@@ -812,11 +805,14 @@ TEST(GridFlags, ResolveFlagThenEnvThenDefault) {
   const CellBackend thread = CellBackend::kThread;
   const std::vector<Resolved> resolved = {
       {"defaults", {}, {}, 1, thread, {}, 3, 0.0},
-      {"jobs from env", {}, {{"FEDHISYN_GRID_JOBS", "3"}}, 3, thread, {}, 3, 0.0},
-      {"jobs flag beats env",
-       {"--grid-jobs", "2"},
+      {"jobs from env",
+       {"--dispatch", "process"},
        {{"FEDHISYN_GRID_JOBS", "3"}},
-       2, thread, {}, 3, 0.0},
+       3, CellBackend::kProcess, {}, 3, 0.0},
+      {"jobs flag beats env",
+       {"--grid-jobs", "2", "--dispatch", "process"},
+       {{"FEDHISYN_GRID_JOBS", "3"}},
+       2, CellBackend::kProcess, {}, 3, 0.0},
       {"backend from env", {}, {{"FEDHISYN_DISPATCH", "process"}}, 1,
        CellBackend::kProcess, {}, 3, 0.0},
       {"backend flag beats env",
@@ -905,6 +901,11 @@ TEST(GridFlags, ResolveFlagThenEnvThenDefault) {
       {"zero --grid-jobs", {"--grid-jobs", "0"}, {}},
       {"non-numeric jobs env", {}, {{"FEDHISYN_GRID_JOBS", "two"}}},
       {"negative jobs env", {}, {{"FEDHISYN_GRID_JOBS", "-2"}}},
+      {"--grid-jobs 2 with the default backend", {"--grid-jobs", "2"}, {}},
+      {"jobs env 2 with the default backend", {}, {{"FEDHISYN_GRID_JOBS", "2"}}},
+      {"--grid-jobs 2 with tcp",
+       {"--grid-jobs", "2", "--dispatch", "tcp", "--workers", "hostA:7800"},
+       {}},
       {"unknown backend", {"--dispatch", "gpu"}, {}},
       {"unknown backend env", {}, {{"FEDHISYN_DISPATCH", "gpu"}}},
       {"tcp flag without endpoints", {"--dispatch", "tcp"}, {}},
@@ -961,7 +962,9 @@ TEST(GridFlags, UnknownFlagsAreRejected) {
   EXPECT_THROW(resolve_grid_flags({"--gemm-tune-cache", "tune.json"}, {}), CheckError);
   // A grid-restriction flag is accepted only from a caller that lists it.
   EXPECT_THROW(resolve_grid_flags({"--dataset", "mnist"}, {}), CheckError);
-  EXPECT_EQ(resolve_grid_flags({"--dataset", "mnist", "--grid-jobs", "2"}, {}, {"dataset"})
+  EXPECT_EQ(resolve_grid_flags({"--dataset", "mnist", "--grid-jobs", "2", "--dispatch",
+                                "process"},
+                               {}, {"dataset"})
                 .scheduler.jobs,
             2u);
 }

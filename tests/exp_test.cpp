@@ -1,7 +1,7 @@
 // Tests for the declarative experiment layer: grid expansion (axis product,
 // call-order nesting, override hooks), the algorithm registry, spec
-// label()/to_key() stability, and GridScheduler determinism (serial vs
-// concurrent cells byte-identical, ordered collection).
+// label()/to_key() stability, and the GridScheduler thread backend (ordered
+// collection, one cell at a time).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/check.hpp"
-#include "common/parallel.hpp"
 #include "core/registry.hpp"
 #include "exp/grid.hpp"
 #include "exp/scheduler.hpp"
@@ -214,34 +213,11 @@ TEST(Spec, ResolvedTargetFallsBackToTheSuiteDefault) {
 
 // ------------------------------------------------------------- scheduler --
 
-TEST(Scheduler, SerialAndConcurrentRunsAreByteIdentical) {
-  auto grid = tiny_grid();
-  grid.datasets({"mnist"}).methods({"FedHiSyn", "FedAvg", "SCAFFOLD", "FedAT"});
-  const auto specs = grid.expand();
-
-  GridScheduler::Options serial_options;
-  serial_options.jobs = 1;
-  const auto serial = GridScheduler(serial_options).run(specs);
-
-  GridScheduler::Options parallel_options;
-  parallel_options.jobs = 4;
-  const auto parallel = GridScheduler(parallel_options).run(specs);
-
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    // Byte-level: the exact strings the --out sinks would emit.
-    EXPECT_EQ(to_jsonl_line(serial[i]), to_jsonl_line(parallel[i])) << i;
-    EXPECT_EQ(to_csv_row(serial[i]), to_csv_row(parallel[i])) << i;
-  }
-}
-
 TEST(Scheduler, ResultsAreCollectedInSpecOrder) {
   auto grid = tiny_grid();
   grid.methods({"FedAvg", "FedHiSyn", "FedAT"});
   const auto specs = grid.expand();
-  GridScheduler::Options options;
-  options.jobs = 3;
-  const auto cells = GridScheduler(options).run(specs);
+  const auto cells = GridScheduler().run(specs);
   ASSERT_EQ(cells.size(), specs.size());
   for (std::size_t i = 0; i < cells.size(); ++i) {
     EXPECT_EQ(cells[i].spec.label(), specs[i].label());
@@ -251,16 +227,17 @@ TEST(Scheduler, ResultsAreCollectedInSpecOrder) {
 TEST(Scheduler, ProgressCallbackFiresOncePerCell) {
   auto grid = tiny_grid();
   grid.methods({"FedAvg", "FedHiSyn"});
+  const auto specs = grid.expand();
   GridScheduler::Options options;
-  options.jobs = 2;
   std::size_t calls = 0;
   std::size_t last_total = 0;
-  options.on_cell = [&](std::size_t done, std::size_t total, const CellResult&) {
-    EXPECT_EQ(done, calls + 1);  // the callback is serialised
+  options.on_cell = [&](std::size_t done, std::size_t total, const CellResult& cell) {
+    EXPECT_EQ(done, calls + 1);
+    EXPECT_EQ(cell.spec.label(), specs[calls].label());  // spec order
     ++calls;
     last_total = total;
   };
-  GridScheduler(options).run(grid.expand());
+  GridScheduler(options).run(specs);
   EXPECT_EQ(calls, 2u);
   EXPECT_EQ(last_total, 2u);
 }
@@ -268,15 +245,28 @@ TEST(Scheduler, ProgressCallbackFiresOncePerCell) {
 TEST(Scheduler, CellExceptionsPropagate) {
   auto grid = tiny_grid();
   grid.methods({"FedAvg", "FedBogus"});
-  GridScheduler::Options options;
-  options.jobs = 2;
-  EXPECT_THROW(GridScheduler(options).run(grid.expand()), CheckError);
+  EXPECT_THROW(GridScheduler().run(grid.expand()), CheckError);
 }
 
-TEST(Scheduler, TwoLevelThreadBudget) {
+TEST(Scheduler, ThreadBackendRejectsConcurrentCells) {
+  // Concurrent cells are the process backend's; the thread backend runs one
+  // at a time and refuses a job count it would not honour.
+  auto grid = tiny_grid();
+  grid.methods({"FedAvg", "FedHiSyn"});
+  GridScheduler::Options options;
+  options.jobs = 2;
+  options.backend = CellBackend::kThread;
+  std::size_t calls = 0;
+  options.on_cell = [&](std::size_t, std::size_t, const CellResult&) { ++calls; };
+  EXPECT_THROW(GridScheduler(options).run(grid.expand()), CheckError);
+  EXPECT_EQ(calls, 0u);
+}
+
+TEST(Scheduler, ProcessWorkerThreadSlice) {
   GridScheduler::Options options;
   options.jobs = 4;
   options.total_threads = 8;
+  options.backend = CellBackend::kProcess;
   const GridScheduler scheduler(options);
   EXPECT_EQ(scheduler.resolved_jobs(100), 4u);
   EXPECT_EQ(scheduler.resolved_jobs(2), 2u);  // clamped to the cell count

@@ -451,7 +451,6 @@ TEST(Trace, DisabledPathRecordsNothingAndKeepsBytesIdentical) {
   const auto specs = grid.expand();
 
   GridScheduler::Options options;
-  options.jobs = 2;
   options.backend = CellBackend::kThread;
 
   // Zero-overhead off path: a full sweep through every instrumented layer
