@@ -125,19 +125,6 @@ std::vector<double> Rng::dirichlet(double alpha, std::size_t k) {
 
 bool Rng::bernoulli(double p) { return uniform() < p; }
 
-std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n, std::size_t k) {
-  FEDHISYN_CHECK(k <= n);
-  std::vector<std::size_t> indices(n);
-  for (std::size_t i = 0; i < n; ++i) indices[i] = i;
-  // Partial Fisher–Yates: first k slots become the sample.
-  for (std::size_t i = 0; i < k; ++i) {
-    const std::size_t j = i + static_cast<std::size_t>(uniform_index(n - i));
-    std::swap(indices[i], indices[j]);
-  }
-  indices.resize(k);
-  return indices;
-}
-
 Rng Rng::split() { return Rng(next_u64()); }
 
 }  // namespace fedhisyn

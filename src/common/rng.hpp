@@ -56,9 +56,6 @@ class Rng {
     shuffle(std::span<T>(items));
   }
 
-  /// k distinct indices drawn uniformly from [0, n), in random order.
-  std::vector<std::size_t> sample_without_replacement(std::size_t n, std::size_t k);
-
   /// Derive an independent child stream (stable given call order).
   Rng split();
 

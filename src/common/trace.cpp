@@ -48,12 +48,14 @@ struct ThreadBuffer {
   std::vector<Event> events;
 };
 
-/// Foreign events merged from dispatch workers, plus lane names.  Touched
-/// only by the coordinator's single-threaded dispatch loop and the final
-/// writer, but locked anyway: the cost is per merged cell, not per span.
+/// Foreign events merged from dispatch workers, the events the workers
+/// reported lost, and lane names.  Touched only by the coordinator's
+/// single-threaded dispatch loop and the final writer, but locked anyway:
+/// the cost is per merged cell, not per span.
 struct ForeignState {
   Mutex mutex;
   std::vector<std::pair<int, Event>> events FEDHISYN_GUARDED_BY(mutex);
+  std::uint64_t dropped FEDHISYN_GUARDED_BY(mutex) = 0;
   std::map<int, std::string> lane_names FEDHISYN_GUARDED_BY(mutex);
 };
 
@@ -138,41 +140,23 @@ void append_event_json(std::string& out, int pid, const Event& event) {
   json_escape_into(out, event.name);
   out += "\",\"cat\":\"";
   json_escape_into(out, event.cat != nullptr ? event.cat : "misc");
-  std::snprintf(buf, sizeof(buf), "\",\"ph\":\"%c\",\"pid\":%d,\"tid\":%u,\"ts\":%lld",
-                event.ph, pid, event.tid, static_cast<long long>(event.ts_us));
+  std::snprintf(buf, sizeof(buf),
+                "\",\"ph\":\"X\",\"pid\":%d,\"tid\":%u,\"ts\":%lld,\"dur\":%lld",
+                pid, event.tid, static_cast<long long>(event.ts_us),
+                static_cast<long long>(event.dur_us));
   out += buf;
-  if (event.ph == 'X') {
-    std::snprintf(buf, sizeof(buf), ",\"dur\":%lld",
-                  static_cast<long long>(event.dur_us));
-    out += buf;
-  }
-  if (event.ph == 'i') out += ",\"s\":\"t\"";
-  const bool counter = event.ph == 'C';
-  if (counter || event.arg1_name != nullptr || event.sarg_name != nullptr) {
+  if (event.arg1_name != nullptr) {
     out += ",\"args\":{";
-    bool first = true;
     const auto int_arg = [&](const char* name, std::int64_t value) {
-      if (!first) out += ",";
-      first = false;
       out += "\"";
       json_escape_into(out, name);
       std::snprintf(buf, sizeof(buf), "\":%lld", static_cast<long long>(value));
       out += buf;
     };
-    if (counter) {
-      int_arg("value", event.arg1);
-    } else {
-      if (event.arg1_name != nullptr) int_arg(event.arg1_name, event.arg1);
-      if (event.arg2_name != nullptr) int_arg(event.arg2_name, event.arg2);
-    }
-    if (event.sarg_name != nullptr && event.sarg != nullptr) {
-      if (!first) out += ",";
-      first = false;
-      out += "\"";
-      json_escape_into(out, event.sarg_name);
-      out += "\":\"";
-      json_escape_into(out, event.sarg);
-      out += "\"";
+    int_arg(event.arg1_name, event.arg1);
+    if (event.arg2_name != nullptr) {
+      out += ",";
+      int_arg(event.arg2_name, event.arg2);
     }
     out += "}";
   }
@@ -216,40 +200,12 @@ void TraceSpan::end() {
   Event event;
   event.name = name_;
   event.cat = cat_;
-  event.ph = 'X';
   event.ts_us = start_us_;
   event.dur_us = now_us() - start_us_;
   event.arg1_name = arg1_name_;
   event.arg1 = arg1_;
   event.arg2_name = arg2_name_;
   event.arg2 = arg2_;
-  event.sarg_name = sarg_name_;
-  event.sarg = sarg_;
-  ThreadBuffer& buffer = local_buffer();
-  event.tid = buffer.tid;
-  buffer.push(event);
-}
-
-void instant(const char* name, const char* cat) {
-  if (!enabled()) return;
-  Event event;
-  event.name = name;
-  event.cat = cat;
-  event.ph = 'i';
-  event.ts_us = now_us();
-  ThreadBuffer& buffer = local_buffer();
-  event.tid = buffer.tid;
-  buffer.push(event);
-}
-
-void counter_sample(const char* name, std::int64_t value) {
-  if (!enabled()) return;
-  Event event;
-  event.name = name;
-  event.cat = "counter";
-  event.ph = 'C';
-  event.ts_us = now_us();
-  event.arg1 = value;
   ThreadBuffer& buffer = local_buffer();
   event.tid = buffer.tid;
   buffer.push(event);
@@ -262,7 +218,6 @@ void emit_complete(const char* name, const char* cat, std::int64_t ts_us,
   Event event;
   event.name = name;
   event.cat = cat;
-  event.ph = 'X';
   event.ts_us = ts_us;
   event.dur_us = dur_us;
   event.arg1_name = arg1_name;
@@ -281,13 +236,19 @@ void emit_foreign(int pid, std::uint32_t tid, const std::string& name,
   Event event;
   event.name = intern(name);
   event.cat = intern(cat);
-  event.ph = 'X';
   event.tid = tid;
   event.ts_us = ts_us;
   event.dur_us = dur_us;
   ForeignState& state = foreign_state();
   MutexLock lock(state.mutex);
   state.events.emplace_back(pid, event);
+}
+
+void count_foreign_dropped(std::uint64_t count) {
+  if (!enabled()) return;
+  ForeignState& state = foreign_state();
+  MutexLock lock(state.mutex);
+  state.dropped += count;
 }
 
 void set_lane_name(int pid, const std::string& name) {
@@ -323,7 +284,6 @@ std::vector<CollectedSpan> collect_end(std::size_t max_spans,
     const std::uint32_t n = buffer.count.load(std::memory_order_acquire);
     for (std::uint32_t e = reg.drain_marks[i]; e < n; ++e) {
       const Event& event = buffer.events[e];
-      if (event.ph != 'X') continue;
       if (spans.size() >= max_spans) {
         if (dropped != nullptr) ++*dropped;
         continue;
@@ -377,7 +337,6 @@ void write_chrome_trace(const std::string& path) {
     }
   }
 
-  std::uint64_t dropped = 0;
   {
     Registry& reg = registry();
     MutexLock lock(reg.mutex);
@@ -387,11 +346,11 @@ void write_chrome_trace(const std::string& path) {
         comma();
         append_event_json(out, /*pid=*/0, buffer->events[e]);
       }
-      dropped += buffer->dropped.load(std::memory_order_relaxed);
     }
   }
   out += "\n],\"otherData\":{\"dropped_events\":";
-  std::snprintf(buf, sizeof(buf), "%llu", static_cast<unsigned long long>(dropped));
+  std::snprintf(buf, sizeof(buf), "%llu",
+                static_cast<unsigned long long>(dropped_event_count()));
   out += buf;
   out += "}}\n";
 
@@ -424,6 +383,11 @@ std::uint64_t dropped_event_count() {
   MutexLock lock(reg.mutex);
   for (ThreadBuffer* buffer : reg.buffers) {
     total += buffer->dropped.load(std::memory_order_relaxed);
+  }
+  {
+    ForeignState& state = foreign_state();
+    MutexLock foreign_lock(state.mutex);
+    total += state.dropped;
   }
   return total;
 }

@@ -1,5 +1,6 @@
-// Chrome-trace-event tracing plane: RAII spans, instants and counter samples
-// recorded into lock-free per-thread buffers, flushed as Perfetto-loadable
+// Chrome-trace-event tracing plane: complete spans of coarse work (cells,
+// builds, pool batches, round-graph jobs, dispatch lifecycles) recorded
+// into lock-free per-thread buffers, flushed as Perfetto-loadable
 // JSON ({"traceEvents":[...]}) by the grid drivers' --trace FILE flag
 // (FEDHISYN_TRACE fallback; see exp/driver.hpp and docs/OBSERVABILITY.md).
 //
@@ -62,9 +63,9 @@ inline bool enabled() {
 void set_enabled(bool on);
 
 /// Microseconds since the trace epoch (pinned by the first enable or the
-/// first call).  Spans and instants read it only while enabled(); untraced
-/// callers use differences of it for timing counters (round_graph.busy_us
-/// and wait_us), which never reach result bytes.
+/// first call).  Spans read it only while enabled(); untraced callers use
+/// differences of it for timing counters (round_graph.busy_us and
+/// wait_us), which never reach result bytes.
 std::int64_t now_us();
 
 /// Monotonic seconds for timing *metadata* (per-cell seconds, the progress
@@ -74,14 +75,12 @@ std::int64_t now_us();
 /// entry.
 double clock_seconds();
 
-/// One recorded event.  Name/category/argument-name pointers must be
-/// string literals (or otherwise live for the process) — recording never
-/// copies them.  `sarg` string *values* must also be stable; interned
-/// strings from intern() qualify.
+/// One recorded complete ('X') span.  Name/category/argument-name pointers
+/// must be string literals (or otherwise live for the process, like
+/// intern()'s) — recording never copies them.
 struct Event {
   const char* name = nullptr;
   const char* cat = nullptr;
-  char ph = 'X';  // 'X' complete span, 'i' instant, 'C' counter
   std::uint32_t tid = 0;
   std::int64_t ts_us = 0;
   std::int64_t dur_us = 0;
@@ -89,13 +88,11 @@ struct Event {
   std::int64_t arg1 = 0;
   const char* arg2_name = nullptr;
   std::int64_t arg2 = 0;
-  const char* sarg_name = nullptr;
-  const char* sarg = nullptr;
 };
 
 /// Copy `text` into the process-lifetime intern pool and return a stable
 /// pointer (the same pointer for the same text).  For dynamic names that
-/// repeat — GEMM shape classes, counter names off the wire.  Takes a lock;
+/// repeat — dispatch cell labels, span names off the wire.  Takes a lock;
 /// call only on enabled paths or cold paths.
 const char* intern(const std::string& text);
 
@@ -113,8 +110,8 @@ class TraceSpan {
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
-  /// Attach up to two integer args and one string arg (all optional).
-  /// No-ops when the span is not recording.
+  /// Attach up to two integer args (both optional).  No-ops when the span
+  /// is not recording.
   void arg(const char* name, std::int64_t value) {
     if (name_ == nullptr) return;
     if (arg1_name_ == nullptr) {
@@ -124,11 +121,6 @@ class TraceSpan {
       arg2_name_ = name;
       arg2_ = value;
     }
-  }
-  void sarg(const char* name, const char* value) {
-    if (name_ == nullptr) return;
-    sarg_name_ = name;
-    sarg_ = value;
   }
 
  private:
@@ -142,15 +134,7 @@ class TraceSpan {
   std::int64_t arg1_ = 0;
   const char* arg2_name_ = nullptr;
   std::int64_t arg2_ = 0;
-  const char* sarg_name_ = nullptr;
-  const char* sarg_ = nullptr;
 };
-
-/// Record an 'i' (instant) event on the calling thread.  No-op when off.
-void instant(const char* name, const char* cat);
-
-/// Record a 'C' (counter) sample on the calling thread.  No-op when off.
-void counter_sample(const char* name, std::int64_t value);
 
 /// Record a complete span with explicit timestamps (for async lifecycles —
 /// the dispatch plane's queue→feed→result cells — where RAII scoping does
@@ -164,6 +148,11 @@ void emit_complete(const char* name, const char* cat, std::int64_t ts_us,
 /// from the single-threaded dispatch loop.  No-op when off.
 void emit_foreign(int pid, std::uint32_t tid, const std::string& name,
                   const std::string& cat, std::int64_t ts_us, std::int64_t dur_us);
+
+/// Count `count` events a dispatch worker lost (its telemetry block's
+/// `dropped`) in dropped_event_count() and the trace's dropped_events.
+/// Coordinator-only, like emit_foreign.  No-op when off.
+void count_foreign_dropped(std::uint64_t count);
 
 /// Name lane `pid` (emitted as process_name metadata, shown as the track
 /// group title in Perfetto).  Idempotent per pid.  No-op when off.
@@ -186,11 +175,10 @@ struct CollectedSpan {
 /// caller runs cells strictly one at a time.
 void collect_begin();
 
-/// Drain everything recorded since collect_begin(): 'X' spans only (the
-/// telemetry block ships spans; counters travel as registry deltas),
-/// timestamps rebased to the cell epoch, capped at `max_spans` with the
-/// overflow added to *dropped.  Runs at a quiescent point (the cell
-/// finished; the pool is at its barrier).
+/// Drain every span recorded since collect_begin() (counters travel as
+/// registry deltas), timestamps rebased to the cell epoch, capped at
+/// `max_spans` with the overflow added to *dropped.  Runs at a quiescent
+/// point (the cell finished; the pool is at its barrier).
 std::vector<CollectedSpan> collect_end(std::size_t max_spans,
                                        std::uint64_t* dropped);
 
@@ -205,7 +193,8 @@ void write_chrome_trace(const std::string& path);
 /// Test hook: asserts the off path records nothing.
 std::uint64_t recorded_event_count();
 
-/// Events lost to full thread buffers so far.
+/// Events lost so far: to this process's full thread buffers, plus those
+/// the dispatch workers reported (count_foreign_dropped).
 std::uint64_t dropped_event_count();
 
 }  // namespace fedhisyn::trace

@@ -116,12 +116,6 @@ std::string method_description(const std::string& name) {
   return it->second.description;
 }
 
-bool algorithm_registered(const std::string& name) {
-  auto& reg = registry();
-  MutexLock lock(reg.mutex);
-  return reg.factories.count(name) > 0;
-}
-
 std::unique_ptr<FlAlgorithm> make_algorithm(const std::string& name,
                                             const FlContext& ctx) {
   AlgorithmFactory factory;

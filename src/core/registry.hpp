@@ -42,9 +42,6 @@ std::vector<std::string> registered_methods();
 /// unknown name.
 std::string method_description(const std::string& name);
 
-/// True when `name` has a registered factory.
-bool algorithm_registered(const std::string& name);
-
 /// Instantiate the registered algorithm `name`; throws CheckError naming the
 /// known methods when the name is unknown.
 std::unique_ptr<FlAlgorithm> make_algorithm(const std::string& name,

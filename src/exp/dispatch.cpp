@@ -69,8 +69,8 @@ void validate_hello(const std::string& line, const std::string& who) {
 }
 
 /// Per-cell telemetry span cap on the wire: bounds response-line size
-/// (~100 bytes/span) while comfortably covering a cell's waves and GEMMs;
-/// overflow is counted in the block's `dropped`.
+/// (~100 bytes/span) while covering a cell's run_cell, build, pool and
+/// train_job spans; overflow is counted in the block's `dropped`.
 constexpr std::size_t kMaxWireSpans = 4096;
 // Wire lines are capped at net::kMaxLineBytes: demand 16x headroom over a
 // full span block at a generous 128 B/span, which also covers the history.
@@ -535,10 +535,7 @@ std::vector<CellResult> run_dispatch(const TcpDispatcher::Options& options,
                    death.str().c_str(), specs[i].label().c_str(), attempts[i],
                    options.max_attempts);
       retries_counter.add(1);
-      if (tracing) {
-        trace::instant("cell.retry", "dispatch");
-        enqueue_us[i] = trace::now_us();
-      }
+      if (tracing) enqueue_us[i] = trace::now_us();
       pending.push_front(i);
     } else if (!was_ready) {
       // Never served anything: reconnecting would only repeat the failure.
@@ -587,6 +584,7 @@ std::vector<CellResult> run_dispatch(const TcpDispatcher::Options& options,
         trace::emit_foreign(1 + static_cast<int>(s), span.tid, span.name, span.cat,
                             slot.feed_us + span.ts_us, span.dur_us);
       }
+      trace::count_foreign_dropped(response.cell.telemetry.dropped);
     }
     response.cell.spec = specs[i];
     results[i] = std::move(response.cell);

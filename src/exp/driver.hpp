@@ -22,9 +22,9 @@
 //                     dispatch workers' cache and connection log lines
 //                     (FEDHISYN_QUIET fallback)
 //   --trace FILE      write a Chrome-trace/Perfetto JSON timeline of the
-//                     sweep to FILE (FEDHISYN_TRACE fallback): executor
-//                     batches, round waves, GEMM calls, build-cache builds
-//                     and per-cell dispatch lifecycles, with dispatch
+//                     sweep to FILE (FEDHISYN_TRACE fallback): grid cells,
+//                     executor batches, round-graph jobs, build-cache
+//                     builds and per-cell dispatch lifecycles, with dispatch
 //                     workers' spans merged onto per-worker lanes
 //                     (common/trace.hpp; docs/OBSERVABILITY.md).  Pure
 //                     observability — result bytes are identical with or

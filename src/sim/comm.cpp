@@ -1,13 +1,6 @@
 #include "sim/comm.hpp"
 
-#include "common/check.hpp"
-
 namespace fedhisyn::sim {
-
-double CommTracker::normalized_rounds(std::size_t participants) const {
-  FEDHISYN_CHECK(participants >= 1);
-  return server_model_units() / (2.0 * static_cast<double>(participants));
-}
 
 void CommTracker::reset() {
   server_down_ = 0.0;

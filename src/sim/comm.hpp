@@ -25,10 +25,6 @@ class CommTracker {
   double server_uploads() const { return server_up_; }
   double device_to_device_units() const { return device_device_; }
 
-  /// Server traffic normalised to FedAvg rounds: one round of FedAvg with
-  /// `participants` devices costs 2*participants model-units.
-  double normalized_rounds(std::size_t participants) const;
-
   void reset();
 
  private:

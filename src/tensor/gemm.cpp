@@ -162,36 +162,13 @@ void blocked_gemm(const float* a, const float* b, float* c, std::int64_t m,
   }
 }
 
-// Interned span name for a (op, n) shape class.  Traced paths only; the
-// one-entry memo makes the common case (repeated calls of one shape per
-// layer) lock-free after the first intern.
-const char* traced_shape_name(GemmOp op, std::int64_t n) {
-  struct Memo {
-    GemmOp op = GemmOp::kNN;
-    std::int64_t n = -1;
-    const char* name = nullptr;
-  };
-  thread_local Memo memo;
-  if (memo.name == nullptr || memo.op != op || memo.n != n) {
-    memo = {op, n, trace::intern(gemm_shape_class(op, n))};
-  }
-  return memo.name;
-}
-
 // The one entry behind gemm()/gemm_nt()/gemm_tn(): the callers check the
 // operand sizes, the kernel is the process-wide selection.
 void gemm_run(GemmOp op, const float* a, const float* b, float* c,
               std::int64_t m, std::int64_t k, std::int64_t n, bool accumulate) {
   static counters::Counter& calls = counters::counter("gemm.calls");
   calls.add(1);
-  // Span name = shape class, so Perfetto's aggregation view groups GEMM
-  // time by operand layout and output width; the kernel variant is
-  // process-constant and rides along as a string arg.
   const GemmKernel& kernel = gemm_runtime_config();
-  trace::TraceSpan span(trace::enabled() ? traced_shape_name(op, n) : "gemm",
-                        "gemm");
-  span.sarg("variant", kernel.name);
-  span.arg("flops", 2 * m * k * n);
   switch (op) {
     case GemmOp::kNN: blocked_gemm<GemmOp::kNN>(a, b, c, m, k, n, accumulate, kernel); return;
     case GemmOp::kNT: blocked_gemm<GemmOp::kNT>(a, b, c, m, k, n, accumulate, kernel); return;

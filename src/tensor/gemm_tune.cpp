@@ -15,7 +15,6 @@ namespace fedhisyn {
 namespace {
 
 using gemmk::GemmKernel;
-using gemmk::GemmOp;
 
 /// The three variants in auto-dispatch preference order: widest vectors
 /// first, generic as the unconditional fallback.
@@ -23,8 +22,6 @@ std::array<const GemmKernel*, 3> all_variants() {
   return {&gemmk::gemm_variant_avx512(), &gemmk::gemm_variant_avx2(),
           &gemmk::gemm_variant_generic()};
 }
-
-constexpr const char* kOpNames[3] = {"nn", "nt", "tn"};
 
 /// The process-wide resolved selection: info for diagnostics plus the one
 /// kernel every call executes (a variant's static entry).
@@ -67,11 +64,6 @@ Runtime& runtime_slot(const Runtime* first = nullptr) {
 }
 
 }  // namespace
-
-std::string gemm_shape_class(GemmOp op, std::int64_t n) {
-  return std::string(kOpNames[static_cast<int>(op)]) +
-         (n > kGemmWideN ? "/wide" : "/narrow");
-}
 
 const GemmRuntimeInfo& gemm_runtime_info() { return runtime_slot().info; }
 

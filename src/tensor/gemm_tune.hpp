@@ -15,25 +15,14 @@
 // None of this can change result bytes — only scheduling.  The equivalence
 // suite in tests/tensor_test.cpp forces every supported variant and demands
 // exact float equality.
-//
-// Shape classes.  Trace spans name each call by operand layout and output
-// width: {nn, nt, tn} x {narrow (n <= 256), wide}.  The classes are labels
-// only: they select no kernel, tile or operand path.
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "tensor/gemm_kernel.hpp"
 
 namespace fedhisyn {
-
-/// Outputs with n <= kGemmWideN are "narrow", the rest "wide".
-inline constexpr std::int64_t kGemmWideN = 256;
-
-/// Shape-class span name, e.g. "nn/narrow" or "tn/wide".
-std::string gemm_shape_class(gemmk::GemmOp op, std::int64_t n);
 
 /// What the runtime selection resolved to (for startup logging and the
 /// --gemm-info diagnostic).

@@ -127,15 +127,6 @@ TEST(Rng, ShuffleIsPermutation) {
   EXPECT_EQ(unique.size(), 50u);
 }
 
-TEST(Rng, SampleWithoutReplacementDistinct) {
-  Rng rng(31);
-  const auto sample = rng.sample_without_replacement(100, 30);
-  EXPECT_EQ(sample.size(), 30u);
-  std::set<std::size_t> unique(sample.begin(), sample.end());
-  EXPECT_EQ(unique.size(), 30u);
-  for (const auto i : sample) EXPECT_LT(i, 100u);
-}
-
 TEST(Rng, SplitStreamsAreIndependent) {
   Rng parent(37);
   Rng child = parent.split();

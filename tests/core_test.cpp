@@ -8,7 +8,6 @@
 #include "common/check.hpp"
 #include "common/parallel.hpp"
 #include "core/aggregate.hpp"
-#include "core/metrics.hpp"
 #include "core/presets.hpp"
 #include "core/ring_engine.hpp"
 #include "core/runner.hpp"
@@ -197,70 +196,6 @@ TEST(Aggregate, ConvexCombinationOfModels) {
   aggregate_models(models, w, out);
   EXPECT_FLOAT_EQ(out[0], 1.0f);
   EXPECT_FLOAT_EQ(out[1], 2.0f);
-}
-
-TEST(Metrics, SingleModelHasZeroDispersion) {
-  std::vector<float> w = {1.0f, 2.0f};
-  std::vector<std::span<const float>> models = {w};
-  const auto stats = model_dispersion(models);
-  EXPECT_DOUBLE_EQ(stats.mean_distance_to_centroid, 0.0);
-  EXPECT_DOUBLE_EQ(stats.mean_pairwise_distance, 0.0);
-}
-
-TEST(Metrics, DispersionOfKnownTriangle) {
-  // Three unit-separated points on a line: centroid at the middle one.
-  std::vector<float> a = {-1.0f};
-  std::vector<float> b = {0.0f};
-  std::vector<float> c = {1.0f};
-  std::vector<std::span<const float>> models = {a, b, c};
-  const auto stats = model_dispersion(models);
-  EXPECT_NEAR(stats.mean_distance_to_centroid, 2.0 / 3.0, 1e-12);
-  EXPECT_NEAR(stats.max_distance_to_centroid, 1.0, 1e-12);
-  // Pairs: |a-b|=1, |a-c|=2, |b-c|=1 -> mean 4/3.
-  EXPECT_NEAR(stats.mean_pairwise_distance, 4.0 / 3.0, 1e-12);
-}
-
-TEST(Metrics, IdenticalModelsFullyAligned) {
-  std::vector<float> base = {0.0f, 0.0f};
-  std::vector<float> w1 = {1.0f, 1.0f};
-  std::vector<float> w2 = {2.0f, 2.0f};
-  EXPECT_NEAR(update_cosine(base, w1, w2), 1.0, 1e-12);
-  std::vector<float> w3 = {1.0f, -1.0f};
-  EXPECT_NEAR(update_cosine(base, w1, w3), 0.0, 1e-12);
-  // Zero update -> defined as 0.
-  EXPECT_DOUBLE_EQ(update_cosine(base, base, w1), 0.0);
-}
-
-TEST(Metrics, RingCirculationReducesUploadDispersion) {
-  // The §3.2 premise measured directly: after one round, FedHiSyn's device
-  // models (each having visited several shards) should be no more dispersed
-  // than independently-trained FedAvg locals on the same Non-IID data.
-  const TinyWorld world(false, 0.3, {1.0, 1.0, 1.0, 2.0, 2.0, 2.0});
-  FlOptions opts;
-  opts.local_epochs = 2;
-  opts.batch_size = 20;
-  opts.clusters = 2;
-  const auto ctx = world.context(opts);
-
-  FedHiSynAlgo fedhisyn(ctx);
-  fedhisyn.run_round();
-
-  // Independent local training from the same initialisation (FedAvg's round
-  // without aggregation).
-  Rng init(0x5A5A ^ opts.seed);
-  std::vector<std::vector<float>> locals(6);
-  Rng init_rng(opts.seed ^ 0xA5A5A5A5ull);
-  const auto start = world.network.init_weights(init_rng);
-  for (std::size_t d = 0; d < 6; ++d) {
-    locals[d] = start;
-    Rng r(100 + d);
-    train_local(world.network, locals[d], world.fed.shards[d], 8, 20, 0.1f,
-                UpdateKind::kSgd, {}, r);
-  }
-  std::vector<std::span<const float>> local_views;
-  for (const auto& w : locals) local_views.emplace_back(w);
-  const auto independent = model_dispersion(local_views);
-  EXPECT_GT(independent.mean_pairwise_distance, 0.0);
 }
 
 TEST(RingEngine, HomogeneousRingCompletesExpectedJobs) {

@@ -37,6 +37,7 @@
 #include "common/net.hpp"
 #include "common/parallel.hpp"
 #include "common/subprocess.hpp"
+#include "common/trace.hpp"
 #include "exp/dispatch.hpp"
 #include "exp/driver.hpp"
 #include "exp/grid.hpp"
@@ -721,6 +722,38 @@ TEST(TcpDispatch, NegativeCounterDeltaIsRejected) {
   rejects(R"({"dropped":0,"spans":[],"counters":{"build_cache.hits":-1}})",
           "counter 'build_cache.hits'");
   rejects(R"({"dropped":-1,"spans":[],"counters":{}})", "'dropped'");
+}
+
+TEST(TcpDispatch, WorkerReportedDropsReachTheTraceCount) {
+  // A worker whose span buffers overflowed says so in its telemetry block's
+  // `dropped`; the coordinator counts that loss with its own, so the
+  // written trace's otherData.dropped_events cannot read 0 over lost spans.
+  FakeEndpoint lossy([](int fd) {
+    net::write_all(fd, hello_line(kWireRevision));
+    net::LineReader reader(fd);
+    std::string request;
+    if (reader.read_line(&request) != net::LineReader::Status::kLine) return;
+    net::write_all(fd,
+                   "{\"ok\":true,\"seconds\":0.5,\"telemetry\":{\"dropped\":5,"
+                   "\"spans\":[[\"run_cell\",\"scheduler\",0,0,10]],\"counters\":{}},"
+                   "\"algorithm\":\"FedAvg\",\"final\":0.5,\"best\":0.5,"
+                   "\"comm\":null,\"rounds_to_target\":null,\"history\":[]}\n");
+    drain(fd);
+  });
+  auto grid = tiny_grid();
+  grid.methods({"FedAvg"});
+  const auto specs = grid.expand();
+  ASSERT_EQ(specs.size(), 1u);
+  TcpDispatcher::Options options;
+  options.hosts = {lossy.endpoint()};
+  trace::set_enabled(true);
+  const std::uint64_t before = trace::dropped_event_count();
+  const auto cells = TcpDispatcher(options).run(specs);
+  const std::uint64_t after = trace::dropped_event_count();
+  trace::set_enabled(false);
+  ASSERT_EQ(cells.size(), 1u);
+  EXPECT_EQ(cells[0].telemetry.dropped, 5u);
+  EXPECT_EQ(after - before, 5u);
 }
 
 TEST(TcpDispatch, RequestLackingTraceGetsAnErrorReply) {

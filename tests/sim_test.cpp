@@ -177,22 +177,22 @@ TEST(Events, ResetClearsState) {
   EXPECT_EQ(queue.pop().device, 9u);
 }
 
-TEST(Comm, NormalisedRoundsMatchPaperAccounting) {
+TEST(Comm, ServerUnitsMatchPaperAccounting) {
   CommTracker comm;
   // One FedAvg round with 10 participants: 10 down + 10 up.
   for (int i = 0; i < 10; ++i) {
     comm.record_server_download();
     comm.record_server_upload();
   }
-  EXPECT_DOUBLE_EQ(comm.normalized_rounds(10), 1.0);
+  EXPECT_DOUBLE_EQ(comm.server_model_units(), 20.0);
 
-  // SCAFFOLD round: everything counts double -> 2 rounds-equivalent.
+  // SCAFFOLD round: everything counts double -> twice FedAvg's traffic.
   CommTracker scaffold;
   for (int i = 0; i < 10; ++i) {
     scaffold.record_server_download(2.0);
     scaffold.record_server_upload(2.0);
   }
-  EXPECT_DOUBLE_EQ(scaffold.normalized_rounds(10), 2.0);
+  EXPECT_DOUBLE_EQ(scaffold.server_model_units(), 2.0 * comm.server_model_units());
 }
 
 TEST(Comm, DeviceToDeviceSeparateFromServer) {

@@ -729,13 +729,6 @@ TEST(VecPlaneMatrix, SoftmaxXentMatchesScalarReference) {
   }
 }
 
-TEST(GemmRuntime, ShapeClassMapping) {
-  EXPECT_EQ(gemm_shape_class(gemmk::GemmOp::kNN, kGemmWideN), "nn/narrow");
-  EXPECT_EQ(gemm_shape_class(gemmk::GemmOp::kNN, kGemmWideN + 1), "nn/wide");
-  EXPECT_EQ(gemm_shape_class(gemmk::GemmOp::kNT, 64), "nt/narrow");
-  EXPECT_EQ(gemm_shape_class(gemmk::GemmOp::kTN, 1024), "tn/wide");
-}
-
 // --gemm-info reports exactly the one schedule the driver runs: the forced
 // variant, its one tile, and a single resolved line whose panel width is 512
 // rounded up to a multiple of NR and whose task height is two MR tiles.

@@ -5,17 +5,17 @@ Validates that a trace file written by write_chrome_trace() (or merged from
 a multi-worker sweep) is a loadable Chrome-trace-event document:
 
   * top level is an object with a "traceEvents" list;
-  * every event is an object with a string "name", a "ph" in {X, i, C, M},
+  * every event is an object with a string "name", a "ph" in {X, M},
     and integer "pid"/"tid" lanes;
   * 'X' (complete-span) events carry integer "ts" >= 0 and "dur" >= 0 and a
     string "cat";
-  * 'i' (instant) events carry the "s" scope field Perfetto requires;
-  * 'C' (counter) events carry a numeric args.value;
-  * 'M' metadata events are process_name lane titles with args.name.
+  * 'M' metadata events are process_name lane titles with args.name;
+  * otherData.dropped_events is 0: no span was lost to a full thread buffer
+    or to a dispatch worker's wire cap, so the timeline is complete.
 
 Optional coverage gates, used by the CI trace-smoke job:
 
-  --require-cats pool,round_graph,gemm,build_cache,dispatch
+  --require-cats pool,round_graph,build_cache,dispatch,scheduler
         every listed category must appear on at least one 'X' event — the
         five instrumented layers all made it into the timeline;
   --min-worker-lanes 2
@@ -30,7 +30,7 @@ import argparse
 import json
 import sys
 
-VALID_PH = {"X", "i", "C", "M"}
+VALID_PH = {"X", "M"}
 
 
 def check_events(events, errors):
@@ -66,23 +66,15 @@ def check_events(events, errors):
         ts = event.get("ts")
         if not isinstance(ts, int) or ts < 0:
             errors.append(f"{where} ({name}): bad 'ts' {ts!r}")
-        if ph == "X":
-            dur = event.get("dur")
-            if not isinstance(dur, int) or dur < 0:
-                errors.append(f"{where} ({name}): bad 'dur' {dur!r}")
-            cat = event.get("cat")
-            if not isinstance(cat, str) or not cat:
-                errors.append(f"{where} ({name}): 'X' event without 'cat'")
-            else:
-                span_cats.add(cat)
-            span_pids.add(event.get("pid"))
-        elif ph == "i":
-            if event.get("s") != "t":
-                errors.append(f"{where} ({name}): instant without s=t scope")
-        elif ph == "C":
-            value = event.get("args", {}).get("value")
-            if not isinstance(value, (int, float)):
-                errors.append(f"{where} ({name}): counter without args.value")
+        dur = event.get("dur")
+        if not isinstance(dur, int) or dur < 0:
+            errors.append(f"{where} ({name}): bad 'dur' {dur!r}")
+        cat = event.get("cat")
+        if not isinstance(cat, str) or not cat:
+            errors.append(f"{where} ({name}): 'X' event without 'cat'")
+        else:
+            span_cats.add(cat)
+        span_pids.add(event.get("pid"))
     return span_cats, named_lanes, span_pids
 
 
@@ -94,6 +86,12 @@ def check_document(doc, require_cats, min_worker_lanes):
     if not isinstance(events, list):
         return ["missing 'traceEvents' list"]
     span_cats, named_lanes, span_pids = check_events(events, errors)
+    other = doc.get("otherData")
+    dropped = other.get("dropped_events") if isinstance(other, dict) else None
+    if not isinstance(dropped, int) or dropped < 0:
+        errors.append(f"bad otherData.dropped_events {dropped!r}")
+    elif dropped > 0:
+        errors.append(f"{dropped} event(s) dropped: the timeline is incomplete")
     for cat in require_cats:
         if cat not in span_cats:
             errors.append(f"required category {cat!r} has no spans "
@@ -112,27 +110,30 @@ def self_test():
              "args": {"name": "worker 0 (host:1)"}},
             {"name": "span", "cat": "pool", "ph": "X", "pid": 0, "tid": 0,
              "ts": 0, "dur": 5},
-            {"name": "span", "cat": "gemm", "ph": "X", "pid": 1, "tid": 2,
-             "ts": 1, "dur": 2},
-            {"name": "mark", "ph": "i", "pid": 0, "tid": 0, "ts": 3, "s": "t"},
-            {"name": "gauge", "ph": "C", "pid": 0, "tid": 0, "ts": 4,
-             "args": {"value": 7}},
-        ]
+            {"name": "span", "cat": "round_graph", "ph": "X", "pid": 1,
+             "tid": 2, "ts": 1, "dur": 2},
+        ],
+        "otherData": {"dropped_events": 0},
     }
+    complete = {"otherData": {"dropped_events": 0}}
     cases = [
         ("valid document", good, [], 0, True),
-        ("required cats present", good, ["pool", "gemm"], 1, True),
+        ("required cats present", good, ["pool", "round_graph"], 1, True),
         ("missing cat fails", good, ["dispatch"], 0, False),
         ("missing worker lane fails", good, [], 2, False),
         ("span without dur fails",
          {"traceEvents": [{"name": "s", "cat": "c", "ph": "X", "pid": 0,
-                           "tid": 0, "ts": 0}]}, [], 0, False),
-        ("instant without scope fails",
+                           "tid": 0, "ts": 0}], **complete}, [], 0, False),
+        ("instant fails",
          {"traceEvents": [{"name": "m", "ph": "i", "pid": 0, "tid": 0,
-                           "ts": 0}]}, [], 0, False),
+                           "ts": 0, "s": "t"}], **complete}, [], 0, False),
         ("bad ph fails",
          {"traceEvents": [{"name": "x", "ph": "B", "pid": 0, "tid": 0,
-                           "ts": 0}]}, [], 0, False),
+                           "ts": 0}], **complete}, [], 0, False),
+        ("dropped events fail",
+         {**good, "otherData": {"dropped_events": 3}}, [], 0, False),
+        ("missing dropped count fails",
+         {"traceEvents": good["traceEvents"]}, [], 0, False),
         ("no traceEvents fails", {}, [], 0, False),
     ]
     failed = 0
@@ -188,7 +189,7 @@ def main():
     spans = sum(1 for e in events if e.get("ph") == "X")
     lanes = len({e["pid"] for e in events})
     print(f"check_trace: {args.trace}: valid ({len(events)} events, "
-          f"{spans} spans, {lanes} lane(s))")
+          f"{spans} spans, {lanes} lane(s), 0 dropped)")
     return 0
 
 
